@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -140,8 +139,7 @@ def _cmd_constant(args, argv) -> int:
 
 
 def _cmd_solve(args, argv) -> int:
-    cfg = SolverConfig(multistarts=args.multistarts, tol=args.tol, seed=args.seed,
-                       threads=args.threads)
+    cfg = SolverConfig(multistarts=args.multistarts, tol=args.tol, seed=args.seed)
     if args.mode == "diagonal":
         res = diagonal_constant(args.k, args.m, cfg)
     else:
@@ -268,7 +266,6 @@ def _cmd_selftest(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    default_threads = int(os.environ.get("CONVMAX_THREADS", "1"))
     parser = argparse.ArgumentParser(
         prog="convmax",
         description="Optimal constants for suprema of k-fold convolutions on discrete cubes",
@@ -282,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constant", help="closed forms, diagonal profile, sharpness")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--exact", action="store_true", help="kept for symmetry; output is always exact")
     p.add_argument("--profile", action="store_true")
     p.add_argument("--sharpness", action="store_true")
     common(p)
@@ -296,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--multistarts", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=default_threads)
     common(p)
     p.set_defaults(func=_cmd_solve)
 

@@ -23,6 +23,7 @@ implements the k-version.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,8 +69,7 @@ def extremal_function(k: int, d: int) -> GridFn:
         raise ValueError(f"d must be >= 1, got {d}")
     hi = k - k // 2
     lo = k // 2 + 1
-    f = GridFn(d, 1, [1] * (2**d))
-    vals = [hi ** sum(p) * lo ** (d - sum(p)) for p in f.points()]
+    vals = [hi ** sum(p) * lo ** (d - sum(p)) for p in itertools.product((0, 1), repeat=d)]
     return GridFn(d, 1, vals)
 
 

@@ -107,8 +107,35 @@ class GridFn:
         return GridFn(d, 0, (1,))
 
 
+def _convolve_seq(a: Sequence, b: Sequence) -> list:
+    """1-d convolution of coefficient lists, skipping zero entries on both sides."""
+    out = [0] * (len(a) + len(b) - 1)
+    nonzero_b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nonzero_b:
+                out[i + j] += x * y
+    return out
+
+
+def _spread(f: GridFn, base: int) -> list:
+    """f's values with point x at index sum_t x_t base^(d-1-t), zeros between."""
+    idx = [0]
+    for _ in range(f.d):
+        idx = [i * base + x for i in idx for x in range(f.m + 1)]
+    seq = [0] * (idx[-1] + 1)
+    for i, v in zip(idx, f.values):
+        seq[i] = v
+    return seq
+
+
 def convolve(f: GridFn, g: GridFn) -> GridFn:
-    """Convolution (f*g)(x) = sum_{y+z=x} f(y) g(z); exact in, exact out."""
+    """Convolution (f*g)(x) = sum_{y+z=x} f(y) g(z); exact in, exact out.
+
+    Points are read as base-(m+1) integers with m = f.m + g.m.  Coordinate
+    sums stay below m+1 and never carry, so the d-dimensional convolution is
+    a 1-d one whose output has exactly (m+1)^d entries in storage order.
+    """
     if f.d != g.d:
         raise DimensionMismatch(f"d mismatch: {f.d} != {g.d}")
     d = f.d
@@ -116,20 +143,7 @@ def convolve(f: GridFn, g: GridFn) -> GridFn:
     size = (m + 1) ** d
     if size > MEMORY_CAP_ENTRIES:
         raise MemoryCapExceeded(f"(m+1)^d = {size} exceeds cap {MEMORY_CAP_ENTRIES}")
-    base = m + 1
-    out = [0] * size
-    gpts = list(zip(g.points(), g.values))
-    for pf, vf in zip(f.points(), f.values):
-        if vf == 0:
-            continue
-        for pg, vg in gpts:
-            if vg == 0:
-                continue
-            idx = 0
-            for a, b in zip(pf, pg):
-                idx = idx * base + (a + b)
-            out[idx] += vf * vg
-    return GridFn(d, m, out)
+    return GridFn(d, m, _convolve_seq(_spread(f, m + 1), _spread(g, m + 1)))
 
 
 def convolve_many(fs: Sequence[GridFn]) -> GridFn:

@@ -31,6 +31,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,6 +39,7 @@ from scipy.optimize import linprog, minimize
 
 from .constants import optimal_constant
 from .errors import BudgetExceeded
+from .gridfn import _convolve_seq
 from .pb import intersection_point, pb_pmf
 
 
@@ -49,7 +51,6 @@ class SolverConfig:
     subgradient_iters: int = 400
     cert_tol: float = 1e-7       # tolerance for the mode-sharing certificate
     seed: int = 0
-    threads: int = 1
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -105,28 +106,12 @@ def _conv_all(ws: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _conv_pow(w: np.ndarray, k: int) -> np.ndarray:
-    out = np.array([1.0])
-    for _ in range(k):
-        out = np.convolve(out, w)
-    return out
-
-
-def _conv_seq(a: Sequence, b: Sequence) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _conv_seq_pow(a: Sequence, k: int) -> list:
-    out = [1]
-    for _ in range(k):
-        out = _conv_seq(out, a)
-    return out
+def _conv_matrix(c: np.ndarray, m: int) -> np.ndarray:
+    """M[i, a] = c[i - a] (0 outside c), so M @ w == np.convolve(c, w) for len(w) = m+1."""
+    M = np.zeros((len(c) + m, m + 1))
+    for a in range(m + 1):
+        M[a:a + len(c), a] = c
+    return M
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -197,13 +182,7 @@ def _diagonal_envelope_exact(k: int) -> Tuple[Fraction, Fraction, List[int]]:
 def _lp_factor_step(R: np.ndarray, m: int) -> Tuple[np.ndarray, float]:
     """Exact minimax over one simplex factor given the others' convolution R."""
     n_out = len(R) + m
-    A = np.zeros((n_out, m + 2))
-    for i in range(n_out):
-        for a in range(m + 1):
-            t = i - a
-            if 0 <= t < len(R):
-                A[i, a] = R[t]
-        A[i, m + 1] = -1.0
+    A = np.column_stack([_conv_matrix(R, m), np.full(n_out, -1.0)])
     c = np.zeros(m + 2)
     c[m + 1] = 1.0
     A_eq = np.zeros((1, m + 2))
@@ -296,7 +275,7 @@ def general_constant(k: int, m: int, cfg: Optional[SolverConfig] = None) -> Mini
 # ---------------------------------------------------------------------------
 
 def _diag_obj(w: np.ndarray, k: int) -> float:
-    return float(np.max(_conv_pow(w, k)))
+    return float(np.max(_conv_all([w] * k)))
 
 
 def _diag_subgradient(w: np.ndarray, k: int, iters: int) -> Tuple[np.ndarray, float]:
@@ -304,7 +283,7 @@ def _diag_subgradient(w: np.ndarray, k: int, iters: int) -> Tuple[np.ndarray, fl
     m = len(w) - 1
     best_w, best_v = w.copy(), _diag_obj(w, k)
     for _ in range(iters):
-        ckm1 = _conv_pow(w, k - 1)
+        ckm1 = _conv_all([w] * (k - 1))
         c = np.convolve(ckm1, w)
         i = int(np.argmax(c))  # ties break toward the smaller index
         v = float(c[i])
@@ -326,19 +305,11 @@ def _diag_polish(w0: np.ndarray, k: int) -> Tuple[np.ndarray, float, bool]:
     n_out = k * m + 1
 
     def cons_f(x):
-        return x[-1] - _conv_pow(x[:-1], k)
+        return x[-1] - _conv_all([x[:-1]] * k)
 
     def cons_jac(x):
-        w = x[:-1]
-        ckm1 = _conv_pow(w, k - 1)
-        J = np.zeros((n_out, m + 2))
-        for i in range(n_out):
-            for a in range(m + 1):
-                t = i - a
-                if 0 <= t < len(ckm1):
-                    J[i, a] = -k * ckm1[t]
-            J[i, m + 1] = 1.0
-        return J
+        ckm1 = _conv_all([x[:-1]] * (k - 1))
+        return np.column_stack([_conv_matrix(-k * ckm1, m), np.ones(n_out)])
 
     x0 = np.concatenate([w0, [_diag_obj(w0, k)]])
     res = minimize(
@@ -415,7 +386,7 @@ def diagonal_constant(k: int, m: int, cfg: Optional[SolverConfig] = None,
         if v2 < best_v:
             best_w, best_v, any_conv = w2, v2, ok
 
-    profile = _conv_pow(best_w, k)
+    profile = _conv_all([best_w] * k)
     value = float(np.max(profile))
     return MinimaxResult(
         value=value,
@@ -443,8 +414,7 @@ class GridOracleResult:
     m: int
     n: int
     diagonal: bool
-    grid_min: Fraction           # exact minimum over the grid
-    upper_bound: Fraction        # = grid_min: an upper bound for the constant
+    grid_min: Fraction           # exact minimum over the grid: an upper bound for the constant
     argmin: tuple                # weight tuples with denominator n
     points_evaluated: int
 
@@ -481,26 +451,11 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False,
     if total > budget:
         raise BudgetExceeded(f"{total} grid points exceed budget {budget}")
 
-    best_v, best_arg = None, None
-    count = 0
-    if diagonal:
-        for comp in _compositions(n, m + 1):
-            count += 1
-            w = [Fraction(c, n) for c in comp]
-            v = max(_conv_seq_pow(w, k))
-            if best_v is None or v < best_v:
-                best_v, best_arg = v, (tuple(w),)
-    else:
-        comps = [tuple(Fraction(c, n) for c in comp) for comp in _compositions(n, m + 1)]
-        for combo in itertools.product(comps, repeat=k):
-            count += 1
-            prof = [1]
-            for w in combo:
-                prof = _conv_seq(prof, w)
-            v = max(prof)
-            if best_v is None or v < best_v:
-                best_v, best_arg = v, combo
-    return GridOracleResult(k, m, n, diagonal, best_v, best_v, best_arg, count)
+    comps = (tuple(Fraction(c, n) for c in comp) for comp in _compositions(n, m + 1))
+    combos = ((w,) * k for w in comps) if diagonal else itertools.product(comps, repeat=k)
+    best = min(combos, key=lambda combo: max(reduce(_convolve_seq, combo)))
+    grid_min = max(reduce(_convolve_seq, best))
+    return GridOracleResult(k, m, n, diagonal, grid_min, best[:1] if diagonal else best, total)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +486,8 @@ def intersection_restricted_solve(k: int) -> MinimaxResult:
         if best_v is None or v < best_v:
             best_p, best_v = p, v
             best_modes = [t for t, x in enumerate(pmf) if x == v]
-    assert best_v == optimal_constant(k)
+    if best_v != optimal_constant(k):  # pragma: no cover
+        raise AssertionError(f"k={k}: envelope minimum {best_v} != closed form")
     return MinimaxResult(
         value=float(best_v),
         argument=[[float(1 - best_p), float(best_p)]],

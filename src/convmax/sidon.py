@@ -109,10 +109,9 @@ class CubeSet:
 class SidonReport:
     set: CubeSet
     k: int
-    max_count: int
+    max_count: int             # = smallest g with A a g-Sidon set of order k
     argmax_points: List[Point]
     bound: Fraction            # C_{k,d} |A|^k
-    g_class: int               # smallest g with A a g-Sidon set of order k
     slack: Fraction            # max_count - bound
     passed: bool
 
@@ -125,7 +124,6 @@ class SidonReport:
             "argmax_points": [list(p) for p in self.argmax_points],
             "bound": str(self.bound),
             "bound_decimal": float(self.bound),
-            "g_class": self.g_class,
             "slack": str(self.slack),
             "passed": self.passed,
         }
@@ -156,7 +154,7 @@ def verify_bound(A: CubeSet, k: int) -> SidonReport:
     argmax = sorted(p for p, c in counts.items() if c == max_count)
     bound = optimal_constant_d(k, A.d) * len(A) ** k
     slack = max_count - bound
-    return SidonReport(A, k, max_count, argmax, bound, max_count, slack, max_count >= bound)
+    return SidonReport(A, k, max_count, argmax, bound, slack, max_count >= bound)
 
 
 @dataclass(frozen=True)

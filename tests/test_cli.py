@@ -46,6 +46,9 @@ class TestConstant:
 
     def test_missing_args(self, capsys):
         assert run(["constant"]) == EXIT_USAGE
+        # removed options are rejected, not silently accepted
+        assert run(["constant", "--k", "2", "--exact"]) == EXIT_USAGE
+        assert run(["solve", "--k", "2", "--threads", "2"]) == EXIT_USAGE
 
 
 class TestSolve:

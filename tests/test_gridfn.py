@@ -25,6 +25,12 @@ def g1(*vals):
     return GridFn(1, m, vals)
 
 
+def zero_heavy(rng, d, m):
+    """Random exact function with about two thirds of its entries zeroed."""
+    f = random_exact_gridfn(rng, d, m, allow_zero=True)
+    return GridFn(d, m, [v if rng.random() < 1 / 3 else 0 for v in f.values])
+
+
 class TestConstruction:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -88,12 +94,24 @@ class TestConvolve:
         assert out.values == (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
 
     def test_matches_brute_force(self, rng):
+        pairs = []
         for _ in range(30):
             d = rng.randint(1, 3)
-            f = random_exact_gridfn(rng, d, rng.randint(1, 2))
-            g = random_exact_gridfn(rng, d, rng.randint(1, 2))
+            pairs.append((random_exact_gridfn(rng, d, rng.randint(1, 2)),
+                          random_exact_gridfn(rng, d, rng.randint(1, 2))))
+        for _ in range(15):  # mostly zeros, possibly all zero
+            d, mf, mg = rng.randint(1, 3), rng.randint(0, 2), rng.randint(0, 2)
+            pairs.append((zero_heavy(rng, d, mf), zero_heavy(rng, d, mg)))
+        for _ in range(5):  # 0/1 indicators on {0,1}^4, the Sidon shape
+            pairs.append(tuple(GridFn(4, 1, [rng.randint(0, 1) for _ in range(16)])
+                               for _ in range(2)))
+        for d in (1, 2, 3):  # unequal sides
+            f, g = random_exact_gridfn(rng, d, 0), random_exact_gridfn(rng, d, 2)
+            pairs += [(f, g), (g, f)]
+        for f, g in pairs:
             conv = convolve(f, g)
             expected = brute_convolve(f, g)
+            assert (conv.d, conv.m) == (f.d, f.m + g.m)
             for p in conv.points():
                 assert conv[p] == expected.get(p, 0)
 

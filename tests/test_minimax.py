@@ -1,16 +1,26 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import convmax
 from convmax.constants import optimal_constant
 from convmax.errors import BudgetExceeded
+from convmax.gridfn import GridFn
 from convmax.minimax import (
     SolverConfig,
+    _conv_matrix,
     diagonal_constant,
     general_constant,
     grid_oracle,
     intersection_restricted_solve,
 )
+
+from conftest import brute_convolve
 
 FAST = SolverConfig(multistarts=8, subgradient_iters=150)
 
@@ -22,7 +32,19 @@ class TestConfig:
 
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.seed == 0 and cfg.threads == 1
+        assert cfg.seed == 0
+
+
+def test_conv_matrix_matches_loop():
+    rng = np.random.default_rng(0)
+    for n, m in [(1, 1), (3, 2), (5, 4), (2, 6)]:
+        c = rng.random(n)
+        M = _conv_matrix(c, m)
+        loop = [[c[i - a] if 0 <= i - a < n else 0.0 for a in range(m + 1)]
+                for i in range(n + m)]
+        assert M.tolist() == loop
+        w = rng.random(m + 1)
+        assert M @ w == pytest.approx(np.convolve(c, w), rel=1e-12)
 
 
 class TestDiagonalM1:
@@ -106,7 +128,6 @@ class TestGridOracle:
     def test_k2_m1_n3_hits_optimum(self):
         res = grid_oracle(2, 1, 3)
         assert res.grid_min == Fraction(4, 9)
-        assert res.upper_bound == res.grid_min
 
     def test_k3_m1_n2(self):
         assert grid_oracle(3, 1, 2).grid_min == Fraction(3, 8)
@@ -131,6 +152,21 @@ class TestGridOracle:
         with pytest.raises(BudgetExceeded):
             grid_oracle(4, 3, 40, budget=1000)
 
+    @pytest.mark.parametrize("k,m,n", [(2, 1, 3), (2, 2, 4), (3, 2, 3), (2, 3, 3)])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_argmin_reevaluates_to_grid_min(self, k, m, n, diagonal):
+        res = grid_oracle(k, m, n, diagonal=diagonal)
+        assert len(res.argmin) == (1 if diagonal else k)
+        for w in res.argmin:
+            assert len(w) == m + 1 and sum(w) == 1
+            assert all((x * n).denominator == 1 for x in w)
+        factors = [GridFn(1, m, w) for w in res.argmin] * (k if diagonal else 1)
+        acc = factors[0]
+        for f in factors[1:]:
+            out = brute_convolve(acc, f)
+            acc = GridFn(1, acc.m + f.m, [out[(i,)] for i in range(acc.m + f.m + 1)])
+        assert max(acc.values) == res.grid_min
+
     def test_refining_grid_decreases(self):
         vals = [grid_oracle(2, 2, n, diagonal=True).grid_min for n in (2, 4, 8)]
         assert vals[0] >= vals[1] >= vals[2]
@@ -146,6 +182,25 @@ class TestIntersectionRestricted:
     def test_k2_argument(self):
         res = intersection_restricted_solve(2)
         assert sorted(res.argument[0]) == pytest.approx([1 / 3, 2 / 3])
+
+    def test_closed_form_mismatch_raises_under_optimize(self):
+        # the cross-check against the closed form must survive python -O
+        code = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "import convmax.minimax as mm\n"
+            "assert False, 'not reached under -O'\n"
+            "mm.optimal_constant = lambda k: Fraction(1, 2)\n"
+            "try:\n"
+            "    mm.intersection_restricted_solve(2)\n"
+            "except AssertionError:\n"
+            "    sys.exit(3)\n"
+        )
+        src = str(Path(convmax.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 3, proc.stderr
 
 
 class TestResultSerialization:

@@ -80,7 +80,6 @@ class TestVerifyBound:
         assert rep.passed
         assert rep.max_count == 2
         assert rep.bound == Fraction(4, 9) * 4
-        assert rep.g_class == 2
         assert rep.argmax_points == [(1,)]
 
     def test_full_cube_k3_is_tight(self):
