@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -155,7 +156,7 @@ def _cmd_solve(args, argv) -> int:
         oracle = grid_oracle(args.k, args.m, args.grid, diagonal=args.mode == "diagonal")
         payload["grid_oracle"] = oracle.to_dict()
         violation |= res.value > float(oracle.grid_min) + 1e-9
-    _emit(_wrap(argv, payload, config=json.loads(cfg.to_json()), seed=args.seed),
+    _emit(_wrap(argv, payload, config=asdict(cfg), seed=args.seed),
           args.format, args.out)
     return EXIT_VIOLATION if violation else EXIT_OK
 
@@ -223,8 +224,7 @@ def _cmd_pb(args, argv) -> int:
 def _cmd_sidon(args, argv) -> int:
     violation = False
     if args.action == "verify":
-        cfg = SampleConfig(args.samples, args.seed) if args.d > 4 else None
-        summary = enumerate_verify(args.d, args.k, cfg)
+        summary = enumerate_verify(args.d, args.k, SampleConfig(args.samples, args.seed))
         payload = summary.to_dict()
         violation = summary.failures > 0
     elif args.action == "classify":
@@ -234,14 +234,15 @@ def _cmd_sidon(args, argv) -> int:
         payload = rep.to_dict()
         violation = not rep.passed
     else:  # search
-        cfg = SampleConfig(args.samples, args.seed) if args.d > 4 else None
-        res = max_size_g_sidon(args.d, args.k, args.g, cfg)
+        res = max_size_g_sidon(args.d, args.k, args.g, SampleConfig(args.samples, args.seed))
         payload = res.to_dict()
-    _emit(_wrap(argv, payload, seed=args.seed), args.format, args.out)
+    _emit(_wrap(argv, payload, seed=getattr(args, "seed", None)), args.format, args.out)
     return EXIT_VIOLATION if violation else EXIT_OK
 
 
 def _cmd_continuous(args, argv) -> int:
+    if args.export_steps is not None and args.export_steps < 1:
+        raise ValueError(f"--export-steps must be >= 1, got {args.export_steps}")
     cfg = SolverConfig(multistarts=args.multistarts, seed=args.seed)
     try:
         table = upper_bound_sequence(args.k, args.m_max, cfg)
@@ -251,7 +252,7 @@ def _cmd_continuous(args, argv) -> int:
     payload = table.to_dict()
     payload["csv"] = table.to_csv()
     if args.export_steps is not None:
-        res = diagonal_constant(args.k, max(args.export_steps, 1), cfg)
+        res = diagonal_constant(args.k, args.export_steps, cfg)
         payload["step_function"] = step_function_export(res.argument[0], args.k).to_dict()
     _emit(_wrap(argv, payload, seed=args.seed), args.format, args.out)
     return EXIT_OK
@@ -313,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = s2.add_parser("classify")
     pc.add_argument("--set", required=True, help="set file, one 0/1 point per line")
     pc.add_argument("--k", type=int, required=True)
-    pc.add_argument("--seed", type=int, default=0)
     common(pc)
     pc.set_defaults(func=_cmd_sidon)
     ps = s2.add_parser("search")

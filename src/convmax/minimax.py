@@ -9,8 +9,9 @@ other:
   entry is affine in the free parameter) and by a small LP for m > 1.
 * ``diagonal_constant`` — all factors identical.  At m = 1 the objective is
   the one-dimensional diagonal envelope, minimized exactly over its rational
-  crossing points.  For m > 1: multistart projected subgradient with Polyak
-  steps followed by an SLSQP polish of the epigraph formulation.
+  crossing points.  For m > 1: an SLSQP solve of the epigraph formulation
+  from each seed (uniform, zero-padded m = 1 optimum, coarse-grid points,
+  caller-chained seeds, seeded random starts), keeping the best.
 * ``grid_oracle`` — exhaustive exact-rational sweep over simplex grid points
   with denominator n; its minimum is an upper bound for the true constant and
   is exactly the best value any solver restricted to that grid can reach.
@@ -19,15 +20,13 @@ All solvers return upper estimates of the true constants (they evaluate the
 objective at feasible points).  Whether C_{k,m} = Cbar_{k,m} for m > 1 is
 open; the two are reported side by side and never asserted equal.
 
-Everything is deterministic given the config seed: argmax ties during descent
-break toward the smaller index, multistarts are reduced by minimum, and the
-parallel-schedule question never arises because reductions are associative.
+Everything is deterministic given the config seed: starts run in a fixed
+order and are reduced by minimum, the first start winning ties.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -43,21 +42,17 @@ from .gridfn import _convolve_seq
 from .pb import intersection_point, pb_pmf
 
 
+#: Coordinate-sweep cap per start of the general solver.
+MAX_SWEEPS = 100_000
+#: Tolerance for the mode-sharing certificate (``shared_modes``).
+CERT_TOL = 1e-7
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     multistarts: int = 64
     tol: float = 1e-9            # objective-change stopping tolerance
-    max_sweeps: int = 100_000    # coordinate-sweep cap per start
-    subgradient_iters: int = 400
-    cert_tol: float = 1e-7       # tolerance for the mode-sharing certificate
     seed: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "SolverConfig":
-        return cls(**json.loads(s))
 
 
 @dataclass
@@ -67,8 +62,6 @@ class MinimaxResult:
     shared_modes: List[int]
     method: str
     iterations: int
-    tolerance: float
-    seed: int
     converged: bool
     diagonal: bool
     k: int
@@ -87,8 +80,6 @@ class MinimaxResult:
             "shared_modes": self.shared_modes,
             "method": self.method,
             "iterations": self.iterations,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
             "converged": self.converged,
             "config": asdict(self.config) if self.config is not None else None,
         }
@@ -112,17 +103,6 @@ def _conv_matrix(c: np.ndarray, m: int) -> np.ndarray:
     for a in range(m + 1):
         M[a:a + len(c), a] = c
     return M
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
 
 
 def _shared_modes(profile: np.ndarray, tol: float) -> List[int]:
@@ -200,7 +180,7 @@ def _coordinate_descent(ws: List[np.ndarray], k: int, m: int,
     prev = float(np.max(_conv_all(ws)))
     sweeps = 0
     converged = False
-    while sweeps < cfg.max_sweeps:
+    while sweeps < MAX_SWEEPS:
         sweeps += 1
         for j in range(k):
             R = _conv_all([ws[t] for t in range(k) if t != j])
@@ -257,11 +237,9 @@ def general_constant(k: int, m: int, cfg: Optional[SolverConfig] = None) -> Mini
     return MinimaxResult(
         value=value,
         argument=[list(map(float, w)) for w in ws],
-        shared_modes=_shared_modes(profile, cfg.cert_tol),
+        shared_modes=_shared_modes(profile, CERT_TOL),
         method="coordinate-descent" + ("-envelope" if m == 1 else "-lp"),
         iterations=total_it,
-        tolerance=cfg.tol,
-        seed=cfg.seed,
         converged=best_conv,
         diagonal=False,
         k=k,
@@ -278,29 +256,11 @@ def _diag_obj(w: np.ndarray, k: int) -> float:
     return float(np.max(_conv_all([w] * k)))
 
 
-def _diag_subgradient(w: np.ndarray, k: int, iters: int) -> Tuple[np.ndarray, float]:
-    """Projected subgradient with Polyak-style steps on max_i (w^{*k})_i."""
-    m = len(w) - 1
-    best_w, best_v = w.copy(), _diag_obj(w, k)
-    for _ in range(iters):
-        ckm1 = _conv_all([w] * (k - 1))
-        c = np.convolve(ckm1, w)
-        i = int(np.argmax(c))  # ties break toward the smaller index
-        v = float(c[i])
-        if v < best_v:
-            best_w, best_v = w.copy(), v
-        g = np.array([ckm1[i - a] if 0 <= i - a < len(ckm1) else 0.0
-                      for a in range(m + 1)]) * k
-        gg = float(g @ g)
-        if gg == 0.0:
-            break
-        step = (v - best_v + 1e-6) / gg
-        w = _project_simplex(w - step * g)
-    return best_w, best_v
+def _diag_polish(w0: np.ndarray, k: int) -> Tuple[np.ndarray, float, bool, int]:
+    """SLSQP on the epigraph form: min t s.t. (w^{*k})_i <= t, w in simplex.
 
-
-def _diag_polish(w0: np.ndarray, k: int) -> Tuple[np.ndarray, float, bool]:
-    """SLSQP on the epigraph form: min t s.t. (w^{*k})_i <= t, w in simplex."""
+    Returns the cleaned weights, their objective, SLSQP success and its nit.
+    """
     m = len(w0) - 1
     n_out = k * m + 1
 
@@ -324,7 +284,7 @@ def _diag_polish(w0: np.ndarray, k: int) -> Tuple[np.ndarray, float, bool]:
         options={"maxiter": 300, "ftol": 1e-14},
     )
     w = _clean_weights(res.x[: m + 1])
-    return w, _diag_obj(w, k), bool(res.success)
+    return w, _diag_obj(w, k), bool(res.success), int(res.nit)
 
 
 def _coarse_grid_seeds(k: int, m: int, top: int = 3) -> List[np.ndarray]:
@@ -358,8 +318,6 @@ def diagonal_constant(k: int, m: int, cfg: Optional[SolverConfig] = None,
             shared_modes=modes,
             method="diagonal-envelope-exact",
             iterations=k + 2,
-            tolerance=0.0,
-            seed=cfg.seed,
             converged=True,
             diagonal=True,
             k=k,
@@ -379,23 +337,21 @@ def diagonal_constant(k: int, m: int, cfg: Optional[SolverConfig] = None,
     for _ in range(max(0, cfg.multistarts - len(seeds))):
         seeds.append(_clean_weights(rng.exponential(size=m + 1)))
 
-    best_w, best_v, any_conv = None, math.inf, False
+    best_w, best_v, any_conv, total_nit = None, math.inf, False, 0
     for w0 in seeds:
-        w1, _ = _diag_subgradient(w0.copy(), k, cfg.subgradient_iters)
-        w2, v2, ok = _diag_polish(w1, k)
-        if v2 < best_v:
-            best_w, best_v, any_conv = w2, v2, ok
+        w, v, ok, nit = _diag_polish(w0, k)
+        total_nit += nit
+        if v < best_v:
+            best_w, best_v, any_conv = w, v, ok
 
     profile = _conv_all([best_w] * k)
     value = float(np.max(profile))
     return MinimaxResult(
         value=value,
         argument=[list(map(float, best_w))],
-        shared_modes=_shared_modes(profile, cfg.cert_tol),
-        method="subgradient+slsqp",
-        iterations=cfg.subgradient_iters * len(seeds),
-        tolerance=cfg.tol,
-        seed=cfg.seed,
+        shared_modes=_shared_modes(profile, CERT_TOL),
+        method="slsqp",
+        iterations=total_nit,
         converged=any_conv,
         diagonal=True,
         k=k,
@@ -494,8 +450,6 @@ def intersection_restricted_solve(k: int) -> MinimaxResult:
         shared_modes=best_modes,
         method="intersection-restricted-exact",
         iterations=k,
-        tolerance=0.0,
-        seed=0,
         converged=True,
         diagonal=True,
         k=k,

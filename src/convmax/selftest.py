@@ -141,7 +141,7 @@ def run_selftest(seed: int = 42) -> Dict:
     payload["sidon"] = {"sweeps": sid, "ok": sid_ok}
     ok &= sid_ok
 
-    cfg = SolverConfig(multistarts=6, subgradient_iters=150, seed=seed)
+    cfg = SolverConfig(multistarts=6, seed=seed)
     res = diagonal_constant(2, 2, cfg)
     solver_ok = 0.0 < res.value <= float(Fraction(4, 9)) + 1e-9 and 6 * res.value >= 1.28
     payload["diagonal_k2_m2"] = {"value": res.value, "ok": solver_ok}

@@ -163,6 +163,11 @@ class SampleConfig:
     seed: int = 0
 
 
+def _check_samples(cfg: SampleConfig) -> None:
+    if cfg.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {cfg.samples}")
+
+
 @dataclass(frozen=True)
 class EnumerationSummary:
     d: int
@@ -205,6 +210,7 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
     else:
         if sample_cfg is None:
             raise ValueError(f"d={d} needs a SampleConfig (exhaustive cap is d={EXHAUSTIVE_D_MAX})")
+        _check_samples(sample_cfg)
         rng = random.Random(sample_cfg.seed)
         masks = []
         while len(masks) < sample_cfg.samples:
@@ -313,6 +319,7 @@ def max_size_g_sidon(d: int, k: int, g: int,
     else:
         if search_cfg is None:
             raise ValueError(f"d={d} needs a SampleConfig for stochastic search")
+        _check_samples(search_cfg)
         rng = random.Random(search_cfg.seed)
         best = CubeSet(d, [0])
         for _ in range(search_cfg.samples):

@@ -1,4 +1,5 @@
-"""Shared brute-force oracles, deliberately independent of the library paths."""
+"""Shared brute-force oracles, deliberately independent of the library paths,
+and the small solver config the float-solver tests share."""
 
 import itertools
 import random
@@ -7,6 +8,10 @@ from fractions import Fraction
 import pytest
 
 from convmax.gridfn import GridFn
+from convmax.minimax import SolverConfig
+
+#: Few starts, so the float-solver tests stay fast.
+FAST = SolverConfig(multistarts=8)
 
 
 def brute_convolve(f: GridFn, g: GridFn) -> dict:

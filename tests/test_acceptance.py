@@ -67,7 +67,7 @@ def test_criterion_2_sharpness():
 def test_criterion_3_solver_agreement():
     """Both m = 1 solvers within 1e-6 of the closed form, certs with >= 2 tied indices."""
     t0 = time.monotonic()
-    cfg = SolverConfig(multistarts=16, cert_tol=1e-7)
+    cfg = SolverConfig(multistarts=16)
     ok = True
     for k in range(2, 7):
         target = float(optimal_constant(k))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from convmax.cli import EXIT_OK, EXIT_USAGE, export_report, run
+from convmax.minimax import SolverConfig
 
 
 def run_json(capsys, *argv):
@@ -44,11 +45,15 @@ class TestConstant:
     def test_bad_k(self, capsys):
         assert run(["constant", "--k", "0"]) == EXIT_USAGE
 
-    def test_missing_args(self, capsys):
+    def test_missing_args(self, capsys, tmp_path):
         assert run(["constant"]) == EXIT_USAGE
         # removed options are rejected, not silently accepted
         assert run(["constant", "--k", "2", "--exact"]) == EXIT_USAGE
         assert run(["solve", "--k", "2", "--threads", "2"]) == EXIT_USAGE
+        f = tmp_path / "set.txt"
+        f.write_text("0\n1\n")
+        assert run(["sidon", "classify", "--set", str(f), "--k", "2"]) == EXIT_OK
+        assert run(["sidon", "classify", "--set", str(f), "--k", "2", "--seed", "1"]) == EXIT_USAGE
 
 
 class TestSolve:
@@ -73,6 +78,9 @@ class TestSolve:
         assert code == code2 == EXIT_OK
         assert a["seed"] == 5
         assert a["payload"] == b["payload"]
+        # the report's config rebuilds the solver config
+        assert SolverConfig(**a["config"]) == SolverConfig(multistarts=6, seed=5)
+        assert "seed" not in a["payload"]["result"]
 
 
 class TestPb:
@@ -120,6 +128,15 @@ class TestSidon:
         code = run(["sidon", "classify", "--set", str(tmp_path / "nope"), "--k", "2"])
         assert code == EXIT_USAGE
 
+    def test_verify_sampled_needs_samples(self, capsys):
+        assert run(["sidon", "verify", "--d", "5", "--k", "2", "--samples", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_search_sampled_needs_samples(self, capsys):
+        assert run(["sidon", "search", "--d", "5", "--k", "2", "--g", "2",
+                    "--samples", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_search(self, capsys):
         code, rep = run_json(capsys, "sidon", "search", "--d", "2", "--k", "2", "--g", "2")
         assert code == EXIT_OK
@@ -147,6 +164,11 @@ class TestContinuous:
         assert sf["breakpoints"][0] == -0.25
         assert sf["breakpoints"][-1] == 0.25
         assert len(sf["heights"]) == 3
+
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_export_steps_below_one_rejected(self, capsys, steps):
+        assert run(["continuous", "--k", "2", "--export-steps", steps]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
 
 class TestSelftest:

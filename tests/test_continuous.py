@@ -12,7 +12,14 @@ from convmax.continuous import (
 )
 from convmax.minimax import SolverConfig
 
-FAST = SolverConfig(multistarts=8, subgradient_iters=150)
+from conftest import FAST
+
+#: Row bounds of upper_bound_sequence(2, 8, SolverConfig(multistarts=16, seed=5))
+#: as computed by the solver with a projected-subgradient phase before SLSQP.
+K2_SEED5_BOUNDS = [
+    1.7777777777777777, 1.706666666666667, 1.644465242009058, 1.6326530612244912,
+    1.6007660479597332, 1.5915678540526073, 1.5791090612201149, 1.5772723106249462,
+]
 
 
 class TestUpperBoundSequence:
@@ -35,6 +42,13 @@ class TestUpperBoundSequence:
         # finer grids refine: each level can embed the previous one
         assert all(a >= b - 1e-9 for a, b in zip(bounds, bounds[1:]))
         assert table.best_bound == pytest.approx(min(bounds))
+
+    def test_not_above_frozen_bounds(self):
+        table = upper_bound_sequence(2, 8, SolverConfig(multistarts=16, seed=5))
+        bounds = [float(r.upper_bound) for r in table.rows]
+        assert len(bounds) == len(K2_SEED5_BOUNDS)
+        for b, ref in zip(bounds, K2_SEED5_BOUNDS):
+            assert b <= ref + 1e-9
 
     def test_rows_labelled_by_m(self):
         table = upper_bound_sequence(2, 3, FAST)

@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import convmax
+import convmax.minimax as minimax
 from convmax.constants import optimal_constant
 from convmax.errors import BudgetExceeded
 from convmax.gridfn import GridFn
@@ -20,19 +23,18 @@ from convmax.minimax import (
     intersection_restricted_solve,
 )
 
-from conftest import brute_convolve
-
-FAST = SolverConfig(multistarts=8, subgradient_iters=150)
+from conftest import FAST, brute_convolve
 
 
 class TestConfig:
     def test_json_roundtrip(self):
         cfg = SolverConfig(multistarts=5, seed=7)
-        assert SolverConfig.from_json(cfg.to_json()) == cfg
+        assert SolverConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.seed == 0
+        assert list(asdict(cfg)) == ["multistarts", "tol", "seed"]
 
 
 def test_conv_matrix_matches_loop():
@@ -109,10 +111,32 @@ class TestDiagonalM2Plus:
         assert gen.value <= diag.value + 1e-7
 
     def test_matches_grid_oracle_upper(self):
-        res = diagonal_constant(2, 2, FAST)
-        oracle = grid_oracle(2, 2, 12, diagonal=True)
-        # the solver is unrestricted, so it must do at least as well as the grid
-        assert res.value <= float(oracle.grid_min) + 1e-9
+        for k, m, n in [(2, 2, 12), (2, 3, 8), (2, 4, 6), (3, 2, 10),
+                        (3, 3, 6), (4, 2, 8), (2, 6, 4)]:
+            res = diagonal_constant(k, m, FAST)
+            oracle = grid_oracle(k, m, n, diagonal=True)
+            # the solver is unrestricted, so it must do at least as well as the grid
+            assert res.value <= float(oracle.grid_min) + 1e-9, (k, m, n)
+
+    def test_not_above_frozen_k3_m8(self):
+        # value of the solver with a projected-subgradient phase before SLSQP
+        res = diagonal_constant(3, 8, SolverConfig(seed=2))
+        assert res.value <= 0.06755639365011029 + 1e-9
+
+    def test_iterations_sum_slsqp_nit(self, monkeypatch):
+        nits = []
+        real = minimax.minimize
+
+        def recording(*args, **kwargs):
+            res = real(*args, **kwargs)
+            nits.append(res.nit)
+            return res
+
+        monkeypatch.setattr(minimax, "minimize", recording)
+        res = diagonal_constant(2, 4, FAST)
+        assert res.method == "slsqp"
+        assert len(nits) == FAST.multistarts
+        assert res.iterations == sum(nits) > 0
 
     def test_determinism(self):
         a = diagonal_constant(2, 3, FAST).to_dict()
@@ -207,6 +231,8 @@ class TestResultSerialization:
     def test_to_dict_fields(self):
         d = diagonal_constant(2, 1).to_dict()
         for key in ("k", "m", "value", "value_exact", "argument",
-                    "shared_modes", "method", "seed", "converged"):
+                    "shared_modes", "method", "converged", "config"):
             assert key in d
+        # seed and tolerance live in config only
+        assert "seed" not in d and "tolerance" not in d
         assert d["value_exact"] == "4/9"

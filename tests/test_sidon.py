@@ -153,6 +153,16 @@ class TestEnumerateVerify:
         assert summary.failures == 0
         assert summary.subsets_checked == 40
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sampled_rejects_no_samples(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            enumerate_verify(5, 2, SampleConfig(samples=samples, seed=1))
+
+    def test_exhaustive_ignores_sample_config(self):
+        summary = enumerate_verify(2, 2, SampleConfig(samples=0, seed=1))
+        assert summary.exhaustive
+        assert summary.subsets_checked == 15
+
 
 class TestSizeCap:
     def test_paper_form_odd_k(self):
@@ -222,3 +232,8 @@ class TestMaxSizeSearch:
         assert not res.exhaustive
         assert res.best_size >= 1
         assert max(representation_counts(res.best_set, 2).values()) <= 4
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_stochastic_rejects_no_samples(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            max_size_g_sidon(5, 2, 2, SampleConfig(samples=samples, seed=3))
