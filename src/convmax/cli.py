@@ -140,7 +140,7 @@ def _cmd_constant(args, argv) -> int:
 
 
 def _cmd_solve(args, argv) -> int:
-    cfg = SolverConfig(multistarts=args.multistarts, tol=args.tol, seed=args.seed)
+    cfg = SolverConfig(multistarts=args.multistarts, seed=args.seed)
     if args.mode == "diagonal":
         res = diagonal_constant(args.k, args.m, cfg)
     else:
@@ -152,7 +152,7 @@ def _cmd_solve(args, argv) -> int:
     recomputed = float(ratio(fns[: args.k]))
     payload["recomputed_value"] = recomputed
     violation = abs(recomputed - res.value) > 1e-10
-    if args.grid:
+    if args.grid is not None:
         oracle = grid_oracle(args.k, args.m, args.grid, diagonal=args.mode == "diagonal")
         payload["grid_oracle"] = oracle.to_dict()
         violation |= res.value > float(oracle.grid_min) + 1e-9
@@ -166,7 +166,10 @@ def _parse_probs(text: str):
     if not toks:
         raise ValueError("empty probability list")
     if all(("/" in t or t in ("0", "1")) for t in toks):
-        return [Fraction(t) for t in toks]
+        try:
+            return [Fraction(t) for t in toks]
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     return [float(t) for t in toks]
 
 
@@ -290,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--mode", choices=["diagonal", "general"], default="diagonal")
     p.add_argument("--grid", type=int, default=None, help="also run the exact grid oracle")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--multistarts", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     common(p)

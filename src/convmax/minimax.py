@@ -1,20 +1,25 @@
 """Numerical computation of the discrete constants C_{k,m} and Cbar_{k,m}.
 
-Three routes, kept deliberately independent so they can cross-check each
-other:
+Both float solvers share one engine, ``_polish``: an SLSQP solve of the
+epigraph form min t s.t. (f_1*...*f_k)_i <= t, each factor on the simplex,
+run from every seed and reduced to the best start.
 
-* ``general_constant`` — multistart coordinate descent over k independent
-  simplex factors.  Each factor subproblem is a piecewise-linear minimax and
-  is solved exactly: by envelope-crossing enumeration at m = 1 (each output
-  entry is affine in the free parameter) and by a small LP for m > 1.
-* ``diagonal_constant`` — all factors identical.  At m = 1 the objective is
+* ``general_constant`` — k free factors.  Seeds: the zero-padded m = 1
+  diagonal optimum and the uniform weights, each used for all k factors, then
+  seeded random starts.
+* ``diagonal_constant`` — one factor used k times.  At m = 1 the objective is
   the one-dimensional diagonal envelope, minimized exactly over its rational
-  crossing points.  For m > 1: an SLSQP solve of the epigraph formulation
-  from each seed (uniform, zero-padded m = 1 optimum, coarse-grid points,
-  caller-chained seeds, seeded random starts), keeping the best.
+  crossing points.  For m > 1 the seeds are the uniform weights, the
+  zero-padded m = 1 optimum, coarse-grid points, caller-chained seeds and
+  seeded random starts.
+
+The independent cross-checks are exact:
+
 * ``grid_oracle`` — exhaustive exact-rational sweep over simplex grid points
   with denominator n; its minimum is an upper bound for the true constant and
   is exactly the best value any solver restricted to that grid can reach.
+* the m = 1 closed forms: ``_diagonal_envelope_exact``,
+  ``intersection_restricted_solve`` and ``constants.optimal_constant``.
 
 All solvers return upper estimates of the true constants (they evaluate the
 objective at feasible points).  Whether C_{k,m} = Cbar_{k,m} for m > 1 is
@@ -34,7 +39,8 @@ from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+# linprog is unused here but kept as a module attribute: the benchmark tracer patches it.
+from scipy.optimize import linprog, minimize  # noqa: F401
 
 from .constants import optimal_constant
 from .errors import BudgetExceeded
@@ -42,8 +48,6 @@ from .gridfn import _convolve_seq
 from .pb import intersection_point, pb_pmf
 
 
-#: Coordinate-sweep cap per start of the general solver.
-MAX_SWEEPS = 100_000
 #: Tolerance for the mode-sharing certificate (``shared_modes``).
 CERT_TOL = 1e-7
 
@@ -51,7 +55,6 @@ CERT_TOL = 1e-7
 @dataclass(frozen=True)
 class SolverConfig:
     multistarts: int = 64
-    tol: float = 1e-9            # objective-change stopping tolerance
     seed: int = 0
 
 
@@ -119,25 +122,6 @@ def _clean_weights(w: np.ndarray) -> np.ndarray:
 # Exact 1-d subproblems
 # ---------------------------------------------------------------------------
 
-def _envelope_min_affine(slopes: Sequence[float], offsets: Sequence[float]) -> Tuple[float, float]:
-    """Minimize max_i (a_i p + b_i) over p in [0,1]; exact for affine pieces."""
-    cands = [0.0, 1.0]
-    n = len(slopes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            da = slopes[i] - slopes[j]
-            if da != 0.0:
-                p = (offsets[j] - offsets[i]) / da
-                if 0.0 < p < 1.0:
-                    cands.append(p)
-    best_p, best_v = 0.0, math.inf
-    for p in cands:
-        v = max(a * p + b for a, b in zip(slopes, offsets))
-        if v < best_v - 0.0:
-            best_p, best_v = p, v
-    return best_p, best_v
-
-
 def _diagonal_envelope_exact(k: int) -> Tuple[Fraction, Fraction, List[int]]:
     """Exact diagonal minimum at m = 1 over the envelope crossing points.
 
@@ -156,54 +140,63 @@ def _diagonal_envelope_exact(k: int) -> Tuple[Fraction, Fraction, List[int]]:
 
 
 # ---------------------------------------------------------------------------
+# Epigraph solve shared by both modes
+# ---------------------------------------------------------------------------
+
+def _peak(ws: Sequence[np.ndarray]) -> float:
+    return float(np.max(_conv_all(ws)))
+
+
+def _polish(ws0: Sequence[np.ndarray], k: int) -> Tuple[List[np.ndarray], float, bool, int]:
+    """SLSQP on the epigraph form: min t s.t. (f_1*...*f_k)_i <= t, each f_j in simplex.
+
+    ``ws0`` holds one factor (diagonal mode: it is used k times) or k factors
+    (general mode).  Returns the cleaned factors, their objective, SLSQP
+    success and its nit.
+    """
+    r = len(ws0)
+    copies = k // r
+    m = len(ws0[0]) - 1
+    n_w = r * (m + 1)
+    n_out = k * m + 1
+
+    def factors(x):
+        return list(x[:-1].reshape(r, m + 1)) * copies
+
+    def cons_f(x):
+        return x[-1] - _conv_all(factors(x))
+
+    def cons_jac(x):
+        f = factors(x)
+        blocks = [_conv_matrix(-copies * _conv_all(f[:j] + f[j + 1:]), m) for j in range(r)]
+        return np.column_stack(blocks + [np.ones(n_out)])
+
+    A_eq = np.zeros((r, n_w + 1))
+    for j in range(r):
+        A_eq[j, j * (m + 1):(j + 1) * (m + 1)] = 1.0
+
+    x0 = np.concatenate([*ws0, [_peak(list(ws0) * copies)]])
+    res = minimize(
+        lambda x: x[-1], x0, method="SLSQP",
+        jac=lambda x: np.concatenate([np.zeros(n_w), [1.0]]),
+        constraints=[
+            {"type": "ineq", "fun": cons_f, "jac": cons_jac},
+            {"type": "eq", "fun": lambda x: x[:-1].reshape(r, m + 1).sum(axis=1) - 1.0,
+             "jac": lambda x: A_eq},
+        ],
+        bounds=[(0.0, 1.0)] * n_w + [(None, None)],
+        options={"maxiter": 300, "ftol": 1e-14},
+    )
+    ws = [_clean_weights(w) for w in res.x[:-1].reshape(r, m + 1)]
+    return ws, _peak(ws * copies), bool(res.success), int(res.nit)
+
+
+# ---------------------------------------------------------------------------
 # General constant: k independent factors
 # ---------------------------------------------------------------------------
 
-def _lp_factor_step(R: np.ndarray, m: int) -> Tuple[np.ndarray, float]:
-    """Exact minimax over one simplex factor given the others' convolution R."""
-    n_out = len(R) + m
-    A = np.column_stack([_conv_matrix(R, m), np.full(n_out, -1.0)])
-    c = np.zeros(m + 2)
-    c[m + 1] = 1.0
-    A_eq = np.zeros((1, m + 2))
-    A_eq[0, : m + 1] = 1.0
-    bounds = [(0.0, 1.0)] * (m + 1) + [(None, None)]
-    res = linprog(c, A_ub=A, b_ub=np.zeros(n_out), A_eq=A_eq, b_eq=[1.0],
-                  bounds=bounds, method="highs")
-    if not res.success:  # pragma: no cover - tiny well-posed LP
-        raise RuntimeError(f"factor LP failed: {res.message}")
-    return _clean_weights(res.x[: m + 1]), float(res.x[m + 1])
-
-
-def _coordinate_descent(ws: List[np.ndarray], k: int, m: int,
-                        cfg: SolverConfig) -> Tuple[List[np.ndarray], float, int, bool]:
-    prev = float(np.max(_conv_all(ws)))
-    sweeps = 0
-    converged = False
-    while sweeps < MAX_SWEEPS:
-        sweeps += 1
-        for j in range(k):
-            R = _conv_all([ws[t] for t in range(k) if t != j])
-            if m == 1:
-                # f_i(p) = (1-p) R_i + p R_{i-1}: affine pieces in p.
-                Rp = np.concatenate(([0.0], R, [0.0]))
-                slopes = [Rp[i] - Rp[i + 1] for i in range(len(R) + 1)]
-                offsets = [Rp[i + 1] for i in range(len(R) + 1)]
-                p, _ = _envelope_min_affine(slopes, offsets)
-                ws[j] = np.array([1.0 - p, p])
-            else:
-                ws[j], _ = _lp_factor_step(R, m)
-        cur = float(np.max(_conv_all(ws)))
-        if prev - cur < cfg.tol:
-            converged = True
-            prev = min(prev, cur)
-            break
-        prev = cur
-    return ws, prev, sweeps, converged
-
-
 def general_constant(k: int, m: int, cfg: Optional[SolverConfig] = None) -> MinimaxResult:
-    """Upper estimate of C_{k,m} by multistart coordinate descent."""
+    """Upper estimate of C_{k,m}: one epigraph solve over k free factors per start."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if m < 1:
@@ -216,31 +209,25 @@ def general_constant(k: int, m: int, cfg: Optional[SolverConfig] = None) -> Mini
     diag_w[0], diag_w[1] = 1.0 - float(p_diag), float(p_diag)
     uniform = np.full(m + 1, 1.0 / (m + 1))
 
-    starts: List[List[np.ndarray]] = [
-        [diag_w.copy() for _ in range(k)],
-        [uniform.copy() for _ in range(k)],
-    ]
+    starts: List[List[np.ndarray]] = [[diag_w] * k, [uniform] * k]
     for _ in range(max(0, cfg.multistarts - len(starts))):
         starts.append([_clean_weights(rng.exponential(size=m + 1)) for _ in range(k)])
 
-    best_ws, best_v, best_it, best_conv = None, math.inf, 0, False
-    total_it = 0
+    best_ws, best_v, best_ok, total_nit = None, math.inf, False, 0
     for ws0 in starts:
-        ws, v, it, conv = _coordinate_descent([w.copy() for w in ws0], k, m, cfg)
-        total_it += it
+        ws, v, ok, nit = _polish(ws0, k)
+        total_nit += nit
         if v < best_v:
-            best_ws, best_v, best_it, best_conv = ws, v, it, conv
+            best_ws, best_v, best_ok = ws, v, ok
 
-    ws = [_clean_weights(w) for w in best_ws]
-    profile = _conv_all(ws)
-    value = float(np.max(profile))
+    profile = _conv_all(best_ws)
     return MinimaxResult(
-        value=value,
-        argument=[list(map(float, w)) for w in ws],
+        value=best_v,
+        argument=[list(map(float, w)) for w in best_ws],
         shared_modes=_shared_modes(profile, CERT_TOL),
-        method="coordinate-descent" + ("-envelope" if m == 1 else "-lp"),
-        iterations=total_it,
-        converged=best_conv,
+        method="slsqp",
+        iterations=total_nit,
+        converged=best_ok,
         diagonal=False,
         k=k,
         m=m,
@@ -252,41 +239,6 @@ def general_constant(k: int, m: int, cfg: Optional[SolverConfig] = None) -> Mini
 # Diagonal constant: all factors equal
 # ---------------------------------------------------------------------------
 
-def _diag_obj(w: np.ndarray, k: int) -> float:
-    return float(np.max(_conv_all([w] * k)))
-
-
-def _diag_polish(w0: np.ndarray, k: int) -> Tuple[np.ndarray, float, bool, int]:
-    """SLSQP on the epigraph form: min t s.t. (w^{*k})_i <= t, w in simplex.
-
-    Returns the cleaned weights, their objective, SLSQP success and its nit.
-    """
-    m = len(w0) - 1
-    n_out = k * m + 1
-
-    def cons_f(x):
-        return x[-1] - _conv_all([x[:-1]] * k)
-
-    def cons_jac(x):
-        ckm1 = _conv_all([x[:-1]] * (k - 1))
-        return np.column_stack([_conv_matrix(-k * ckm1, m), np.ones(n_out)])
-
-    x0 = np.concatenate([w0, [_diag_obj(w0, k)]])
-    res = minimize(
-        lambda x: x[-1], x0, method="SLSQP",
-        jac=lambda x: np.concatenate([np.zeros(m + 1), [1.0]]),
-        constraints=[
-            {"type": "ineq", "fun": cons_f, "jac": cons_jac},
-            {"type": "eq", "fun": lambda x: np.sum(x[:-1]) - 1.0,
-             "jac": lambda x: np.concatenate([np.ones(m + 1), [0.0]])},
-        ],
-        bounds=[(0.0, 1.0)] * (m + 1) + [(None, None)],
-        options={"maxiter": 300, "ftol": 1e-14},
-    )
-    w = _clean_weights(res.x[: m + 1])
-    return w, _diag_obj(w, k), bool(res.success), int(res.nit)
-
-
 def _coarse_grid_seeds(k: int, m: int, top: int = 3) -> List[np.ndarray]:
     """Best few points of a coarse float sweep of the diagonal simplex grid."""
     n = 2
@@ -295,7 +247,7 @@ def _coarse_grid_seeds(k: int, m: int, top: int = 3) -> List[np.ndarray]:
     scored = []
     for comp in itertools.combinations_with_replacement(range(m + 1), n):
         w = np.bincount(comp, minlength=m + 1) / n
-        scored.append((_diag_obj(w, k), tuple(w)))
+        scored.append((_peak([w] * k), tuple(w)))
     scored.sort()
     return [np.array(w) for _, w in scored[:top]]
 
@@ -337,22 +289,21 @@ def diagonal_constant(k: int, m: int, cfg: Optional[SolverConfig] = None,
     for _ in range(max(0, cfg.multistarts - len(seeds))):
         seeds.append(_clean_weights(rng.exponential(size=m + 1)))
 
-    best_w, best_v, any_conv, total_nit = None, math.inf, False, 0
+    best_w, best_v, best_ok, total_nit = None, math.inf, False, 0
     for w0 in seeds:
-        w, v, ok, nit = _diag_polish(w0, k)
+        (w,), v, ok, nit = _polish([w0], k)
         total_nit += nit
         if v < best_v:
-            best_w, best_v, any_conv = w, v, ok
+            best_w, best_v, best_ok = w, v, ok
 
     profile = _conv_all([best_w] * k)
-    value = float(np.max(profile))
     return MinimaxResult(
-        value=value,
+        value=best_v,
         argument=[list(map(float, best_w))],
         shared_modes=_shared_modes(profile, CERT_TOL),
         method="slsqp",
         iterations=total_nit,
-        converged=any_conv,
+        converged=best_ok,
         diagonal=True,
         k=k,
         m=m,

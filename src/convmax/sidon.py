@@ -284,6 +284,8 @@ def g_sidon_size_cap(d: int, k: int, g: int) -> Tuple[int, str]:
     with d >= 2 the tensor-power bound fails, so the cap falls back to the
     always-valid average bound |A|^k <= g (k+1)^d.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k % 2 == 1:
         bound = Fraction(g) / optimal_constant_d(k, d)
         form = "paper-odd-k"

@@ -50,6 +50,7 @@ class TestConstant:
         # removed options are rejected, not silently accepted
         assert run(["constant", "--k", "2", "--exact"]) == EXIT_USAGE
         assert run(["solve", "--k", "2", "--threads", "2"]) == EXIT_USAGE
+        assert run(["solve", "--k", "2", "--tol", "1e-9"]) == EXIT_USAGE
         f = tmp_path / "set.txt"
         f.write_text("0\n1\n")
         assert run(["sidon", "classify", "--set", str(f), "--k", "2"]) == EXIT_OK
@@ -69,6 +70,17 @@ class TestSolve:
                              "--multistarts", "4")
         assert code == EXIT_OK
         assert rep["payload"]["result"]["value"] == pytest.approx(3 / 8, abs=1e-8)
+
+    def test_general_mode_dominates_grid_oracle(self, capsys):
+        code, rep = run_json(capsys, "solve", "--mode", "general", "--grid", "12",
+                             "--k", "2", "--m", "2")
+        assert code == EXIT_OK
+        assert rep["payload"]["grid_oracle"]["grid_min"] == "1/4"
+
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_grid_below_one_rejected(self, capsys, grid):
+        assert run(["solve", "--k", "2", "--grid", grid]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_seed_recorded_and_deterministic(self, capsys):
         code, a = run_json(capsys, "solve", "--k", "2", "--m", "2", "--seed", "5",
@@ -102,6 +114,11 @@ class TestPb:
 
     def test_out_of_range(self, capsys):
         assert run(["pb", "--p", "1.5"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("p", ["1/0", "1/2,3/0"])
+    def test_zero_denominator_rejected(self, capsys, p):
+        assert run(["pb", "--p", p]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_check_subset(self, capsys):
         code, rep = run_json(capsys, "pb", "--p", "1/3,1/3,1/3", "--checks", "unimodal")
@@ -141,6 +158,11 @@ class TestSidon:
         code, rep = run_json(capsys, "sidon", "search", "--d", "2", "--k", "2", "--g", "2")
         assert code == EXIT_OK
         assert rep["payload"]["best_size"] == 3
+
+    @pytest.mark.parametrize("d", ["1", "3"])
+    def test_search_rejects_k_below_one(self, capsys, d):
+        assert run(["sidon", "search", "--d", d, "--k", "0", "--g", "1"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
 
 class TestContinuous:

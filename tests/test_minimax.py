@@ -34,7 +34,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.seed == 0
-        assert list(asdict(cfg)) == ["multistarts", "tol", "seed"]
+        assert list(asdict(cfg)) == ["multistarts", "seed"]
 
 
 def test_conv_matrix_matches_loop():
@@ -93,6 +93,31 @@ class TestGeneralM1:
             general_constant(1, 1)
         with pytest.raises(ValueError):
             general_constant(2, 0)
+
+
+class TestGeneralM2Plus:
+    @pytest.mark.parametrize("k,m,n", [(2, 2, 12), (2, 3, 6), (2, 4, 4), (3, 2, 6)])
+    def test_not_above_grid_oracle(self, k, m, n):
+        # the solver is unrestricted, so it must do at least as well as the grid
+        grid_min = float(grid_oracle(k, m, n).grid_min)
+        for cfg in [FAST] + [SolverConfig(seed=s) for s in range(4)]:
+            res = general_constant(k, m, cfg)
+            assert res.value <= grid_min + 1e-9, (k, m, n, cfg)
+
+    def test_iterations_sum_slsqp_nit(self, monkeypatch):
+        nits = []
+        real = minimax.minimize
+
+        def recording(*args, **kwargs):
+            res = real(*args, **kwargs)
+            nits.append(res.nit)
+            return res
+
+        monkeypatch.setattr(minimax, "minimize", recording)
+        res = general_constant(2, 3, FAST)
+        assert res.method == "slsqp"
+        assert len(nits) == FAST.multistarts
+        assert res.iterations == sum(nits) > 0
 
 
 class TestDiagonalM2Plus:

@@ -191,6 +191,12 @@ class TestSizeCap:
             cap, _ = g_sidon_size_cap(d, 3, 3**d)
             assert cap == 2**d
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one(self, d, k):
+        with pytest.raises(ValueError):
+            g_sidon_size_cap(d, k, 1)
+
 
 class TestMaxSizeSearch:
     def test_d1_k2_g1(self):
