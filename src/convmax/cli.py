@@ -37,6 +37,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+PB_CHECKS = ("unimodal", "ulc", "newton", "ratios", "lagrange")
 
 
 def _wrap(argv, payload, config=None, seed=None) -> dict:
@@ -176,6 +177,9 @@ def _parse_probs(text: str):
 def _cmd_pb(args, argv) -> int:
     p = _parse_probs(args.p)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    unknown = [c for c in checks if c not in PB_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check(s) {', '.join(unknown)}; known: {', '.join(PB_CHECKS)}")
     dist = pb.pb_pmf(p)
     exact = dist.is_exact
     payload = {
@@ -208,7 +212,7 @@ def _cmd_pb(args, argv) -> int:
             try:
                 r = pb.likelihood_ratio(p, i)
                 ratios.append(str(r) if exact else float(r))
-            except pb.ZeroDenominator:
+            except (pb.ZeroDenominator, pb.BoundaryParameter):
                 ratios.append(None)
         payload["likelihood_ratios"] = ratios
     if "lagrange" in checks:
@@ -216,7 +220,7 @@ def _cmd_pb(args, argv) -> int:
         for i in range(1, dist.k + 1):
             try:
                 r = pb.lagrange_residual(p, i)
-            except pb.ZeroDenominator:
+            except (pb.ZeroDenominator, pb.BoundaryParameter):
                 continue
             residuals[str(i)] = str(r) if exact else float(r)
         payload["lagrange_residuals"] = residuals
@@ -300,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pb", help="Poisson-binomial pmf and structural checks")
     p.add_argument("--p", required=True, help="comma list: floats or exact 'p/q' rationals")
-    p.add_argument("--checks", default="unimodal,ulc,newton,ratios,lagrange")
+    p.add_argument("--checks", default=",".join(PB_CHECKS))
     common(p)
     p.set_defaults(func=_cmd_pb)
 

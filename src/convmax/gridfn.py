@@ -27,6 +27,11 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _quotient(num: Scalar, den: Scalar) -> Scalar:
+    """num / den: a Fraction when both operands are exact, a float otherwise."""
+    return Fraction(num, den) if is_exact(num) and is_exact(den) else num / den
+
+
 def as_exact(x) -> Fraction:
     """Exact rational from an int, Fraction or 'p/q' string.
 
@@ -98,9 +103,6 @@ class GridFn:
             point = (point,)
         return self.values[self.index(point)]
 
-    def to_float(self) -> "GridFn":
-        return GridFn(self.d, self.m, tuple(float(v) for v in self.values))
-
     @staticmethod
     def delta(d: int) -> "GridFn":
         """Indicator of the origin (all mass at 0, m = 0)."""
@@ -170,11 +172,7 @@ def ratio(fs: Sequence[GridFn]) -> Scalar:
     for i, mass in enumerate(masses):
         if mass == 0:
             raise ZeroMassInput(f"factor {i} has zero total mass")
-    top = sup_norm(convolve_many(fs))
-    denom = math.prod(masses)
-    if is_exact(top) and all(is_exact(mass) for mass in masses):
-        return Fraction(top, denom)
-    return top / denom
+    return _quotient(sup_norm(convolve_many(fs)), math.prod(masses))
 
 
 def product_function(axes: Sequence[GridFn]) -> GridFn:

@@ -2,16 +2,16 @@
 
 Both float solvers share one engine, ``_polish``: an SLSQP solve of the
 epigraph form min t s.t. (f_1*...*f_k)_i <= t, each factor on the simplex,
-run from every seed and reduced to the best start.
+run by ``_multistart`` from each solver's fixed starts, then from seeded
+random starts, and reduced to the best start.
 
-* ``general_constant`` — k free factors.  Seeds: the zero-padded m = 1
-  diagonal optimum and the uniform weights, each used for all k factors, then
-  seeded random starts.
+* ``general_constant`` — k free factors.  Starts: the zero-padded m = 1
+  diagonal optimum (``_padded_m1``) and the uniform weights, each used for all
+  k factors.
 * ``diagonal_constant`` — one factor used k times.  At m = 1 the objective is
   the one-dimensional diagonal envelope, minimized exactly over its rational
-  crossing points.  For m > 1 the seeds are the uniform weights, the
-  zero-padded m = 1 optimum, coarse-grid points, caller-chained seeds and
-  seeded random starts.
+  crossing points.  For m > 1 the starts are the uniform weights, the
+  zero-padded m = 1 optimum, coarse-grid points and caller-chained seeds.
 
 The independent cross-checks are exact:
 
@@ -140,8 +140,23 @@ def _diagonal_envelope_exact(k: int) -> Tuple[Fraction, Fraction, List[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Epigraph solve shared by both modes
+# Epigraph solve and multistart driver shared by both modes
 # ---------------------------------------------------------------------------
+
+def _check_km(k: int, m: int) -> None:
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+
+
+def _padded_m1(k: int, m: int) -> np.ndarray:
+    """The exact m = 1 diagonal optimum, as floats, zero-padded to length m + 1."""
+    p, _, _ = _diagonal_envelope_exact(k)
+    w = np.zeros(m + 1)
+    w[0], w[1] = 1.0 - float(p), float(p)
+    return w
+
 
 def _peak(ws: Sequence[np.ndarray]) -> float:
     return float(np.max(_conv_all(ws)))
@@ -191,28 +206,16 @@ def _polish(ws0: Sequence[np.ndarray], k: int) -> Tuple[List[np.ndarray], float,
     return ws, _peak(ws * copies), bool(res.success), int(res.nit)
 
 
-# ---------------------------------------------------------------------------
-# General constant: k independent factors
-# ---------------------------------------------------------------------------
+def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.ndarray]],
+                diagonal: bool) -> MinimaxResult:
+    """Run ``_polish`` from each start in order; the first best start wins ties.
 
-def general_constant(k: int, m: int, cfg: Optional[SolverConfig] = None) -> MinimaxResult:
-    """Upper estimate of C_{k,m}: one epigraph solve over k free factors per start."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    cfg = cfg or SolverConfig()
+    ``starts`` is padded to ``cfg.multistarts`` with seeded random starts of the same shape.
+    """
+    starts = list(starts)
     rng = np.random.default_rng(cfg.seed)
-
-    p_diag, _, _ = _diagonal_envelope_exact(k)
-    diag_w = np.zeros(m + 1)
-    diag_w[0], diag_w[1] = 1.0 - float(p_diag), float(p_diag)
-    uniform = np.full(m + 1, 1.0 / (m + 1))
-
-    starts: List[List[np.ndarray]] = [[diag_w] * k, [uniform] * k]
-    for _ in range(max(0, cfg.multistarts - len(starts))):
-        starts.append([_clean_weights(rng.exponential(size=m + 1)) for _ in range(k)])
-
+    while len(starts) < cfg.multistarts:
+        starts.append([_clean_weights(rng.exponential(size=m + 1)) for _ in range(len(starts[0]))])
     best_ws, best_v, best_ok, total_nit = None, math.inf, False, 0
     for ws0 in starts:
         ws, v, ok, nit = _polish(ws0, k)
@@ -220,7 +223,7 @@ def general_constant(k: int, m: int, cfg: Optional[SolverConfig] = None) -> Mini
         if v < best_v:
             best_ws, best_v, best_ok = ws, v, ok
 
-    profile = _conv_all(best_ws)
+    profile = _conv_all(best_ws * (k // len(best_ws)))
     return MinimaxResult(
         value=best_v,
         argument=[list(map(float, w)) for w in best_ws],
@@ -228,11 +231,23 @@ def general_constant(k: int, m: int, cfg: Optional[SolverConfig] = None) -> Mini
         method="slsqp",
         iterations=total_nit,
         converged=best_ok,
-        diagonal=False,
+        diagonal=diagonal,
         k=k,
         m=m,
         config=cfg,
     )
+
+
+# ---------------------------------------------------------------------------
+# General constant: k independent factors
+# ---------------------------------------------------------------------------
+
+def general_constant(k: int, m: int, cfg: Optional[SolverConfig] = None) -> MinimaxResult:
+    """Upper estimate of C_{k,m}: one epigraph solve over k free factors per start."""
+    _check_km(k, m)
+    cfg = cfg or SolverConfig()
+    uniform = np.full(m + 1, 1.0 / (m + 1))
+    return _multistart(k, m, cfg, [[_padded_m1(k, m)] * k, [uniform] * k], diagonal=False)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +270,7 @@ def _coarse_grid_seeds(k: int, m: int, top: int = 3) -> List[np.ndarray]:
 def diagonal_constant(k: int, m: int, cfg: Optional[SolverConfig] = None,
                       extra_seeds: Optional[Sequence[Sequence[float]]] = None) -> MinimaxResult:
     """Upper estimate of Cbar_{k,m}; exact at m = 1 via the envelope."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_km(k, m)
     cfg = cfg or SolverConfig()
 
     if m == 1:
@@ -278,37 +290,11 @@ def diagonal_constant(k: int, m: int, cfg: Optional[SolverConfig] = None,
             config=cfg,
         )
 
-    rng = np.random.default_rng(cfg.seed)
-    p_diag, _, _ = _diagonal_envelope_exact(k)
-    padded = np.zeros(m + 1)
-    padded[0], padded[1] = 1.0 - float(p_diag), float(p_diag)
-    seeds: List[np.ndarray] = [np.full(m + 1, 1.0 / (m + 1)), padded]
+    seeds: List[np.ndarray] = [np.full(m + 1, 1.0 / (m + 1)), _padded_m1(k, m)]
     seeds.extend(_coarse_grid_seeds(k, m))
     if extra_seeds:
         seeds.extend(_clean_weights(np.array(s, dtype=float)) for s in extra_seeds)
-    for _ in range(max(0, cfg.multistarts - len(seeds))):
-        seeds.append(_clean_weights(rng.exponential(size=m + 1)))
-
-    best_w, best_v, best_ok, total_nit = None, math.inf, False, 0
-    for w0 in seeds:
-        (w,), v, ok, nit = _polish([w0], k)
-        total_nit += nit
-        if v < best_v:
-            best_w, best_v, best_ok = w, v, ok
-
-    profile = _conv_all([best_w] * k)
-    return MinimaxResult(
-        value=best_v,
-        argument=[list(map(float, best_w))],
-        shared_modes=_shared_modes(profile, CERT_TOL),
-        method="slsqp",
-        iterations=total_nit,
-        converged=best_ok,
-        diagonal=True,
-        k=k,
-        m=m,
-        config=cfg,
-    )
+    return _multistart(k, m, cfg, [[w] for w in seeds], diagonal=True)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import BoundaryParameter, UnimodalityViolation, ZeroDenominator
-from .gridfn import is_exact
+from .gridfn import _quotient, is_exact
 
 Prob = Union[int, Fraction, float]
 
@@ -146,10 +146,7 @@ def likelihood_ratio(p: Sequence[Prob], i: int) -> Prob:
     f = _pmf_values(p)
     if f[i - 1] == 0:
         raise ZeroDenominator(f"f_{{{k},{i - 1}}} = 0")
-    num, den = f[i], f[i - 1]
-    if is_exact(num) and is_exact(den):
-        return Fraction(num, den)
-    return num / den
+    return _quotient(f[i], f[i - 1])
 
 
 def differences(dist: PBDist) -> DiffSeq:
@@ -173,7 +170,7 @@ def intersection_point(p_rest: Sequence[Prob], i: int) -> Optional[Prob]:
     den = 2 * f[i - 1] - f[i] - f[i - 2]
     if den == 0:
         return None
-    p = Fraction(num, den) if is_exact(num) and is_exact(den) else num / den
+    p = _quotient(num, den)
     if 0 <= p <= 1:
         return p
     return None
@@ -265,9 +262,7 @@ def _diff_ratio(f: PBDist, i: int, j: int) -> Prob:
     den = f[i] - f[i - 1]
     if den == 0:
         raise ZeroDenominator(f"D_{{{f.k},{i}}} = 0 for dropped coordinate {j}", coordinate=j)
-    if is_exact(num) and is_exact(den):
-        return Fraction(num, den)
-    return num / den
+    return _quotient(num, den)
 
 
 def lagrange_residual(p: Sequence[Prob], i: int) -> Prob:
@@ -308,6 +303,4 @@ def mobius_ratio(p_rest2: Sequence[Prob], i: int, y: Prob) -> Prob:
     den = y * (D(i - 1) - D(i)) + D(i)
     if den == 0:
         raise ZeroDenominator(f"Lambda denominator vanishes at y={y}")
-    if is_exact(num) and is_exact(den):
-        return Fraction(num, den)
-    return num / den
+    return _quotient(num, den)

@@ -14,7 +14,9 @@ counterexamples.
 
 Size caps for g-Sidon sets use only bounds that are actually valid: the
 explicit g 2^{kd} / binom(k, k//2)^d form for odd k, g / C_{k,1} at d = 1,
-and the average-bound cap (g (k+1)^d)^(1/k) for even k with d >= 2.
+and the average-bound cap (g (k+1)^d)^(1/k) for even k with d >= 2.  Above
+EXHAUSTIVE_D_MAX the sweep and the search read one seeded stream of nonzero
+subsets, ``_sampled_masks``.
 """
 
 from __future__ import annotations
@@ -84,8 +86,7 @@ class CubeSet:
 
     def serialize(self) -> str:
         """One point per line, d characters of '0'/'1', first coordinate first."""
-        lines = ["".join(str(x) for x in p) for p in self.points()]
-        return "\n".join(lines) + "\n"
+        return "\n".join(_set_points_str(self)) + "\n"
 
     @classmethod
     def parse(cls, text: str, d: Optional[int] = None) -> "CubeSet":
@@ -118,7 +119,7 @@ class SidonReport:
     def to_dict(self) -> dict:
         return {
             "d": self.set.d,
-            "set": ["".join(map(str, p)) for p in self.set.points()],
+            "set": _set_points_str(self.set),
             "k": self.k,
             "max_count": self.max_count,
             "argmax_points": [list(p) for p in self.argmax_points],
@@ -163,9 +164,19 @@ class SampleConfig:
     seed: int = 0
 
 
-def _check_samples(cfg: SampleConfig) -> None:
+def _sampled_masks(d: int, cfg: Optional[SampleConfig]) -> List[int]:
+    """Subset masks: the first ``cfg.samples`` nonzero Random(cfg.seed).getrandbits(2^d)."""
+    if cfg is None:
+        raise ValueError(f"d={d} needs a SampleConfig (exhaustive cap is d={EXHAUSTIVE_D_MAX})")
     if cfg.samples < 1:
         raise ValueError(f"samples must be >= 1, got {cfg.samples}")
+    rng = random.Random(cfg.seed)
+    masks = []
+    while len(masks) < cfg.samples:
+        s = rng.getrandbits(2**d)
+        if s:
+            masks.append(s)
+    return masks
 
 
 @dataclass(frozen=True)
@@ -199,35 +210,21 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
                      keep: int = 8) -> EnumerationSummary:
     """Verify the corollary bound over all nonempty subsets of {0,1}^d.
 
-    Exhaustive for d <= 4; for larger d a seeded sample of subsets is drawn
-    (each point included independently with probability 1/2), which is a
-    heuristic sweep only.
+    Exhaustive for d <= 4; for larger d the ``_sampled_masks`` subsets are
+    checked, which is a heuristic sweep only.
     """
     n_points = 2**d
     exhaustive = d <= EXHAUSTIVE_D_MAX
-    if exhaustive:
-        masks = range(1, 2**n_points)
-    else:
-        if sample_cfg is None:
-            raise ValueError(f"d={d} needs a SampleConfig (exhaustive cap is d={EXHAUSTIVE_D_MAX})")
-        _check_samples(sample_cfg)
-        rng = random.Random(sample_cfg.seed)
-        masks = []
-        while len(masks) < sample_cfg.samples:
-            s = rng.getrandbits(n_points)
-            if s:
-                masks.append(s)
+    masks = range(1, 2**n_points) if exhaustive else _sampled_masks(d, sample_cfg)
 
     failures = 0
     min_slack = None
     min_sets: List[List[str]] = []
     eq_sets: List[List[str]] = []
-    checked = 0
     for subset_mask in masks:
         members = [p for p in range(n_points) if (subset_mask >> p) & 1]
         A = CubeSet(d, members)
         rep = verify_bound(A, k)
-        checked += 1
         if not rep.passed:
             failures += 1
         if rep.slack == 0 and len(eq_sets) < keep:
@@ -237,7 +234,7 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
             min_sets = [_set_points_str(A)]
         elif rep.slack == min_slack and len(min_sets) < keep:
             min_sets.append(_set_points_str(A))
-    return EnumerationSummary(d, k, checked, failures, min_slack, min_sets, eq_sets, exhaustive)
+    return EnumerationSummary(d, k, len(masks), failures, min_slack, min_sets, eq_sets, exhaustive)
 
 
 @dataclass(frozen=True)
@@ -301,7 +298,7 @@ def g_sidon_size_cap(d: int, k: int, g: int) -> Tuple[int, str]:
 
 def max_size_g_sidon(d: int, k: int, g: int,
                      search_cfg: Optional[SampleConfig] = None) -> SearchResult:
-    """Largest g-Sidon set of order k found (exhaustive for d <= 4)."""
+    """Largest g-Sidon set of order k found (exhaustive for d <= 4, else sampled)."""
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
     cap, cap_form = g_sidon_size_cap(d, k, g)
@@ -319,23 +316,14 @@ def max_size_g_sidon(d: int, k: int, g: int,
             if best is not None:
                 break
     else:
-        if search_cfg is None:
-            raise ValueError(f"d={d} needs a SampleConfig for stochastic search")
-        _check_samples(search_cfg)
-        rng = random.Random(search_cfg.seed)
         best = CubeSet(d, [0])
-        for _ in range(search_cfg.samples):
-            s = rng.getrandbits(n_points)
-            if not s:
-                continue
+        for s in _sampled_masks(d, search_cfg):
             members = [p for p in range(n_points) if (s >> p) & 1]
             A = CubeSet(d, members)
             if len(A) <= len(best):
                 continue
             if max(representation_counts(A, k).values()) <= g:
                 best = A
-    if best is None:
-        best = CubeSet(d, [0])  # singletons always qualify (count 1 <= g)
     if len(best) > cap:  # pragma: no cover - would contradict the bound
         raise AssertionError(f"found set of size {len(best)} above cap {cap}")
     return SearchResult(d, k, g, best, len(best), cap, cap_form, exhaustive)

@@ -40,6 +40,18 @@ def brute_pb_pmf(p):
 SIDON_CONSTANTS = {2: Fraction(4, 9), 3: Fraction(3, 8)}
 
 
+def brute_max_count(subset, k: int) -> int:
+    """Largest number of ordered k-tuples of ``subset`` with one coordinatewise sum.
+
+    ``subset`` holds points as '0'/'1' strings of equal length.
+    """
+    counts = {}
+    for tup in itertools.product(subset, repeat=k):
+        key = tuple(sum(int(p[t]) for p in tup) for t in range(len(tup[0])))
+        counts[key] = counts.get(key, 0) + 1
+    return max(counts.values())
+
+
 def brute_sidon_violations(d: int, k: int):
     """Sweep every nonempty A in {0,1}^d against max count >= C_{k,1}^d |A|^k.
 
@@ -52,11 +64,7 @@ def brute_sidon_violations(d: int, k: int):
     violating, min_slack, min_sets = [], None, []
     for size in range(1, len(cube) + 1):
         for subset in itertools.combinations(cube, size):
-            counts = {}
-            for tup in itertools.product(subset, repeat=k):
-                key = tuple(sum(int(p[t]) for p in tup) for t in range(d))
-                counts[key] = counts.get(key, 0) + 1
-            slack = max(counts.values()) - c * size**k
+            slack = brute_max_count(subset, k) - c * size**k
             members = sorted(subset)
             if slack < 0:
                 violating.append(members)
@@ -65,6 +73,23 @@ def brute_sidon_violations(d: int, k: int):
             elif slack == min_slack:
                 min_sets.append(members)
     return sorted(violating), min_slack, sorted(min_sets)
+
+
+def brute_sampled_subsets(d: int, samples: int, seed: int):
+    """The documented sampled-sweep stream, rebuilt without ``convmax``.
+
+    The first ``samples`` nonzero draws of random.Random(seed).getrandbits(2^d);
+    bit p of a draw selects the point whose binary digits, first coordinate
+    most significant, spell p.  Sets are sorted lists of '0'/'1' strings.
+    """
+    rng = random.Random(seed)
+    cube = ["".join(bits) for bits in itertools.product("01", repeat=d)]
+    subsets = []
+    while len(subsets) < samples:
+        draw = rng.getrandbits(2**d)
+        if draw:
+            subsets.append(sorted(cube[p] for p in range(2**d) if draw >> p & 1))
+    return subsets
 
 
 def random_exact_gridfn(rng: random.Random, d: int, m: int = 1,

@@ -120,6 +120,20 @@ class TestPb:
         assert run(["pb", "--p", p]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("checks", ["unimodl,ulcc", "unimodal,ratio"])
+    def test_unknown_check_rejected(self, capsys, checks):
+        assert run(["pb", "--p", "1/3,1/2,2/3", "--checks", checks]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_boundary_parameters(self, capsys):
+        # ratios and residuals are undefined on the boundary: null / omitted
+        code, rep = run_json(capsys, "pb", "--p", "1/2,1")
+        assert code == EXIT_OK
+        pl = rep["payload"]
+        assert pl["pmf"] == ["0", "1/2", "1/2"]
+        assert pl["likelihood_ratios"] == [None, None]
+        assert pl["lagrange_residuals"] == {}
+
     def test_check_subset(self, capsys):
         code, rep = run_json(capsys, "pb", "--p", "1/3,1/3,1/3", "--checks", "unimodal")
         assert code == EXIT_OK

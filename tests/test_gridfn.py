@@ -171,6 +171,8 @@ class TestNorms:
 class TestRatio:
     def test_21_squared(self):
         assert ratio([g1(2, 1), g1(2, 1)]) == Fraction(4, 9)
+        mixed = ratio([g1(2, 1), g1(2.0, 1.0)])
+        assert type(mixed) is float and mixed == 4 / 9
 
     def test_triple_11(self):
         assert ratio([g1(1, 1)] * 3) == Fraction(3, 8)

@@ -49,6 +49,22 @@ def test_conv_matrix_matches_loop():
         assert M @ w == pytest.approx(np.convolve(c, w), rel=1e-12)
 
 
+@pytest.mark.parametrize("solve", [general_constant, diagonal_constant])
+def test_first_of_tied_starts_wins(monkeypatch, solve):
+    seen = []
+
+    def tied(ws0, k):
+        seen.append([list(w) for w in ws0])
+        return list(ws0), 0.5, True, 1
+
+    monkeypatch.setattr(minimax, "_polish", tied)
+    res = solve(2, 3, FAST)
+    assert len(seen) == FAST.multistarts
+    assert len({json.dumps(ws) for ws in seen}) > 1
+    assert res.argument == seen[0]
+    assert (res.value, res.iterations, res.converged) == (0.5, FAST.multistarts, True)
+
+
 class TestDiagonalM1:
     @pytest.mark.parametrize("k", range(2, 9))
     def test_exact_closed_form(self, k):

@@ -1,0 +1,43 @@
+"""SHA-256 pins of the deterministic ``payload`` of exact, seeded CLI calls.
+
+A change that keeps behaviour keeps these bytes.  The digest is taken over
+``json.dumps(payload, indent=2)`` of the report written with ``--out``.  Float
+commands (``solve``, ``continuous``, ``selftest``, ``pb`` on floats) are left
+out: their digits depend on the numpy and BLAS build.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from convmax.cli import EXIT_OK, EXIT_VIOLATION, run
+
+PINNED = [
+    ("sidon verify --d 3 --k 2", EXIT_VIOLATION,
+     "57166418454577afa08fe9bd4abcbfa1a031c512fc95dd73034e70b5c27c0bac"),
+    ("sidon verify --d 5 --k 2 --samples 50 --seed 0", EXIT_OK,
+     "a23db99e1d1ed00aa7e3757b034ee228ccae50e3ff5b7aa2ebfc76816825e75d"),
+    ("sidon verify --d 5 --k 3 --samples 20 --seed 1", EXIT_OK,
+     "ffd3394b339419d2b6a2a4b5d33a436a28c3a5adaff717347487ea87b4298a6a"),
+    ("sidon search --d 5 --k 2 --g 4 --samples 100 --seed 1", EXIT_OK,
+     "72e96ac64cf6bff22fe6deb68c1470f3ca6942a27e489978004dff8275d8eeef"),
+    ("pb --p 1/3,1/2,2/3", EXIT_OK,
+     "747fda33a334a2b6da76d80e9507b76385a89a65ad762a78465a6a2f81b7e747"),
+    ("pb --p 1/5,2/7,1/2,3/4,5/6", EXIT_OK,
+     "0db540538fb2b4006ba6067711c12600b8afe817d9367c7fa65bc205f47da2be"),
+    ("constant --k 3 --profile", EXIT_OK,
+     "60c95a7d39507ecee6147711858523bd47638506a32df6db14c5b20e1c64e587"),
+    ("constant --k 4 --d 2 --sharpness", EXIT_OK,
+     "1a93993cfecb435231b0dd68bd040b97b8032891065f507e29d9b5b978d92a59"),
+    ("constant --k 5 --d 3 --profile --sharpness", EXIT_OK,
+     "fe4894ed64b26d92cc7267a41f24c1f4d59343f067ec733548359bbdaa8e1a5f"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED, ids=[argv for argv, _, _ in PINNED])
+def test_payload_digest(tmp_path, argv, code, digest):
+    out = tmp_path / "report.json"
+    assert run(argv.split() + ["--out", str(out)]) == code
+    payload = json.loads(out.read_text())["payload"]
+    assert hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest() == digest

@@ -112,6 +112,8 @@ class TestLikelihoodRatio:
     def test_value(self):
         assert likelihood_ratio(HALF3, 1) == 3
         assert likelihood_ratio(HALF3, 3) == Fraction(1, 3)
+        mixed = likelihood_ratio((Fraction(1, 2), 0.5, 1 - Fraction(1, 2)), 1)
+        assert type(mixed) is float and mixed == 3.0
 
     def test_boundary_rejected(self):
         with pytest.raises(BoundaryParameter):

@@ -12,6 +12,8 @@ from convmax.sidon import (
     verify_bound,
 )
 
+from conftest import SIDON_CONSTANTS, brute_max_count, brute_sampled_subsets
+
 
 def full_cube(d):
     return CubeSet(d, range(2**d))
@@ -153,6 +155,17 @@ class TestEnumerateVerify:
         assert summary.failures == 0
         assert summary.subsets_checked == 40
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_matches_sample_stream_oracle(self, seed):
+        subsets = brute_sampled_subsets(5, 30, seed)
+        bound = SIDON_CONSTANTS[2] ** 5
+        slacks = [brute_max_count(A, 2) - bound * len(A) ** 2 for A in subsets]
+        summary = enumerate_verify(5, 2, SampleConfig(samples=30, seed=seed))
+        assert summary.subsets_checked == 30
+        assert summary.failures == sum(s < 0 for s in slacks)
+        assert summary.min_slack == min(slacks)
+        assert summary.min_slack_sets[0] == subsets[slacks.index(min(slacks))]
+
     @pytest.mark.parametrize("samples", [0, -3])
     def test_sampled_rejects_no_samples(self, samples):
         with pytest.raises(ValueError, match="samples"):
@@ -238,6 +251,17 @@ class TestMaxSizeSearch:
         assert not res.exhaustive
         assert res.best_size >= 1
         assert max(representation_counts(res.best_set, 2).values()) <= 4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stochastic_matches_sample_stream_oracle(self, seed):
+        # the first strictly larger qualifying set in the stream replaces the best
+        best = ["00000"]
+        for A in brute_sampled_subsets(5, 60, seed):
+            if len(A) > len(best) and brute_max_count(A, 2) <= 4:
+                best = A
+        res = max_size_g_sidon(5, 2, 4, SampleConfig(samples=60, seed=seed))
+        assert len(best) > 1
+        assert ["".join(map(str, p)) for p in res.best_set.points()] == best
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_stochastic_rejects_no_samples(self, samples):
