@@ -171,6 +171,8 @@ def _parse_probs(text: str):
             return [Fraction(t) for t in toks]
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
+    if any("/" in t for t in toks):
+        raise ValueError(f"{text!r} mixes exact ('p/q') and decimal tokens; use one kind")
     return [float(t) for t in toks]
 
 
@@ -182,10 +184,11 @@ def _cmd_pb(args, argv) -> int:
         raise ValueError(f"unknown check(s) {', '.join(unknown)}; known: {', '.join(PB_CHECKS)}")
     dist = pb.pb_pmf(p)
     exact = dist.is_exact
+    num = str if exact else float   # exact values as 'p/q' strings, floats as JSON numbers
     payload = {
         "p": [str(x) for x in p],
         "exact": exact,
-        "pmf": [str(v) if exact else v for v in dist.pmf],
+        "pmf": [num(v) for v in dist.pmf],
     }
     violation = False
     if "unimodal" in checks:
@@ -196,22 +199,21 @@ def _cmd_pb(args, argv) -> int:
         payload["ultra_log_concave"] = {
             "ok": rep.ultra_ok,
             "plain_ok": rep.plain_ok,
-            "worst_margin": str(rep.worst_ultra) if exact else float(rep.worst_ultra),
+            "worst_margin": num(rep.worst_ultra),
         }
         violation |= not (rep.ultra_ok and rep.plain_ok)
     if "newton" in checks and dist.k >= 3:
         rep = pb.check_newton_differences(dist)
         payload["newton_differences"] = {
             "ok": rep.ok,
-            "worst_margin": str(rep.worst) if exact else float(rep.worst),
+            "worst_margin": num(rep.worst),
         }
         violation |= not rep.ok
     if "ratios" in checks:
         ratios = []
         for i in range(1, dist.k + 1):
             try:
-                r = pb.likelihood_ratio(p, i)
-                ratios.append(str(r) if exact else float(r))
+                ratios.append(num(pb.likelihood_ratio(p, i)))
             except (pb.ZeroDenominator, pb.BoundaryParameter):
                 ratios.append(None)
         payload["likelihood_ratios"] = ratios
@@ -222,7 +224,7 @@ def _cmd_pb(args, argv) -> int:
                 r = pb.lagrange_residual(p, i)
             except (pb.ZeroDenominator, pb.BoundaryParameter):
                 continue
-            residuals[str(i)] = str(r) if exact else float(r)
+            residuals[str(i)] = num(r)
         payload["lagrange_residuals"] = residuals
     _emit(_wrap(argv, payload), args.format, args.out)
     return EXIT_VIOLATION if violation else EXIT_OK

@@ -212,6 +212,8 @@ def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.
 
     ``starts`` is padded to ``cfg.multistarts`` with seeded random starts of the same shape.
     """
+    if cfg.multistarts < 1:
+        raise ValueError(f"multistarts must be >= 1, got {cfg.multistarts}")
     starts = list(starts)
     rng = np.random.default_rng(cfg.seed)
     while len(starts) < cfg.multistarts:

@@ -1,8 +1,13 @@
 """Representation counts of k-fold sums over subsets of {0,1}^d.
 
-A subset A is stored as a set of d-bit masks; its indicator is a GridFn on
-{0,1}^d, and the ordered representation counts of kA are exactly the entries
-of the k-fold convolution of that indicator.
+A subset A is stored as a set of d-bit masks, the most significant bit being
+the first coordinate.  Counts are plain integers: bit j of a mask becomes
+digit j of a base-(k+1) integer (``_encodings``), so sums of k points never
+carry and integer order is sorted point order.  The indicator of A is then a
+0/1 list, and the ordered representation counts of kA are its k-fold
+convolution, a fold of the exact kernel ``gridfn._convolve_seq``
+(``_counts``).  ``CubeSet.indicator`` keeps the ``GridFn`` route as an
+independent oracle.
 
 The claimed bound is max representation count >= C_{k,d} |A|^k with C_{k,d}
 the tensor power of the exact one-dimensional constant.  That bound is proven
@@ -14,14 +19,15 @@ counterexamples.
 
 Size caps for g-Sidon sets use only bounds that are actually valid: the
 explicit g 2^{kd} / binom(k, k//2)^d form for odd k, g / C_{k,1} at d = 1,
-and the average-bound cap (g (k+1)^d)^(1/k) for even k with d >= 2.  Above
-EXHAUSTIVE_D_MAX the sweep and the search read one seeded stream of nonzero
-subsets, ``_sampled_masks``.
+and the average-bound cap (g (k+1)^d)^(1/k) for even k with d >= 2.  Up to
+EXHAUSTIVE_D_MAX the g-Sidon search is a depth-first search over increasing
+point indices that drops a prefix once a count exceeds g (adding a point never
+lowers a count).  Above it the sweep and the search read one seeded stream of
+nonzero subsets, ``_sampled_masks``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -29,7 +35,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .constants import optimal_constant_d
-from .gridfn import GridFn, convolve_many
+from .gridfn import GridFn, _convolve_seq
 
 Point = Tuple[int, ...]
 
@@ -49,6 +55,38 @@ def _point_to_mask(point: Sequence[int], d: int) -> int:
             raise ValueError(f"coordinate {x} outside {{0,1}}")
         mask = (mask << 1) | x
     return mask
+
+
+def _encodings(d: int, k: int) -> List[int]:
+    """Base-(k+1) code of each mask: bit j becomes digit j."""
+    codes = [0]
+    for j in range(d):
+        codes += [c + (k + 1) ** j for c in codes]
+    return codes
+
+
+def _code_to_point(code: int, d: int, k: int) -> Point:
+    digits = []
+    for _ in range(d):
+        code, digit = divmod(code, k + 1)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
+def _indicator(members: Iterable[int], codes: Sequence[int]) -> List[int]:
+    """0/1 list with a 1 at the base-(k+1) code of each member mask."""
+    indicator = [0] * (codes[-1] + 1)
+    for mask in members:
+        indicator[codes[mask]] = 1
+    return indicator
+
+
+def _counts(indicator: List[int], k: int) -> list:
+    """Ordered representation counts: the k-fold convolution of the indicator."""
+    counts = indicator
+    for _ in range(k - 1):
+        counts = _convolve_seq(counts, indicator)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -86,7 +124,7 @@ class CubeSet:
 
     def serialize(self) -> str:
         """One point per line, d characters of '0'/'1', first coordinate first."""
-        return "\n".join(_set_points_str(self)) + "\n"
+        return "\n".join(_points_str(self.d, self.members)) + "\n"
 
     @classmethod
     def parse(cls, text: str, d: Optional[int] = None) -> "CubeSet":
@@ -119,7 +157,7 @@ class SidonReport:
     def to_dict(self) -> dict:
         return {
             "d": self.set.d,
-            "set": _set_points_str(self.set),
+            "set": _points_str(self.set.d, self.set.members),
             "k": self.k,
             "max_count": self.max_count,
             "argmax_points": [list(p) for p in self.argmax_points],
@@ -130,18 +168,19 @@ class SidonReport:
         }
 
 
-def representation_counts(A: CubeSet, k: int) -> Dict[Point, int]:
-    """Ordered k-tuple representation counts of each point of kA."""
+def _set_counts(A: CubeSet, k: int) -> list:
+    """Representation counts of kA indexed by base-(k+1) code."""
     if len(A) == 0:
         raise ValueError("representation counts need a nonempty set")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    conv = convolve_many([A.indicator()] * k)
-    counts = {}
-    for point, v in zip(conv.points(), conv.values):
-        if v:
-            counts[point] = v
-    return counts
+    return _counts(_indicator(A.members, _encodings(A.d, k)), k)
+
+
+def representation_counts(A: CubeSet, k: int) -> Dict[Point, int]:
+    """Ordered k-tuple representation counts of each point of kA."""
+    return {_code_to_point(code, A.d, k): n
+            for code, n in enumerate(_set_counts(A, k)) if n}
 
 
 def verify_bound(A: CubeSet, k: int) -> SidonReport:
@@ -150,9 +189,9 @@ def verify_bound(A: CubeSet, k: int) -> SidonReport:
     ``passed`` is genuinely informative: for even k and d >= 3 some subsets
     fail, which is a property of the bound rather than a bug.
     """
-    counts = representation_counts(A, k)
-    max_count = max(counts.values())
-    argmax = sorted(p for p, c in counts.items() if c == max_count)
+    counts = _set_counts(A, k)
+    max_count = max(counts)
+    argmax = [_code_to_point(code, A.d, k) for code, n in enumerate(counts) if n == max_count]
     bound = optimal_constant_d(k, A.d) * len(A) ** k
     slack = max_count - bound
     return SidonReport(A, k, max_count, argmax, bound, slack, max_count >= bound)
@@ -202,8 +241,9 @@ class EnumerationSummary:
         }
 
 
-def _set_points_str(A: CubeSet) -> List[str]:
-    return ["".join(map(str, p)) for p in A.points()]
+def _points_str(d: int, masks: Iterable[int]) -> List[str]:
+    """Sorted points as '0'/'1' strings, first coordinate first (mask order is point order)."""
+    return [format(mask, f"0{d}b") for mask in sorted(masks)]
 
 
 def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
@@ -213,9 +253,15 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
     Exhaustive for d <= 4; for larger d the ``_sampled_masks`` subsets are
     checked, which is a heuristic sweep only.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    c = optimal_constant_d(k, d)
     n_points = 2**d
     exhaustive = d <= EXHAUSTIVE_D_MAX
     masks = range(1, 2**n_points) if exhaustive else _sampled_masks(d, sample_cfg)
+    codes = _encodings(d, k)
+    # slack = max count - c s^k, kept as an integer numerator over c.denominator
+    scaled_bound = [c.numerator * s**k for s in range(n_points + 1)]
 
     failures = 0
     min_slack = None
@@ -223,18 +269,19 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
     eq_sets: List[List[str]] = []
     for subset_mask in masks:
         members = [p for p in range(n_points) if (subset_mask >> p) & 1]
-        A = CubeSet(d, members)
-        rep = verify_bound(A, k)
-        if not rep.passed:
+        slack = (max(_counts(_indicator(members, codes), k)) * c.denominator
+                 - scaled_bound[len(members)])
+        if slack < 0:
             failures += 1
-        if rep.slack == 0 and len(eq_sets) < keep:
-            eq_sets.append(_set_points_str(A))
-        if min_slack is None or rep.slack < min_slack:
-            min_slack = rep.slack
-            min_sets = [_set_points_str(A)]
-        elif rep.slack == min_slack and len(min_sets) < keep:
-            min_sets.append(_set_points_str(A))
-    return EnumerationSummary(d, k, len(masks), failures, min_slack, min_sets, eq_sets, exhaustive)
+        if slack == 0 and len(eq_sets) < keep:
+            eq_sets.append(_points_str(d, members))
+        if min_slack is None or slack < min_slack:
+            min_slack = slack
+            min_sets = [_points_str(d, members)]
+        elif slack == min_slack and len(min_sets) < keep:
+            min_sets.append(_points_str(d, members))
+    return EnumerationSummary(d, k, len(masks), failures, Fraction(min_slack, c.denominator),
+                              min_sets, eq_sets, exhaustive)
 
 
 @dataclass(frozen=True)
@@ -251,7 +298,7 @@ class SearchResult:
     def to_dict(self) -> dict:
         return {
             "d": self.d, "k": self.k, "g": self.g,
-            "best_set": _set_points_str(self.best_set),
+            "best_set": _points_str(self.best_set.d, self.best_set.members),
             "best_size": self.best_size,
             "size_cap": self.size_cap,
             "cap_form": self.cap_form,
@@ -296,34 +343,57 @@ def g_sidon_size_cap(d: int, k: int, g: int) -> Tuple[int, str]:
     return cap, form
 
 
+def _first_g_sidon(codes: Sequence[int], k: int, g: int, size: int) -> Optional[List[int]]:
+    """First ``size``-subset, in ``itertools.combinations`` order, with every count <= g.
+
+    Depth-first over increasing point indices.  A prefix with a count above g
+    is dropped with all its extensions: adding a point never lowers a count.
+    """
+    n_points = len(codes)
+    indicator = [0] * (codes[-1] + 1)
+    chosen: List[int] = []
+
+    def extend(start: int) -> bool:
+        if len(chosen) == size:
+            return True
+        for p in range(start, n_points - size + len(chosen) + 1):
+            indicator[codes[p]] = 1
+            chosen.append(p)
+            if max(_counts(indicator, k)) <= g and extend(p + 1):
+                return True
+            chosen.pop()
+            indicator[codes[p]] = 0
+        return False
+
+    return chosen if extend(0) else None
+
+
 def max_size_g_sidon(d: int, k: int, g: int,
                      search_cfg: Optional[SampleConfig] = None) -> SearchResult:
-    """Largest g-Sidon set of order k found (exhaustive for d <= 4, else sampled)."""
+    """Largest g-Sidon set of order k found (exhaustive for d <= 4, else sampled).
+
+    The exhaustive search returns the first qualifying set of the largest size
+    in ``itertools.combinations`` order; the sampled one keeps the first
+    strictly larger qualifying set of the stream.
+    """
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
     cap, cap_form = g_sidon_size_cap(d, k, g)
     n_points = 2**d
+    codes = _encodings(d, k)
     exhaustive = d <= EXHAUSTIVE_D_MAX
     best = None
     if exhaustive:
         for size in range(min(n_points, cap), 0, -1):
-            for members in itertools.combinations(range(n_points), size):
-                A = CubeSet(d, members)
-                counts = representation_counts(A, k)
-                if max(counts.values()) <= g:
-                    best = A
-                    break
+            best = _first_g_sidon(codes, k, g, size)
             if best is not None:
                 break
     else:
-        best = CubeSet(d, [0])
+        best = [0]
         for s in _sampled_masks(d, search_cfg):
             members = [p for p in range(n_points) if (s >> p) & 1]
-            A = CubeSet(d, members)
-            if len(A) <= len(best):
-                continue
-            if max(representation_counts(A, k).values()) <= g:
-                best = A
+            if len(members) > len(best) and max(_counts(_indicator(members, codes), k)) <= g:
+                best = members
     if len(best) > cap:  # pragma: no cover - would contradict the bound
         raise AssertionError(f"found set of size {len(best)} above cap {cap}")
-    return SearchResult(d, k, g, best, len(best), cap, cap_form, exhaustive)
+    return SearchResult(d, k, g, CubeSet(d, best), len(best), cap, cap_form, exhaustive)

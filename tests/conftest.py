@@ -52,6 +52,17 @@ def brute_max_count(subset, k: int) -> int:
     return max(counts.values())
 
 
+def brute_first_g_sidon(d: int, k: int, g: int):
+    """First set, largest size first, in ``itertools.combinations`` order over the
+    sorted cube, whose ordered k-tuple counts are all <= g; '0'/'1' strings."""
+    cube = ["".join(bits) for bits in itertools.product("01", repeat=d)]
+    for size in range(len(cube), 0, -1):
+        for subset in itertools.combinations(cube, size):
+            if brute_max_count(subset, k) <= g:
+                return list(subset)
+    return []
+
+
 def brute_sidon_violations(d: int, k: int):
     """Sweep every nonempty A in {0,1}^d against max count >= C_{k,1}^d |A|^k.
 

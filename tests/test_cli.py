@@ -82,6 +82,15 @@ class TestSolve:
         assert run(["solve", "--k", "2", "--grid", grid]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("mode", ["diagonal", "general"])
+    @pytest.mark.parametrize("starts", ["0", "-3"])
+    def test_multistarts_below_one_rejected(self, capsys, mode, starts):
+        argv = ["solve", "--k", "2", "--m", "2", "--mode", mode, "--multistarts", starts]
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "multistarts must be >= 1" in captured.err
+
     def test_seed_recorded_and_deterministic(self, capsys):
         code, a = run_json(capsys, "solve", "--k", "2", "--m", "2", "--seed", "5",
                            "--multistarts", "6")
@@ -114,6 +123,13 @@ class TestPb:
 
     def test_out_of_range(self, capsys):
         assert run(["pb", "--p", "1.5"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("p", ["1/2,0.5", "0.25,1/3,0.5"])
+    def test_mixed_exact_and_decimal_rejected(self, capsys, p):
+        assert run(["pb", "--p", p]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mixes exact ('p/q') and decimal tokens" in captured.err
 
     @pytest.mark.parametrize("p", ["1/0", "1/2,3/0"])
     def test_zero_denominator_rejected(self, capsys, p):
@@ -200,6 +216,13 @@ class TestContinuous:
         assert sf["breakpoints"][0] == -0.25
         assert sf["breakpoints"][-1] == 0.25
         assert len(sf["heights"]) == 3
+
+    @pytest.mark.parametrize("starts", ["0", "-3"])
+    def test_multistarts_below_one_rejected(self, capsys, starts):
+        assert run(["continuous", "--k", "2", "--m-max", "2", "--multistarts", starts]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "multistarts must be >= 1" in captured.err
 
     @pytest.mark.parametrize("steps", ["0", "-2"])
     def test_export_steps_below_one_rejected(self, capsys, steps):

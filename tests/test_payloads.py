@@ -16,6 +16,14 @@ from convmax.cli import EXIT_OK, EXIT_VIOLATION, run
 PINNED = [
     ("sidon verify --d 3 --k 2", EXIT_VIOLATION,
      "57166418454577afa08fe9bd4abcbfa1a031c512fc95dd73034e70b5c27c0bac"),
+    ("sidon verify --d 4 --k 2", EXIT_OK,
+     "47ffbe9edf4fa532a70e18be4aab15d9f15be9f52df387b6fbb605ece4211639"),
+    ("sidon verify --d 3 --k 3", EXIT_OK,
+     "a6b021cb431ba22dabb721181c069648e4a60fe8e8a4e45081d346111b3534b1"),
+    ("sidon search --d 4 --k 2 --g 2", EXIT_OK,
+     "eade4f2a3c3a714346fbf00c15456257e6720a7735b6ed8d6869c9a81062ea13"),
+    ("sidon search --d 4 --k 3 --g 4", EXIT_OK,
+     "f40118b03a1346009c1815d0a1e9e3563dcad37c3c6a184f7d753763179ce7d5"),
     ("sidon verify --d 5 --k 2 --samples 50 --seed 0", EXIT_OK,
      "a23db99e1d1ed00aa7e3757b034ee228ccae50e3ff5b7aa2ebfc76816825e75d"),
     ("sidon verify --d 5 --k 3 --samples 20 --seed 1", EXIT_OK,

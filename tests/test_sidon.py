@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from convmax.gridfn import convolve_many
 from convmax.sidon import (
     CubeSet,
     SampleConfig,
@@ -12,7 +13,7 @@ from convmax.sidon import (
     verify_bound,
 )
 
-from conftest import SIDON_CONSTANTS, brute_max_count, brute_sampled_subsets
+from conftest import SIDON_CONSTANTS, brute_first_g_sidon, brute_max_count, brute_sampled_subsets
 
 
 def full_cube(d):
@@ -74,6 +75,20 @@ class TestRepresentationCounts:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             representation_counts(CubeSet(1, []), 2)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_gridfn_route(self, d, k):
+        # every nonempty subset against the Fraction GridFn convolution
+        for subset_mask in range(1, 2 ** 2**d):
+            A = CubeSet(d, [p for p in range(2**d) if subset_mask >> p & 1])
+            conv = convolve_many([A.indicator()] * k)
+            expected = {p: v for p, v in zip(conv.points(), conv.values) if v}
+            assert representation_counts(A, k) == expected
+            rep = verify_bound(A, k)
+            assert rep.max_count == max(expected.values())
+            assert rep.argmax_points == sorted(p for p, v in expected.items()
+                                               if v == rep.max_count)
 
 
 class TestVerifyBound:
@@ -241,6 +256,14 @@ class TestMaxSizeSearch:
         assert res.best_size == 5
         assert res.cap_form == "trivial-average"
         assert max(representation_counts(res.best_set, 2).values()) <= 2
+
+    @pytest.mark.parametrize("d,k,g", [(1, 2, 1), (2, 2, 1), (2, 3, 2), (3, 1, 1), (3, 2, 1),
+                                       (3, 2, 2), (3, 2, 3), (3, 3, 2), (3, 3, 4), (3, 3, 9),
+                                       (3, 4, 6), (3, 4, 30)])
+    def test_exhaustive_matches_combinations_oracle(self, d, k, g):
+        res = max_size_g_sidon(d, k, g)
+        assert res.exhaustive
+        assert ["".join(map(str, p)) for p in res.best_set.points()] == brute_first_g_sidon(d, k, g)
 
     def test_bad_g(self):
         with pytest.raises(ValueError):
