@@ -38,7 +38,7 @@ from .pb import (
     check_ultra_log_concave,
     differences,
     intersection_point,
-    lagrange_residual,
+    lagrange_residuals,
     likelihood_ratio,
     mobius_ratio,
     partial_derivative,

@@ -142,6 +142,10 @@ def _cmd_constant(args, argv) -> int:
 
 def _cmd_solve(args, argv) -> int:
     cfg = SolverConfig(multistarts=args.multistarts, seed=args.seed)
+    # the exact oracle first: an over-budget --grid is rejected before any solve
+    oracle = None
+    if args.grid is not None:
+        oracle = grid_oracle(args.k, args.m, args.grid, diagonal=args.mode == "diagonal")
     if args.mode == "diagonal":
         res = diagonal_constant(args.k, args.m, cfg)
     else:
@@ -153,8 +157,7 @@ def _cmd_solve(args, argv) -> int:
     recomputed = float(ratio(fns[: args.k]))
     payload["recomputed_value"] = recomputed
     violation = abs(recomputed - res.value) > 1e-10
-    if args.grid is not None:
-        oracle = grid_oracle(args.k, args.m, args.grid, diagonal=args.mode == "diagonal")
+    if oracle is not None:
         payload["grid_oracle"] = oracle.to_dict()
         violation |= res.value > float(oracle.grid_min) + 1e-9
     _emit(_wrap(argv, payload, config=asdict(cfg), seed=args.seed),
@@ -218,14 +221,11 @@ def _cmd_pb(args, argv) -> int:
                 ratios.append(None)
         payload["likelihood_ratios"] = ratios
     if "lagrange" in checks:
-        residuals = {}
-        for i in range(1, dist.k + 1):
-            try:
-                r = pb.lagrange_residual(p, i)
-            except (pb.ZeroDenominator, pb.BoundaryParameter):
-                continue
-            residuals[str(i)] = num(r)
-        payload["lagrange_residuals"] = residuals
+        try:
+            residuals = pb.lagrange_residuals(p)
+        except pb.BoundaryParameter:
+            residuals = {}
+        payload["lagrange_residuals"] = {str(i): num(r) for i, r in residuals.items()}
     _emit(_wrap(argv, payload), args.format, args.out)
     return EXIT_VIOLATION if violation else EXIT_OK
 

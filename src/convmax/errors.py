@@ -20,10 +20,6 @@ class ZeroMassInput(ConvmaxError, ValueError):
 class ZeroDenominator(ConvmaxError, ZeroDivisionError):
     """A likelihood-ratio style quotient has a vanishing denominator."""
 
-    def __init__(self, msg="zero denominator", coordinate=None):
-        super().__init__(msg)
-        self.coordinate = coordinate
-
 
 class BoundaryParameter(ConvmaxError, ValueError):
     """A ratio/residual operation received a parameter on {0,1}.

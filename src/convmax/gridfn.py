@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, MemoryCapExceeded, ZeroMassInput
 
@@ -72,9 +72,7 @@ class GridFn:
             raise ValueError(f"dimension must be >= 1, got {d}")
         if m < 0:
             raise ValueError(f"side degree must be >= 0, got {m}")
-        size = (m + 1) ** d
-        if size > MEMORY_CAP_ENTRIES:
-            raise MemoryCapExceeded(f"(m+1)^d = {size} exceeds cap {MEMORY_CAP_ENTRIES}")
+        size = _table_size(d, m + 1)
         vals = tuple(_check_value(v) for v in values)
         if len(vals) != size:
             raise ValueError(f"expected {size} values for d={d}, m={m}, got {len(vals)}")
@@ -120,11 +118,36 @@ def _convolve_seq(a: Sequence, b: Sequence) -> list:
     return out
 
 
+def _table_size(d: int, base: int) -> int:
+    """base^d, the length of a table indexed by d-digit codes; the one cap check."""
+    size = base**d
+    if size > MEMORY_CAP_ENTRIES:
+        raise MemoryCapExceeded(f"(m+1)^d = {size} exceeds cap {MEMORY_CAP_ENTRIES}")
+    return size
+
+
+def _codes(d: int, m: int, base: int) -> List[int]:
+    """Each point of {0,...,m}^d, in storage order, as a base-``base`` integer
+    (first coordinate most significant); tables indexed by codes have base^d entries."""
+    _table_size(d, base)
+    codes = [0]
+    for _ in range(d):
+        codes = [c * base + x for c in codes for x in range(m + 1)]
+    return codes
+
+
+def _digits(code: int, d: int, base: int) -> Tuple[int, ...]:
+    """The point whose base-``base`` code is ``code``; inverse of ``_codes``."""
+    digits = []
+    for _ in range(d):
+        code, digit = divmod(code, base)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
 def _spread(f: GridFn, base: int) -> list:
-    """f's values with point x at index sum_t x_t base^(d-1-t), zeros between."""
-    idx = [0]
-    for _ in range(f.d):
-        idx = [i * base + x for i in idx for x in range(f.m + 1)]
+    """f's values placed at their base-``base`` codes, zeros between."""
+    idx = _codes(f.d, f.m, base)
     seq = [0] * (idx[-1] + 1)
     for i, v in zip(idx, f.values):
         seq[i] = v
@@ -140,12 +163,8 @@ def convolve(f: GridFn, g: GridFn) -> GridFn:
     """
     if f.d != g.d:
         raise DimensionMismatch(f"d mismatch: {f.d} != {g.d}")
-    d = f.d
     m = f.m + g.m
-    size = (m + 1) ** d
-    if size > MEMORY_CAP_ENTRIES:
-        raise MemoryCapExceeded(f"(m+1)^d = {size} exceeds cap {MEMORY_CAP_ENTRIES}")
-    return GridFn(d, m, _convolve_seq(_spread(f, m + 1), _spread(g, m + 1)))
+    return GridFn(f.d, m, _convolve_seq(_spread(f, m + 1), _spread(g, m + 1)))
 
 
 def convolve_many(fs: Sequence[GridFn]) -> GridFn:

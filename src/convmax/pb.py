@@ -10,7 +10,8 @@ mode (int/Fraction parameters) or float mode; exact mode gives exact
 equalities everywhere.
 
 Ratio and residual operations require parameters in the open cube (0,1)^k;
-boundary values are accepted by ``pb_pmf`` only.
+boundary values are accepted by ``pb_pmf`` only.  ``lagrange_residuals``
+builds one leave-one-out pmf per coordinate and returns every defined residual.
 
 The successive-difference Newton inequality is implemented with the full
 parameter vector on both sides (the source display truncates the argument of
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BoundaryParameter, UnimodalityViolation, ZeroDenominator
 from .gridfn import _quotient, is_exact
@@ -256,30 +257,29 @@ def partial_derivative(p: Sequence[Prob], i: int, j: int) -> Prob:
     return f[i - 1] - f[i]
 
 
-def _diff_ratio(f: PBDist, i: int, j: int) -> Prob:
-    """D_{n,i-1} / D_{n,i} read off a reduced pmf; j only labels errors."""
-    num = f[i - 1] - f[i - 2]
-    den = f[i] - f[i - 1]
-    if den == 0:
-        raise ZeroDenominator(f"D_{{{f.k},{i}}} = 0 for dropped coordinate {j}", coordinate=j)
-    return _quotient(num, den)
-
-
-def lagrange_residual(p: Sequence[Prob], i: int) -> Prob:
-    """Spread (max - min) of the per-coordinate stationarity ratios.
+def lagrange_residuals(p: Sequence[Prob]) -> Dict[int, Prob]:
+    """Spread (max - min) of the per-coordinate stationarity ratios, by index i.
 
     The Lagrange system for minimizing f_{k,i} on the shared-mode manifold
     admits one multiplier across all coordinates exactly when all the ratios
     D_{k-1,i-1}(p'_j) / D_{k-1,i}(p'_j) coincide; the residual is 0 iff that
-    happens, in particular whenever all coordinates of p are equal.
+    happens, in particular whenever all coordinates of p are equal.  The k
+    leave-one-out pmfs are built once; an i where some D_{k-1,i}(p'_j) is 0
+    is left out.  With k = 1 the reduced pmf is that of zero trials, (1,).
     """
     p = _validate_params(p)
     _require_interior(p)
     k = len(p)
-    if not 1 <= i <= k:
-        raise ValueError(f"index i={i} outside 1..{k}")
-    ratios = [_diff_ratio(pb_pmf(_drop(p, j)), i, j) for j in range(k)]
-    return max(ratios) - min(ratios)
+    diffs = []  # diffs[j][i] = D_{k-1,i}(p'_j) for i = 0..k
+    for j in range(k):
+        f = _pmf_values(_drop(p, j))
+        diffs.append([b - a for a, b in zip([0] + f, f + [0])])
+    residuals = {}
+    for i in range(1, k + 1):
+        if all(D[i] != 0 for D in diffs):
+            ratios = [_quotient(D[i - 1], D[i]) for D in diffs]
+            residuals[i] = max(ratios) - min(ratios)
+    return residuals
 
 
 def mobius_ratio(p_rest2: Sequence[Prob], i: int, y: Prob) -> Prob:

@@ -77,15 +77,10 @@ def _lagrange_zero_check(rng: random.Random, trials: int) -> Dict:
     for t in range(trials):
         k = rng.randint(2, 8)
         q = Fraction(rng.randint(1, 99), 100)
-        p = (q,) * k
-        for i in range(1, k + 1):
-            try:
-                r = pb.lagrange_residual(p, i)
-            except pb.ZeroDenominator:
-                continue
-            if r != 0:
-                failures.append(f"trial {t}: residual {r} at i={i}")
-            break
+        residuals = pb.lagrange_residuals((q,) * k)
+        i = min(residuals, default=None)  # the first index with a defined residual
+        if i is not None and residuals[i] != 0:
+            failures.append(f"trial {t}: residual {residuals[i]} at i={i}")
     return {"trials": trials, "failures": failures}
 
 

@@ -1,13 +1,15 @@
 """Representation counts of k-fold sums over subsets of {0,1}^d.
 
 A subset A is stored as a set of d-bit masks, the most significant bit being
-the first coordinate.  Counts are plain integers: bit j of a mask becomes
-digit j of a base-(k+1) integer (``_encodings``), so sums of k points never
-carry and integer order is sorted point order.  The indicator of A is then a
-0/1 list, and the ordered representation counts of kA are its k-fold
-convolution, a fold of the exact kernel ``gridfn._convolve_seq``
-(``_counts``).  ``CubeSet.indicator`` keeps the ``GridFn`` route as an
-independent oracle.
+the first coordinate, so a mask is its point's storage index.  Counts are
+plain integers on ``gridfn``'s point layout: ``gridfn._codes(d, 1, k + 1)``
+reads each point as a base-(k+1) integer, so sums of k points never carry and
+integer order is sorted point order; ``gridfn._digits`` reads an index back
+as a point, and ``_codes`` enforces the memory cap on the (k+1)^d count
+table.  The indicator of A is a 0/1 list on those codes, and the ordered
+representation counts of kA are its k-fold convolution, a fold of the exact
+kernel ``gridfn._convolve_seq`` (``_counts``).  ``CubeSet.indicator`` keeps
+the ``GridFn`` route as an independent oracle.
 
 The claimed bound is max representation count >= C_{k,d} |A|^k with C_{k,d}
 the tensor power of the exact one-dimensional constant.  That bound is proven
@@ -35,17 +37,12 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .constants import optimal_constant_d
-from .gridfn import GridFn, _convolve_seq
+from .gridfn import GridFn, _codes, _convolve_seq, _digits
 
 Point = Tuple[int, ...]
 
 #: Largest dimension swept exhaustively (2^(2^d) subsets).
 EXHAUSTIVE_D_MAX = 4
-
-
-def _mask_to_point(mask: int, d: int) -> Point:
-    # most-significant bit is the first coordinate
-    return tuple((mask >> (d - 1 - t)) & 1 for t in range(d))
 
 
 def _point_to_mask(point: Sequence[int], d: int) -> int:
@@ -55,22 +52,6 @@ def _point_to_mask(point: Sequence[int], d: int) -> int:
             raise ValueError(f"coordinate {x} outside {{0,1}}")
         mask = (mask << 1) | x
     return mask
-
-
-def _encodings(d: int, k: int) -> List[int]:
-    """Base-(k+1) code of each mask: bit j becomes digit j."""
-    codes = [0]
-    for j in range(d):
-        codes += [c + (k + 1) ** j for c in codes]
-    return codes
-
-
-def _code_to_point(code: int, d: int, k: int) -> Point:
-    digits = []
-    for _ in range(d):
-        code, digit = divmod(code, k + 1)
-        digits.append(digit)
-    return tuple(reversed(digits))
 
 
 def _indicator(members: Iterable[int], codes: Sequence[int]) -> List[int]:
@@ -114,7 +95,7 @@ class CubeSet:
         return cls(d, (_point_to_mask(p, d) for p in points))
 
     def points(self) -> List[Point]:
-        return sorted(_mask_to_point(mask, self.d) for mask in self.members)
+        return sorted(_digits(mask, self.d, 2) for mask in self.members)
 
     def indicator(self) -> GridFn:
         vals = [0] * (2**self.d)
@@ -174,12 +155,12 @@ def _set_counts(A: CubeSet, k: int) -> list:
         raise ValueError("representation counts need a nonempty set")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _counts(_indicator(A.members, _encodings(A.d, k)), k)
+    return _counts(_indicator(A.members, _codes(A.d, 1, k + 1)), k)
 
 
 def representation_counts(A: CubeSet, k: int) -> Dict[Point, int]:
     """Ordered k-tuple representation counts of each point of kA."""
-    return {_code_to_point(code, A.d, k): n
+    return {_digits(code, A.d, k + 1): n
             for code, n in enumerate(_set_counts(A, k)) if n}
 
 
@@ -191,7 +172,7 @@ def verify_bound(A: CubeSet, k: int) -> SidonReport:
     """
     counts = _set_counts(A, k)
     max_count = max(counts)
-    argmax = [_code_to_point(code, A.d, k) for code, n in enumerate(counts) if n == max_count]
+    argmax = [_digits(code, A.d, k + 1) for code, n in enumerate(counts) if n == max_count]
     bound = optimal_constant_d(k, A.d) * len(A) ** k
     slack = max_count - bound
     return SidonReport(A, k, max_count, argmax, bound, slack, max_count >= bound)
@@ -256,10 +237,10 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     c = optimal_constant_d(k, d)
+    codes = _codes(d, 1, k + 1)
     n_points = 2**d
     exhaustive = d <= EXHAUSTIVE_D_MAX
     masks = range(1, 2**n_points) if exhaustive else _sampled_masks(d, sample_cfg)
-    codes = _encodings(d, k)
     # slack = max count - c s^k, kept as an integer numerator over c.denominator
     scaled_bound = [c.numerator * s**k for s in range(n_points + 1)]
 
@@ -380,7 +361,7 @@ def max_size_g_sidon(d: int, k: int, g: int,
         raise ValueError(f"g must be >= 1, got {g}")
     cap, cap_form = g_sidon_size_cap(d, k, g)
     n_points = 2**d
-    codes = _encodings(d, k)
+    codes = _codes(d, 1, k + 1)
     exhaustive = d <= EXHAUSTIVE_D_MAX
     best = None
     if exhaustive:

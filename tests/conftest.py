@@ -36,6 +36,26 @@ def brute_pb_pmf(p):
     return pmf
 
 
+def brute_lagrange_residuals(p):
+    """{i: spread of D_{k-1,i-1}(p'_j) / D_{k-1,i}(p'_j) over j}, skipping each i
+    where some D_{k-1,i}(p'_j) vanishes; p'_j is p without coordinate j and each
+    leave-one-out pmf comes from ``brute_pb_pmf``."""
+    k = len(p)
+    pmfs = [brute_pb_pmf(tuple(p[:j]) + tuple(p[j + 1:])) for j in range(k)]
+
+    def diff(f, i):  # D_i = f_i - f_{i-1}, entries outside 0..len(f)-1 read as 0
+        def entry(n):
+            return f[n] if 0 <= n < len(f) else 0
+        return Fraction(entry(i) - entry(i - 1))
+
+    out = {}
+    for i in range(1, k + 1):
+        if all(diff(f, i) != 0 for f in pmfs):
+            ratios = [diff(f, i - 1) / diff(f, i) for f in pmfs]
+            out[i] = max(ratios) - min(ratios)
+    return out
+
+
 #: One-dimensional optimal constants C_{k,1}, as pinned by acceptance criterion 1.
 SIDON_CONSTANTS = {2: Fraction(4, 9), 3: Fraction(3, 8)}
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from convmax import cli, gridfn
 from convmax.cli import EXIT_OK, EXIT_USAGE, export_report, run
 from convmax.minimax import SolverConfig
 
@@ -91,6 +92,19 @@ class TestSolve:
         assert captured.out == ""
         assert "multistarts must be >= 1" in captured.err
 
+    @pytest.mark.parametrize("mode", ["diagonal", "general"])
+    def test_over_budget_grid_rejected_before_solving(self, capsys, monkeypatch, mode):
+        def solver(*args):
+            raise AssertionError("the solver ran before the grid oracle was checked")
+
+        monkeypatch.setattr(cli, "diagonal_constant", solver)
+        monkeypatch.setattr(cli, "general_constant", solver)
+        argv = ["solve", "--k", "2", "--m", "24", "--grid", "10", "--mode", mode]
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceed budget" in captured.err
+
     def test_seed_recorded_and_deterministic(self, capsys):
         code, a = run_json(capsys, "solve", "--k", "2", "--m", "2", "--seed", "5",
                            "--multistarts", "6")
@@ -150,6 +164,13 @@ class TestPb:
         assert pl["likelihood_ratios"] == [None, None]
         assert pl["lagrange_residuals"] == {}
 
+    def test_single_parameter(self, capsys):
+        # the leave-one-out pmf of one trial is the pmf of zero trials, (1,)
+        code, rep = run_json(capsys, "pb", "--p", "1/3")
+        assert code == EXIT_OK
+        assert rep["payload"]["pmf"] == ["2/3", "1/3"]
+        assert rep["payload"]["lagrange_residuals"] == {"1": "0"}
+
     def test_check_subset(self, capsys):
         code, rep = run_json(capsys, "pb", "--p", "1/3,1/3,1/3", "--checks", "unimodal")
         assert code == EXIT_OK
@@ -188,6 +209,19 @@ class TestSidon:
         code, rep = run_json(capsys, "sidon", "search", "--d", "2", "--k", "2", "--g", "2")
         assert code == EXIT_OK
         assert rep["payload"]["best_size"] == 3
+
+    @pytest.mark.parametrize("action", ["verify", "search", "classify"])
+    def test_above_memory_cap_rejected(self, capsys, monkeypatch, tmp_path, action):
+        # (k+1)^d = 81 count entries at d = 4, k = 2
+        monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 80)
+        f = tmp_path / "set.txt"
+        f.write_text("0000\n0101\n1111\n")
+        argv = {"verify": ["--d", "4"], "search": ["--d", "4", "--g", "2"],
+                "classify": ["--set", str(f)]}[action]
+        assert run(["sidon", action, "--k", "2"] + argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds cap" in captured.err
 
     @pytest.mark.parametrize("d", ["1", "3"])
     def test_search_rejects_k_below_one(self, capsys, d):

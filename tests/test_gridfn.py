@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from convmax import gridfn
 from convmax.errors import DimensionMismatch, MemoryCapExceeded, ZeroMassInput
 from convmax.gridfn import (
     GridFn,
+    _codes,
+    _digits,
     as_exact,
     convolve,
     convolve_many,
@@ -68,6 +71,32 @@ class TestConstruction:
         with pytest.raises(TypeError, match="float"):
             as_exact(0.5)
         assert as_exact("2/3") == Fraction(2, 3)
+
+
+class TestPointLayout:
+    @pytest.mark.parametrize("d,m,base", [(1, 0, 1), (1, 3, 4), (2, 1, 2), (2, 2, 5),
+                                          (3, 1, 3), (3, 2, 3), (4, 1, 5)])
+    def test_digits_of_codes_are_storage_order(self, d, m, base):
+        points = list(GridFn(d, m, [0] * (m + 1) ** d).points())
+        assert [_digits(c, d, base) for c in _codes(d, m, base)] == points
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_cube_codes_put_bit_j_at_digit_j(self, d, k):
+        # mask bit j (bit d-1 is the first coordinate) is digit j in base k+1
+        expected = [sum((mask >> j & 1) * (k + 1) ** j for j in range(d))
+                    for mask in range(2**d)]
+        assert _codes(d, 1, k + 1) == expected
+
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 80)
+        with pytest.raises(MemoryCapExceeded, match="81 exceeds cap 80"):
+            _codes(4, 1, 3)
+        with pytest.raises(MemoryCapExceeded):
+            convolve(GridFn(4, 1, [1] * 16), GridFn(4, 1, [1] * 16))
+        monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 81)
+        assert len(_codes(4, 1, 3)) == 16
+        assert convolve(GridFn(4, 1, [1] * 16), GridFn(4, 1, [1] * 16)).values[40] == 16
 
 
 class TestConvolve:

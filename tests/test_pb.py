@@ -10,7 +10,7 @@ from convmax.pb import (
     check_ultra_log_concave,
     differences,
     intersection_point,
-    lagrange_residual,
+    lagrange_residuals,
     likelihood_ratio,
     mobius_ratio,
     partial_derivative,
@@ -18,7 +18,7 @@ from convmax.pb import (
     pb_pmf,
 )
 
-from conftest import brute_pb_pmf
+from conftest import brute_lagrange_residuals, brute_pb_pmf
 
 
 def rand_exact_p(rng, k):
@@ -272,24 +272,35 @@ class TestLagrangeResidual:
             k = rng.randint(2, 8)
             q = Fraction(rng.randint(1, 19), 20)
             i = rng.randint(1, k)
-            try:
-                assert lagrange_residual((q,) * k, i) == 0
-            except ZeroDenominator:
-                pass  # a vanishing difference is legitimate at symmetric points
+            # an i left out of the dict has a vanishing difference, legitimate at symmetric points
+            assert lagrange_residuals((q,) * k).get(i, 0) == 0
 
     def test_unequal_params_generically_nonzero(self):
-        res = lagrange_residual((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), 2)
+        res = lagrange_residuals((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))[2]
         assert res > 0
 
-    def test_zero_denominator_reports_coordinate(self):
+    def test_zero_denominator_leaves_index_out(self):
         # dropping coordinate 1 leaves (1/2,) where D_{1,1} = 0
-        with pytest.raises(ZeroDenominator) as exc:
-            lagrange_residual((Fraction(1, 2), Fraction(1, 3)), 1)
-        assert exc.value.coordinate == 1
+        res = lagrange_residuals((Fraction(1, 2), Fraction(1, 3)))
+        assert res == brute_lagrange_residuals((Fraction(1, 2), Fraction(1, 3)))
+        assert 1 not in res
+        assert 2 in res
 
     def test_boundary_rejected(self):
         with pytest.raises(BoundaryParameter):
-            lagrange_residual((0, Fraction(1, 2)), 1)
+            lagrange_residuals((0, Fraction(1, 2)))
+
+    def test_single_parameter(self):
+        # the pmf of zero trials is (1,), so D_{0,0} = 1, D_{0,1} = -1
+        assert lagrange_residuals((Fraction(1, 3),)) == {1: 0}
+
+    def test_matches_brute_force(self, rng):
+        for k in range(1, 8):
+            for _ in range(6):
+                # denominators up to 4 make vanishing differences common
+                p = tuple(Fraction(rng.randint(1, b - 1), b)
+                          for b in (rng.randint(2, 4) for _ in range(k)))
+                assert lagrange_residuals(p) == brute_lagrange_residuals(p)
 
 
 class TestMobiusRatio:

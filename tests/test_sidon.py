@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from convmax import gridfn
+from convmax.errors import MemoryCapExceeded
 from convmax.gridfn import convolve_many
 from convmax.sidon import (
     CubeSet,
@@ -290,3 +292,25 @@ class TestMaxSizeSearch:
     def test_stochastic_rejects_no_samples(self, samples):
         with pytest.raises(ValueError, match="samples"):
             max_size_g_sidon(5, 2, 2, SampleConfig(samples=samples, seed=3))
+
+
+class TestMemoryCap:
+    """(k+1)^d = 3^4 = 81 count entries at d = 4, k = 2: a cap of 80 refuses them."""
+
+    CALLS = {
+        "enumerate_verify": lambda: enumerate_verify(4, 2),
+        "verify_bound": lambda: verify_bound(full_cube(4), 2),
+        "representation_counts": lambda: representation_counts(CubeSet(4, [0, 5, 15]), 2),
+        "max_size_g_sidon": lambda: max_size_g_sidon(4, 2, 2),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_above_cap_raises(self, monkeypatch, name):
+        monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 80)
+        with pytest.raises(MemoryCapExceeded, match="81 exceeds cap 80"):
+            self.CALLS[name]()
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_at_cap_runs(self, monkeypatch, name):
+        monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 81)
+        self.CALLS[name]()
