@@ -40,6 +40,7 @@ from .pb import (
     intersection_point,
     lagrange_residuals,
     likelihood_ratio,
+    likelihood_ratios,
     mobius_ratio,
     partial_derivative,
     pb_mode,

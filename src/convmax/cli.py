@@ -213,13 +213,8 @@ def _cmd_pb(args, argv) -> int:
         }
         violation |= not rep.ok
     if "ratios" in checks:
-        ratios = []
-        for i in range(1, dist.k + 1):
-            try:
-                ratios.append(num(pb.likelihood_ratio(p, i)))
-            except (pb.ZeroDenominator, pb.BoundaryParameter):
-                ratios.append(None)
-        payload["likelihood_ratios"] = ratios
+        payload["likelihood_ratios"] = [None if r is None else num(r)
+                                        for r in pb.likelihood_ratios(dist)]
     if "lagrange" in checks:
         try:
             residuals = pb.lagrange_residuals(p)

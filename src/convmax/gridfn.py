@@ -122,7 +122,7 @@ def _table_size(d: int, base: int) -> int:
     """base^d, the length of a table indexed by d-digit codes; the one cap check."""
     size = base**d
     if size > MEMORY_CAP_ENTRIES:
-        raise MemoryCapExceeded(f"(m+1)^d = {size} exceeds cap {MEMORY_CAP_ENTRIES}")
+        raise MemoryCapExceeded(f"base^d = {size} exceeds cap {MEMORY_CAP_ENTRIES}")
     return size
 
 

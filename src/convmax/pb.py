@@ -10,8 +10,10 @@ mode (int/Fraction parameters) or float mode; exact mode gives exact
 equalities everywhere.
 
 Ratio and residual operations require parameters in the open cube (0,1)^k;
-boundary values are accepted by ``pb_pmf`` only.  ``lagrange_residuals``
-builds one leave-one-out pmf per coordinate and returns every defined residual.
+boundary values are accepted by ``pb_pmf`` and by ``likelihood_ratios``, which
+reads all k ratios off one built pmf and marks undefined ones None.
+``lagrange_residuals`` builds one leave-one-out pmf per coordinate and
+returns every defined residual.
 
 The successive-difference Newton inequality is implemented with the full
 parameter vector on both sides (the source display truncates the argument of
@@ -148,6 +150,21 @@ def likelihood_ratio(p: Sequence[Prob], i: int) -> Prob:
     if f[i - 1] == 0:
         raise ZeroDenominator(f"f_{{{k},{i - 1}}} = 0")
     return _quotient(f[i], f[i - 1])
+
+
+def likelihood_ratios(dist: PBDist) -> List[Optional[Prob]]:
+    """[r_{k,1}, ..., r_{k,k}], each f_{k,i} / f_{k,i-1}, read from ``dist.pmf``.
+
+    Every entry is None when a parameter is on the boundary, and an entry is
+    None when its denominator f_{k,i-1} is 0 (a float pmf can underflow).
+    """
+    try:
+        _require_interior(dist.params)
+    except BoundaryParameter:
+        return [None] * dist.k
+    f = dist.pmf
+    return [_quotient(f[i], f[i - 1]) if f[i - 1] != 0 else None
+            for i in range(1, dist.k + 1)]
 
 
 def differences(dist: PBDist) -> DiffSeq:

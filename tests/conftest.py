@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from convmax.gridfn import GridFn
-from convmax.minimax import SolverConfig
+from convmax.minimax import GridOracleResult, SolverConfig
 
 #: Few starts, so the float-solver tests stay fast.
 FAST = SolverConfig(multistarts=8)
@@ -54,6 +54,36 @@ def brute_lagrange_residuals(p):
             ratios = [diff(f, i - 1) / diff(f, i) for f in pmfs]
             out[i] = max(ratios) - min(ratios)
     return out
+
+
+def brute_grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleResult:
+    """The grid oracle by its definition, on Fraction weights.
+
+    The weights are the points of the simplex with denominator n, in
+    lexicographic order of their numerators.  Every ordered k-tuple (diagonal:
+    one weight used k times) is refolded from scratch, and the first tuple in
+    ``itertools.product`` order with the least peak wins.
+    """
+    weights = [tuple(Fraction(c, n) for c in comp)
+               for comp in itertools.product(range(n + 1), repeat=m + 1) if sum(comp) == n]
+    combos = [(w,) for w in weights] if diagonal else list(itertools.product(weights, repeat=k))
+
+    def peak(combo):
+        acc = [Fraction(1)]
+        for f in combo * (k // len(combo)):
+            out = [Fraction(0)] * (len(acc) + m)
+            for i, x in enumerate(acc):
+                for j, y in enumerate(f):
+                    out[i + j] += x * y
+            acc = out
+        return max(acc)
+
+    best, best_combo = None, None
+    for combo in combos:
+        v = peak(combo)
+        if best is None or v < best:
+            best, best_combo = v, combo
+    return GridOracleResult(k, m, n, diagonal, best, best_combo, len(combos))
 
 
 #: One-dimensional optimal constants C_{k,1}, as pinned by acceptance criterion 1.

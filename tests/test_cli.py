@@ -223,6 +223,12 @@ class TestSidon:
         assert captured.out == ""
         assert "exceeds cap" in captured.err
 
+    def test_memory_cap_message_names_base(self, capsys, monkeypatch):
+        # sidon tables have (k+1)^d entries, so the message says base^d, not (m+1)^d
+        monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 80)
+        assert run(["sidon", "verify", "--d", "4", "--k", "2"]) == EXIT_USAGE
+        assert "base^d = 81 exceeds cap 80" in capsys.readouterr().err
+
     @pytest.mark.parametrize("d", ["1", "3"])
     def test_search_rejects_k_below_one(self, capsys, d):
         assert run(["sidon", "search", "--d", d, "--k", "0", "--g", "1"]) == EXIT_USAGE

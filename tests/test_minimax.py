@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from convmax.minimax import (
     intersection_restricted_solve,
 )
 
-from conftest import FAST, brute_convolve
+from conftest import FAST, brute_convolve, brute_grid_oracle
 
 
 class TestConfig:
@@ -235,6 +236,28 @@ class TestGridOracle:
     def test_refining_grid_decreases(self):
         vals = [grid_oracle(2, 2, n, diagonal=True).grid_min for n in (2, 4, 8)]
         assert vals[0] >= vals[1] >= vals[2]
+
+    @pytest.mark.parametrize("k,m,n", [
+        (k, m, n) for k in (2, 3, 4) for m in (1, 2, 3) for n in range(1, 5)
+        if math.comb(n + m, m) ** k <= 5000])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_matches_brute_force(self, k, m, n, diagonal):
+        # grid_min, argmin (first minimiser) and points_evaluated all agree
+        assert grid_oracle(k, m, n, diagonal) == brute_grid_oracle(k, m, n, diagonal)
+
+    def test_prefix_folds_shared(self, monkeypatch):
+        # each prefix is folded once: per + per^2 + per^3 folds at most, not 2 per^3
+        calls = []
+        fold = minimax._convolve_seq
+
+        def counting(a, b):
+            calls.append(1)
+            return fold(a, b)
+
+        monkeypatch.setattr(minimax, "_convolve_seq", counting)
+        grid_oracle(3, 2, 3)
+        per = math.comb(3 + 2, 2)
+        assert 0 < len(calls) <= per + per**2 + per**3
 
 
 class TestIntersectionRestricted:

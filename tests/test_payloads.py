@@ -3,7 +3,9 @@
 A change that keeps behaviour keeps these bytes.  The digest is taken over
 ``json.dumps(payload, indent=2)`` of the report written with ``--out``.  Float
 commands (``solve``, ``continuous``, ``selftest``, ``pb`` on floats) are left
-out: their digits depend on the numpy and BLAS build.
+out: their digits depend on the numpy and BLAS build.  The exact half of
+``solve --grid``, the grid oracle, is pinned on its own over
+``json.dumps(GridOracleResult.to_dict(), indent=2)``.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import json
 import pytest
 
 from convmax.cli import EXIT_OK, EXIT_VIOLATION, run
+from convmax.minimax import grid_oracle
 
 PINNED = [
     ("sidon verify --d 3 --k 2", EXIT_VIOLATION,
@@ -49,3 +52,21 @@ def test_payload_digest(tmp_path, argv, code, digest):
     assert run(argv.split() + ["--out", str(out)]) == code
     payload = json.loads(out.read_text())["payload"]
     assert hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest() == digest
+
+
+#: The exact grid-oracle cases of the benchmark, keyed (k, m, n, diagonal).
+PINNED_ORACLE = [
+    ((2, 2, 12, False), "24e1914d3e4d3a8b2a92ae0049ad1f58ee7f81e9720f6b51fe6cec79eb59f2ae"),
+    ((2, 3, 6, False), "a51f3c8d9f53f3f144ec1a329382227f6ed22c595270aee6f5ebe5bdb77dc032"),
+    ((2, 4, 4, False), "18ce6dcc072e9a32a92ffd6f7521e4048563910cf7345d29cbeb40425bb4c50e"),
+    ((3, 2, 6, False), "100f11cce95d3d3eeaa64905d0c32698521261f4c0adfc180df0a9e725390b1a"),
+    ((2, 4, 20, True), "0c0ff5048927a59d34946ea9e47986a4d4c8260c3fb54853ff27c8a233d721f1"),
+    ((2, 2, 6, True), "ce9112e3088e435ac73fa4aef044986b319ff2ed5b69792222a6f16740170073"),
+]
+
+
+@pytest.mark.parametrize("case,digest", PINNED_ORACLE, ids=[str(c) for c, _ in PINNED_ORACLE])
+def test_grid_oracle_digest(case, digest):
+    k, m, n, diagonal = case
+    text = json.dumps(grid_oracle(k, m, n, diagonal).to_dict(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

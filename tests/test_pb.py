@@ -12,6 +12,7 @@ from convmax.pb import (
     intersection_point,
     lagrange_residuals,
     likelihood_ratio,
+    likelihood_ratios,
     mobius_ratio,
     partial_derivative,
     pb_mode,
@@ -136,6 +137,26 @@ class TestLikelihoodRatio:
             r_lo = likelihood_ratio(p, i)
             p[j] = hi
             assert likelihood_ratio(p, i) > r_lo
+
+    def test_ratios_match_per_index(self, rng):
+        # one pmf read for all i; None where the per-index call raises
+        cases = [rand_exact_p(rng, rng.randint(1, 8)) for _ in range(40)]
+        cases += [(0, Fraction(1, 2)), (Fraction(1, 3), 1), (1e-200,) * 3, (0.5, 1e-200, 1e-200)]
+        zero_den = 0
+        for p in cases:
+            expected = []
+            for i in range(1, len(p) + 1):
+                try:
+                    expected.append(likelihood_ratio(p, i))
+                except ZeroDenominator:
+                    expected.append(None)
+                    zero_den += 1
+                except BoundaryParameter:
+                    expected.append(None)
+            got = likelihood_ratios(pb_pmf(p))
+            assert got == expected
+            assert [type(r) for r in got] == [type(r) for r in expected]
+        assert zero_den > 0
 
     def test_decreasing_in_index(self, rng):
         for _ in range(40):
