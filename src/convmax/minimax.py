@@ -34,6 +34,7 @@ order and are reduced by minimum, the first start winning ties.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import asdict, dataclass
@@ -97,10 +98,8 @@ class MinimaxResult:
 # ---------------------------------------------------------------------------
 
 def _conv_all(ws: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.array([1.0])
-    for w in ws:
-        out = np.convolve(out, w)
-    return out
+    """The convolution of the factors ``ws`` (at least one), folded left to right."""
+    return reduce(np.convolve, ws)
 
 
 def _conv_matrix(c: np.ndarray, m: int) -> np.ndarray:
@@ -259,24 +258,95 @@ def general_constant(k: int, m: int, cfg: Optional[SolverConfig] = None) -> Mini
 # Diagonal constant: all factors equal
 # ---------------------------------------------------------------------------
 
+#: Most cells (rows x columns) in one array of a ``_coarse_grid_seeds`` block.
+_BLOCK_CELLS = 1 << 14
+
+
+def _grid_blocks(m: int, n: int, rows: int):
+    """Integer numerators of the simplex grid points with denominator n, as count rows.
+
+    Points come in blocks of at most ``rows``, in
+    ``combinations_with_replacement(range(m, -1, -1), n)`` order: mass on the
+    last coordinates comes first, so small weight tuples come early.
+    """
+    combos = itertools.combinations_with_replacement(range(m, -1, -1), n)
+    while True:
+        idx = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, rows)),
+                          dtype=np.intp).reshape(-1, n)
+        if not len(idx):
+            return
+        flat = idx + (m + 1) * np.arange(len(idx))[:, None]
+        yield np.bincount(flat.ravel(), minlength=len(idx) * (m + 1)).reshape(-1, m + 1)
+
+
+def _block_peaks(counts: np.ndarray, k: int) -> np.ndarray:
+    """Float64 peak of the k-fold self-convolution of each row of ``counts``.
+
+    Each fold adds one shifted, scaled copy of the running fold per support
+    entry of the row, so a fold costs max-support numpy ops, not m + 1.
+    """
+    r, m = counts.shape[0], counts.shape[1] - 1
+    rows, cols = np.nonzero(counts)
+    # (pos, mult)[row, j]: the j-th support entry of the row and its count (0 = padding)
+    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    pos = np.zeros((r, slot.max() + 1), dtype=np.intp)
+    mult = np.zeros(pos.shape)
+    pos[rows, slot] = cols
+    mult[rows, slot] = counts[rows, cols]
+    acc = counts.astype(float)
+    for _ in range(k - 1):
+        width = acc.shape[1] + m
+        out = np.zeros((r, width))
+        base = width * np.arange(r)[:, None] + np.arange(acc.shape[1])
+        for j in range(pos.shape[1]):
+            out.ravel()[base + pos[:, j, None]] += mult[:, j, None] * acc
+        acc = out
+    return acc.max(axis=1)
+
+
 def _coarse_grid_seeds(k: int, m: int, top: int = 3) -> List[np.ndarray]:
-    """Best few points of a coarse float sweep of the diagonal simplex grid."""
+    """The ``top`` best points of the diagonal simplex grid with denominator n.
+
+    n is the largest denominator >= 2 whose grid has at most 4000 points,
+    except that the n >= 2 floor gives C(m+2, 2) points from m = 88 on
+    (8 515 at m = 129, 33 930 at m = 259).  Points are ranked by the float
+    peak ``_peak([w] * k)``, then by the weight tuple.  A float64 block score
+    of each point's integer counts only filters: the points within a relative
+    1e-9 of the ``top``-th smallest score are rescored with ``_peak``, since
+    float rounding in either score can break exact ties either way.
+    """
     n = 2
     while math.comb(n + 1 + m, m) <= 4000:
         n += 1
-    scored = []
-    for comp in itertools.combinations_with_replacement(range(m + 1), n):
-        w = np.bincount(comp, minlength=m + 1) / n
-        scored.append((_peak([w] * k), tuple(w)))
-    scored.sort()
-    return [np.array(w) for _, w in scored[:top]]
+    rows = max(1, _BLOCK_CELLS // max(n, k * m + 1))
+    scores = np.concatenate([_block_peaks(c, k) for c in _grid_blocks(m, n, rows)])
+    cut = np.partition(scores, top - 1)[top - 1] * (1 + 1e-9)
+
+    def near_best():
+        start = 0
+        for counts in _grid_blocks(m, n, rows):
+            keep = scores[start:start + len(counts)] <= cut
+            start += len(counts)
+            for w in counts[keep] / n:
+                yield _peak([w] * k), tuple(w.tolist())
+
+    return [np.array(w) for _, w in heapq.nsmallest(top, near_best())]
 
 
 def diagonal_constant(k: int, m: int, cfg: Optional[SolverConfig] = None,
                       extra_seeds: Optional[Sequence[Sequence[float]]] = None) -> MinimaxResult:
-    """Upper estimate of Cbar_{k,m}; exact at m = 1 via the envelope."""
+    """Upper estimate of Cbar_{k,m}; exact at m = 1 via the envelope.
+
+    Each of ``extra_seeds`` must hold m+1 finite nonnegative weights with a
+    positive sum; it is normalized and run after the built-in starts.
+    """
     _check_km(k, m)
     cfg = cfg or SolverConfig()
+    extra = [np.array(s, dtype=float) for s in extra_seeds or ()]
+    for s in extra:
+        if s.shape != (m + 1,) or not np.all(np.isfinite(s)) or np.any(s < 0) or s.sum() <= 0:
+            raise ValueError(f"each extra seed needs m+1 = {m + 1} finite nonnegative "
+                             f"weights with a positive sum, got {s.tolist()}")
 
     if m == 1:
         p, v, modes = _diagonal_envelope_exact(k)
@@ -297,8 +367,7 @@ def diagonal_constant(k: int, m: int, cfg: Optional[SolverConfig] = None,
 
     seeds: List[np.ndarray] = [np.full(m + 1, 1.0 / (m + 1)), _padded_m1(k, m)]
     seeds.extend(_coarse_grid_seeds(k, m))
-    if extra_seeds:
-        seeds.extend(_clean_weights(np.array(s, dtype=float)) for s in extra_seeds)
+    seeds.extend(_clean_weights(s) for s in extra)
     return _multistart(k, m, cfg, [[w] for w in seeds], diagonal=True)
 
 

@@ -2,9 +2,11 @@
 and the small solver config the float-solver tests share."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from convmax.gridfn import GridFn
@@ -84,6 +86,24 @@ def brute_grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOra
         if best is None or v < best:
             best, best_combo = v, combo
     return GridOracleResult(k, m, n, diagonal, best, best_combo, len(combos))
+
+
+def brute_coarse_grid_seeds(k: int, m: int, top: int = 3):
+    """The diagonal coarse-grid seeds by their definition: every grid point is
+    scored with a float ``np.convolve`` fold from [1.0], and all (peak, weight
+    tuple) pairs are sorted."""
+    n = 2
+    while math.comb(n + 1 + m, m) <= 4000:
+        n += 1
+    scored = []
+    for comp in itertools.combinations_with_replacement(range(m + 1), n):
+        w = np.bincount(comp, minlength=m + 1) / n
+        acc = np.array([1.0])
+        for _ in range(k):
+            acc = np.convolve(acc, w)
+        scored.append((float(np.max(acc)), tuple(w)))
+    scored.sort()
+    return [np.array(w) for _, w in scored[:top]]
 
 
 #: One-dimensional optimal constants C_{k,1}, as pinned by acceptance criterion 1.

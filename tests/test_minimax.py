@@ -17,6 +17,8 @@ from convmax.errors import BudgetExceeded
 from convmax.gridfn import GridFn
 from convmax.minimax import (
     SolverConfig,
+    _coarse_grid_seeds,
+    _conv_all,
     _conv_matrix,
     diagonal_constant,
     general_constant,
@@ -24,7 +26,7 @@ from convmax.minimax import (
     intersection_restricted_solve,
 )
 
-from conftest import FAST, brute_convolve, brute_grid_oracle
+from conftest import FAST, brute_coarse_grid_seeds, brute_convolve, brute_grid_oracle
 
 
 class TestConfig:
@@ -48,6 +50,17 @@ def test_conv_matrix_matches_loop():
         assert M.tolist() == loop
         w = rng.random(m + 1)
         assert M @ w == pytest.approx(np.convolve(c, w), rel=1e-12)
+
+
+def test_conv_all_matches_fold_from_one():
+    # starting the fold at the first factor keeps every float bit
+    rng = np.random.default_rng(1)
+    for m, k in [(1, 2), (2, 5), (7, 3), (16, 2), (40, 4)]:
+        ws = [rng.exponential(size=m + 1) for _ in range(k)]
+        acc = np.array([1.0])
+        for w in ws:
+            acc = np.convolve(acc, w)
+        assert np.array_equal(_conv_all(ws), acc)
 
 
 @pytest.mark.parametrize("solve", [general_constant, diagonal_constant])
@@ -188,6 +201,40 @@ class TestDiagonalM2Plus:
     def test_extra_seed_accepted(self):
         res = diagonal_constant(2, 2, FAST, extra_seeds=[[0.4, 0.3, 0.3]])
         assert res.converged
+
+    @pytest.mark.parametrize("seed", [
+        [0.2] * 6, [0.5, 0.5], [math.nan, 0.5, 0.5], [math.inf, 0.5, 0.5],
+        [-0.1, 0.6, 0.5], [0.0, 0.0, 0.0]],
+        ids=["long", "short", "nan", "inf", "negative", "zero-sum"])
+    def test_invalid_extra_seed_rejected(self, monkeypatch, seed):
+        monkeypatch.setattr(minimax, "_polish", lambda *a: pytest.fail("solver ran"))
+        with pytest.raises(ValueError, match="extra seed"):
+            diagonal_constant(2, 2, FAST, extra_seeds=[[0.4, 0.3, 0.3], seed])
+
+
+class TestCoarseGridSeeds:
+    # (18, 5) and (19, 2): n^k > 2^53, so the float64 block score breaks exact
+    # ties and the near-best window has to catch them
+    @pytest.mark.parametrize("k,m", [
+        (k, m) for k in (2, 3, 4, 10) for m in (2, 3, 4, 5, 7, 8, 16, 20) if k * m <= 80]
+        + [(18, 5), (19, 2)])
+    def test_matches_brute_force(self, k, m):
+        seeds, ref = _coarse_grid_seeds(k, m), brute_coarse_grid_seeds(k, m)
+        assert len(seeds) == len(ref) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(seeds, ref)), (k, m)
+
+    def test_rescores_only_near_best(self, monkeypatch):
+        # the 3 003 points of the (2, 8) grid are scored in blocks; few reach _peak
+        calls = []
+        peak = minimax._peak
+
+        def counting(ws):
+            calls.append(1)
+            return peak(ws)
+
+        monkeypatch.setattr(minimax, "_peak", counting)
+        _coarse_grid_seeds(2, 8)
+        assert 3 <= len(calls) <= 300
 
 
 class TestGridOracle:
