@@ -40,14 +40,15 @@ EXIT_USAGE = 2
 PB_CHECKS = ("unimodal", "ulc", "newton", "ratios", "lagrange")
 
 
-def _wrap(argv, payload, config=None, seed=None) -> dict:
+def _wrap(argv, payload, config=None, seed=None, meta=None) -> dict:
+    """The report envelope; ``meta`` adds run-dependent fields such as wall times."""
     return {
         "schema": SCHEMA_VERSION,
         "command": list(argv),
         "config": config,
         "seed": seed,
         "payload": payload,
-        "meta": {"timestamp": time.time(), "version": __version__},
+        "meta": {"timestamp": time.time(), "version": __version__, **(meta or {})},
     }
 
 
@@ -227,8 +228,13 @@ def _cmd_pb(args, argv) -> int:
 
 def _cmd_sidon(args, argv) -> int:
     violation = False
+    meta = None
+    t0 = time.perf_counter()
     if args.action == "verify":
         summary = enumerate_verify(args.d, args.k, SampleConfig(args.samples, args.seed))
+        sweep_s = time.perf_counter() - t0
+        meta = {"sweep_s": sweep_s,
+                "subsets_per_s": summary.subsets_checked / sweep_s if sweep_s > 0 else None}
         payload = summary.to_dict()
         violation = summary.failures > 0
     elif args.action == "classify":
@@ -239,8 +245,10 @@ def _cmd_sidon(args, argv) -> int:
         violation = not rep.passed
     else:  # search
         res = max_size_g_sidon(args.d, args.k, args.g, SampleConfig(args.samples, args.seed))
+        meta = {"search_s": time.perf_counter() - t0}
         payload = res.to_dict()
-    _emit(_wrap(argv, payload, seed=getattr(args, "seed", None)), args.format, args.out)
+    _emit(_wrap(argv, payload, seed=getattr(args, "seed", None), meta=meta),
+          args.format, args.out)
     return EXIT_VIOLATION if violation else EXIT_OK
 
 

@@ -6,12 +6,13 @@ The one-dimensional constant is
     binom(k, floor(k/2)) / 2^k * (1 - 1/(k+1)^2)^(k/2)  for even k,
 
 and the d-dimensional reference value is its d-th power.  The tensor power
-is attained with equality by the product extremal function, and for odd k it
-is a valid lower bound in every dimension.  For even k and d >= 2 it is NOT a
-lower bound for all inputs: exact rational counterexamples exist (two distinct
-factors at k=2, d=2; five-point Sidon sets at k=2, d=3), so consumers must
-treat optimal_constant_d as the conjectured/attained value rather than a
-guaranteed floor outside the odd-k and d=1 cases.  Everything here is exact
+is attained with equality by the product extremal function, but it is a
+proven lower bound only at d = 1.  For d >= 2 it is NOT a lower bound for all
+inputs, for either parity of k: exact rational counterexamples exist (two
+distinct factors at k=2, d=2; five-point Sidon sets at k=2, d=3; three
+distinct factors at k=3, d=2; one factor used three times at k=3, d=3), so
+consumers must treat optimal_constant_d as the attained reference value
+rather than a guaranteed floor outside d = 1.  Everything here is exact
 rational arithmetic; the even-k exponent k/2 is an integer so no real powers
 are ever taken.
 
@@ -49,8 +50,8 @@ def optimal_constant_d(k: int, d: int) -> Fraction:
     """Tensor power of the 1-d constant: the reference value on {0,1}^d.
 
     Attained exactly by the product extremal function; a proven lower bound
-    when d = 1 or k is odd, and falsifiable for even k when d >= 2 (see the
-    module docstring).
+    only when d = 1; at d >= 2 exact counterexamples exist for k = 2 and
+    k = 3 (see the module docstring).
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")

@@ -7,25 +7,39 @@ reads each point as a base-(k+1) integer, so sums of k points never carry and
 integer order is sorted point order; ``gridfn._digits`` reads an index back
 as a point, and ``_codes`` enforces the memory cap on the (k+1)^d count
 table.  The indicator of A is a 0/1 list on those codes, and the ordered
-representation counts of kA are its k-fold convolution, a fold of the exact
-kernel ``gridfn._convolve_seq`` (``_counts``).  ``CubeSet.indicator`` keeps
+representation counts of kA are its k-fold convolution.  The single-set
+routes (``representation_counts``, ``verify_bound`` and the sampled branches
+of ``enumerate_verify`` and ``max_size_g_sidon``) fold the exact kernel
+``gridfn._convolve_seq`` over it (``_counts``).  ``CubeSet.indicator`` keeps
 the ``GridFn`` route as an independent oracle.
 
-The claimed bound is max representation count >= C_{k,d} |A|^k with C_{k,d}
-the tensor power of the exact one-dimensional constant.  That bound is proven
-for d = 1 (any k) and holds for odd k in every dimension, but for even k it
-fails in dimension >= 3: five-point Sidon sets in {0,1}^3 have max count 2
-below the k=2 value (4/9)^3 * 25.  verify_bound therefore reports pass/fail
-faithfully instead of asserting; exhaustive sweeps surface the genuine
-counterexamples.
+The exhaustive routes never refold a subset.  ``_RunningCounts`` holds the
+i-fold counts P_1..P_k of the current set (P_0 = delta_0) and adds or undoes
+one point with code x by P_i +/-= sum_{j=1..i} C(i,j) P_{i-j} shifted by j x,
+so a step reads only the supports of P_0..P_{k-1}, never a whole table.
+Counts never fall when a point is added, so the max count of a set is the max
+of its parent's and of the P_k entries the new point touched.  ``enumerate_verify``
+walks the subsets depth-first in increasing mask order, and the g-Sidon
+search drops a prefix once a touched count exceeds g.
 
-Size caps for g-Sidon sets use only bounds that are actually valid: the
-explicit g 2^{kd} / binom(k, k//2)^d form for odd k, g / C_{k,1} at d = 1,
-and the average-bound cap (g (k+1)^d)^(1/k) for even k with d >= 2.  Up to
-EXHAUSTIVE_D_MAX the g-Sidon search is a depth-first search over increasing
-point indices that drops a prefix once a count exceeds g (adding a point never
-lowers a count).  Above it the sweep and the search read one seeded stream of
-nonzero subsets, ``_sampled_masks``.
+The claimed bound is max representation count >= C_{k,d} |A|^k with C_{k,d}
+the tensor power of the exact one-dimensional constant.  It is attained by the
+product extremal function, but it is a proven floor only at d = 1.  For even k
+it fails on sets: five-point Sidon sets in {0,1}^3 have max count 2 below the
+k=2 value (4/9)^3 * 25.  For odd k it fails on general functions in dimension
+>= 2 (see ``constants``); on 0/1 indicators no odd-k failure is known, and the
+exhaustive sweeps find none for k in {3, 5} at d <= 4.  verify_bound
+therefore reports pass/fail faithfully instead of asserting; exhaustive
+sweeps surface the genuine counterexamples.
+
+Size caps for g-Sidon sets: g / C_{k,1} at d = 1 (a theorem), the
+average-bound cap (g (k+1)^d)^(1/k) for even k with d >= 2 (always valid), and
+the explicit g 2^{kd} / binom(k, k//2)^d form for odd k.  The odd-k cap rests
+on the odd-k bound for indicators: computer-checked where the exhaustive sweep
+finds no failure, a conjecture elsewhere.  Up to EXHAUSTIVE_D_MAX the g-Sidon
+search is a depth-first search over increasing point indices.  Above it the
+sweep and the search read one seeded stream of nonzero subsets,
+``_sampled_masks``.
 """
 
 from __future__ import annotations
@@ -68,6 +82,67 @@ def _counts(indicator: List[int], k: int) -> list:
     for _ in range(k - 1):
         counts = _convolve_seq(counts, indicator)
     return counts
+
+
+class _RunningCounts:
+    """The i-fold counts P_1..P_k of a point set that grows and shrinks by one code.
+
+    P_0 = delta_0, P_1..P_{k-1} are sparse dicts and P_k is a dense list of
+    ``length`` entries.  Adding the point with code x applies
+    P_i += sum_{j=1..i} C(i,j) P_{i-j} shifted by j x, which must read the old
+    lower powers: ``add`` updates P_k first, then P_{k-1} down to P_1, and
+    ``undo`` restores P_1 up to P_{k-1} first, then P_k.
+    """
+
+    def __init__(self, k: int, length: int):
+        self.k = k
+        self.lower: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(k - 1)]
+        self.top = [0] * length
+        self.terms = [[(j, math.comb(i, j)) for j in range(1, i + 1)] for i in range(k + 1)]
+
+    def add(self, x: int) -> int:
+        """Add code x; returns the max of the P_k entries it touched.
+
+        Counts never fall on ``add``, so the max of P_k after it is the max of
+        the value returned and the max before it.
+        """
+        k, lower, top = self.k, self.lower, self.top
+        peak = 0
+        for j, coef in self.terms[k]:
+            shift = j * x
+            for c, n in lower[k - j].items():
+                c += shift
+                v = top[c] + coef * n
+                top[c] = v
+                if v > peak:
+                    peak = v
+        for i in range(k - 1, 0, -1):
+            p = lower[i]
+            for j, coef in self.terms[i]:
+                shift = j * x
+                for c, n in lower[i - j].items():
+                    c += shift
+                    p[c] = p.get(c, 0) + coef * n
+        return peak
+
+    def undo(self, x: int) -> None:
+        """Remove code x, which must be in the set."""
+        k, lower, top = self.k, self.lower, self.top
+        for i in range(1, k):
+            p = lower[i]
+            for j, coef in self.terms[i]:
+                shift = j * x
+                for c, n in lower[i - j].items():
+                    c += shift
+                    v = p[c] - coef * n
+                    if v:
+                        p[c] = v
+                    else:
+                        del p[c]
+        for j, coef in self.terms[k]:
+            shift = j * x
+            for c, n in lower[k - j].items():
+                top[c + shift] -= coef * n
 
 
 @dataclass(frozen=True)
@@ -240,7 +315,6 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
     codes = _codes(d, 1, k + 1)
     n_points = 2**d
     exhaustive = d <= EXHAUSTIVE_D_MAX
-    masks = range(1, 2**n_points) if exhaustive else _sampled_masks(d, sample_cfg)
     # slack = max count - c s^k, kept as an integer numerator over c.denominator
     scaled_bound = [c.numerator * s**k for s in range(n_points + 1)]
 
@@ -248,10 +322,10 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
     min_slack = None
     min_sets: List[List[str]] = []
     eq_sets: List[List[str]] = []
-    for subset_mask in masks:
-        members = [p for p in range(n_points) if (subset_mask >> p) & 1]
-        slack = (max(_counts(_indicator(members, codes), k)) * c.denominator
-                 - scaled_bound[len(members)])
+
+    def record(members: List[int], max_count: int) -> None:
+        nonlocal failures, min_slack, min_sets
+        slack = max_count * c.denominator - scaled_bound[len(members)]
         if slack < 0:
             failures += 1
         if slack == 0 and len(eq_sets) < keep:
@@ -261,7 +335,31 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
             min_sets = [_points_str(d, members)]
         elif slack == min_slack and len(min_sets) < keep:
             min_sets.append(_points_str(d, members))
-    return EnumerationSummary(d, k, len(masks), failures, Fraction(min_slack, c.denominator),
+
+    if exhaustive:
+        checked = 2**n_points - 1
+        counts = _RunningCounts(k, k * codes[-1] + 1)
+        members: List[int] = []
+
+        def sweep(p: int, peak: int) -> None:
+            # subsets whose highest point is below p, in increasing mask order
+            for q in range(p):
+                x = codes[q]
+                q_peak = max(peak, counts.add(x))
+                members.append(q)
+                record(members, q_peak)
+                sweep(q, q_peak)
+                members.pop()
+                counts.undo(x)
+
+        sweep(n_points, 0)
+    else:
+        masks = _sampled_masks(d, sample_cfg)
+        checked = len(masks)
+        for subset_mask in masks:
+            members = [p for p in range(n_points) if (subset_mask >> p) & 1]
+            record(members, max(_counts(_indicator(members, codes), k)))
+    return EnumerationSummary(d, k, checked, failures, Fraction(min_slack, c.denominator),
                               min_sets, eq_sets, exhaustive)
 
 
@@ -273,7 +371,7 @@ class SearchResult:
     best_set: CubeSet
     best_size: int
     size_cap: int
-    cap_form: str    # 'paper-odd-k' or 'general'
+    cap_form: str    # 'paper-odd-k', 'general' or 'trivial-average'
     exhaustive: bool
 
     def to_dict(self) -> dict:
@@ -304,10 +402,13 @@ def _int_kth_root(n: int, k: int) -> int:
 def g_sidon_size_cap(d: int, k: int, g: int) -> Tuple[int, str]:
     """Largest possible |A| for a g-Sidon set of order k on {0,1}^d.
 
-    Uses |A|^k <= g / C_{k,d} where that is a theorem (odd k in any d, the
-    explicit g 2^{kd} / binom(k, k//2)^d form; even k at d = 1).  For even k
-    with d >= 2 the tensor-power bound fails, so the cap falls back to the
-    always-valid average bound |A|^k <= g (k+1)^d.
+    Uses |A|^k <= g / C_{k,d}: a theorem at d = 1 ('general' for even k).
+    For odd k the explicit g 2^{kd} / binom(k, k//2)^d form ('paper-odd-k')
+    assumes the tensor-power bound on 0/1 indicators, which is unproven for
+    d >= 2: the exhaustive sweeps find no failure for k in {3, 5} at d <= 4,
+    but the bound fails for general functions.  For even k with d >= 2 the
+    bound fails on sets, so the cap falls back to the always-valid average
+    bound |A|^k <= g (k+1)^d ('trivial-average').
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -331,19 +432,19 @@ def _first_g_sidon(codes: Sequence[int], k: int, g: int, size: int) -> Optional[
     is dropped with all its extensions: adding a point never lowers a count.
     """
     n_points = len(codes)
-    indicator = [0] * (codes[-1] + 1)
+    counts = _RunningCounts(k, k * codes[-1] + 1)
     chosen: List[int] = []
 
     def extend(start: int) -> bool:
         if len(chosen) == size:
             return True
         for p in range(start, n_points - size + len(chosen) + 1):
-            indicator[codes[p]] = 1
             chosen.append(p)
-            if max(_counts(indicator, k)) <= g and extend(p + 1):
+            # every count of the prefix is <= g, so only the touched ones can exceed it
+            if counts.add(codes[p]) <= g and extend(p + 1):
                 return True
             chosen.pop()
-            indicator[codes[p]] = 0
+            counts.undo(codes[p])
         return False
 
     return chosen if extend(0) else None

@@ -106,8 +106,10 @@ def brute_coarse_grid_seeds(k: int, m: int, top: int = 3):
     return [np.array(w) for _, w in scored[:top]]
 
 
-#: One-dimensional optimal constants C_{k,1}, as pinned by acceptance criterion 1.
-SIDON_CONSTANTS = {2: Fraction(4, 9), 3: Fraction(3, 8)}
+#: One-dimensional optimal constants C_{k,1}: k = 2..5 as pinned by acceptance
+#: criterion 1, and C_{1,1} = 1/2 (max(a, b) >= (a + b) / 2).
+SIDON_CONSTANTS = {1: Fraction(1, 2), 2: Fraction(4, 9), 3: Fraction(3, 8),
+                   4: Fraction(216, 625), 5: Fraction(5, 16)}
 
 
 def brute_max_count(subset, k: int) -> int:

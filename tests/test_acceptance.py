@@ -162,7 +162,7 @@ def test_criterion_6_sidon_exhaustive():
     failure count, minimum slack and minimum-slack sets equal an independent
     brute-force count.  Even k: the tensor-power bound fails at d=3, k=2 on
     exactly the 8 five-point Sidon sets, each with slack -142/729 (max pair
-    count 2, and 2 * 729 < 64 * 25).  Odd k (a theorem in every d): zero
+    count 2, and 2 * 729 < 64 * 25).  Odd k (no failure known on sets): zero
     violations, equality exactly at the full cube."""
     t0 = time.monotonic()
     ok = True

@@ -210,6 +210,18 @@ class TestSidon:
         assert code == EXIT_OK
         assert rep["payload"]["best_size"] == 3
 
+    def test_verify_meta_reports_sweep_rate(self, capsys):
+        _, rep = run_json(capsys, "sidon", "verify", "--d", "3", "--k", "2")
+        meta = rep["meta"]
+        assert meta["sweep_s"] >= 0
+        assert meta["subsets_per_s"] is None or meta["subsets_per_s"] > 0
+        assert "sweep_s" not in rep["payload"]
+
+    def test_search_meta_reports_search_time(self, capsys):
+        _, rep = run_json(capsys, "sidon", "search", "--d", "3", "--k", "2", "--g", "2")
+        assert rep["meta"]["search_s"] >= 0
+        assert "search_s" not in rep["payload"]
+
     @pytest.mark.parametrize("action", ["verify", "search", "classify"])
     def test_above_memory_cap_rejected(self, capsys, monkeypatch, tmp_path, action):
         # (k+1)^d = 81 count entries at d = 4, k = 2

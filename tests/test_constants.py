@@ -161,13 +161,17 @@ class TestRatioLowerBoundFuzz:
             assert ratio(fs) >= optimal_constant(k)
 
     def test_identical_factors_higher_d(self, rng):
+        # the tensor-power bound is a theorem only at d = 1; above it the frozen
+        # counterexamples below show it fails, so only the average bound is asserted
         for _ in range(200):
             d = rng.randint(1, 3)
             k = rng.randint(2, 5)
-            if k % 2 == 0 and d > 2:
-                continue  # even-k tensor bound fails beyond d = 2
             f = random_exact_gridfn(rng, d)
-            assert ratio([f] * k) >= optimal_constant_d(k, d)
+            r = ratio([f] * k)
+            if d == 1:
+                assert r >= optimal_constant_d(k, d)
+            else:
+                assert r >= Fraction(1, (k + 1) ** d)
 
     def test_distinct_factors_d2_counterexample(self):
         # frozen exact counterexample: two distinct factors on {0,1}^2 whose
@@ -179,3 +183,24 @@ class TestRatioLowerBoundFuzz:
         assert r == Fraction(8563, 45458)
         assert r < optimal_constant_d(2, 2)
         assert r >= Fraction(1, 9)  # the average bound still holds
+
+    def test_distinct_factors_odd_k_d2_counterexample(self):
+        # frozen exact counterexample for odd k: three distinct factors on
+        # {0,1}^2 whose 8 triple sums are all distinct, so the ratio is 1/8,
+        # below (3/8)^2 = 9/64
+        h = Fraction(1, 2)
+        fs = [GridFn(2, 1, (h, 0, 0, h)), GridFn(2, 1, (h, 0, h, 0)), GridFn(2, 1, (0, h, h, 0))]
+        r = ratio(fs)
+        assert r == Fraction(1, 8)
+        assert r < optimal_constant_d(3, 2) == Fraction(9, 64)
+        assert r >= Fraction(1, 16)  # the average bound still holds
+
+    def test_identical_factors_odd_k_d3_counterexample(self):
+        # frozen exact counterexample for odd k with one factor used three
+        # times: f proportional to 1 + [x_1 + x_2 + x_3 odd] on {0,1}^3 has
+        # ratio 5/96, below (3/8)^3 = 27/512
+        f = GridFn(3, 1, tuple(Fraction(v, 12) for v in (1, 2, 2, 1, 2, 1, 1, 2)))
+        r = ratio([f] * 3)
+        assert r == Fraction(5, 96)
+        assert r < optimal_constant_d(3, 3) == Fraction(27, 512)
+        assert r >= Fraction(1, 64)  # the average bound still holds

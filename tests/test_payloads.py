@@ -23,8 +23,12 @@ PINNED = [
      "47ffbe9edf4fa532a70e18be4aab15d9f15be9f52df387b6fbb605ece4211639"),
     ("sidon verify --d 3 --k 3", EXIT_OK,
      "a6b021cb431ba22dabb721181c069648e4a60fe8e8a4e45081d346111b3534b1"),
+    ("sidon verify --d 4 --k 3", EXIT_OK,
+     "3c07a6f8dcb865a739090e7ed3ab5672746298074a998089a2a0e8ce63d0eb49"),
     ("sidon search --d 4 --k 2 --g 2", EXIT_OK,
      "eade4f2a3c3a714346fbf00c15456257e6720a7735b6ed8d6869c9a81062ea13"),
+    ("sidon search --d 4 --k 2 --g 4", EXIT_OK,
+     "0c1d444d1710b48f42068963d6e6e81958a1e08a6dc60327d9e95a09f7e3334c"),
     ("sidon search --d 4 --k 3 --g 4", EXIT_OK,
      "f40118b03a1346009c1815d0a1e9e3563dcad37c3c6a184f7d753763179ce7d5"),
     ("sidon verify --d 5 --k 2 --samples 50 --seed 0", EXIT_OK,

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from convmax import gridfn
+from convmax import gridfn, sidon
 from convmax.errors import MemoryCapExceeded
 from convmax.gridfn import convolve_many
 from convmax.sidon import (
@@ -15,7 +16,13 @@ from convmax.sidon import (
     verify_bound,
 )
 
-from conftest import SIDON_CONSTANTS, brute_first_g_sidon, brute_max_count, brute_sampled_subsets
+from conftest import (
+    SIDON_CONSTANTS,
+    brute_first_g_sidon,
+    brute_max_count,
+    brute_sampled_subsets,
+    brute_sidon_violations,
+)
 
 
 def full_cube(d):
@@ -93,6 +100,38 @@ class TestRepresentationCounts:
                                                if v == rep.max_count)
 
 
+class TestRunningCounts:
+    """The add/undo engine of the exhaustive routes against a fresh ``_counts`` fold."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_random_add_undo_matches_fold(self, k):
+        rng = random.Random(7919 * k)
+        for d in (1, 2, 3, 4):
+            codes = gridfn._codes(d, 1, k + 1)
+            counts = sidon._RunningCounts(k, k * codes[-1] + 1)
+            members, peaks = [], [0]  # peaks[i]: running max of the first i members
+            for _ in range(12 * d):
+                absent = [p for p in range(2**d) if p not in members]
+                if absent and (not members or rng.random() < 0.6):
+                    p = rng.choice(absent)
+                    peaks.append(max(peaks[-1], counts.add(codes[p])))
+                    members.append(p)
+                else:
+                    counts.undo(codes[members.pop()])
+                    peaks.pop()
+                expected = sidon._counts(sidon._indicator(members, codes), k)
+                assert counts.top == expected
+                assert peaks[-1] == max(expected)
+
+    def test_exhaustive_routes_never_refold(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("an exhaustive route refolded a subset")
+
+        monkeypatch.setattr(sidon, "_counts", refuse)
+        assert enumerate_verify(4, 2).min_slack == Fraction(578, 6561)
+        assert max_size_g_sidon(4, 2, 2).best_size == 7
+
+
 class TestVerifyBound:
     def test_full_cube_d1_k2(self):
         rep = verify_bound(full_cube(1), 2)
@@ -161,6 +200,16 @@ class TestEnumerateVerify:
         summary = enumerate_verify(3, 3)
         assert summary.failures == 0
         assert summary.subsets_checked == 255
+
+    @pytest.mark.parametrize("d,k", [(1, 1), (2, 1), (3, 1), (1, 4), (2, 4), (3, 4),
+                                     (1, 5), (2, 5)])
+    def test_matches_brute_force_sweep(self, d, k):
+        violating, min_slack, min_sets = brute_sidon_violations(d, k)
+        summary = enumerate_verify(d, k, keep=2 ** 2**d)
+        assert summary.subsets_checked == 2 ** 2**d - 1
+        assert summary.failures == len(violating)
+        assert summary.min_slack == min_slack
+        assert sorted(summary.min_slack_sets) == min_sets
 
     def test_sampled_requires_config(self):
         with pytest.raises(ValueError):
