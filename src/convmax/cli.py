@@ -247,6 +247,7 @@ def _cmd_sidon(args, argv) -> int:
         res = max_size_g_sidon(args.d, args.k, args.g, SampleConfig(args.samples, args.seed))
         meta = {"search_s": time.perf_counter() - t0}
         payload = res.to_dict()
+        violation = res.best_size > res.size_cap
     _emit(_wrap(argv, payload, seed=getattr(args, "seed", None), meta=meta),
           args.format, args.out)
     return EXIT_VIOLATION if violation else EXIT_OK

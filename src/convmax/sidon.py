@@ -6,21 +6,19 @@ plain integers on ``gridfn``'s point layout: ``gridfn._codes(d, 1, k + 1)``
 reads each point as a base-(k+1) integer, so sums of k points never carry and
 integer order is sorted point order; ``gridfn._digits`` reads an index back
 as a point, and ``_codes`` enforces the memory cap on the (k+1)^d count
-table.  The indicator of A is a 0/1 list on those codes, and the ordered
-representation counts of kA are its k-fold convolution.  The single-set
-routes (``representation_counts``, ``verify_bound`` and the sampled branches
-of ``enumerate_verify`` and ``max_size_g_sidon``) fold the exact kernel
-``gridfn._convolve_seq`` over it (``_counts``).  ``CubeSet.indicator`` keeps
-the ``GridFn`` route as an independent oracle.
+table.  The ordered representation counts of kA are the k-fold convolution
+of the indicator of A on those codes.  ``CubeSet.indicator`` keeps the
+``GridFn`` route to them as an independent oracle.
 
-The exhaustive routes never refold a subset.  ``_RunningCounts`` holds the
-i-fold counts P_1..P_k of the current set (P_0 = delta_0) and adds or undoes
-one point with code x by P_i +/-= sum_{j=1..i} C(i,j) P_{i-j} shifted by j x,
-so a step reads only the supports of P_0..P_{k-1}, never a whole table.
-Counts never fall when a point is added, so the max count of a set is the max
-of its parent's and of the P_k entries the new point touched.  ``enumerate_verify``
-walks the subsets depth-first in increasing mask order, and the g-Sidon
-search drops a prefix once a touched count exceeds g.
+Every count here comes from one engine.  ``_RunningCounts`` holds the i-fold
+counts P_1..P_k of the current set (P_0 = delta_0) and adds or undoes one
+point with code x by P_i +/-= sum_{j=1..i} C(i,j) P_{i-j} shifted by j x, so
+a step reads only the supports of P_0..P_{k-1}, never a whole table.  Counts
+never fall when a point is added, so the max count of a set is the max of its
+parent's and of the P_k entries the new point touched.  The single-set routes
+(``representation_counts``, ``verify_bound`` and the sampled branches) add a
+set's points to a fresh engine (``_fold_counts``).  ``enumerate_verify``
+walks the subsets depth-first in increasing mask order and never refolds one.
 
 The claimed bound is max representation count >= C_{k,d} |A|^k with C_{k,d}
 the tensor power of the exact one-dimensional constant.  It is attained by the
@@ -36,10 +34,11 @@ Size caps for g-Sidon sets: g / C_{k,1} at d = 1 (a theorem), the
 average-bound cap (g (k+1)^d)^(1/k) for even k with d >= 2 (always valid), and
 the explicit g 2^{kd} / binom(k, k//2)^d form for odd k.  The odd-k cap rests
 on the odd-k bound for indicators: computer-checked where the exhaustive sweep
-finds no failure, a conjecture elsewhere.  Up to EXHAUSTIVE_D_MAX the g-Sidon
-search is a depth-first search over increasing point indices.  Above it the
-sweep and the search read one seeded stream of nonzero subsets,
-``_sampled_masks``.
+finds no failure, a conjecture elsewhere.  So the search never reads the cap:
+up to EXHAUSTIVE_D_MAX it is one pruned depth-first walk over all 2^d points
+(``_largest_g_sidon``), and ``sidon search`` checks its result against the
+cap.  Above EXHAUSTIVE_D_MAX the sweep and the search read one seeded stream
+of nonzero subsets, ``_sampled_masks``.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .constants import optimal_constant_d
-from .gridfn import GridFn, _codes, _convolve_seq, _digits
+from .gridfn import GridFn, _codes, _digits
 
 Point = Tuple[int, ...]
 
@@ -60,28 +59,14 @@ EXHAUSTIVE_D_MAX = 4
 
 
 def _point_to_mask(point: Sequence[int], d: int) -> int:
+    if len(point) != d:
+        raise ValueError(f"point {tuple(point)} does not have {d} coordinates")
     mask = 0
     for x in point:
         if x not in (0, 1):
             raise ValueError(f"coordinate {x} outside {{0,1}}")
         mask = (mask << 1) | x
     return mask
-
-
-def _indicator(members: Iterable[int], codes: Sequence[int]) -> List[int]:
-    """0/1 list with a 1 at the base-(k+1) code of each member mask."""
-    indicator = [0] * (codes[-1] + 1)
-    for mask in members:
-        indicator[codes[mask]] = 1
-    return indicator
-
-
-def _counts(indicator: List[int], k: int) -> list:
-    """Ordered representation counts: the k-fold convolution of the indicator."""
-    counts = indicator
-    for _ in range(k - 1):
-        counts = _convolve_seq(counts, indicator)
-    return counts
 
 
 class _RunningCounts:
@@ -143,6 +128,15 @@ class _RunningCounts:
             shift = j * x
             for c, n in lower[k - j].items():
                 top[c + shift] -= coef * n
+
+
+def _fold_counts(members: Iterable[int], codes: Sequence[int], k: int) -> Tuple[List[int], int]:
+    """P_k of the points ``members`` and its max, added to a fresh ``_RunningCounts``."""
+    counts = _RunningCounts(k, k * codes[-1] + 1)
+    peak = 0
+    for p in members:
+        peak = max(peak, counts.add(codes[p]))
+    return counts.top, peak
 
 
 @dataclass(frozen=True)
@@ -224,19 +218,19 @@ class SidonReport:
         }
 
 
-def _set_counts(A: CubeSet, k: int) -> list:
-    """Representation counts of kA indexed by base-(k+1) code."""
+def _set_counts(A: CubeSet, k: int) -> Tuple[List[int], int]:
+    """Representation counts of kA indexed by base-(k+1) code, and their max."""
     if len(A) == 0:
         raise ValueError("representation counts need a nonempty set")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _counts(_indicator(A.members, _codes(A.d, 1, k + 1)), k)
+    return _fold_counts(A.members, _codes(A.d, 1, k + 1), k)
 
 
 def representation_counts(A: CubeSet, k: int) -> Dict[Point, int]:
     """Ordered k-tuple representation counts of each point of kA."""
     return {_digits(code, A.d, k + 1): n
-            for code, n in enumerate(_set_counts(A, k)) if n}
+            for code, n in enumerate(_set_counts(A, k)[0]) if n}
 
 
 def verify_bound(A: CubeSet, k: int) -> SidonReport:
@@ -245,8 +239,7 @@ def verify_bound(A: CubeSet, k: int) -> SidonReport:
     ``passed`` is genuinely informative: for even k and d >= 3 some subsets
     fail, which is a property of the bound rather than a bug.
     """
-    counts = _set_counts(A, k)
-    max_count = max(counts)
+    counts, max_count = _set_counts(A, k)
     argmax = [_digits(code, A.d, k + 1) for code, n in enumerate(counts) if n == max_count]
     bound = optimal_constant_d(k, A.d) * len(A) ** k
     slack = max_count - bound
@@ -358,7 +351,7 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
         checked = len(masks)
         for subset_mask in masks:
             members = [p for p in range(n_points) if (subset_mask >> p) & 1]
-            record(members, max(_counts(_indicator(members, codes), k)))
+            record(members, _fold_counts(members, codes, k)[1])
     return EnumerationSummary(d, k, checked, failures, Fraction(min_slack, c.denominator),
                               min_sets, eq_sets, exhaustive)
 
@@ -386,17 +379,17 @@ class SearchResult:
 
 
 def _int_kth_root(n: int, k: int) -> int:
-    """Largest s with s^k <= n."""
+    """Largest s with s^k <= n, by integer Newton steps down from a power of two above it."""
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0
-    s = int(round(n ** (1.0 / k)))
-    while s**k > n:
-        s -= 1
-    while (s + 1) ** k <= n:
-        s += 1
-    return s
+    s = 1 << -(-n.bit_length() // k)
+    while True:
+        t = ((k - 1) * s + n // s ** (k - 1)) // k
+        if t >= s:
+            return s
+        s = t
 
 
 def g_sidon_size_cap(d: int, k: int, g: int) -> Tuple[int, str]:
@@ -425,29 +418,37 @@ def g_sidon_size_cap(d: int, k: int, g: int) -> Tuple[int, str]:
     return cap, form
 
 
-def _first_g_sidon(codes: Sequence[int], k: int, g: int, size: int) -> Optional[List[int]]:
-    """First ``size``-subset, in ``itertools.combinations`` order, with every count <= g.
+def _largest_g_sidon(codes: Sequence[int], k: int, g: int) -> List[int]:
+    """First subset of the largest size, in ``itertools.combinations`` order, with every count <= g.
 
-    Depth-first over increasing point indices.  A prefix with a count above g
-    is dropped with all its extensions: adding a point never lowers a count.
+    Depth-first over increasing point indices, which meets the subsets of each
+    size in ``itertools.combinations`` order, and only a strictly larger set
+    replaces the best.  A prefix with a count above g is dropped with all its
+    extensions (adding a point never lowers a count), and so is a prefix that
+    cannot outgrow the best set even with every point left.
     """
     n_points = len(codes)
     counts = _RunningCounts(k, k * codes[-1] + 1)
     chosen: List[int] = []
+    best: List[int] = []
 
-    def extend(start: int) -> bool:
-        if len(chosen) == size:
-            return True
-        for p in range(start, n_points - size + len(chosen) + 1):
+    def extend(start: int) -> None:
+        nonlocal best
+        for p in range(start, n_points):
+            if len(chosen) + n_points - p <= len(best):
+                return
+            x = codes[p]
             chosen.append(p)
             # every count of the prefix is <= g, so only the touched ones can exceed it
-            if counts.add(codes[p]) <= g and extend(p + 1):
-                return True
+            if counts.add(x) <= g:
+                if len(chosen) > len(best):
+                    best = chosen[:]
+                extend(p + 1)
             chosen.pop()
-            counts.undo(codes[p])
-        return False
+            counts.undo(x)
 
-    return chosen if extend(0) else None
+    extend(0)
+    return best
 
 
 def max_size_g_sidon(d: int, k: int, g: int,
@@ -456,7 +457,9 @@ def max_size_g_sidon(d: int, k: int, g: int,
 
     The exhaustive search returns the first qualifying set of the largest size
     in ``itertools.combinations`` order; the sampled one keeps the first
-    strictly larger qualifying set of the stream.
+    strictly larger qualifying set of the stream.  Neither reads the size cap,
+    so a set above it is returned as found: ``best_size > size_cap`` refutes
+    the bound behind the cap.
     """
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
@@ -464,18 +467,12 @@ def max_size_g_sidon(d: int, k: int, g: int,
     n_points = 2**d
     codes = _codes(d, 1, k + 1)
     exhaustive = d <= EXHAUSTIVE_D_MAX
-    best = None
     if exhaustive:
-        for size in range(min(n_points, cap), 0, -1):
-            best = _first_g_sidon(codes, k, g, size)
-            if best is not None:
-                break
+        best = _largest_g_sidon(codes, k, g)
     else:
         best = [0]
         for s in _sampled_masks(d, search_cfg):
             members = [p for p in range(n_points) if (s >> p) & 1]
-            if len(members) > len(best) and max(_counts(_indicator(members, codes), k)) <= g:
+            if len(members) > len(best) and _fold_counts(members, codes, k)[1] <= g:
                 best = members
-    if len(best) > cap:  # pragma: no cover - would contradict the bound
-        raise AssertionError(f"found set of size {len(best)} above cap {cap}")
     return SearchResult(d, k, g, CubeSet(d, best), len(best), cap, cap_form, exhaustive)

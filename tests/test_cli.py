@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from convmax import cli, gridfn
-from convmax.cli import EXIT_OK, EXIT_USAGE, export_report, run
+from convmax import cli, gridfn, sidon
+from convmax.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, export_report, run
 from convmax.minimax import SolverConfig
 
 
@@ -209,6 +209,23 @@ class TestSidon:
         code, rep = run_json(capsys, "sidon", "search", "--d", "2", "--k", "2", "--g", "2")
         assert code == EXIT_OK
         assert rep["payload"]["best_size"] == 3
+
+    @pytest.mark.parametrize("argv", [["--d", "2", "--g", "2"],
+                                      ["--d", "5", "--g", "4", "--samples", "60"]])
+    def test_search_above_cap_is_a_violation(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sidon, "g_sidon_size_cap", lambda d, k, g: (1, "paper-odd-k"))
+        code, rep = run_json(capsys, "sidon", "search", "--k", "2", *argv)
+        assert code == EXIT_VIOLATION
+        assert rep["payload"]["size_cap"] == 1
+        assert rep["payload"]["best_size"] > 1
+
+    @pytest.mark.parametrize("exponent", [300, 400])
+    def test_search_huge_g(self, capsys, exponent):
+        # the cap's k-th root is taken in integers: no float overflow, no slow walk down
+        code, rep = run_json(capsys, "sidon", "search", "--d", "2", "--k", "2",
+                             "--g", str(10**exponent))
+        assert code == EXIT_OK
+        assert rep["payload"]["best_size"] == 4
 
     def test_verify_meta_reports_sweep_rate(self, capsys):
         _, rep = run_json(capsys, "sidon", "verify", "--d", "3", "--k", "2")

@@ -39,6 +39,12 @@ class TestCubeSet:
         A = CubeSet.from_points(3, pts)
         assert A.points() == sorted(pts)
 
+    def test_from_points_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match="coordinates"):
+            CubeSet.from_points(2, [(0, 1, 1)])
+        with pytest.raises(ValueError, match="coordinates"):
+            CubeSet.from_points(3, [(0, 0, 1), (1, 1)])
+
     def test_indicator_flat_index(self):
         A = CubeSet(2, [0, 3])
         assert A.indicator().values == (1, 0, 0, 1)
@@ -101,7 +107,7 @@ class TestRepresentationCounts:
 
 
 class TestRunningCounts:
-    """The add/undo engine of the exhaustive routes against a fresh ``_counts`` fold."""
+    """The add/undo engine against the Fraction ``GridFn`` convolution of the set."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_random_add_undo_matches_fold(self, k):
@@ -119,17 +125,30 @@ class TestRunningCounts:
                 else:
                     counts.undo(codes[members.pop()])
                     peaks.pop()
-                expected = sidon._counts(sidon._indicator(members, codes), k)
+                if members:
+                    expected = list(convolve_many([CubeSet(d, members).indicator()] * k).values)
+                else:
+                    expected = [0] * (k + 1) ** d
                 assert counts.top == expected
                 assert peaks[-1] == max(expected)
 
-    def test_exhaustive_routes_never_refold(self, monkeypatch):
-        def refuse(*_):
-            raise AssertionError("an exhaustive route refolded a subset")
+    def test_exhaustive_add_counts(self, monkeypatch):
+        # the sweep adds each nonempty subset's last point once; the search
+        # walks each surviving prefix once instead of once per candidate size
+        adds = 0
+        add = sidon._RunningCounts.add
 
-        monkeypatch.setattr(sidon, "_counts", refuse)
+        def counted(self, x):
+            nonlocal adds
+            adds += 1
+            return add(self, x)
+
+        monkeypatch.setattr(sidon._RunningCounts, "add", counted)
         assert enumerate_verify(4, 2).min_slack == Fraction(578, 6561)
+        assert adds == 2**16 - 1
+        adds = 0
         assert max_size_g_sidon(4, 2, 2).best_size == 7
+        assert adds <= 5676
 
 
 class TestVerifyBound:
@@ -270,6 +289,16 @@ class TestSizeCap:
             cap, _ = g_sidon_size_cap(d, 3, 3**d)
             assert cap == 2**d
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_int_kth_root_is_exact(self, k):
+        rng = random.Random(k)
+        radicands = [0, 1, 2, 10**300, 10**400, 3**838]
+        radicands += [s**k + e for s in (2, 3, 10**60, 7**95) for e in (-1, 0, 1)]
+        radicands += [rng.getrandbits(rng.randint(1, 1330)) for _ in range(200)]
+        for n in radicands:
+            s = sidon._int_kth_root(n, k)
+            assert s**k <= n < (s + 1) ** k
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_k_below_one(self, d, k):
@@ -310,11 +339,21 @@ class TestMaxSizeSearch:
 
     @pytest.mark.parametrize("d,k,g", [(1, 2, 1), (2, 2, 1), (2, 3, 2), (3, 1, 1), (3, 2, 1),
                                        (3, 2, 2), (3, 2, 3), (3, 3, 2), (3, 3, 4), (3, 3, 9),
-                                       (3, 4, 6), (3, 4, 30)])
+                                       (3, 4, 6), (3, 4, 30), (3, 3, 6), (3, 3, 10),
+                                       (3, 3, 11)])
     def test_exhaustive_matches_combinations_oracle(self, d, k, g):
         res = max_size_g_sidon(d, k, g)
         assert res.exhaustive
         assert ["".join(map(str, p)) for p in res.best_set.points()] == brute_first_g_sidon(d, k, g)
+
+    @pytest.mark.parametrize("d,g,cfg", [(2, 2, None), (5, 4, SampleConfig(samples=60, seed=0))])
+    def test_set_above_cap_is_returned(self, monkeypatch, d, g, cfg):
+        # the search never reads the cap, so a cap that is too small shows as best_size > size_cap
+        monkeypatch.setattr(sidon, "g_sidon_size_cap", lambda d, k, g: (1, "paper-odd-k"))
+        res = max_size_g_sidon(d, 2, g, cfg)
+        assert res.size_cap == 1
+        assert res.best_size > 1
+        assert max(representation_counts(res.best_set, 2).values()) <= g
 
     def test_bad_g(self):
         with pytest.raises(ValueError):
