@@ -1,4 +1,8 @@
-"""Optimal constants for suprema of k-fold convolutions on discrete cubes."""
+"""Optimal constants for suprema of k-fold convolutions on discrete cubes.
+
+The solver names, which need numpy and scipy, are loaded on first use, so
+``import convmax`` and the exact modules start without the float stack.
+"""
 
 __version__ = "0.1.0"
 
@@ -11,7 +15,6 @@ from .constants import (
     optimal_constant_d,
     verify_sharpness,
 )
-from .continuous import BoundTable, step_function_export, upper_bound_sequence
 from .gridfn import (
     GridFn,
     convolve,
@@ -22,15 +25,6 @@ from .gridfn import (
     product_function,
     ratio,
     sup_norm,
-)
-from .minimax import (
-    GridOracleResult,
-    MinimaxResult,
-    SolverConfig,
-    diagonal_constant,
-    general_constant,
-    grid_oracle,
-    intersection_restricted_solve,
 )
 from .pb import (
     PBDist,
@@ -54,3 +48,33 @@ from .sidon import (
     representation_counts,
     verify_bound,
 )
+
+# name -> submodule for the solver names.  They are looked up on every access
+# and never cached in this namespace, so a name patched on its module (tests,
+# tracing) is what ``convmax.<name>`` returns.
+_LAZY = {
+    "BoundTable": "continuous",
+    "step_function_export": "continuous",
+    "upper_bound_sequence": "continuous",
+    "GridOracleResult": "minimax",
+    "MinimaxResult": "minimax",
+    "SolverConfig": "minimax",
+    "diagonal_constant": "minimax",
+    "general_constant": "minimax",
+    "grid_oracle": "minimax",
+    "intersection_restricted_solve": "minimax",
+}
+
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 mathematical-invariant or bound violation detected
 in the outputs, 2 invalid input.  Reports carry a ``schema`` field and split
 deterministic content (``payload``) from timestamps (``meta``) so repeated
-runs with the same seed are byte-identical where it matters.
+runs with the same seed are byte-identical where it matters.  The solver
+commands (``solve``, ``continuous``, ``selftest``) import their modules, and
+with them numpy and scipy, when they run, so the exact commands start without
+the float stack.
 """
 
 from __future__ import annotations
@@ -24,12 +27,9 @@ from .constants import (
     optimal_constant_d,
     verify_sharpness,
 )
-from .continuous import step_function_export, upper_bound_sequence
 from .errors import BoundValidityError, ConvmaxError
 from .gridfn import GridFn, ratio
-from .minimax import SolverConfig, diagonal_constant, general_constant, grid_oracle
 from . import pb
-from .selftest import run_selftest
 from .sidon import CubeSet, SampleConfig, enumerate_verify, max_size_g_sidon, verify_bound
 
 SCHEMA_VERSION = 1
@@ -105,6 +105,8 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_constant(args, argv) -> int:
+    if args.format == "plotdata" and not args.profile:
+        raise ValueError("--format plotdata needs --profile")
     payload = {
         "k": args.k,
         "d": args.d,
@@ -142,15 +144,22 @@ def _cmd_constant(args, argv) -> int:
 
 
 def _cmd_solve(args, argv) -> int:
+    from .minimax import SolverConfig, diagonal_constant, general_constant, grid_oracle
+
     cfg = SolverConfig(multistarts=args.multistarts, seed=args.seed)
+    meta = {}
     # the exact oracle first: an over-budget --grid is rejected before any solve
     oracle = None
     if args.grid is not None:
+        t0 = time.perf_counter()
         oracle = grid_oracle(args.k, args.m, args.grid, diagonal=args.mode == "diagonal")
+        meta["oracle_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     if args.mode == "diagonal":
         res = diagonal_constant(args.k, args.m, cfg)
     else:
         res = general_constant(args.k, args.m, cfg)
+    meta["solve_s"] = time.perf_counter() - t0
     payload = {"result": res.to_dict()}
     # independent recomputation of the reported argument
     fns = [GridFn(1, args.m, w) for w in (res.argument * args.k
@@ -161,7 +170,7 @@ def _cmd_solve(args, argv) -> int:
     if oracle is not None:
         payload["grid_oracle"] = oracle.to_dict()
         violation |= res.value > float(oracle.grid_min) + 1e-9
-    _emit(_wrap(argv, payload, config=asdict(cfg), seed=args.seed),
+    _emit(_wrap(argv, payload, config=asdict(cfg), seed=args.seed, meta=meta),
           args.format, args.out)
     return EXIT_VIOLATION if violation else EXIT_OK
 
@@ -256,22 +265,31 @@ def _cmd_sidon(args, argv) -> int:
 def _cmd_continuous(args, argv) -> int:
     if args.export_steps is not None and args.export_steps < 1:
         raise ValueError(f"--export-steps must be >= 1, got {args.export_steps}")
+    from .continuous import step_function_export, upper_bound_sequence
+    from .minimax import SolverConfig, diagonal_constant
+
     cfg = SolverConfig(multistarts=args.multistarts, seed=args.seed)
+    t0 = time.perf_counter()
     try:
         table = upper_bound_sequence(args.k, args.m_max, cfg)
     except BoundValidityError as e:
         print(f"bound validity violation: {e}", file=sys.stderr)
         return EXIT_VIOLATION
+    meta = {"table_s": time.perf_counter() - t0}
     payload = table.to_dict()
     payload["csv"] = table.to_csv()
     if args.export_steps is not None:
+        t0 = time.perf_counter()
         res = diagonal_constant(args.k, args.export_steps, cfg)
         payload["step_function"] = step_function_export(res.argument[0], args.k).to_dict()
-    _emit(_wrap(argv, payload, seed=args.seed), args.format, args.out)
+        meta["export_s"] = time.perf_counter() - t0
+    _emit(_wrap(argv, payload, seed=args.seed, meta=meta), args.format, args.out)
     return EXIT_OK
 
 
 def _cmd_selftest(args, argv) -> int:
+    from .selftest import run_selftest
+
     payload = run_selftest(args.seed)
     _emit(_wrap(argv, payload, seed=args.seed), args.format, args.out)
     return EXIT_OK if payload["passed"] else EXIT_VIOLATION
@@ -286,8 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["json", "csv", "text", "plotdata"], default="json")
+    def common(p, *formats):
+        # only the formats the command can render, so a bad --format exits 2 before any work
+        p.add_argument("--format", choices=["json", "text", *formats], default="json")
         p.add_argument("--out", default=None, help="write the report to a file")
 
     p = sub.add_parser("constant", help="closed forms, diagonal profile, sharpness")
@@ -295,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--profile", action="store_true")
     p.add_argument("--sharpness", action="store_true")
-    common(p)
+    common(p, "plotdata")
     p.set_defaults(func=_cmd_constant)
 
     p = sub.add_parser("solve", help="minimax solvers for C_{k,m} and Cbar_{k,m}")
@@ -344,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--export-steps", type=int, default=None,
                    help="also export the step function for this m")
-    common(p)
+    common(p, "csv")
     p.set_defaults(func=_cmd_continuous)
 
     p = sub.add_parser("selftest", help="run the deterministic self-check battery")

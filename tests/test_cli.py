@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import convmax.continuous
+import convmax.minimax
 from convmax import cli, gridfn, sidon
 from convmax.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, export_report, run
 from convmax.minimax import SolverConfig
@@ -97,13 +99,23 @@ class TestSolve:
         def solver(*args):
             raise AssertionError("the solver ran before the grid oracle was checked")
 
-        monkeypatch.setattr(cli, "diagonal_constant", solver)
-        monkeypatch.setattr(cli, "general_constant", solver)
+        monkeypatch.setattr(convmax.minimax, "diagonal_constant", solver)
+        monkeypatch.setattr(convmax.minimax, "general_constant", solver)
         argv = ["solve", "--k", "2", "--m", "24", "--grid", "10", "--mode", mode]
         assert run(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exceed budget" in captured.err
+
+    def test_meta_reports_phase_times(self, capsys):
+        _, rep = run_json(capsys, "solve", "--k", "2", "--m", "2", "--multistarts", "2",
+                          "--grid", "4")
+        assert rep["meta"]["oracle_s"] >= 0
+        assert rep["meta"]["solve_s"] >= 0
+        assert "oracle_s" not in rep["payload"] and "solve_s" not in rep["payload"]
+        _, rep = run_json(capsys, "solve", "--k", "2", "--m", "2", "--multistarts", "2")
+        assert "oracle_s" not in rep["meta"]
+        assert rep["meta"]["solve_s"] >= 0
 
     def test_seed_recorded_and_deterministic(self, capsys):
         code, a = run_json(capsys, "solve", "--k", "2", "--m", "2", "--seed", "5",
@@ -286,6 +298,16 @@ class TestContinuous:
         assert sf["breakpoints"][-1] == 0.25
         assert len(sf["heights"]) == 3
 
+    def test_meta_reports_phase_times(self, capsys):
+        _, rep = run_json(capsys, "continuous", "--k", "2", "--m-max", "2",
+                          "--export-steps", "2", "--multistarts", "2")
+        assert rep["meta"]["table_s"] >= 0
+        assert rep["meta"]["export_s"] >= 0
+        assert "table_s" not in rep["payload"] and "export_s" not in rep["payload"]
+        _, rep = run_json(capsys, "continuous", "--k", "2")
+        assert rep["meta"]["table_s"] >= 0
+        assert "export_s" not in rep["meta"]
+
     @pytest.mark.parametrize("starts", ["0", "-3"])
     def test_multistarts_below_one_rejected(self, capsys, starts):
         assert run(["continuous", "--k", "2", "--m-max", "2", "--multistarts", starts]) == EXIT_USAGE
@@ -328,6 +350,30 @@ class TestOutput:
 
     def test_csv_unavailable(self, capsys):
         assert run(["constant", "--k", "2", "--format", "csv"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, module, work", [
+        pytest.param(["sidon", "verify", "--d", "4", "--k", "3", "--format", "csv"],
+                     cli, "enumerate_verify", id="sidon-verify-csv"),
+        pytest.param(["sidon", "search", "--d", "3", "--k", "2", "--g", "2",
+                      "--format", "plotdata"], cli, "max_size_g_sidon", id="sidon-search-plotdata"),
+        pytest.param(["solve", "--k", "2", "--m", "2", "--format", "plotdata"],
+                     convmax.minimax, "diagonal_constant", id="solve-plotdata"),
+        pytest.param(["solve", "--k", "2", "--grid", "4", "--format", "csv"],
+                     convmax.minimax, "grid_oracle", id="solve-grid-csv"),
+        pytest.param(["continuous", "--k", "2", "--format", "plotdata"],
+                     convmax.continuous, "upper_bound_sequence", id="continuous-plotdata"),
+        pytest.param(["pb", "--p", "1/2", "--format", "csv"], cli.pb, "pb_pmf", id="pb-csv"),
+        pytest.param(["constant", "--k", "2", "--format", "plotdata"],
+                     cli, "optimal_constant_d", id="constant-plotdata-without-profile"),
+    ])
+    def test_unrenderable_format_rejected_before_work(self, capsys, monkeypatch,
+                                                      argv, module, work):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --format was checked")
+
+        monkeypatch.setattr(module, work, fail)
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_meta_separated_from_payload(self, capsys):
         _, rep = run_json(capsys, "constant", "--k", "2")
