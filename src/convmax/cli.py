@@ -254,7 +254,7 @@ def _cmd_sidon(args, argv) -> int:
         violation = not rep.passed
     else:  # search
         res = max_size_g_sidon(args.d, args.k, args.g, SampleConfig(args.samples, args.seed))
-        meta = {"search_s": time.perf_counter() - t0}
+        meta = {"search_s": time.perf_counter() - t0, "nodes": res.nodes}
         payload = res.to_dict()
         violation = res.best_size > res.size_cap
     _emit(_wrap(argv, payload, seed=getattr(args, "seed", None), meta=meta),

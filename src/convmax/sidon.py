@@ -10,15 +10,28 @@ table.  The ordered representation counts of kA are the k-fold convolution
 of the indicator of A on those codes.  ``CubeSet.indicator`` keeps the
 ``GridFn`` route to them as an independent oracle.
 
-Every count here comes from one engine.  ``_RunningCounts`` holds the i-fold
-counts P_1..P_k of the current set (P_0 = delta_0) and adds or undoes one
-point with code x by P_i +/-= sum_{j=1..i} C(i,j) P_{i-j} shifted by j x, so
-a step reads only the supports of P_0..P_{k-1}, never a whole table.  Counts
-never fall when a point is added, so the max count of a set is the max of its
-parent's and of the P_k entries the new point touched.  The single-set routes
+Every count here comes from one engine, ``_PackedCounts``.  It packs each
+i-fold count P_i of a set of at most n points into one Python int: the count
+at code c is the w-bit field starting at bit c*w, with w = bit_length(n^k) + 1
+(n = 2^d on the sweeps and the search, |A| for one set), so the top bit of
+every field stays clear.  Adding the point with code x is
+P_i += sum_{j=1..i} C(i,j) P_{i-j} << j*x*w, every term read from the old
+state: O(k^2) big-int operations whatever the set size.  Ints are
+immutable, so a parent's state stays valid after a point is added to it.
+"Some count of P_k exceeds t" is one guard-bit test,
+(P_k + (2^(w-1) - 1 - t) * ONES) & HIGH, with ONES a 1 in every field and
+HIGH every top bit; it is never true for t >= 2^(w-1) - 1.
+A max count is found by galloping up with that test and bisecting.
+``enumerate_verify`` visits the masks 1 .. 2^(2^d) - 1 in increasing order
+with the parent states on a stack.  Counts never fall when a point is added,
+so it reads the new count in the field that held the parent's max, and
+gallops only when one test above that count fires.  The g-Sidon walk passes
+its state down the recursion.  The single-set routes
 (``representation_counts``, ``verify_bound`` and the sampled branches) add a
-set's points to a fresh engine (``_fold_counts``).  ``enumerate_verify``
-walks the subsets depth-first in increasing mask order and never refolds one.
+set's points to the empty state; ``representation_counts`` reads every field
+back in one linear pass over the binary digits, and ``verify_bound`` reads
+its argmax codes off the guard bits that fire just below the max.  The
+sampled g-Sidon search stops adding a set's points at its first count above g.
 
 The claimed bound is max representation count >= C_{k,d} |A|^k with C_{k,d}
 the tensor power of the exact one-dimensional constant.  It is attained by the
@@ -69,74 +82,98 @@ def _point_to_mask(point: Sequence[int], d: int) -> int:
     return mask
 
 
-class _RunningCounts:
-    """The i-fold counts P_1..P_k of a point set that grows and shrinks by one code.
+class _PackedCounts:
+    """Packed i-fold counts P_1..P_k of point sets of up to n points, one Python int per P_i.
 
-    P_0 = delta_0, P_1..P_{k-1} are sparse dicts and P_k is a dense list of
-    ``length`` entries.  Adding the point with code x applies
-    P_i += sum_{j=1..i} C(i,j) P_{i-j} shifted by j x, which must read the old
-    lower powers: ``add`` updates P_k first, then P_{k-1} down to P_1, and
-    ``undo`` restores P_1 up to P_{k-1} first, then P_k.
+    The count of P_i at base-(k+1) code c sits in the w-bit field c*w..c*w+w-1,
+    with w = bit_length(n^k) + 1: every count is at most n^k, below the top
+    bit of its field, which stays free as a guard bit.  P_0 = delta_0 is the
+    int 1 and is never stored.  A state is the tuple (P_1, ..., P_k); ints are
+    immutable, so ``add`` returns a new state and the old one stays valid.
     """
 
-    def __init__(self, k: int, length: int):
-        self.k = k
-        self.lower: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(k - 1)]
-        self.top = [0] * length
-        self.terms = [[(j, math.comb(i, j)) for j in range(1, i + 1)] for i in range(k + 1)]
+    def __init__(self, codes: Sequence[int], k: int, n: int):
+        self.codes = codes
+        self.length = length = k * codes[-1] + 1
+        self.w = w = (n**k).bit_length() + 1
+        # the largest count a field holds below its guard bit; no count of n points exceeds n^k
+        self.limit = (1 << (w - 1)) - 1
+        self.ones = ((1 << (length * w)) - 1) // ((1 << w) - 1)  # 1 in every field
+        self.high = self.ones << (w - 1)                          # every guard bit
+        self.empty = (0,) * k
+        # Horner terms of P_i: (C(i, j), index of P_{i-j}) for j = i-1 down to 1
+        self.terms = [[(math.comb(i, j), i - j - 1) for j in range(i - 1, 0, -1)]
+                      for i in range(1, k + 1)]
 
-    def add(self, x: int) -> int:
-        """Add code x; returns the max of the P_k entries it touched.
+    def add(self, counts: Tuple[int, ...], x: int) -> Tuple[int, ...]:
+        """The state with code x added: P_i += sum_{j=1..i} C(i,j) P_{i-j} X^(j x).
 
-        Counts never fall on ``add``, so the max of P_k after it is the max of
-        the value returned and the max before it.
+        With X^x = 1 << x*w the sum is Horner's rule in X^x, read from the old
+        state, so a step is O(k^2) big-int operations whatever the set size.
         """
-        k, lower, top = self.k, self.lower, self.top
-        peak = 0
-        for j, coef in self.terms[k]:
-            shift = j * x
-            for c, n in lower[k - j].items():
-                c += shift
-                v = top[c] + coef * n
-                top[c] = v
-                if v > peak:
-                    peak = v
-        for i in range(k - 1, 0, -1):
-            p = lower[i]
-            for j, coef in self.terms[i]:
-                shift = j * x
-                for c, n in lower[i - j].items():
-                    c += shift
-                    p[c] = p.get(c, 0) + coef * n
-        return peak
+        s = x * self.w
+        e = 1 << s
+        out = []
+        for p, terms in zip(counts, self.terms):
+            acc = e
+            for coef, i in terms:
+                acc = (acc + coef * counts[i]) << s
+            out.append(p + acc)
+        return tuple(out)
 
-    def undo(self, x: int) -> None:
-        """Remove code x, which must be in the set."""
-        k, lower, top = self.k, self.lower, self.top
-        for i in range(1, k):
-            p = lower[i]
-            for j, coef in self.terms[i]:
-                shift = j * x
-                for c, n in lower[i - j].items():
-                    c += shift
-                    v = p[c] - coef * n
-                    if v:
-                        p[c] = v
-                    else:
-                        del p[c]
-        for j, coef in self.terms[k]:
-            shift = j * x
-            for c, n in lower[k - j].items():
-                top[c + shift] -= coef * n
+    def above(self, top: int, t: int) -> int:
+        """The guard bits of the fields of ``top`` that hold a count above t; 0 if none does.
 
+        Adding 2^(w-1) - 1 - t to every field sets the guard bit of a field
+        holding v exactly when v > t, and v + 2^(w-1) - 1 - t < 2^w carries
+        nothing into the next field.  No count exceeds t >= 2^(w-1) - 1.
+        """
+        if t >= self.limit:
+            return 0
+        return (top + (self.limit - t) * self.ones) & self.high
 
-def _fold_counts(members: Iterable[int], codes: Sequence[int], k: int) -> Tuple[List[int], int]:
-    """P_k of the points ``members`` and its max, added to a fresh ``_RunningCounts``."""
-    counts = _RunningCounts(k, k * codes[-1] + 1)
-    peak = 0
-    for p in members:
-        peak = max(peak, counts.add(codes[p]))
-    return counts.top, peak
+    def peak(self, top: int, lo: int = 0) -> int:
+        """The max field of ``top``, known to be >= lo: gallop up from lo, then bisect."""
+        step = 1
+        while True:
+            t = lo + step - 1
+            if not self.above(top, t):
+                hi = t
+                break
+            lo = t + 1
+            step *= 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.above(top, mid):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def at_max(self, top: int, m: int) -> List[int]:
+        """The codes, in increasing order, of the fields holding m >= 1, the max field of ``top``."""
+        w = self.w
+        # the guard bit of code c, bit c*w + w - 1, fires exactly when its count is m
+        bits = format(self.above(top, m - 1) >> (w - 1), "b")[::-1]
+        codes = []
+        i = bits.find("1")
+        while i >= 0:
+            codes.append(i // w)
+            i = bits.find("1", i + 1)
+        return codes
+
+    def unpack(self, top: int) -> List[int]:
+        """The ``length`` fields of ``top`` in code order, read in one pass over its binary digits."""
+        w = self.w
+        bits = format(top, f"0{self.length * w}b")
+        return [int(bits[i - w:i], 2) for i in range(len(bits), 0, -w)]
+
+    def fold(self, members: Iterable[int]) -> int:
+        """P_k of the points ``members``, added one by one to the empty set."""
+        counts, codes = self.empty, self.codes
+        for p in members:
+            counts = self.add(counts, codes[p])
+        return counts[-1]
 
 
 @dataclass(frozen=True)
@@ -218,19 +255,21 @@ class SidonReport:
         }
 
 
-def _set_counts(A: CubeSet, k: int) -> Tuple[List[int], int]:
-    """Representation counts of kA indexed by base-(k+1) code, and their max."""
+def _set_counts(A: CubeSet, k: int) -> Tuple[_PackedCounts, int]:
+    """An engine sized for A and the packed representation counts of kA."""
     if len(A) == 0:
         raise ValueError("representation counts need a nonempty set")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _fold_counts(A.members, _codes(A.d, 1, k + 1), k)
+    engine = _PackedCounts(_codes(A.d, 1, k + 1), k, len(A))
+    # increasing codes keep the ints short until the last points
+    return engine, engine.fold(sorted(A.members))
 
 
 def representation_counts(A: CubeSet, k: int) -> Dict[Point, int]:
     """Ordered k-tuple representation counts of each point of kA."""
-    return {_digits(code, A.d, k + 1): n
-            for code, n in enumerate(_set_counts(A, k)[0]) if n}
+    engine, top = _set_counts(A, k)
+    return {_digits(code, A.d, k + 1): n for code, n in enumerate(engine.unpack(top)) if n}
 
 
 def verify_bound(A: CubeSet, k: int) -> SidonReport:
@@ -239,8 +278,9 @@ def verify_bound(A: CubeSet, k: int) -> SidonReport:
     ``passed`` is genuinely informative: for even k and d >= 3 some subsets
     fail, which is a property of the bound rather than a bug.
     """
-    counts, max_count = _set_counts(A, k)
-    argmax = [_digits(code, A.d, k + 1) for code, n in enumerate(counts) if n == max_count]
+    engine, top = _set_counts(A, k)
+    max_count = engine.peak(top)
+    argmax = [_digits(code, A.d, k + 1) for code in engine.at_max(top, max_count)]
     bound = optimal_constant_d(k, A.d) * len(A) ** k
     slack = max_count - bound
     return SidonReport(A, k, max_count, argmax, bound, slack, max_count >= bound)
@@ -316,42 +356,61 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
     min_sets: List[List[str]] = []
     eq_sets: List[List[str]] = []
 
-    def record(members: List[int], max_count: int) -> None:
-        nonlocal failures, min_slack, min_sets
-        slack = max_count * c.denominator - scaled_bound[len(members)]
-        if slack < 0:
-            failures += 1
+    def record(subset_mask: int, slack: int) -> None:
+        nonlocal min_slack, min_sets
+
+        def points() -> List[str]:
+            return _points_str(d, (p for p in range(n_points) if subset_mask >> p & 1))
+
         if slack == 0 and len(eq_sets) < keep:
-            eq_sets.append(_points_str(d, members))
+            eq_sets.append(points())
         if min_slack is None or slack < min_slack:
             min_slack = slack
-            min_sets = [_points_str(d, members)]
+            min_sets = [points()]
         elif slack == min_slack and len(min_sets) < keep:
-            min_sets.append(_points_str(d, members))
+            min_sets.append(points())
 
+    den = c.denominator
+    masks = None if exhaustive else _sampled_masks(d, sample_cfg)
+    engine = _PackedCounts(codes, k, n_points)
     if exhaustive:
         checked = 2**n_points - 1
-        counts = _RunningCounts(k, k * codes[-1] + 1)
-        members: List[int] = []
-
-        def sweep(p: int, peak: int) -> None:
-            # subsets whose highest point is below p, in increasing mask order
-            for q in range(p):
-                x = codes[q]
-                q_peak = max(peak, counts.add(x))
-                members.append(q)
-                record(members, q_peak)
-                sweep(q, q_peak)
-                members.pop()
-                counts.undo(x)
-
-        sweep(n_points, 0)
+        add, above, peak, w = engine.add, engine.above, engine.peak, engine.w
+        field = (1 << w) - 1
+        # stack[i]: counts, max count and the bit offset of a field holding it,
+        # for the i highest points of the current mask
+        stack = [(engine.empty, 0, 0)]
+        floor = math.inf  # the least slack recorded; a set that ties or beats it is recorded
+        for subset_mask in range(1, checked + 1):
+            # the mask before this one ends in q set bits below bit q: pop them, add point q
+            q = (subset_mask & -subset_mask).bit_length() - 1
+            if q:
+                del stack[-q:]
+            counts, max_count, at = stack[-1]
+            counts = add(counts, codes[q])
+            top = counts[-1]
+            # counts never fall: read the parent's max field again, and search
+            # further only if the guard bits above it fire
+            max_count = top >> at & field
+            if above(top, max_count):
+                max_count = peak(top, max_count + 1)
+                fired = above(top, max_count - 1)
+                at = (fired & -fired).bit_length() - w  # the lowest field holding the max
+            stack.append((counts, max_count, at))
+            slack = max_count * den - scaled_bound[len(stack) - 1]
+            if slack < 0:
+                failures += 1
+            if slack <= floor or slack == 0:
+                record(subset_mask, slack)
+                floor = min_slack
     else:
-        masks = _sampled_masks(d, sample_cfg)
         checked = len(masks)
         for subset_mask in masks:
-            members = [p for p in range(n_points) if (subset_mask >> p) & 1]
-            record(members, _fold_counts(members, codes, k)[1])
+            members = [p for p in range(n_points) if subset_mask >> p & 1]
+            slack = engine.peak(engine.fold(members)) * den - scaled_bound[len(members)]
+            if slack < 0:
+                failures += 1
+            record(subset_mask, slack)
     return EnumerationSummary(d, k, checked, failures, Fraction(min_slack, c.denominator),
                               min_sets, eq_sets, exhaustive)
 
@@ -366,6 +425,7 @@ class SearchResult:
     size_cap: int
     cap_form: str    # 'paper-odd-k', 'general' or 'trivial-average'
     exhaustive: bool
+    nodes: int       # engine adds the search made; a run statistic, left out of to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -418,37 +478,38 @@ def g_sidon_size_cap(d: int, k: int, g: int) -> Tuple[int, str]:
     return cap, form
 
 
-def _largest_g_sidon(codes: Sequence[int], k: int, g: int) -> List[int]:
+def _largest_g_sidon(engine: _PackedCounts, g: int) -> Tuple[List[int], int]:
     """First subset of the largest size, in ``itertools.combinations`` order, with every count <= g.
 
     Depth-first over increasing point indices, which meets the subsets of each
     size in ``itertools.combinations`` order, and only a strictly larger set
     replaces the best.  A prefix with a count above g is dropped with all its
     extensions (adding a point never lowers a count), and so is a prefix that
-    cannot outgrow the best set even with every point left.
+    cannot outgrow the best set even with every point left.  Also returns the
+    number of ``add`` calls made.
     """
+    codes, add, above = engine.codes, engine.add, engine.above
     n_points = len(codes)
-    counts = _RunningCounts(k, k * codes[-1] + 1)
     chosen: List[int] = []
     best: List[int] = []
+    nodes = 0
 
-    def extend(start: int) -> None:
-        nonlocal best
+    def extend(start: int, counts: Tuple[int, ...]) -> None:
+        nonlocal best, nodes
         for p in range(start, n_points):
             if len(chosen) + n_points - p <= len(best):
                 return
-            x = codes[p]
-            chosen.append(p)
-            # every count of the prefix is <= g, so only the touched ones can exceed it
-            if counts.add(x) <= g:
+            nodes += 1
+            grown = add(counts, codes[p])
+            if not above(grown[-1], g):
+                chosen.append(p)
                 if len(chosen) > len(best):
                     best = chosen[:]
-                extend(p + 1)
-            chosen.pop()
-            counts.undo(x)
+                extend(p + 1, grown)
+                chosen.pop()
 
-    extend(0)
-    return best
+    extend(0, engine.empty)
+    return best, nodes
 
 
 def max_size_g_sidon(d: int, k: int, g: int,
@@ -457,22 +518,36 @@ def max_size_g_sidon(d: int, k: int, g: int,
 
     The exhaustive search returns the first qualifying set of the largest size
     in ``itertools.combinations`` order; the sampled one keeps the first
-    strictly larger qualifying set of the stream.  Neither reads the size cap,
-    so a set above it is returned as found: ``best_size > size_cap`` refutes
-    the bound behind the cap.
+    strictly larger qualifying set of the stream, and stops folding a sampled
+    set at its first count above g.  Neither reads the size cap, so a set
+    above it is returned as found: ``best_size > size_cap`` refutes the bound
+    behind the cap.
     """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
     cap, cap_form = g_sidon_size_cap(d, k, g)
     n_points = 2**d
     codes = _codes(d, 1, k + 1)
     exhaustive = d <= EXHAUSTIVE_D_MAX
+    masks = None if exhaustive else _sampled_masks(d, search_cfg)
+    engine = _PackedCounts(codes, k, n_points)
     if exhaustive:
-        best = _largest_g_sidon(codes, k, g)
+        best, nodes = _largest_g_sidon(engine, g)
     else:
-        best = [0]
-        for s in _sampled_masks(d, search_cfg):
-            members = [p for p in range(n_points) if (s >> p) & 1]
-            if len(members) > len(best) and _fold_counts(members, codes, k)[1] <= g:
+        add, above = engine.add, engine.above
+        best, nodes = [0], 0
+        for s in masks:
+            members = [p for p in range(n_points) if s >> p & 1]
+            if len(members) <= len(best):
+                continue
+            counts = engine.empty
+            for p in members:
+                nodes += 1
+                counts = add(counts, codes[p])
+                if above(counts[-1], g):  # counts never fall: the set cannot qualify
+                    break
+            else:
                 best = members
-    return SearchResult(d, k, g, CubeSet(d, best), len(best), cap, cap_form, exhaustive)
+    return SearchResult(d, k, g, CubeSet(d, best), len(best), cap, cap_form, exhaustive, nodes)

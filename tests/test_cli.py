@@ -251,6 +251,26 @@ class TestSidon:
         assert rep["meta"]["search_s"] >= 0
         assert "search_s" not in rep["payload"]
 
+    def test_search_meta_reports_nodes(self, capsys):
+        # engine adds of the pruned walk; a run statistic, so not in the payload
+        _, rep = run_json(capsys, "sidon", "search", "--d", "4", "--k", "2", "--g", "2")
+        assert rep["meta"]["nodes"] == 5648
+        assert "nodes" not in rep["payload"]
+        _, rep = run_json(capsys, "sidon", "search", "--d", "5", "--k", "2", "--g", "2",
+                          "--samples", "50")
+        assert 0 < rep["meta"]["nodes"] < 50 * 32
+
+    @pytest.mark.parametrize("k", ["2", "3"])
+    def test_search_rejects_d_below_one(self, capsys, monkeypatch, k):
+        def refuse(*args):
+            raise AssertionError("engine built")
+
+        monkeypatch.setattr(sidon, "_PackedCounts", refuse)
+        assert run(["sidon", "search", "--d", "0", "--k", k, "--g", "1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "d must be >= 1, got 0" in captured.err
+
     @pytest.mark.parametrize("action", ["verify", "search", "classify"])
     def test_above_memory_cap_rejected(self, capsys, monkeypatch, tmp_path, action):
         # (k+1)^d = 81 count entries at d = 4, k = 2

@@ -106,49 +106,121 @@ class TestRepresentationCounts:
                                                if v == rep.max_count)
 
 
+def packed_engine(d, k, n):
+    return sidon._PackedCounts(gridfn._codes(d, 1, k + 1), k, n)
+
+
+def oracle_counts(d, k, members):
+    """P_k of ``members`` from the Fraction ``GridFn`` convolution, in code order."""
+    if not members:
+        return [0] * (k + 1) ** d
+    return list(convolve_many([CubeSet(d, members).indicator()] * k).values)
+
+
 class TestRunningCounts:
-    """The add/undo engine against the Fraction ``GridFn`` convolution of the set."""
+    """The packed running-count engine against the Fraction ``GridFn`` convolution of the set."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_random_add_undo_matches_fold(self, k):
+        # states are immutable, so an undo pops back to the parent's state
         rng = random.Random(7919 * k)
         for d in (1, 2, 3, 4):
-            codes = gridfn._codes(d, 1, k + 1)
-            counts = sidon._RunningCounts(k, k * codes[-1] + 1)
-            members, peaks = [], [0]  # peaks[i]: running max of the first i members
+            engine = packed_engine(d, k, 2**d)
+            members, states = [], [engine.empty]
             for _ in range(12 * d):
                 absent = [p for p in range(2**d) if p not in members]
                 if absent and (not members or rng.random() < 0.6):
                     p = rng.choice(absent)
-                    peaks.append(max(peaks[-1], counts.add(codes[p])))
+                    states.append(engine.add(states[-1], engine.codes[p]))
                     members.append(p)
                 else:
-                    counts.undo(codes[members.pop()])
-                    peaks.pop()
+                    members.pop()
+                    states.pop()
+                expected = oracle_counts(d, k, members)
+                top = states[-1][-1]
+                assert engine.unpack(top) == expected
+                assert engine.peak(top) == max(expected)
                 if members:
-                    expected = list(convolve_many([CubeSet(d, members).indicator()] * k).values)
-                else:
-                    expected = [0] * (k + 1) ** d
-                assert counts.top == expected
-                assert peaks[-1] == max(expected)
+                    assert engine.at_max(top, max(expected)) == [
+                        c for c, n in enumerate(expected) if n == max(expected)]
 
     def test_exhaustive_add_counts(self, monkeypatch):
         # the sweep adds each nonempty subset's last point once; the search
         # walks each surviving prefix once instead of once per candidate size
         adds = 0
-        add = sidon._RunningCounts.add
+        add = sidon._PackedCounts.add
 
-        def counted(self, x):
+        def counted(self, counts, x):
             nonlocal adds
             adds += 1
-            return add(self, x)
+            return add(self, counts, x)
 
-        monkeypatch.setattr(sidon._RunningCounts, "add", counted)
+        monkeypatch.setattr(sidon._PackedCounts, "add", counted)
         assert enumerate_verify(4, 2).min_slack == Fraction(578, 6561)
         assert adds == 2**16 - 1
         adds = 0
-        assert max_size_g_sidon(4, 2, 2).best_size == 7
-        assert adds <= 5676
+        res = max_size_g_sidon(4, 2, 2)
+        assert res.best_size == 7
+        assert adds == res.nodes <= 5676
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_singleton_fills_its_field(self, k):
+        # one point: its count 1 = n^k is the largest a w = 2 field holds
+        engine = packed_engine(2, k, 1)
+        assert engine.w == 2 and engine.limit == 1
+        for p, x in enumerate(engine.codes):
+            top = engine.fold([p])
+            assert engine.unpack(top) == oracle_counts(2, k, [p])
+            assert engine.above(top, 0) == 1 << (2 * k * x + 1)
+            assert engine.above(top, 1) == 0
+            assert engine.above(top, 10**40) == 0
+            assert engine.peak(top) == 1
+            assert engine.at_max(top, 1) == [k * x]
+
+    def test_k1_adjacent_full_fields(self):
+        # at k = 1 distinct points count at most 1 each, so n = 1 sizes any set:
+        # w = 2, and neighbouring fields both at the limit carry nothing
+        engine = packed_engine(3, 1, 1)
+        top = engine.fold(range(8))
+        assert engine.unpack(top) == [1] * 8
+        assert engine.above(top, 0) == engine.high and engine.above(top, 1) == 0
+        assert engine.at_max(top, 1) == list(range(8))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_guard_test_at_every_threshold(self, k):
+        rng = random.Random(k)
+        engine = packed_engine(3, k, 8)
+        assert engine.limit == 2 ** (engine.w - 1) - 1 >= 8**k
+        w = engine.w
+        for _ in range(4):
+            members = sorted(rng.sample(range(8), rng.randint(1, 8)))
+            top = engine.fold(members)
+            counts = oracle_counts(3, k, members)
+            # up to t = limit - 1, the field maximum less one, and past the limit
+            for t in list(range(max(counts) + 3)) + [engine.limit - 1, engine.limit,
+                                                      engine.limit + 1, 2**200]:
+                assert engine.above(top, t) == sum(1 << (c * w + w - 1)
+                                                   for c, n in enumerate(counts) if n > t)
+            assert engine.peak(top) == max(counts)
+
+    def test_full_count_field_keeps_guard_bit_clear(self):
+        # a field at n^k = 2^(w-1) - 1, the largest value below its guard bit
+        engine = packed_engine(2, 1, 3)
+        assert engine.limit == 3
+        top = engine.fold([2, 2, 2])  # one point thrice: a multiset of n = 3 points
+        assert engine.unpack(top) == [0, 0, 3, 0]
+        assert engine.above(top, 2) == 1 << (2 * 3 + 2)
+        assert engine.above(top, 3) == 0
+        assert engine.peak(top) == 3 and engine.at_max(top, 3) == [2]
+
+    def test_unpack_matches_oracle_d6(self):
+        rng = random.Random(6)
+        members = sorted(rng.sample(range(64), 23))
+        engine = packed_engine(6, 2, len(members))
+        top = engine.fold(members)
+        expected = oracle_counts(6, 2, members)
+        assert engine.unpack(top) == expected
+        assert engine.peak(top) == max(expected)
 
 
 class TestVerifyBound:
@@ -375,6 +447,37 @@ class TestMaxSizeSearch:
         res = max_size_g_sidon(5, 2, 4, SampleConfig(samples=60, seed=seed))
         assert len(best) > 1
         assert ["".join(map(str, p)) for p in res.best_set.points()] == best
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stochastic_stops_folding_at_first_count_above_g(self, monkeypatch, seed):
+        # sets no larger than the best are skipped; the rest are folded until a count passes g
+        adds = 0
+        add = sidon._PackedCounts.add
+
+        def counted(self, counts, x):
+            nonlocal adds
+            adds += 1
+            return add(self, counts, x)
+
+        monkeypatch.setattr(sidon._PackedCounts, "add", counted)
+        res = max_size_g_sidon(5, 2, 2, SampleConfig(samples=300, seed=seed))
+        folded, best = 0, ["00000"]
+        for A in brute_sampled_subsets(5, 300, seed):
+            if len(A) > len(best):
+                folded += len(A)
+                if brute_max_count(A, 2) <= 2:
+                    best = A
+        assert ["".join(map(str, p)) for p in res.best_set.points()] == best
+        assert adds == res.nodes < folded
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rejects_d_below_one_before_any_work(self, monkeypatch, k):
+        def refuse(*args):
+            raise AssertionError("engine built")
+
+        monkeypatch.setattr(sidon, "_PackedCounts", refuse)
+        with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+            max_size_g_sidon(0, k, 1)
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_stochastic_rejects_no_samples(self, samples):
