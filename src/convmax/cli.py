@@ -58,14 +58,6 @@ def export_report(payload, fmt: str = "json") -> bytes:
         return (json.dumps(payload, indent=2) + "\n").encode()
     if fmt == "text":
         return (_to_text(payload) + "\n").encode()
-    if fmt == "csv":
-        if isinstance(payload, dict) and "csv" in payload:
-            return payload["csv"].encode()
-        raise ValueError("csv format is only available for tabular reports")
-    if fmt == "plotdata":
-        if isinstance(payload, dict) and "plotdata" in payload:
-            return payload["plotdata"].encode()
-        raise ValueError("plotdata format is not available for this report")
     raise ValueError(f"unsupported format {fmt!r}")
 
 
@@ -90,8 +82,9 @@ def _rational(x: Fraction) -> dict:
     return {"exact": str(x), "decimal": float(x)}
 
 
-def _emit(report: dict, fmt: str, out: str | None) -> None:
-    data = export_report(report["payload"] if fmt in ("csv", "plotdata") else report, fmt)
+def _emit(report: dict, fmt: str, out: str | None, render=None) -> None:
+    """Write the report; ``render()`` gives the command's own ``csv``/``plotdata`` text."""
+    data = render().encode() if fmt in ("csv", "plotdata") else export_report(report, fmt)
     if out:
         with open(out, "wb") as fh:
             fh.write(data)
@@ -139,7 +132,8 @@ def _cmd_constant(args, argv) -> int:
             "passed": cert.passed,
         }
         violation |= not cert.passed
-    _emit(_wrap(argv, payload), args.format, args.out)
+    _emit(_wrap(argv, payload), args.format, args.out,
+          lambda: payload["plotdata"])
     return EXIT_VIOLATION if violation else EXIT_OK
 
 
@@ -263,10 +257,11 @@ def _cmd_sidon(args, argv) -> int:
 
 
 def _cmd_continuous(args, argv) -> int:
-    if args.export_steps is not None and args.export_steps < 1:
-        raise ValueError(f"--export-steps must be >= 1, got {args.export_steps}")
+    if args.export_steps is not None and not 1 <= args.export_steps <= args.m_max:
+        raise ValueError(f"--export-steps must be in 1..{args.m_max} (--m-max), "
+                         f"got {args.export_steps}")
     from .continuous import step_function_export, upper_bound_sequence
-    from .minimax import SolverConfig, diagonal_constant
+    from .minimax import SolverConfig
 
     cfg = SolverConfig(multistarts=args.multistarts, seed=args.seed)
     t0 = time.perf_counter()
@@ -277,13 +272,11 @@ def _cmd_continuous(args, argv) -> int:
         return EXIT_VIOLATION
     meta = {"table_s": time.perf_counter() - t0}
     payload = table.to_dict()
-    payload["csv"] = table.to_csv()
     if args.export_steps is not None:
-        t0 = time.perf_counter()
-        res = diagonal_constant(args.k, args.export_steps, cfg)
-        payload["step_function"] = step_function_export(res.argument[0], args.k).to_dict()
-        meta["export_s"] = time.perf_counter() - t0
-    _emit(_wrap(argv, payload, seed=args.seed, meta=meta), args.format, args.out)
+        row = table.rows[args.export_steps - 1]
+        payload["step_function"] = step_function_export(row.weights, args.k).to_dict()
+    _emit(_wrap(argv, payload, seed=args.seed, meta=meta), args.format, args.out,
+          table.to_csv)
     return EXIT_OK
 
 
@@ -362,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multistarts", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--export-steps", type=int, default=None,
-                   help="also export the step function for this m")
+                   help="also export the step function of table row m (1..--m-max)")
     common(p, "csv")
     p.set_defaults(func=_cmd_continuous)
 

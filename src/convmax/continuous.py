@@ -5,23 +5,23 @@ cells tiling the support (-1/(2k), 1/(2k)), and every discrete diagonal value
 gives the rigorous bound C_k <= k(m+1) Cbar_{k,m}.  The m = 1 row uses the
 exact closed form; rows for m >= 2 come from the diagonal solver, whose
 outputs are genuine upper estimates of Cbar_{k,m}, so every row is a valid
-upper bound.  This module never claims a value for C_k itself; the known
-lower bound 1.28 for k = 2 is an imported literature constant used only as a
-validity floor.
+upper bound.  Each row keeps the factor whose k-fold peak is its value, and
+the step-function export reads that factor.  This module never claims a value
+for C_k itself; the known lower bound 1.28 for k = 2 is an imported
+literature constant used only as a validity floor.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
 from .constants import continuous_upper_bound_m1, optimal_constant
 from .errors import BoundValidityError
-from .minimax import MinimaxResult, SolverConfig, diagonal_constant
+from .minimax import SolverConfig, diagonal_constant
 
 #: Known lower bound for the k = 2 continuous constant (literature value).
 KNOWN_LOWER_K2 = 1.28
@@ -34,6 +34,7 @@ class BoundRow:
     upper_bound: Union[Fraction, float]  # k (m+1) cbar
     converged: bool
     method: str
+    weights: List[float]   # the factor whose k-fold peak is cbar; not serialized
 
     def to_dict(self) -> dict:
         exact = isinstance(self.cbar, Fraction)
@@ -63,9 +64,6 @@ class BoundTable:
             "known_lower": self.known_lower,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -83,20 +81,15 @@ def upper_bound_sequence(k: int, m_max: int,
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     cfg = cfg or SolverConfig()
-    rows: List[BoundRow] = []
-    c1 = optimal_constant(k)
-    rows.append(BoundRow(1, c1, continuous_upper_bound_m1(k), True, "closed-form"))
-    prev_result: Optional[MinimaxResult] = None
+    rows = [BoundRow(1, optimal_constant(k), continuous_upper_bound_m1(k), True,
+                     "closed-form", diagonal_constant(k, 1, cfg).argument[0])]
     for m in range(2, m_max + 1):
         # chain the zero-padded previous optimum in as a seed; the m = 1
         # optimum is already a built-in seed of the diagonal solver
-        extra = None
-        if prev_result is not None:
-            extra = [list(prev_result.argument[0]) + [0.0]]
+        extra = [rows[-1].weights + [0.0]] if m > 2 else None
         res = diagonal_constant(k, m, cfg, extra_seeds=extra)
         rows.append(BoundRow(m, res.value, k * (m + 1) * res.value,
-                             res.converged, res.method))
-        prev_result = res
+                             res.converged, res.method, res.argument[0]))
     converged_rows = [r for r in rows if r.converged]
     best = min(float(r.upper_bound) for r in converged_rows)
     lower = KNOWN_LOWER_K2 if k == 2 else None

@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import List, Optional, Sequence, Tuple
@@ -74,7 +74,6 @@ class MinimaxResult:
     k: int
     m: int
     value_exact: Optional[Fraction] = None
-    config: Optional[SolverConfig] = None
 
     def to_dict(self) -> dict:
         d = {
@@ -88,7 +87,6 @@ class MinimaxResult:
             "method": self.method,
             "iterations": self.iterations,
             "converged": self.converged,
-            "config": asdict(self.config) if self.config is not None else None,
         }
         return d
 
@@ -238,7 +236,6 @@ def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.
         diagonal=diagonal,
         k=k,
         m=m,
-        config=cfg,
     )
 
 
@@ -362,7 +359,6 @@ def diagonal_constant(k: int, m: int, cfg: Optional[SolverConfig] = None,
             k=k,
             m=m,
             value_exact=v,
-            config=cfg,
         )
 
     seeds: List[np.ndarray] = [np.full(m + 1, 1.0 / (m + 1)), _padded_m1(k, m)]

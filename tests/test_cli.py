@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import convmax.continuous
@@ -44,6 +45,9 @@ class TestConstant:
         assert len(lines) == 1001
         x, y = map(float, lines[0].split())
         assert (x, y) == (0.0, 1.0)
+        # the rendered text is the payload's own plotdata
+        _, rep = run_json(capsys, "constant", "--k", "2", "--profile")
+        assert out == rep["payload"]["plotdata"]
 
     def test_bad_k(self, capsys):
         assert run(["constant", "--k", "0"]) == EXIT_USAGE
@@ -308,6 +312,11 @@ class TestContinuous:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert out.splitlines()[0] == "m,cbar,bound,converged"
+        table = convmax.continuous.upper_bound_sequence(2, 2, SolverConfig(multistarts=4, seed=0))
+        assert out == table.to_csv()
+        # the csv is rendered from the table, not stored in the payload
+        _, rep = run_json(capsys, "continuous", "--k", "2", "--m-max", "2", "--multistarts", "4")
+        assert "csv" not in rep["payload"]
 
     def test_export_steps(self, capsys):
         code, rep = run_json(capsys, "continuous", "--k", "2", "--m-max", "2",
@@ -318,11 +327,19 @@ class TestContinuous:
         assert sf["breakpoints"][-1] == 0.25
         assert len(sf["heights"]) == 3
 
+    def test_export_steps_realizes_its_row(self, capsys):
+        code, rep = run_json(capsys, "continuous", "--k", "2", "--m-max", "8",
+                             "--export-steps", "8", "--multistarts", "4", "--seed", "0")
+        assert code == EXIT_OK
+        h = rep["payload"]["step_function"]["heights"]
+        peak = np.convolve(h, h).max()
+        assert abs(peak - rep["payload"]["rows"][7]["cbar_decimal"]) <= 1e-15
+
     def test_meta_reports_phase_times(self, capsys):
         _, rep = run_json(capsys, "continuous", "--k", "2", "--m-max", "2",
                           "--export-steps", "2", "--multistarts", "2")
         assert rep["meta"]["table_s"] >= 0
-        assert rep["meta"]["export_s"] >= 0
+        assert "export_s" not in rep["meta"]
         assert "table_s" not in rep["payload"] and "export_s" not in rep["payload"]
         _, rep = run_json(capsys, "continuous", "--k", "2")
         assert rep["meta"]["table_s"] >= 0
@@ -382,6 +399,9 @@ class TestOutput:
                      convmax.minimax, "grid_oracle", id="solve-grid-csv"),
         pytest.param(["continuous", "--k", "2", "--format", "plotdata"],
                      convmax.continuous, "upper_bound_sequence", id="continuous-plotdata"),
+        pytest.param(["continuous", "--k", "2", "--m-max", "2", "--export-steps", "3"],
+                     convmax.continuous, "upper_bound_sequence",
+                     id="continuous-export-steps-above-m-max"),
         pytest.param(["pb", "--p", "1/2", "--format", "csv"], cli.pb, "pb_pmf", id="pb-csv"),
         pytest.param(["constant", "--k", "2", "--format", "plotdata"],
                      cli, "optimal_constant_d", id="constant-plotdata-without-profile"),

@@ -64,7 +64,7 @@ class TestUpperBoundSequence:
 class TestSerialization:
     def test_json(self):
         table = upper_bound_sequence(2, 2, FAST)
-        data = json.loads(table.to_json())
+        data = json.loads(json.dumps(table.to_dict()))
         assert data["k"] == 2
         assert data["rows"][0]["upper_bound"] == "16/9"
         assert data["rows"][1]["converged"] is True

@@ -342,8 +342,9 @@ class TestResultSerialization:
     def test_to_dict_fields(self):
         d = diagonal_constant(2, 1).to_dict()
         for key in ("k", "m", "value", "value_exact", "argument",
-                    "shared_modes", "method", "converged", "config"):
+                    "shared_modes", "method", "converged"):
             assert key in d
-        # seed and tolerance live in config only
+        # the solver config lives in the report's top-level config only
+        assert "config" not in d
         assert "seed" not in d and "tolerance" not in d
         assert d["value_exact"] == "4/9"
