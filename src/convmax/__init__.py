@@ -19,9 +19,7 @@ from .gridfn import (
     GridFn,
     convolve,
     convolve_many,
-    format_gridfn,
     l1_norm,
-    parse_gridfn,
     product_function,
     ratio,
     sup_norm,

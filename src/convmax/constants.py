@@ -24,13 +24,12 @@ implements the k-version.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
-from .gridfn import GridFn, ratio
+from .gridfn import GridFn, product_function, ratio
 
 #: Largest k accepted by the exact verification helpers.
 K_BUDGET = 64
@@ -61,6 +60,7 @@ def optimal_constant_d(k: int, d: int) -> Fraction:
 def extremal_function(k: int, d: int) -> GridFn:
     """A function attaining equality for k factors on {0,1}^d.
 
+    The d-fold tensor product of (floor(k/2) + 1, k - floor(k/2)), so
     f(x) = (k - floor(k/2))^(sum x) * (floor(k/2) + 1)^(d - sum x); constant
     ((k+1)/2)^d when k is odd.
     """
@@ -68,10 +68,7 @@ def extremal_function(k: int, d: int) -> GridFn:
         raise ValueError(f"k must be >= 1, got {k}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    hi = k - k // 2
-    lo = k // 2 + 1
-    vals = [hi ** sum(p) * lo ** (d - sum(p)) for p in itertools.product((0, 1), repeat=d)]
-    return GridFn(d, 1, vals)
+    return product_function([GridFn(1, 1, (k // 2 + 1, k - k // 2))] * d)
 
 
 @dataclass(frozen=True)
@@ -94,8 +91,13 @@ def verify_sharpness(k: int, d: int) -> SharpnessCertificate:
 
 
 def envelope_value(k: int, x: Fraction) -> Fraction:
-    """max_{0<=i<=k} binom(k,i) x^(k-i) (1-x)^i at a point of [0,1]."""
-    return max(math.comb(k, i) * x ** (k - i) * (1 - x) ** i for i in range(k + 1))
+    """max_{0<=i<=k} binom(k,i) x^(k-i) (1-x)^i at a point x = n/q of [0,1].
+
+    Computed on integers as max_i binom(k,i) n^(k-i) (q-n)^i over q^k.
+    """
+    n, q = x.numerator, x.denominator
+    return Fraction(max(math.comb(k, i) * n ** (k - i) * (q - n) ** i for i in range(k + 1)),
+                    q**k)
 
 
 @dataclass(frozen=True)

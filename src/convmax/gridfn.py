@@ -3,7 +3,7 @@
 Values are either exact (int / Fraction) or binary64 floats.  Exact -> float
 conversion is allowed anywhere; float -> exact is refused so no precision is
 laundered into "exact" results.  Storage is a dense row-major table with the
-first coordinate slowest, so serialized tables are portable.
+first coordinate slowest.
 """
 
 from __future__ import annotations
@@ -210,32 +210,3 @@ def product_function(axes: Sequence[GridFn]) -> GridFn:
         vals.append(math.prod(h.values[x] for h, x in zip(axes, point)))
     return GridFn(d, m, vals)
 
-
-# ---------------------------------------------------------------------------
-# Text format: header line "d m", then (m+1)^d lines of rational literals in
-# row-major order; '#' begins a comment line.
-# ---------------------------------------------------------------------------
-
-def format_gridfn(f: GridFn) -> str:
-    if not f.is_exact:
-        raise TypeError("the text format stores exact rationals only")
-    lines = [f"{f.d} {f.m}"]
-    lines.extend(str(Fraction(v)) for v in f.values)
-    return "\n".join(lines) + "\n"
-
-
-def parse_gridfn(text: str) -> GridFn:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line)
-    if not rows:
-        raise ValueError("empty grid file")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad header {rows[0]!r}, expected 'd m'")
-    d, m = int(head[0]), int(head[1])
-    vals = [Fraction(tok) for tok in rows[1:]]
-    return GridFn(d, m, vals)

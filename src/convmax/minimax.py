@@ -61,6 +61,10 @@ class SolverConfig:
     multistarts: int = 64
     seed: int = 0
 
+    def __post_init__(self):
+        if self.multistarts < 1:
+            raise ValueError(f"multistarts must be >= 1, got {self.multistarts}")
+
 
 @dataclass
 class MinimaxResult:
@@ -212,8 +216,6 @@ def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.
 
     ``starts`` is padded to ``cfg.multistarts`` with seeded random starts of the same shape.
     """
-    if cfg.multistarts < 1:
-        raise ValueError(f"multistarts must be >= 1, got {cfg.multistarts}")
     starts = list(starts)
     rng = np.random.default_rng(cfg.seed)
     while len(starts) < cfg.multistarts:

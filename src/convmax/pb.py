@@ -15,6 +15,10 @@ reads all k ratios off one built pmf and marks undefined ones None.
 ``lagrange_residuals`` builds one leave-one-out pmf per coordinate and
 returns every defined residual.
 
+``differences`` gives the zero-padded D_0..D_{k+1}, D_j = f_j - f_{j-1} with
+f_{-1} = f_{k+1} = 0: the coefficients of (1-z) P(z).  Every rule here that
+reads differences reads that one table.
+
 The successive-difference Newton inequality is implemented with the full
 parameter vector on both sides (the source display truncates the argument of
 the last factor, which is a typo).  The likelihood ratios are also concave in
@@ -69,19 +73,6 @@ class PBDist:
         if 0 <= i <= self.k:
             return self.pmf[i]
         return 0
-
-
-@dataclass(frozen=True)
-class DiffSeq:
-    """Successive differences D_j = f_j - f_{j-1} for j = 1..k."""
-
-    k: int
-    diffs: Tuple[Prob, ...]
-
-    def __getitem__(self, j: int) -> Prob:
-        if 1 <= j <= self.k:
-            return self.diffs[j - 1]
-        raise IndexError(f"difference index {j} outside 1..{self.k}")
 
 
 def _pmf_values(p: Sequence[Prob]) -> List[Prob]:
@@ -167,10 +158,14 @@ def likelihood_ratios(dist: PBDist) -> List[Optional[Prob]]:
             for i in range(1, dist.k + 1)]
 
 
-def differences(dist: PBDist) -> DiffSeq:
-    """Successive differences of the pmf; telescopes to f_k - f_0."""
-    d = tuple(dist.pmf[j] - dist.pmf[j - 1] for j in range(1, dist.k + 1))
-    return DiffSeq(dist.k, d)
+def _diffs(f: Sequence[Prob]) -> List[Prob]:
+    """D_0..D_{k+1} of the pmf f_0..f_k: D_j = f_j - f_{j-1}, with f_{-1} = f_{k+1} = 0."""
+    return [b - a for a, b in zip([0, *f], [*f, 0])]
+
+
+def differences(dist: PBDist) -> Tuple[Prob, ...]:
+    """Zero-padded successive differences D_0..D_{k+1}; D_1..D_k telescope to f_k - f_0."""
+    return tuple(_diffs(dist.pmf))
 
 
 def intersection_point(p_rest: Sequence[Prob], i: int) -> Optional[Prob]:
@@ -183,9 +178,9 @@ def intersection_point(p_rest: Sequence[Prob], i: int) -> Optional[Prob]:
     k = len(p_rest) + 1
     if not 1 <= i <= k:
         raise ValueError(f"index i={i} outside 1..{k}")
-    f = pb_pmf(p_rest)  # f_{k-1, .}
-    num = f[i - 1] - f[i]
-    den = 2 * f[i - 1] - f[i] - f[i - 2]
+    D = _diffs(_pmf_values(p_rest))  # D_{k-1, .}
+    num = -D[i]
+    den = D[i - 1] - D[i]
     if den == 0:
         return None
     p = _quotient(num, den)
@@ -245,7 +240,7 @@ def check_newton_differences(dist: PBDist) -> NewtonReport:
     if dist.k < 3:
         raise ValueError(f"need k >= 3 for three consecutive differences, got k={dist.k}")
     k = dist.k
-    d = differences(dist)
+    d = _diffs(dist.pmf)
     margins = []
     for i in range(2, k):
         factor = Fraction((i + 1) * (k - i + 2), i * (k - i + 1))
@@ -270,8 +265,7 @@ def partial_derivative(p: Sequence[Prob], i: int, j: int) -> Prob:
         raise ValueError("need k >= 2 to remove a coordinate")
     if not 0 <= i <= len(p):
         raise ValueError(f"pmf index i={i} outside 0..{len(p)}")
-    f = pb_pmf(_drop(p, j))
-    return f[i - 1] - f[i]
+    return -_diffs(_pmf_values(_drop(p, j)))[i]
 
 
 def lagrange_residuals(p: Sequence[Prob]) -> Dict[int, Prob]:
@@ -287,10 +281,8 @@ def lagrange_residuals(p: Sequence[Prob]) -> Dict[int, Prob]:
     p = _validate_params(p)
     _require_interior(p)
     k = len(p)
-    diffs = []  # diffs[j][i] = D_{k-1,i}(p'_j) for i = 0..k
-    for j in range(k):
-        f = _pmf_values(_drop(p, j))
-        diffs.append([b - a for a, b in zip([0] + f, f + [0])])
+    # diffs[j][i] = D_{k-1,i}(p'_j) for i = 0..k
+    diffs = [_diffs(_pmf_values(_drop(p, j))) for j in range(k)]
     residuals = {}
     for i in range(1, k + 1):
         if all(D[i] != 0 for D in diffs):
@@ -311,13 +303,11 @@ def mobius_ratio(p_rest2: Sequence[Prob], i: int, y: Prob) -> Prob:
     """
     p_rest2 = _validate_params(p_rest2)
     _require_interior(p_rest2)
-    f = pb_pmf(p_rest2)
-
-    def D(j: int) -> Prob:
-        return f[j] - f[j - 1]
-
-    num = y * (D(i - 2) - D(i - 1)) + D(i - 1)
-    den = y * (D(i - 1) - D(i)) + D(i)
+    if not 2 <= i <= len(p_rest2) + 1:
+        raise ValueError(f"index i={i} outside 2..{len(p_rest2) + 1}")
+    D = _diffs(_pmf_values(p_rest2))
+    num = y * (D[i - 2] - D[i - 1]) + D[i - 1]
+    den = y * (D[i - 1] - D[i]) + D[i]
     if den == 0:
         raise ZeroDenominator(f"Lambda denominator vanishes at y={y}")
     return _quotient(num, den)

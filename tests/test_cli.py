@@ -92,11 +92,13 @@ class TestSolve:
     @pytest.mark.parametrize("mode", ["diagonal", "general"])
     @pytest.mark.parametrize("starts", ["0", "-3"])
     def test_multistarts_below_one_rejected(self, capsys, mode, starts):
-        argv = ["solve", "--k", "2", "--m", "2", "--mode", mode, "--multistarts", starts]
-        assert run(argv) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "multistarts must be >= 1" in captured.err
+        # m = 1 takes the exact route, which runs no multistart
+        for m in ("1", "2"):
+            argv = ["solve", "--k", "2", "--m", m, "--mode", mode, "--multistarts", starts]
+            assert run(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "multistarts must be >= 1" in captured.err
 
     @pytest.mark.parametrize("mode", ["diagonal", "general"])
     def test_over_budget_grid_rejected_before_solving(self, capsys, monkeypatch, mode):
@@ -347,10 +349,12 @@ class TestContinuous:
 
     @pytest.mark.parametrize("starts", ["0", "-3"])
     def test_multistarts_below_one_rejected(self, capsys, starts):
-        assert run(["continuous", "--k", "2", "--m-max", "2", "--multistarts", starts]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "multistarts must be >= 1" in captured.err
+        for m_max in ("1", "2"):
+            argv = ["continuous", "--k", "2", "--m-max", m_max, "--multistarts", starts]
+            assert run(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "multistarts must be >= 1" in captured.err
 
     @pytest.mark.parametrize("steps", ["0", "-2"])
     def test_export_steps_below_one_rejected(self, capsys, steps):

@@ -12,9 +12,7 @@ from convmax.gridfn import (
     as_exact,
     convolve,
     convolve_many,
-    format_gridfn,
     l1_norm,
-    parse_gridfn,
     product_function,
     ratio,
     sup_norm,
@@ -263,24 +261,3 @@ class TestProductFunction:
             assert ratio(fs) == math.prod(
                 ratio([axes[i][t] for i in range(k)]) for t in range(d)
             )
-
-
-class TestTextFormat:
-    def test_roundtrip(self, rng):
-        for _ in range(10):
-            f = random_exact_gridfn(rng, rng.randint(1, 2), rng.randint(1, 3))
-            assert parse_gridfn(format_gridfn(f)).values == f.values
-
-    def test_comments_and_integers(self):
-        text = "# a grid\n1 2\n1\n# middle\n2/3\n0\n"
-        f = parse_gridfn(text)
-        assert (f.d, f.m) == (1, 2)
-        assert f.values == (1, Fraction(2, 3), 0)
-
-    def test_float_grid_not_serializable(self):
-        with pytest.raises(TypeError):
-            format_gridfn(g1(0.5, 0.5))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            parse_gridfn("# nothing\n")

@@ -1,9 +1,10 @@
 """SHA-256 pins of the deterministic ``payload`` of exact, seeded CLI calls.
 
 A change that keeps behaviour keeps these bytes.  The digest is taken over
-``json.dumps(payload, indent=2)`` of the report written with ``--out``.  Float
-commands (``solve``, ``continuous``, ``selftest``, ``pb`` on floats) are left
-out: their digits depend on the numpy and BLAS build.  The exact half of
+``json.dumps(payload, indent=2)`` of the report written with ``--out``.  The
+solver commands (``solve``, ``continuous``, ``selftest``) are left out: their
+digits depend on the numpy and BLAS build.  ``pb`` on floats is pinned, since
+it is pure-Python IEEE arithmetic with no numpy.  The exact half of
 ``solve --grid``, the grid oracle, is pinned on its own over
 ``json.dumps(GridOracleResult.to_dict(), indent=2)``.
 """
@@ -41,6 +42,8 @@ PINNED = [
      "747fda33a334a2b6da76d80e9507b76385a89a65ad762a78465a6a2f81b7e747"),
     ("pb --p 1/5,2/7,1/2,3/4,5/6", EXIT_OK,
      "0db540538fb2b4006ba6067711c12600b8afe817d9367c7fa65bc205f47da2be"),
+    ("pb --p 0.2,0.7,0.4", EXIT_OK,
+     "f4750f765660c77faa4049763c19c6fc113efa1b090e24b1099e31d0d26cf28b"),
     ("constant --k 3 --profile", EXIT_OK,
      "60c95a7d39507ecee6147711858523bd47638506a32df6db14c5b20e1c64e587"),
     ("constant --k 4 --d 2 --sharpness", EXIT_OK,

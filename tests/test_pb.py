@@ -168,17 +168,16 @@ class TestLikelihoodRatio:
 
 class TestDifferences:
     def test_fair_coins(self):
+        # zero-padded: D_0 = f_0 and D_4 = -f_3
         d = differences(pb_pmf(HALF3))
-        assert d.diffs == (Fraction(1, 4), 0, Fraction(-1, 4))
-        assert d[1] == Fraction(1, 4)
-        with pytest.raises(IndexError):
-            d[0]
+        assert d == (Fraction(1, 8), Fraction(1, 4), 0, Fraction(-1, 4), Fraction(-1, 8))
 
     def test_telescopes(self, rng):
         for _ in range(25):
             dist = pb_pmf(rand_exact_p(rng, rng.randint(1, 8)))
             d = differences(dist)
-            assert sum(d.diffs) == dist.pmf[-1] - dist.pmf[0]
+            assert sum(d[1:-1]) == dist.pmf[-1] - dist.pmf[0]
+            assert sum(d) == 0
 
 
 class TestIntersectionPoint:
@@ -250,7 +249,7 @@ class TestNewtonDifferences:
         # the weaker claim with the degree-k binomial factor fails on real pmfs;
         # witness found by exact search, frozen here
         p = tuple(Fraction(n, 40) for n in (25, 21, 37, 16, 19, 12, 13, 12, 3))
-        d = differences(pb_pmf(p)).diffs
+        d = differences(pb_pmf(p))[1:-1]
         k = len(p)
         bad = False
         for i in range(2, k):
@@ -362,3 +361,9 @@ class TestMobiusRatio:
         y = Fraction(-D2, D1 - D2)
         with pytest.raises(ZeroDenominator):
             mobius_ratio((Fraction(1, 2), Fraction(1, 2)), 2, y)
+
+    @pytest.mark.parametrize("i", [-1, 0, 1, 4])
+    def test_bad_index(self, i):
+        # valid indices for two parameters are 2..3; a negative one must not wrap
+        with pytest.raises(ValueError):
+            mobius_ratio((Fraction(1, 3), Fraction(1, 2)), i, Fraction(1, 2))
