@@ -275,8 +275,8 @@ def _cmd_continuous(args, argv) -> int:
     if args.export_steps is not None:
         row = table.rows[args.export_steps - 1]
         payload["step_function"] = step_function_export(row.weights, args.k).to_dict()
-    _emit(_wrap(argv, payload, seed=args.seed, meta=meta), args.format, args.out,
-          table.to_csv)
+    _emit(_wrap(argv, payload, config=asdict(cfg), seed=args.seed, meta=meta),
+          args.format, args.out, table.to_csv)
     return EXIT_OK
 
 

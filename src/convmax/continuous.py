@@ -1,14 +1,15 @@
 """Upper bounds for the continuous autoconvolution constant via step functions.
 
 A weight vector on {0,...,m} corresponds to a step function with m+1 equal
-cells tiling the support (-1/(2k), 1/(2k)), and every discrete diagonal value
-gives the rigorous bound C_k <= k(m+1) Cbar_{k,m}.  The m = 1 row uses the
-exact closed form; rows for m >= 2 come from the diagonal solver, whose
-outputs are genuine upper estimates of Cbar_{k,m}, so every row is a valid
-upper bound.  Each row keeps the factor whose k-fold peak is its value, and
-the step-function export reads that factor.  This module never claims a value
-for C_k itself; the known lower bound 1.28 for k = 2 is an imported
-literature constant used only as a validity floor.
+cells tiling the support (-1/(2k), 1/(2k)), and the k-fold peak of any such
+vector w bounds C_k <= k(m+1) max(w^{*k}).  The m = 1 row uses the exact
+closed form and is a proven bound.  Rows for m >= 2 are float estimates:
+k(m+1) times the float peak of the diagonal solver's factor, not re-evaluated
+in exact arithmetic, so rounding is not yet excluded.  Each row keeps the
+factor whose k-fold peak is its value, and the step-function export reads
+that factor.  This module never claims a value for C_k itself; the known
+lower bound 1.28 for k = 2 is an imported literature constant used only as
+a validity floor.
 """
 
 from __future__ import annotations

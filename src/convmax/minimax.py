@@ -11,14 +11,17 @@ random starts, and reduced to the best start.
 * ``diagonal_constant`` — one factor used k times.  At m = 1 the objective is
   the one-dimensional diagonal envelope, minimized exactly over its rational
   crossing points.  For m > 1 the starts are the uniform weights, the
-  zero-padded m = 1 optimum, coarse-grid points and caller-chained seeds.
+  zero-padded m = 1 optimum, the best points of a coarse simplex grid
+  (``_coarse_grid_seeds``: m <= 26 only, filtered by one FFT power of the
+  whole grid) and caller-chained seeds.
 
 The independent cross-checks are exact:
 
-* ``grid_oracle`` — exhaustive exact sweep over simplex grid points with
-  denominator n.  It folds integer numerators with ``gridfn._convolve_seq``
-  (each factor a numerator over n, a k-fold one over n^k), shares every
-  prefix fold in general mode and builds Fractions only for the minimiser.
+* ``grid_oracle`` — exhaustive exact sweep over the simplex grid points
+  with denominator n (``_simplex_grid``, in lexicographic order).  It folds
+  integer numerators with ``gridfn._convolve_seq`` (each factor a numerator
+  over n, a k-fold one over n^k), shares every prefix fold in general mode
+  and builds Fractions only for the minimiser.
   Its minimum is an upper bound for the true constant and is exactly the
   best value any solver restricted to that grid can reach.
 * the m = 1 closed forms: ``_diagonal_envelope_exact``,
@@ -54,6 +57,9 @@ from .pb import intersection_point, pb_pmf
 
 #: Tolerance for the mode-sharing certificate (``shared_modes``).
 CERT_TOL = 1e-7
+
+#: Most grid points (tuples in general mode) that ``grid_oracle`` sweeps.
+GRID_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -112,9 +118,20 @@ def _conv_matrix(c: np.ndarray, m: int) -> np.ndarray:
     return M
 
 
-def _shared_modes(profile: np.ndarray, tol: float) -> List[int]:
+def _shared_modes(profile: np.ndarray) -> List[int]:
     top = float(np.max(profile))
-    return [i for i, v in enumerate(profile) if v >= top - tol]
+    return [i for i, v in enumerate(profile) if v >= top - CERT_TOL]
+
+
+def _simplex_grid(m: int, n: int) -> np.ndarray:
+    """Integer numerators of the simplex grid points with denominator n, one per row.
+
+    The m bars of each ``combinations(range(n + m), m)`` split n stars into
+    m + 1 cells, so the rows come in lexicographic order.
+    """
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n + m), m)),
+                       dtype=np.intp).reshape(-1, m)
+    return np.diff(bars, prepend=-1, append=n + m) - 1
 
 
 def _clean_weights(w: np.ndarray) -> np.ndarray:
@@ -231,7 +248,7 @@ def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.
     return MinimaxResult(
         value=best_v,
         argument=[list(map(float, w)) for w in best_ws],
-        shared_modes=_shared_modes(profile, CERT_TOL),
+        shared_modes=_shared_modes(profile),
         method="slsqp",
         iterations=total_nit,
         converged=best_ok,
@@ -257,79 +274,33 @@ def general_constant(k: int, m: int, cfg: Optional[SolverConfig] = None) -> Mini
 # Diagonal constant: all factors equal
 # ---------------------------------------------------------------------------
 
-#: Most cells (rows x columns) in one array of a ``_coarse_grid_seeds`` block.
-_BLOCK_CELLS = 1 << 14
+#: Seeds that ``_coarse_grid_seeds`` returns.
+GRID_SEEDS = 3
 
 
-def _grid_blocks(m: int, n: int, rows: int):
-    """Integer numerators of the simplex grid points with denominator n, as count rows.
+def _coarse_grid_seeds(k: int, m: int) -> List[np.ndarray]:
+    """The ``GRID_SEEDS`` best points of the diagonal simplex grid with denominator n.
 
-    Points come in blocks of at most ``rows``, in
-    ``combinations_with_replacement(range(m, -1, -1), n)`` order: mass on the
-    last coordinates comes first, so small weight tuples come early.
-    """
-    combos = itertools.combinations_with_replacement(range(m, -1, -1), n)
-    while True:
-        idx = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, rows)),
-                          dtype=np.intp).reshape(-1, n)
-        if not len(idx):
-            return
-        flat = idx + (m + 1) * np.arange(len(idx))[:, None]
-        yield np.bincount(flat.ravel(), minlength=len(idx) * (m + 1)).reshape(-1, m + 1)
-
-
-def _block_peaks(counts: np.ndarray, k: int) -> np.ndarray:
-    """Float64 peak of the k-fold self-convolution of each row of ``counts``.
-
-    Each fold adds one shifted, scaled copy of the running fold per support
-    entry of the row, so a fold costs max-support numpy ops, not m + 1.
-    """
-    r, m = counts.shape[0], counts.shape[1] - 1
-    rows, cols = np.nonzero(counts)
-    # (pos, mult)[row, j]: the j-th support entry of the row and its count (0 = padding)
-    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
-    pos = np.zeros((r, slot.max() + 1), dtype=np.intp)
-    mult = np.zeros(pos.shape)
-    pos[rows, slot] = cols
-    mult[rows, slot] = counts[rows, cols]
-    acc = counts.astype(float)
-    for _ in range(k - 1):
-        width = acc.shape[1] + m
-        out = np.zeros((r, width))
-        base = width * np.arange(r)[:, None] + np.arange(acc.shape[1])
-        for j in range(pos.shape[1]):
-            out.ravel()[base + pos[:, j, None]] += mult[:, j, None] * acc
-        acc = out
-    return acc.max(axis=1)
-
-
-def _coarse_grid_seeds(k: int, m: int, top: int = 3) -> List[np.ndarray]:
-    """The ``top`` best points of the diagonal simplex grid with denominator n.
-
-    n is the largest denominator >= 2 whose grid has at most 4000 points,
-    except that the n >= 2 floor gives C(m+2, 2) points from m = 88 on
-    (8 515 at m = 129, 33 930 at m = 259).  Points are ranked by the float
-    peak ``_peak([w] * k)``, then by the weight tuple.  A float64 block score
-    of each point's integer counts only filters: the points within a relative
-    1e-9 of the ``top``-th smallest score are rescored with ``_peak``, since
-    float rounding in either score can break exact ties either way.
+    n is the largest denominator whose grid has at most 4000 points.  Below
+    n = 3, that is for every m >= 27, there are no seeds: every two-cell
+    point (delta_i + delta_j) / 2 has the same k-fold peak, so that grid
+    ranks nothing.  Points are ranked by the float peak ``_peak([w] * k)``,
+    then by the weight tuple.  An FFT power of all grid weights at once only
+    filters: the points within a relative 1e-9 of the ``GRID_SEEDS``-th
+    smallest FFT score are rescored with ``_peak``, since float rounding in
+    either score can break exact ties either way.
     """
     n = 2
     while math.comb(n + 1 + m, m) <= 4000:
         n += 1
-    rows = max(1, _BLOCK_CELLS // max(n, k * m + 1))
-    scores = np.concatenate([_block_peaks(c, k) for c in _grid_blocks(m, n, rows)])
-    cut = np.partition(scores, top - 1)[top - 1] * (1 + 1e-9)
-
-    def near_best():
-        start = 0
-        for counts in _grid_blocks(m, n, rows):
-            keep = scores[start:start + len(counts)] <= cut
-            start += len(counts)
-            for w in counts[keep] / n:
-                yield _peak([w] * k), tuple(w.tolist())
-
-    return [np.array(w) for _, w in heapq.nsmallest(top, near_best())]
+    if n < 3:
+        return []
+    weights = _simplex_grid(m, n) / n
+    size = k * m + 1
+    scores = np.fft.irfft(np.fft.rfft(weights, size) ** k, size).max(axis=1)
+    cut = np.partition(scores, GRID_SEEDS - 1)[GRID_SEEDS - 1] * (1 + 1e-9)
+    near_best = ((_peak([w] * k), tuple(w.tolist())) for w in weights[scores <= cut])
+    return [np.array(w) for _, w in heapq.nsmallest(GRID_SEEDS, near_best)]
 
 
 def diagonal_constant(k: int, m: int, cfg: Optional[SolverConfig] = None,
@@ -393,15 +364,6 @@ class GridOracleResult:
         }
 
 
-def _compositions(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for i in range(n + 1):
-        for rest in _compositions(n - i, parts - 1):
-            yield (i,) + rest
-
-
 def _prefix_folds(comps: Sequence[tuple], k: int):
     """(tuple, fold) for every k-tuple of ``comps`` in ``itertools.product`` order.
 
@@ -417,8 +379,7 @@ def _prefix_folds(comps: Sequence[tuple], k: int):
             yield prefix + (c,), _convolve_seq(acc, c)
 
 
-def grid_oracle(k: int, m: int, n: int, diagonal: bool = False,
-                budget: int = 2_000_000) -> GridOracleResult:
+def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleResult:
     """Exact sweep of simplex points with weight denominator n.
 
     The grid minimum is an upper bound for the true constant.  Weights are
@@ -430,10 +391,10 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False,
         raise ValueError(f"need k >= 2, m >= 1, n >= 1; got k={k}, m={m}, n={n}")
     per = math.comb(n + m, m)
     total = per if diagonal else per**k
-    if total > budget:
-        raise BudgetExceeded(f"{total} grid points exceed budget {budget}")
+    if total > GRID_BUDGET:
+        raise BudgetExceeded(f"{total} grid points exceed budget {GRID_BUDGET}")
 
-    comps = list(_compositions(n, m + 1))
+    comps = _simplex_grid(m, n).tolist()
     if diagonal:
         folds = (((c,), reduce(_convolve_seq, (c,) * k)) for c in comps)
     else:

@@ -13,6 +13,7 @@ from typing import Dict
 
 from . import pb
 from .constants import optimal_constant, verify_sharpness
+from .continuous import KNOWN_LOWER_K2
 from .gridfn import GridFn, convolve_many
 from .minimax import (
     SolverConfig,
@@ -136,9 +137,11 @@ def run_selftest(seed: int = 42) -> Dict:
     payload["sidon"] = {"sweeps": sid, "ok": sid_ok}
     ok &= sid_ok
 
-    cfg = SolverConfig(multistarts=6, seed=seed)
-    res = diagonal_constant(2, 2, cfg)
-    solver_ok = 0.0 < res.value <= float(Fraction(4, 9)) + 1e-9 and 6 * res.value >= 1.28
+    # Cbar_{2,2} lies between the m = 1 value and the continuous floor over k(m+1)
+    k, m = 2, 2
+    res = diagonal_constant(k, m, SolverConfig(multistarts=6, seed=seed))
+    solver_ok = (0.0 < res.value <= float(optimal_constant(k)) + 1e-9
+                 and k * (m + 1) * res.value >= KNOWN_LOWER_K2)
     payload["diagonal_k2_m2"] = {"value": res.value, "ok": solver_ok}
     ok &= solver_ok
 

@@ -214,7 +214,7 @@ class CubeSet:
         return "\n".join(_points_str(self.d, self.members)) + "\n"
 
     @classmethod
-    def parse(cls, text: str, d: Optional[int] = None) -> "CubeSet":
+    def parse(cls, text: str) -> "CubeSet":
         points = []
         for raw in text.splitlines():
             line = raw.strip()
@@ -225,10 +225,10 @@ class CubeSet:
             points.append(tuple(int(c) for c in line))
         if not points:
             raise ValueError("empty set file")
-        dd = d if d is not None else len(points[0])
-        if any(len(p) != dd for p in points):
+        d = len(points[0])
+        if any(len(p) != d for p in points):
             raise ValueError("inconsistent point dimensions")
-        return cls.from_points(dd, points)
+        return cls.from_points(d, points)
 
 
 @dataclass(frozen=True)

@@ -91,10 +91,12 @@ def brute_grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOra
 def brute_coarse_grid_seeds(k: int, m: int, top: int = 3):
     """The diagonal coarse-grid seeds by their definition: every grid point is
     scored with a float ``np.convolve`` fold from [1.0], and all (peak, weight
-    tuple) pairs are sorted."""
+    tuple) pairs are sorted.  A grid with denominator n < 3 gives no seeds."""
     n = 2
     while math.comb(n + 1 + m, m) <= 4000:
         n += 1
+    if n < 3:
+        return []
     scored = []
     for comp in itertools.combinations_with_replacement(range(m + 1), n):
         w = np.bincount(comp, minlength=m + 1) / n

@@ -337,6 +337,15 @@ class TestContinuous:
         peak = np.convolve(h, h).max()
         assert abs(peak - rep["payload"]["rows"][7]["cbar_decimal"]) <= 1e-15
 
+    def test_config_recorded(self, capsys):
+        # the report's config rebuilds the solver config; the payload does not carry it
+        code, rep = run_json(capsys, "continuous", "--k", "2", "--m-max", "2",
+                             "--multistarts", "3", "--seed", "4")
+        assert code == EXIT_OK
+        assert SolverConfig(**rep["config"]) == SolverConfig(multistarts=3, seed=4)
+        assert rep["seed"] == 4
+        assert "config" not in rep["payload"]
+
     def test_meta_reports_phase_times(self, capsys):
         _, rep = run_json(capsys, "continuous", "--k", "2", "--m-max", "2",
                           "--export-steps", "2", "--multistarts", "2")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -20,6 +21,8 @@ from convmax.minimax import (
     _coarse_grid_seeds,
     _conv_all,
     _conv_matrix,
+    _peak,
+    _simplex_grid,
     diagonal_constant,
     general_constant,
     grid_oracle,
@@ -212,9 +215,17 @@ class TestDiagonalM2Plus:
             diagonal_constant(2, 2, FAST, extra_seeds=[[0.4, 0.3, 0.3], seed])
 
 
+class TestSimplexGrid:
+    @pytest.mark.parametrize("m", range(1, 5))
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_lexicographic_compositions(self, m, n):
+        ref = sorted(c for c in itertools.product(range(n + 1), repeat=m + 1) if sum(c) == n)
+        assert [tuple(row) for row in _simplex_grid(m, n).tolist()] == ref
+
+
 class TestCoarseGridSeeds:
-    # (18, 5) and (19, 2): n^k > 2^53, so the float64 block score breaks exact
-    # ties and the near-best window has to catch them
+    # (18, 5) and (19, 2): many exact ties that float rounding in the FFT
+    # score can break either way, so the near-best window has to catch them
     @pytest.mark.parametrize("k,m", [
         (k, m) for k in (2, 3, 4, 10) for m in (2, 3, 4, 5, 7, 8, 16, 20) if k * m <= 80]
         + [(18, 5), (19, 2)])
@@ -223,8 +234,27 @@ class TestCoarseGridSeeds:
         assert len(seeds) == len(ref) == 3
         assert all(np.array_equal(a, b) for a, b in zip(seeds, ref)), (k, m)
 
+    def test_frozen_k300_m3(self):
+        # brute_coarse_grid_seeds(300, 3), frozen as numerators over n = 26; a
+        # float score of the integer counts would overflow here (26^300)
+        seeds = _coarse_grid_seeds(300, 3)
+        frozen = [[13, 0, 1, 12], [12, 1, 0, 13], [12, 0, 1, 13]]
+        assert len(seeds) == len(frozen)
+        assert all(np.array_equal(s, np.array(c) / 26) for s, c in zip(seeds, frozen))
+
+    @pytest.mark.parametrize("m", [27, 40])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_no_seeds_from_the_n2_grid(self, k, m):
+        # from m = 27 on the grid has n = 2, and every two-cell point
+        # (delta_i + delta_j) / 2 has the same k-fold peak: nothing is ranked
+        assert math.comb(3 + m, m) > 4000
+        peaks = {_peak([np.bincount([i, j], minlength=m + 1) / 2] * k)
+                 for i, j in itertools.combinations(range(m + 1), 2)}
+        assert peaks == {math.comb(k, k // 2) / 2**k}
+        assert _coarse_grid_seeds(k, m) == []
+
     def test_rescores_only_near_best(self, monkeypatch):
-        # the 3 003 points of the (2, 8) grid are scored in blocks; few reach _peak
+        # the 3 003 points of the (2, 8) grid are scored in one FFT pass; few reach _peak
         calls = []
         peak = minimax._peak
 
@@ -263,7 +293,7 @@ class TestGridOracle:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            grid_oracle(4, 3, 40, budget=1000)
+            grid_oracle(4, 3, 40)
 
     @pytest.mark.parametrize("k,m,n", [(2, 1, 3), (2, 2, 4), (3, 2, 3), (2, 3, 3)])
     @pytest.mark.parametrize("diagonal", [True, False])
