@@ -344,7 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--d", type=int, required=True)
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--g", type=int, required=True)
-    ps.add_argument("--samples", type=int, default=1000)
+    ps.add_argument("--samples", type=int, default=1000,
+                    help="d > 4: budget of engine adds for the seeded walk; "
+                         "exhaustive means the walk finished within it")
     ps.add_argument("--seed", type=int, default=0)
     common(ps)
     ps.set_defaults(func=_cmd_sidon)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
-from .gridfn import GridFn, product_function, ratio
+from .gridfn import GridFn, _table_size, product_function, ratio
 
 #: Largest k accepted by the exact verification helpers.
 K_BUDGET = 64
@@ -84,6 +84,7 @@ def verify_sharpness(k: int, d: int) -> SharpnessCertificate:
     """Exact check that the extremal function attains the closed form."""
     if k > K_BUDGET:
         raise ValueError(f"k={k} exceeds the exact-arithmetic budget {K_BUDGET}")
+    _table_size(d, k + 1)  # the k-fold table is the largest: refuse before building anything
     f = extremal_function(k, d)
     lhs = ratio([f] * k)
     rhs = optimal_constant_d(k, d)

@@ -70,6 +70,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.multistarts < 1:
             raise ValueError(f"multistarts must be >= 1, got {self.multistarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -86,6 +86,7 @@ def _lagrange_zero_check(rng: random.Random, trials: int) -> Dict:
 
 
 def run_selftest(seed: int = 42) -> Dict:
+    cfg = SolverConfig(multistarts=6, seed=seed)  # first: a bad seed is refused before any work
     rng = random.Random(seed)
     payload: Dict = {"seed": seed}
     ok = True
@@ -139,7 +140,7 @@ def run_selftest(seed: int = 42) -> Dict:
 
     # Cbar_{2,2} lies between the m = 1 value and the continuous floor over k(m+1)
     k, m = 2, 2
-    res = diagonal_constant(k, m, SolverConfig(multistarts=6, seed=seed))
+    res = diagonal_constant(k, m, cfg)
     solver_ok = (0.0 < res.value <= float(optimal_constant(k)) + 1e-9
                  and k * (m + 1) * res.value >= KNOWN_LOWER_K2)
     payload["diagonal_k2_m2"] = {"value": res.value, "ok": solver_ok}

@@ -25,13 +25,12 @@ A max count is found by galloping up with that test and bisecting.
 ``enumerate_verify`` visits the masks 1 .. 2^(2^d) - 1 in increasing order
 with the parent states on a stack.  Counts never fall when a point is added,
 so it reads the new count in the field that held the parent's max, and
-gallops only when one test above that count fires.  The g-Sidon walk passes
-its state down the recursion.  The single-set routes
-(``representation_counts``, ``verify_bound`` and the sampled branches) add a
-set's points to the empty state; ``representation_counts`` reads every field
-back in one linear pass over the binary digits, and ``verify_bound`` reads
-its argmax codes off the guard bits that fire just below the max.  The
-sampled g-Sidon search stops adding a set's points at its first count above g.
+gallops only when one test above that count fires.  The g-Sidon walk keeps
+its states on a stack too.  The single-set routes (``representation_counts``,
+``verify_bound`` and the sampled sweep) add a set's points to the empty
+state; ``representation_counts`` reads every field back in one linear pass
+over the binary digits, and ``verify_bound`` reads its argmax codes off the
+guard bits that fire just below the max.
 
 The claimed bound is max representation count >= C_{k,d} |A|^k with C_{k,d}
 the tensor power of the exact one-dimensional constant.  It is attained by the
@@ -48,10 +47,12 @@ average-bound cap (g (k+1)^d)^(1/k) for even k with d >= 2 (always valid), and
 the explicit g 2^{kd} / binom(k, k//2)^d form for odd k.  The odd-k cap rests
 on the odd-k bound for indicators: computer-checked where the exhaustive sweep
 finds no failure, a conjecture elsewhere.  So the search never reads the cap:
-up to EXHAUSTIVE_D_MAX it is one pruned depth-first walk over all 2^d points
-(``_largest_g_sidon``), and ``sidon search`` checks its result against the
-cap.  Above EXHAUSTIVE_D_MAX the sweep and the search read one seeded stream
-of nonzero subsets, ``_sampled_masks``.
+it is one pruned depth-first walk over the 2^d points (``_largest_g_sidon``),
+and ``sidon search`` checks its result against the cap.  Up to
+EXHAUSTIVE_D_MAX the walk runs to the end in mask order.  Above it the points
+are shuffled by the seed, ``--samples`` is the budget of engine adds, and
+``exhaustive`` means the walk finished within it.  The sweep above
+EXHAUSTIVE_D_MAX reads a seeded stream of nonzero subsets, ``_sampled_masks``.
 """
 
 from __future__ import annotations
@@ -292,12 +293,18 @@ class SampleConfig:
     seed: int = 0
 
 
-def _sampled_masks(d: int, cfg: Optional[SampleConfig]) -> List[int]:
-    """Subset masks: the first ``cfg.samples`` nonzero Random(cfg.seed).getrandbits(2^d)."""
+def _sample_config(d: int, cfg: Optional[SampleConfig]) -> SampleConfig:
+    """``cfg``, which every route above EXHAUSTIVE_D_MAX needs, with samples >= 1."""
     if cfg is None:
         raise ValueError(f"d={d} needs a SampleConfig (exhaustive cap is d={EXHAUSTIVE_D_MAX})")
     if cfg.samples < 1:
         raise ValueError(f"samples must be >= 1, got {cfg.samples}")
+    return cfg
+
+
+def _sampled_masks(d: int, cfg: Optional[SampleConfig]) -> List[int]:
+    """Subset masks: the first ``cfg.samples`` nonzero Random(cfg.seed).getrandbits(2^d)."""
+    cfg = _sample_config(d, cfg)
     rng = random.Random(cfg.seed)
     masks = []
     while len(masks) < cfg.samples:
@@ -478,76 +485,63 @@ def g_sidon_size_cap(d: int, k: int, g: int) -> Tuple[int, str]:
     return cap, form
 
 
-def _largest_g_sidon(engine: _PackedCounts, g: int) -> Tuple[List[int], int]:
-    """First subset of the largest size, in ``itertools.combinations`` order, with every count <= g.
+def _largest_g_sidon(engine: _PackedCounts, g: int, order: Sequence[int],
+                     budget: float) -> Tuple[List[int], int]:
+    """First largest subset found, in ``itertools.combinations`` order over ``order``,
+    with every count <= g; also returns the number of ``add`` calls made.
 
-    Depth-first over increasing point indices, which meets the subsets of each
-    size in ``itertools.combinations`` order, and only a strictly larger set
+    Depth-first over the positions of ``order``; only a strictly larger set
     replaces the best.  A prefix with a count above g is dropped with all its
     extensions (adding a point never lowers a count), and so is a prefix that
-    cannot outgrow the best set even with every point left.  Also returns the
-    number of ``add`` calls made.
+    cannot outgrow the best set even with every point left.  The walk stops
+    before the add that would exceed ``budget``: fewer adds mean it finished.
+    Its depth lives on a list, not the call stack, as a set can have 2^d points.
     """
     codes, add, above = engine.codes, engine.add, engine.above
-    n_points = len(codes)
+    n_points = len(order)
     chosen: List[int] = []
     best: List[int] = []
     nodes = 0
-
-    def extend(start: int, counts: Tuple[int, ...]) -> None:
-        nonlocal best, nodes
-        for p in range(start, n_points):
-            if len(chosen) + n_points - p <= len(best):
-                return
-            nodes += 1
-            grown = add(counts, codes[p])
-            if not above(grown[-1], g):
-                chosen.append(p)
-                if len(chosen) > len(best):
-                    best = chosen[:]
-                extend(p + 1, grown)
-                chosen.pop()
-
-    extend(0, engine.empty)
+    stack = [(0, engine.empty)]  # one frame per chosen point, plus the root
+    while stack and nodes < budget:
+        i, counts = stack[-1]
+        if len(chosen) + n_points - i <= len(best):
+            stack.pop()
+            del chosen[-1:]  # the root frame chose no point
+            continue
+        stack[-1] = (i + 1, counts)
+        nodes += 1
+        grown = add(counts, codes[order[i]])
+        if not above(grown[-1], g):
+            chosen.append(order[i])
+            if len(chosen) > len(best):
+                best = chosen[:]
+            stack.append((i + 1, grown))
     return best, nodes
 
 
 def max_size_g_sidon(d: int, k: int, g: int,
                      search_cfg: Optional[SampleConfig] = None) -> SearchResult:
-    """Largest g-Sidon set of order k found (exhaustive for d <= 4, else sampled).
+    """Largest g-Sidon set of order k found by the pruned walk ``_largest_g_sidon``.
 
-    The exhaustive search returns the first qualifying set of the largest size
-    in ``itertools.combinations`` order; the sampled one keeps the first
-    strictly larger qualifying set of the stream, and stops folding a sampled
-    set at its first count above g.  Neither reads the size cap, so a set
-    above it is returned as found: ``best_size > size_cap`` refutes the bound
-    behind the cap.
+    Up to EXHAUSTIVE_D_MAX the walk visits the points in mask order with no
+    budget.  Above it the order is random.Random(search_cfg.seed).shuffle of
+    the points and ``search_cfg.samples`` is the add budget.  ``exhaustive``
+    means the walk finished, so the set is a largest one.  The walk never
+    reads the size cap: ``best_size > size_cap`` refutes the bound behind it.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
     cap, cap_form = g_sidon_size_cap(d, k, g)
-    n_points = 2**d
-    codes = _codes(d, 1, k + 1)
-    exhaustive = d <= EXHAUSTIVE_D_MAX
-    masks = None if exhaustive else _sampled_masks(d, search_cfg)
-    engine = _PackedCounts(codes, k, n_points)
-    if exhaustive:
-        best, nodes = _largest_g_sidon(engine, g)
-    else:
-        add, above = engine.add, engine.above
-        best, nodes = [0], 0
-        for s in masks:
-            members = [p for p in range(n_points) if s >> p & 1]
-            if len(members) <= len(best):
-                continue
-            counts = engine.empty
-            for p in members:
-                nodes += 1
-                counts = add(counts, codes[p])
-                if above(counts[-1], g):  # counts never fall: the set cannot qualify
-                    break
-            else:
-                best = members
-    return SearchResult(d, k, g, CubeSet(d, best), len(best), cap, cap_form, exhaustive, nodes)
+    order = list(range(2**d))
+    budget = math.inf
+    if d > EXHAUSTIVE_D_MAX:
+        cfg = _sample_config(d, search_cfg)
+        random.Random(cfg.seed).shuffle(order)
+        budget = cfg.samples
+    engine = _PackedCounts(_codes(d, 1, k + 1), k, 2**d)
+    best, nodes = _largest_g_sidon(engine, g, order, budget)
+    return SearchResult(d, k, g, CubeSet(d, best), len(best), cap, cap_form,
+                        nodes < budget, nodes)

@@ -126,10 +126,16 @@ def brute_max_count(subset, k: int) -> int:
     return max(counts.values())
 
 
-def brute_first_g_sidon(d: int, k: int, g: int):
+def brute_first_g_sidon(d: int, k: int, g: int, order=None):
     """First set, largest size first, in ``itertools.combinations`` order over the
-    sorted cube, whose ordered k-tuple counts are all <= g; '0'/'1' strings."""
-    cube = ["".join(bits) for bits in itertools.product("01", repeat=d)]
+    cube, whose ordered k-tuple counts are all <= g; '0'/'1' strings.
+
+    The cube is sorted, or listed as ``order`` gives it: entry p is the point
+    whose binary digits, first coordinate most significant, spell p.
+    """
+    if order is None:
+        order = range(2**d)
+    cube = [format(p, f"0{d}b") for p in order]
     for size in range(len(cube), 0, -1):
         for subset in itertools.combinations(cube, size):
             if brute_max_count(subset, k) <= g:

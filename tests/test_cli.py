@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import convmax.constants
 import convmax.continuous
 import convmax.minimax
 from convmax import cli, gridfn, sidon
@@ -17,6 +18,18 @@ def run_json(capsys, *argv):
 
 
 class TestConstant:
+    @pytest.mark.parametrize("d", ["19", "21"])
+    def test_sharpness_over_cap_rejected_before_building(self, capsys, monkeypatch, d):
+        # 3^d entries in the 2-fold table exceed the cap: refused before the extremal function
+        def refuse(*args):
+            raise AssertionError("the extremal function was built before the cap check")
+
+        monkeypatch.setattr(convmax.constants, "extremal_function", refuse)
+        assert run(["constant", "--k", "2", "--d", d, "--sharpness"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds cap" in captured.err
+
     def test_basic(self, capsys):
         code, rep = run_json(capsys, "constant", "--k", "2")
         assert code == EXIT_OK
@@ -91,14 +104,22 @@ class TestSolve:
 
     @pytest.mark.parametrize("mode", ["diagonal", "general"])
     @pytest.mark.parametrize("starts", ["0", "-3"])
-    def test_multistarts_below_one_rejected(self, capsys, mode, starts):
-        # m = 1 takes the exact route, which runs no multistart
-        for m in ("1", "2"):
-            argv = ["solve", "--k", "2", "--m", m, "--mode", mode, "--multistarts", starts]
-            assert run(argv) == EXIT_USAGE
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "multistarts must be >= 1" in captured.err
+    def test_multistarts_below_one_rejected(self, capsys, monkeypatch, mode, starts):
+        # refused before the grid oracle or a solver runs; m = 1 takes the exact route,
+        # which runs no multistart
+        def refuse(*args):
+            raise AssertionError("work started before the config was checked")
+
+        for name in ("grid_oracle", "diagonal_constant", "general_constant"):
+            monkeypatch.setattr(convmax.minimax, name, refuse)
+        for flag, value, message in (("--multistarts", starts, "multistarts must be >= 1"),
+                                     ("--seed", "-1", "seed must be >= 0")):
+            for m in ("1", "2"):
+                argv = ["solve", "--k", "2", "--m", m, "--mode", mode, "--grid", "3", flag, value]
+                assert run(argv) == EXIT_USAGE
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert message in captured.err
 
     @pytest.mark.parametrize("mode", ["diagonal", "general"])
     def test_over_budget_grid_rejected_before_solving(self, capsys, monkeypatch, mode):
@@ -264,7 +285,7 @@ class TestSidon:
         assert "nodes" not in rep["payload"]
         _, rep = run_json(capsys, "sidon", "search", "--d", "5", "--k", "2", "--g", "2",
                           "--samples", "50")
-        assert 0 < rep["meta"]["nodes"] < 50 * 32
+        assert 0 < rep["meta"]["nodes"] <= 50  # above d = 4, --samples is the add budget
 
     @pytest.mark.parametrize("k", ["2", "3"])
     def test_search_rejects_d_below_one(self, capsys, monkeypatch, k):
@@ -357,13 +378,19 @@ class TestContinuous:
         assert "export_s" not in rep["meta"]
 
     @pytest.mark.parametrize("starts", ["0", "-3"])
-    def test_multistarts_below_one_rejected(self, capsys, starts):
-        for m_max in ("1", "2"):
-            argv = ["continuous", "--k", "2", "--m-max", m_max, "--multistarts", starts]
-            assert run(argv) == EXIT_USAGE
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "multistarts must be >= 1" in captured.err
+    def test_multistarts_below_one_rejected(self, capsys, monkeypatch, starts):
+        def refuse(*args):
+            raise AssertionError("the table was solved before the config was checked")
+
+        monkeypatch.setattr(convmax.continuous, "upper_bound_sequence", refuse)
+        for flag, value, message in (("--multistarts", starts, "multistarts must be >= 1"),
+                                     ("--seed", "-1", "seed must be >= 0")):
+            for m_max in ("1", "2"):
+                argv = ["continuous", "--k", "2", "--m-max", m_max, flag, value]
+                assert run(argv) == EXIT_USAGE
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert message in captured.err
 
     @pytest.mark.parametrize("steps", ["0", "-2"])
     def test_export_steps_below_one_rejected(self, capsys, steps):
@@ -378,6 +405,18 @@ class TestSelftest:
         assert code == code2 == EXIT_OK
         assert a["payload"]["passed"] is True
         assert a["payload"] == b["payload"]
+
+    def test_negative_seed_rejected_before_work(self, capsys, monkeypatch):
+        import convmax.selftest
+
+        def refuse(*args):
+            raise AssertionError("the battery ran before the seed was checked")
+
+        monkeypatch.setattr(convmax.selftest, "optimal_constant", refuse)
+        assert run(["selftest", "--seed", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be >= 0" in captured.err
 
 
 class TestOutput:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from convmax import constants, gridfn
 from convmax.constants import (
     continuous_upper_bound_m1,
     diagonal_profile,
@@ -12,6 +13,7 @@ from convmax.constants import (
     optimal_constant_d,
     verify_sharpness,
 )
+from convmax.errors import MemoryCapExceeded
 from convmax.gridfn import GridFn, ratio
 
 from conftest import random_exact_gridfn
@@ -92,6 +94,19 @@ class TestSharpness:
     def test_budget(self):
         with pytest.raises(ValueError):
             verify_sharpness(65, 1)
+
+    def test_cap_checked_on_the_k_fold_table_first(self, monkeypatch):
+        # k = 3, d = 2: the 3-fold table has 4^2 = 16 entries, the factor only 4
+        monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 16)
+        assert verify_sharpness(3, 2).passed
+        monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 15)
+
+        def refuse(*args):
+            raise AssertionError("the extremal function was built before the cap check")
+
+        monkeypatch.setattr(constants, "extremal_function", refuse)
+        with pytest.raises(MemoryCapExceeded, match="16 exceeds cap 15"):
+            verify_sharpness(3, 2)
 
 
 class TestDiagonalProfile:

@@ -37,7 +37,7 @@ PINNED = [
     ("sidon verify --d 5 --k 3 --samples 20 --seed 1", EXIT_OK,
      "ffd3394b339419d2b6a2a4b5d33a436a28c3a5adaff717347487ea87b4298a6a"),
     ("sidon search --d 5 --k 2 --g 4 --samples 100 --seed 1", EXIT_OK,
-     "72e96ac64cf6bff22fe6deb68c1470f3ca6942a27e489978004dff8275d8eeef"),
+     "32f0452132219ec0fe2eefc47d04911fded0d4acedac7d83ada1a2ae7530d879"),
     ("pb --p 1/3,1/2,2/3", EXIT_OK,
      "747fda33a334a2b6da76d80e9507b76385a89a65ad762a78465a6a2f81b7e747"),
     ("pb --p 1/5,2/7,1/2,3/4,5/6", EXIT_OK,

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -437,38 +438,67 @@ class TestMaxSizeSearch:
         assert res.best_size >= 1
         assert max(representation_counts(res.best_set, 2).values()) <= 4
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_budgeted_walk_d5_finds_ten_points(self, seed):
+        # a 12-point 2-Sidon set exists at d = 5; 2000 adds of the seeded walk reach 10
+        res = max_size_g_sidon(5, 2, 2, SampleConfig(samples=2000, seed=seed))
+        assert not res.exhaustive
+        assert res.best_size >= 10
+        assert brute_max_count(["".join(map(str, p)) for p in res.best_set.points()], 2) <= 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_budgeted_walk_d6_finds_fourteen_points(self, seed):
+        res = max_size_g_sidon(6, 2, 2, SampleConfig(samples=1000, seed=seed))
+        assert res.best_size >= 14
+        assert max(representation_counts(res.best_set, 2).values()) <= 2
+
+    def test_budgeted_walk_takes_whole_cube_when_every_set_qualifies(self):
+        res = max_size_g_sidon(5, 2, 10**6, SampleConfig(samples=1000, seed=0))
+        assert res.best_set.members == full_cube(5).members
+        assert res.exhaustive
+        assert res.nodes == 32
+
+    def test_budgeted_walk_finishes_at_g1(self):
+        # two distinct points a, b already give the sum a + b two ordered representations
+        res = max_size_g_sidon(5, 2, 1, SampleConfig(samples=1000, seed=0))
+        assert res.exhaustive
+        assert res.best_size == 1
+        assert res.nodes < 1000
+
+    def test_budget_bounds_nodes_and_size_never_falls(self):
+        # a larger budget continues the same seeded walk, so the best set can only grow
+        sizes = []
+        for budget in (10, 100, 1000):
+            res = max_size_g_sidon(5, 2, 2, SampleConfig(samples=budget, seed=4))
+            assert res.nodes <= budget
+            sizes.append(res.best_size)
+        assert sizes == sorted(sizes)
+
+    def test_walk_deeper_than_the_recursion_limit(self):
+        # k = 1, g = 1: every set qualifies, so the walk chooses all 1024 points in turn
+        res = max_size_g_sidon(10, 1, 1, SampleConfig(samples=2000, seed=0))
+        assert res.best_size == 1024
+        assert res.exhaustive
+        assert res.nodes == 1024
+
+    @pytest.mark.parametrize("k,g", [(2, 2), (2, 3), (3, 4), (3, 9), (4, 30)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_stochastic_matches_sample_stream_oracle(self, seed):
-        # the first strictly larger qualifying set in the stream replaces the best
-        best = ["00000"]
-        for A in brute_sampled_subsets(5, 60, seed):
-            if len(A) > len(best) and brute_max_count(A, 2) <= 4:
-                best = A
-        res = max_size_g_sidon(5, 2, 4, SampleConfig(samples=60, seed=seed))
-        assert len(best) > 1
-        assert ["".join(map(str, p)) for p in res.best_set.points()] == best
+    def test_walk_on_shuffled_order_matches_combinations_oracle(self, k, g, seed):
+        order = list(range(8))
+        random.Random(seed).shuffle(order)
+        engine = sidon._PackedCounts(gridfn._codes(3, 1, k + 1), k, 8)
+        best, nodes = sidon._largest_g_sidon(engine, g, order, math.inf)
+        assert [format(p, "03b") for p in best] == brute_first_g_sidon(3, k, g, order)
+        assert nodes > 0
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_stochastic_stops_folding_at_first_count_above_g(self, monkeypatch, seed):
-        # sets no larger than the best are skipped; the rest are folded until a count passes g
-        adds = 0
-        add = sidon._PackedCounts.add
-
-        def counted(self, counts, x):
-            nonlocal adds
-            adds += 1
-            return add(self, counts, x)
-
-        monkeypatch.setattr(sidon._PackedCounts, "add", counted)
-        res = max_size_g_sidon(5, 2, 2, SampleConfig(samples=300, seed=seed))
-        folded, best = 0, ["00000"]
-        for A in brute_sampled_subsets(5, 300, seed):
-            if len(A) > len(best):
-                folded += len(A)
-                if brute_max_count(A, 2) <= 2:
-                    best = A
-        assert ["".join(map(str, p)) for p in res.best_set.points()] == best
-        assert adds == res.nodes < folded
+    def test_walk_stops_at_its_budget(self):
+        engine = sidon._PackedCounts(gridfn._codes(3, 1, 3), 2, 8)
+        order = list(range(8))
+        _, unbounded = sidon._largest_g_sidon(engine, 2, order, math.inf)
+        for budget in (1, 7, unbounded - 1, unbounded):
+            best, nodes = sidon._largest_g_sidon(engine, 2, order, budget)
+            assert nodes == budget
+            assert max(representation_counts(CubeSet(3, best), 2).values()) <= 2
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_rejects_d_below_one_before_any_work(self, monkeypatch, k):
