@@ -48,11 +48,10 @@ the explicit g 2^{kd} / binom(k, k//2)^d form for odd k.  The odd-k cap rests
 on the odd-k bound for indicators: computer-checked where the exhaustive sweep
 finds no failure, a conjecture elsewhere.  So the search never reads the cap:
 it is one pruned depth-first walk over the 2^d points (``_largest_g_sidon``),
-and ``sidon search`` checks its result against the cap.  Up to
-EXHAUSTIVE_D_MAX the walk runs to the end in mask order.  Above it the points
-are shuffled by the seed, ``--samples`` is the budget of engine adds, and
-``exhaustive`` means the walk finished within it.  The sweep above
-EXHAUSTIVE_D_MAX reads a seeded stream of nonzero subsets, ``_sampled_masks``.
+and ``sidon search`` checks its result against the cap.  Above
+EXHAUSTIVE_D_MAX the walk takes the points in a seeded order, ``--samples`` is
+its budget of engine adds and ``exhaustive`` means it finished; the sweep
+there reads a seeded stream of nonzero subsets, ``_sampled_masks``.
 """
 
 from __future__ import annotations
@@ -63,7 +62,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import gridfn
 from .constants import optimal_constant_d
+from .errors import MemoryCapExceeded
 from .gridfn import GridFn, _codes, _digits
 
 Point = Tuple[int, ...]
@@ -526,22 +527,26 @@ def max_size_g_sidon(d: int, k: int, g: int,
 
     Up to EXHAUSTIVE_D_MAX the walk visits the points in mask order with no
     budget.  Above it the order is random.Random(search_cfg.seed).shuffle of
-    the points and ``search_cfg.samples`` is the add budget.  ``exhaustive``
-    means the walk finished, so the set is a largest one.  The walk never
-    reads the size cap: ``best_size > size_cap`` refutes the bound behind it.
+    the points, ``search_cfg.samples`` is the add budget, and the min(samples,
+    2^d) states of (k+1)^d entries the walk may hold must fit the memory cap.
+    ``exhaustive`` means the walk finished, so the set is a largest one.  The
+    walk never reads the size cap: ``best_size > size_cap`` refutes its bound.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
     cap, cap_form = g_sidon_size_cap(d, k, g)
+    cfg = _sample_config(d, search_cfg) if d > EXHAUSTIVE_D_MAX else None
+    engine = _PackedCounts(_codes(d, 1, k + 1), k, 2**d)
     order = list(range(2**d))
     budget = math.inf
-    if d > EXHAUSTIVE_D_MAX:
-        cfg = _sample_config(d, search_cfg)
+    if cfg is not None:
+        states = min(cfg.samples, 2**d)  # one per chosen point, at most one chosen per add
+        if states * engine.length > gridfn.MEMORY_CAP_ENTRIES:
+            raise MemoryCapExceeded(f"{states} walk states of base^d = {engine.length} "
+                                    f"entries exceed cap {gridfn.MEMORY_CAP_ENTRIES}")
         random.Random(cfg.seed).shuffle(order)
         budget = cfg.samples
-    engine = _PackedCounts(_codes(d, 1, k + 1), k, 2**d)
     best, nodes = _largest_g_sidon(engine, g, order, budget)
-    return SearchResult(d, k, g, CubeSet(d, best), len(best), cap, cap_form,
-                        nodes < budget, nodes)
+    return SearchResult(d, k, g, CubeSet(d, best), len(best), cap, cap_form, nodes < budget, nodes)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -286,6 +287,21 @@ class TestSidon:
         _, rep = run_json(capsys, "sidon", "search", "--d", "5", "--k", "2", "--g", "2",
                           "--samples", "50")
         assert 0 < rep["meta"]["nodes"] <= 50  # above d = 4, --samples is the add budget
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--d", "40"], "exceeds cap"),          # 3^40 entries in one table
+        (["--d", "11"], "1000 walk states"),     # 1000 states of 3^11 entries at the default budget
+    ])
+    def test_search_over_cap_rejected_before_the_walk(self, capsys, monkeypatch, argv, message):
+        def refuse(*args):
+            raise AssertionError("search work before the cap check")
+
+        monkeypatch.setattr(random.Random, "shuffle", refuse)
+        monkeypatch.setattr(sidon, "_largest_g_sidon", refuse)
+        assert run(["sidon", "search", "--k", "2", "--g", "2"] + argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     @pytest.mark.parametrize("k", ["2", "3"])
     def test_search_rejects_d_below_one(self, capsys, monkeypatch, k):

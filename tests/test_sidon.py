@@ -515,6 +515,34 @@ class TestMaxSizeSearch:
             max_size_g_sidon(5, 2, 2, SampleConfig(samples=samples, seed=3))
 
 
+    def test_over_cap_above_d4_rejected_before_shuffling(self, monkeypatch):
+        # 3^5 = 243 count entries at d = 5, k = 2: the cap is read before the point order exists
+        def refuse(*args):
+            raise AssertionError("points shuffled before the cap check")
+
+        monkeypatch.setattr(random.Random, "shuffle", refuse)
+        monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 242)
+        with pytest.raises(MemoryCapExceeded, match="243 exceeds cap 242"):
+            max_size_g_sidon(5, 2, 2, SampleConfig(samples=1, seed=0))
+
+    def test_walk_states_over_cap_rejected_before_the_walk(self, monkeypatch):
+        # one table of 243 entries fits a cap of 486, and so do two walk states, but not three
+        def refuse(*args):
+            raise AssertionError("walk started")
+
+        monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 486)
+        max_size_g_sidon(5, 2, 2, SampleConfig(samples=2, seed=0))
+        monkeypatch.setattr(sidon, "_largest_g_sidon", refuse)
+        with pytest.raises(MemoryCapExceeded, match="3 walk states of base.d = 243 entries"):
+            max_size_g_sidon(5, 2, 2, SampleConfig(samples=3, seed=0))
+
+    def test_walk_states_capped_by_point_count(self, monkeypatch):
+        # 2^5 = 32 points bound the depth whatever the budget: 32 * 243 entries fit the cap
+        monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 32 * 243)
+        res = max_size_g_sidon(5, 2, 10**6, SampleConfig(samples=10**9, seed=0))
+        assert res.best_size == 32 and res.exhaustive
+
+
 class TestMemoryCap:
     """(k+1)^d = 3^4 = 81 count entries at d = 4, k = 2: a cap of 80 refuses them."""
 
