@@ -17,7 +17,8 @@ at code c is the w-bit field starting at bit c*w, with w = bit_length(n^k) + 1
 every field stays clear.  Adding the point with code x is
 P_i += sum_{j=1..i} C(i,j) P_{i-j} << j*x*w, every term read from the old
 state: O(k^2) big-int operations whatever the set size.  Ints are
-immutable, so a parent's state stays valid after a point is added to it.
+immutable, so a parent's state stays valid after a point is added to it;
+``remove`` peels the same terms off upwards and is the exact inverse of ``add``.
 "Some count of P_k exceeds t" is one guard-bit test,
 (P_k + (2^(w-1) - 1 - t) * ONES) & HIGH, with ONES a 1 in every field and
 HIGH every top bit; it is never true for t >= 2^(w-1) - 1.
@@ -26,11 +27,11 @@ A max count is found by galloping up with that test and bisecting.
 with the parent states on a stack.  Counts never fall when a point is added,
 so it reads the new count in the field that held the parent's max, and
 gallops only when one test above that count fires.  The g-Sidon walk keeps
-its states on a stack too.  The single-set routes (``representation_counts``,
-``verify_bound`` and the sampled sweep) add a set's points to the empty
-state; ``representation_counts`` reads every field back in one linear pass
-over the binary digits, and ``verify_bound`` reads its argmax codes off the
-guard bits that fire just below the max.
+one state and takes points back out with ``remove``.  The single-set routes
+(``representation_counts``, ``verify_bound`` and the sampled sweep) add a
+set's points to the empty state; ``representation_counts`` reads every field
+back in one linear pass over the binary digits, and ``verify_bound`` reads its
+argmax codes off the guard bits that fire just below the max.
 
 The claimed bound is max representation count >= C_{k,d} |A|^k with C_{k,d}
 the tensor power of the exact one-dimensional constant.  It is attained by the
@@ -60,11 +61,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from . import gridfn
 from .constants import optimal_constant_d
-from .errors import MemoryCapExceeded
 from .gridfn import GridFn, _codes, _digits
 
 Point = Tuple[int, ...]
@@ -92,6 +91,7 @@ class _PackedCounts:
     bit of its field, which stays free as a guard bit.  P_0 = delta_0 is the
     int 1 and is never stored.  A state is the tuple (P_1, ..., P_k); ints are
     immutable, so ``add`` returns a new state and the old one stays valid.
+    ``remove`` takes a point of the set back out.
     """
 
     def __init__(self, codes: Sequence[int], k: int, n: int):
@@ -121,6 +121,23 @@ class _PackedCounts:
             for coef, i in terms:
                 acc = (acc + coef * counts[i]) << s
             out.append(p + acc)
+        return tuple(out)
+
+    def remove(self, counts: Tuple[int, ...], x: int) -> Tuple[int, ...]:
+        """The state with code x, a point of the set, taken out: the inverse of ``add``.
+
+        Peeled upwards, P_i -= sum_{j=1..i} C(i,j) P'_{i-j} X^(j x) with the
+        already peeled P'_{i-j}.  Every peeled field is a true count below its
+        guard bit, so no borrow crosses a field.
+        """
+        s = x * self.w
+        e = 1 << s
+        out = []
+        for p, terms in zip(counts, self.terms):
+            acc = e
+            for coef, i in terms:
+                acc = (acc + coef * out[i]) << s
+            out.append(p - acc)
         return tuple(out)
 
     def above(self, top: int, t: int) -> int:
@@ -303,16 +320,15 @@ def _sample_config(d: int, cfg: Optional[SampleConfig]) -> SampleConfig:
     return cfg
 
 
-def _sampled_masks(d: int, cfg: Optional[SampleConfig]) -> List[int]:
-    """Subset masks: the first ``cfg.samples`` nonzero Random(cfg.seed).getrandbits(2^d)."""
-    cfg = _sample_config(d, cfg)
+def _sampled_masks(d: int, cfg: SampleConfig) -> Iterator[int]:
+    """The first ``cfg.samples`` nonzero Random(cfg.seed).getrandbits(2^d), drawn as they are read."""
     rng = random.Random(cfg.seed)
-    masks = []
-    while len(masks) < cfg.samples:
+    drawn = 0
+    while drawn < cfg.samples:
         s = rng.getrandbits(2**d)
         if s:
-            masks.append(s)
-    return masks
+            drawn += 1
+            yield s
 
 
 @dataclass(frozen=True)
@@ -360,7 +376,7 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
     scaled_bound = [c.numerator * s**k for s in range(n_points + 1)]
 
     failures = 0
-    min_slack = None
+    min_slack = math.inf
     min_sets: List[List[str]] = []
     eq_sets: List[List[str]] = []
 
@@ -372,14 +388,14 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
 
         if slack == 0 and len(eq_sets) < keep:
             eq_sets.append(points())
-        if min_slack is None or slack < min_slack:
+        if slack < min_slack:
             min_slack = slack
             min_sets = [points()]
         elif slack == min_slack and len(min_sets) < keep:
             min_sets.append(points())
 
     den = c.denominator
-    masks = None if exhaustive else _sampled_masks(d, sample_cfg)
+    cfg = None if exhaustive else _sample_config(d, sample_cfg)
     engine = _PackedCounts(codes, k, n_points)
     if exhaustive:
         checked = 2**n_points - 1
@@ -388,7 +404,6 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
         # stack[i]: counts, max count and the bit offset of a field holding it,
         # for the i highest points of the current mask
         stack = [(engine.empty, 0, 0)]
-        floor = math.inf  # the least slack recorded; a set that ties or beats it is recorded
         for subset_mask in range(1, checked + 1):
             # the mask before this one ends in q set bits below bit q: pop them, add point q
             q = (subset_mask & -subset_mask).bit_length() - 1
@@ -408,12 +423,11 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
             slack = max_count * den - scaled_bound[len(stack) - 1]
             if slack < 0:
                 failures += 1
-            if slack <= floor or slack == 0:
+            if slack <= min_slack or slack == 0:
                 record(subset_mask, slack)
-                floor = min_slack
     else:
-        checked = len(masks)
-        for subset_mask in masks:
+        checked = cfg.samples
+        for subset_mask in _sampled_masks(d, cfg):
             members = [p for p in range(n_points) if subset_mask >> p & 1]
             slack = engine.peak(engine.fold(members)) * den - scaled_bound[len(members)]
             if slack < 0:
@@ -496,28 +510,32 @@ def _largest_g_sidon(engine: _PackedCounts, g: int, order: Sequence[int],
     extensions (adding a point never lowers a count), and so is a prefix that
     cannot outgrow the best set even with every point left.  The walk stops
     before the add that would exceed ``budget``: fewer adds mean it finished.
-    Its depth lives on a list, not the call stack, as a set can have 2^d points.
+    It holds one state, the counts of the chosen points: backtracking pops the
+    last chosen position p, removes its point and resumes at p + 1.
     """
-    codes, add, above = engine.codes, engine.add, engine.above
+    codes, add, remove, above = engine.codes, engine.add, engine.remove, engine.above
     n_points = len(order)
-    chosen: List[int] = []
+    chosen: List[int] = []  # positions in order
     best: List[int] = []
     nodes = 0
-    stack = [(0, engine.empty)]  # one frame per chosen point, plus the root
-    while stack and nodes < budget:
-        i, counts = stack[-1]
+    counts = engine.empty
+    i = 0
+    while nodes < budget:
         if len(chosen) + n_points - i <= len(best):
-            stack.pop()
-            del chosen[-1:]  # the root frame chose no point
+            if not chosen:
+                break
+            p = chosen.pop()
+            counts = remove(counts, codes[order[p]])
+            i = p + 1
             continue
-        stack[-1] = (i + 1, counts)
         nodes += 1
         grown = add(counts, codes[order[i]])
         if not above(grown[-1], g):
-            chosen.append(order[i])
+            chosen.append(i)
+            counts = grown
             if len(chosen) > len(best):
-                best = chosen[:]
-            stack.append((i + 1, grown))
+                best = [order[p] for p in chosen]
+        i += 1
     return best, nodes
 
 
@@ -527,8 +545,7 @@ def max_size_g_sidon(d: int, k: int, g: int,
 
     Up to EXHAUSTIVE_D_MAX the walk visits the points in mask order with no
     budget.  Above it the order is random.Random(search_cfg.seed).shuffle of
-    the points, ``search_cfg.samples`` is the add budget, and the min(samples,
-    2^d) states of (k+1)^d entries the walk may hold must fit the memory cap.
+    the points and ``search_cfg.samples`` is the add budget.
     ``exhaustive`` means the walk finished, so the set is a largest one.  The
     walk never reads the size cap: ``best_size > size_cap`` refutes its bound.
     """
@@ -542,10 +559,6 @@ def max_size_g_sidon(d: int, k: int, g: int,
     order = list(range(2**d))
     budget = math.inf
     if cfg is not None:
-        states = min(cfg.samples, 2**d)  # one per chosen point, at most one chosen per add
-        if states * engine.length > gridfn.MEMORY_CAP_ENTRIES:
-            raise MemoryCapExceeded(f"{states} walk states of base^d = {engine.length} "
-                                    f"entries exceed cap {gridfn.MEMORY_CAP_ENTRIES}")
         random.Random(cfg.seed).shuffle(order)
         budget = cfg.samples
     best, nodes = _largest_g_sidon(engine, g, order, budget)

@@ -290,7 +290,6 @@ class TestSidon:
 
     @pytest.mark.parametrize("argv, message", [
         (["--d", "40"], "exceeds cap"),          # 3^40 entries in one table
-        (["--d", "11"], "1000 walk states"),     # 1000 states of 3^11 entries at the default budget
     ])
     def test_search_over_cap_rejected_before_the_walk(self, capsys, monkeypatch, argv, message):
         def refuse(*args):
@@ -302,6 +301,14 @@ class TestSidon:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_search_needs_one_table_under_the_cap(self, capsys, monkeypatch):
+        # the walk holds one 3^11-entry state however many points it chooses
+        monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 3**11)
+        code, rep = run_json(capsys, "sidon", "search", "--d", "11", "--k", "2", "--g", "2",
+                             "--samples", "50")
+        assert code == EXIT_OK
+        assert rep["meta"]["nodes"] == 50
 
     @pytest.mark.parametrize("k", ["2", "3"])
     def test_search_rejects_d_below_one(self, capsys, monkeypatch, k):

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -123,7 +125,8 @@ class TestRunningCounts:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_random_add_undo_matches_fold(self, k):
-        # states are immutable, so an undo pops back to the parent's state
+        # states are immutable, so an undo pops back to the parent's state, which
+        # ``remove`` rebuilds exactly from the child
         rng = random.Random(7919 * k)
         for d in (1, 2, 3, 4):
             engine = packed_engine(d, k, 2**d)
@@ -135,7 +138,8 @@ class TestRunningCounts:
                     states.append(engine.add(states[-1], engine.codes[p]))
                     members.append(p)
                 else:
-                    members.pop()
+                    p = members.pop()
+                    assert engine.remove(states[-1], engine.codes[p]) == states[-2]
                     states.pop()
                 expected = oracle_counts(d, k, members)
                 top = states[-1][-1]
@@ -323,6 +327,23 @@ class TestEnumerateVerify:
         assert summary.failures == sum(s < 0 for s in slacks)
         assert summary.min_slack == min(slacks)
         assert summary.min_slack_sets[0] == subsets[slacks.index(min(slacks))]
+
+    def test_sampled_masks_are_drawn_lazily(self, monkeypatch):
+        # a huge --samples costs no memory: masks are drawn as the sweep reads them
+        first = list(sidon._sampled_masks(5, SampleConfig(samples=3, seed=0)))
+        draws = 0
+        getrandbits = random.Random.getrandbits
+
+        def counted(self, n):
+            nonlocal draws
+            draws += 1
+            if draws > 5:
+                raise AssertionError("masks drawn ahead of the sweep")
+            return getrandbits(self, n)
+
+        monkeypatch.setattr(random.Random, "getrandbits", counted)
+        masks = sidon._sampled_masks(5, SampleConfig(samples=10**9, seed=0))
+        assert list(itertools.islice(masks, 3)) == first
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_sampled_rejects_no_samples(self, samples):
@@ -525,22 +546,22 @@ class TestMaxSizeSearch:
         with pytest.raises(MemoryCapExceeded, match="243 exceeds cap 242"):
             max_size_g_sidon(5, 2, 2, SampleConfig(samples=1, seed=0))
 
-    def test_walk_states_over_cap_rejected_before_the_walk(self, monkeypatch):
-        # one table of 243 entries fits a cap of 486, and so do two walk states, but not three
-        def refuse(*args):
-            raise AssertionError("walk started")
-
-        monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 486)
-        max_size_g_sidon(5, 2, 2, SampleConfig(samples=2, seed=0))
-        monkeypatch.setattr(sidon, "_largest_g_sidon", refuse)
-        with pytest.raises(MemoryCapExceeded, match="3 walk states of base.d = 243 entries"):
-            max_size_g_sidon(5, 2, 2, SampleConfig(samples=3, seed=0))
-
     def test_walk_states_capped_by_point_count(self, monkeypatch):
-        # 2^5 = 32 points bound the depth whatever the budget: 32 * 243 entries fit the cap
-        monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 32 * 243)
+        # the walk holds one state, so one table of 3^5 = 243 entries is all the cap must allow
+        monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 243)
         res = max_size_g_sidon(5, 2, 10**6, SampleConfig(samples=10**9, seed=0))
         assert res.best_size == 32 and res.exhaustive
+
+    def test_walk_memory_does_not_grow_with_depth(self):
+        # 512 chosen points of 3^9-field states would hold about 38 MB if kept per depth
+        tracemalloc.start()
+        try:
+            res = max_size_g_sidon(9, 2, 10**6, SampleConfig(samples=512, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.best_size == 512
+        assert peak < 4 * 2**20
 
 
 class TestMemoryCap:
