@@ -30,7 +30,7 @@ from .constants import (
 from .errors import BoundValidityError, ConvmaxError
 from .gridfn import GridFn, ratio
 from . import pb
-from .sidon import CubeSet, SampleConfig, enumerate_verify, max_size_g_sidon, verify_bound
+from .sidon import CubeSet, enumerate_verify, max_size_g_sidon, verify_bound
 
 SCHEMA_VERSION = 1
 
@@ -234,7 +234,7 @@ def _cmd_sidon(args, argv) -> int:
     meta = None
     t0 = time.perf_counter()
     if args.action == "verify":
-        summary = enumerate_verify(args.d, args.k, SampleConfig(args.samples, args.seed))
+        summary = enumerate_verify(args.d, args.k, args.samples, args.seed)
         sweep_s = time.perf_counter() - t0
         meta = {"sweep_s": sweep_s,
                 "subsets_per_s": summary.subsets_checked / sweep_s if sweep_s > 0 else None}
@@ -247,7 +247,7 @@ def _cmd_sidon(args, argv) -> int:
         payload = rep.to_dict()
         violation = not rep.passed
     else:  # search
-        res = max_size_g_sidon(args.d, args.k, args.g, SampleConfig(args.samples, args.seed))
+        res = max_size_g_sidon(args.d, args.k, args.g, args.samples, args.seed)
         meta = {"search_s": time.perf_counter() - t0, "nodes": res.nodes}
         payload = res.to_dict()
         violation = res.best_size > res.size_cap

@@ -5,7 +5,7 @@ cells tiling the support (-1/(2k), 1/(2k)), and the k-fold peak of any such
 vector w bounds C_k <= k(m+1) max(w^{*k}).  The m = 1 row uses the exact
 closed form and is a proven bound.  Rows for m >= 2 are float estimates:
 k(m+1) times the float peak of the diagonal solver's factor, not re-evaluated
-in exact arithmetic, so rounding is not yet excluded.  Each row keeps the
+in exact arithmetic, so rounding is not yet excluded.  Each row holds the
 factor whose k-fold peak is its value, and the step-function export reads
 that factor.  This module never claims a value for C_k itself; the known
 lower bound 1.28 for k = 2 is an imported literature constant used only as
@@ -75,13 +75,12 @@ class BoundTable:
 
 
 def upper_bound_sequence(k: int, m_max: int,
-                         cfg: Optional[SolverConfig] = None) -> BoundTable:
+                         cfg: SolverConfig = SolverConfig()) -> BoundTable:
     """Rows (m, Cbar estimate, k(m+1) * estimate) for m = 1..m_max."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    cfg = cfg or SolverConfig()
     rows = [BoundRow(1, optimal_constant(k), continuous_upper_bound_m1(k), True,
                      "closed-form", diagonal_constant(k, 1, cfg).argument[0])]
     for m in range(2, m_max + 1):

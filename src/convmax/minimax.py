@@ -264,10 +264,9 @@ def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.
 # General constant: k independent factors
 # ---------------------------------------------------------------------------
 
-def general_constant(k: int, m: int, cfg: Optional[SolverConfig] = None) -> MinimaxResult:
+def general_constant(k: int, m: int, cfg: SolverConfig = SolverConfig()) -> MinimaxResult:
     """Upper estimate of C_{k,m}: one epigraph solve over k free factors per start."""
     _check_km(k, m)
-    cfg = cfg or SolverConfig()
     uniform = np.full(m + 1, 1.0 / (m + 1))
     return _multistart(k, m, cfg, [[_padded_m1(k, m)] * k, [uniform] * k], diagonal=False)
 
@@ -299,13 +298,18 @@ def _coarse_grid_seeds(k: int, m: int) -> List[np.ndarray]:
         return []
     weights = _simplex_grid(m, n) / n
     size = k * m + 1
-    scores = np.fft.irfft(np.fft.rfft(weights, size) ** k, size).max(axis=1)
+    # score the rows in blocks of at most 2^20 scores: one FFT of the whole
+    # grid holds (points, km+1) arrays, about 120 MB at (k, m) = (1000, 2)
+    rows = max(1, 2**20 // size)
+    scores = np.concatenate([
+        np.fft.irfft(np.fft.rfft(weights[i:i + rows], size) ** k, size).max(axis=1)
+        for i in range(0, len(weights), rows)])
     cut = np.partition(scores, GRID_SEEDS - 1)[GRID_SEEDS - 1] * (1 + 1e-9)
     near_best = ((_peak([w] * k), tuple(w.tolist())) for w in weights[scores <= cut])
     return [np.array(w) for _, w in heapq.nsmallest(GRID_SEEDS, near_best)]
 
 
-def diagonal_constant(k: int, m: int, cfg: Optional[SolverConfig] = None,
+def diagonal_constant(k: int, m: int, cfg: SolverConfig = SolverConfig(),
                       extra_seeds: Optional[Sequence[Sequence[float]]] = None) -> MinimaxResult:
     """Upper estimate of Cbar_{k,m}; exact at m = 1 via the envelope.
 
@@ -313,7 +317,6 @@ def diagonal_constant(k: int, m: int, cfg: Optional[SolverConfig] = None,
     positive sum; it is normalized and run after the built-in starts.
     """
     _check_km(k, m)
-    cfg = cfg or SolverConfig()
     extra = [np.array(s, dtype=float) for s in extra_seeds or ()]
     for s in extra:
         if s.shape != (m + 1,) or not np.all(np.isfinite(s)) or np.any(s < 0) or s.sum() <= 0:

@@ -7,7 +7,7 @@ reads each point as a base-(k+1) integer, so sums of k points never carry and
 integer order is sorted point order; ``gridfn._digits`` reads an index back
 as a point, and ``_codes`` enforces the memory cap on the (k+1)^d count
 table.  The ordered representation counts of kA are the k-fold convolution
-of the indicator of A on those codes.  ``CubeSet.indicator`` keeps the
+of the indicator of A on those codes.  ``CubeSet.indicator`` retains the
 ``GridFn`` route to them as an independent oracle.
 
 Every count here comes from one engine, ``_PackedCounts``.  It packs each
@@ -26,7 +26,7 @@ A max count is found by galloping up with that test and bisecting.
 ``enumerate_verify`` visits the masks 1 .. 2^(2^d) - 1 in increasing order
 with the parent states on a stack.  Counts never fall when a point is added,
 so it reads the new count in the field that held the parent's max, and
-gallops only when one test above that count fires.  The g-Sidon walk keeps
+gallops only when one test above that count fires.  The g-Sidon walk holds
 one state and takes points back out with ``remove``.  The single-set routes
 (``representation_counts``, ``verify_bound`` and the sampled sweep) add a
 set's points to the empty state; ``representation_counts`` reads every field
@@ -49,10 +49,13 @@ the explicit g 2^{kd} / binom(k, k//2)^d form for odd k.  The odd-k cap rests
 on the odd-k bound for indicators: computer-checked where the exhaustive sweep
 finds no failure, a conjecture elsewhere.  So the search never reads the cap:
 it is one pruned depth-first walk over the 2^d points (``_largest_g_sidon``),
-and ``sidon search`` checks its result against the cap.  Above
-EXHAUSTIVE_D_MAX the walk takes the points in a seeded order, ``--samples`` is
-its budget of engine adds and ``exhaustive`` means it finished; the sweep
-there reads a seeded stream of nonzero subsets, ``_sampled_masks``.
+and ``sidon search`` checks its result against the cap.  Both routes take
+``samples`` and ``seed``, the CLI's ``--samples`` and ``--seed``, check them
+at every d (samples >= 1, seed >= 0) and read them only above
+EXHAUSTIVE_D_MAX.  There the walk takes the points in the order
+random.Random(seed) shuffles them, ``samples`` is its budget of engine adds
+and ``exhaustive`` means it finished; the sweep there reads the first
+``samples`` nonzero subsets of a stream seeded by ``seed``, ``_sampled_masks``.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .constants import optimal_constant_d
 from .gridfn import GridFn, _codes, _digits
@@ -281,7 +284,7 @@ def _set_counts(A: CubeSet, k: int) -> Tuple[_PackedCounts, int]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     engine = _PackedCounts(_codes(A.d, 1, k + 1), k, len(A))
-    # increasing codes keep the ints short until the last points
+    # increasing codes leave the ints short until the last points
     return engine, engine.fold(sorted(A.members))
 
 
@@ -305,26 +308,22 @@ def verify_bound(A: CubeSet, k: int) -> SidonReport:
     return SidonReport(A, k, max_count, argmax, bound, slack, max_count >= bound)
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    samples: int = 1000
-    seed: int = 0
+def _check_sampling(samples: int, seed: int) -> None:
+    """Refuse ``samples < 1`` and ``seed < 0`` at every d, before any work.
+
+    ``random.Random`` would run a negative seed as its absolute value.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-def _sample_config(d: int, cfg: Optional[SampleConfig]) -> SampleConfig:
-    """``cfg``, which every route above EXHAUSTIVE_D_MAX needs, with samples >= 1."""
-    if cfg is None:
-        raise ValueError(f"d={d} needs a SampleConfig (exhaustive cap is d={EXHAUSTIVE_D_MAX})")
-    if cfg.samples < 1:
-        raise ValueError(f"samples must be >= 1, got {cfg.samples}")
-    return cfg
-
-
-def _sampled_masks(d: int, cfg: SampleConfig) -> Iterator[int]:
-    """The first ``cfg.samples`` nonzero Random(cfg.seed).getrandbits(2^d), drawn as they are read."""
-    rng = random.Random(cfg.seed)
+def _sampled_masks(d: int, samples: int, seed: int) -> Iterator[int]:
+    """The first ``samples`` nonzero Random(seed).getrandbits(2^d), drawn as they are read."""
+    rng = random.Random(seed)
     drawn = 0
-    while drawn < cfg.samples:
+    while drawn < samples:
         s = rng.getrandbits(2**d)
         if s:
             drawn += 1
@@ -359,13 +358,23 @@ def _points_str(d: int, masks: Iterable[int]) -> List[str]:
     return [format(mask, f"0{d}b") for mask in sorted(masks)]
 
 
-def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
-                     keep: int = 8) -> EnumerationSummary:
+#: Sets kept in each of ``min_slack_sets`` and ``equality_sets``.
+KEEP_SETS = 8
+
+
+def _subset_str(d: int, subset_mask: int) -> List[str]:
+    """The points of a subset given as a 2^d-bit mask (bit p set for point mask p)."""
+    return _points_str(d, (p for p in range(2**d) if subset_mask >> p & 1))
+
+
+def enumerate_verify(d: int, k: int, samples: int = 1000, seed: int = 0) -> EnumerationSummary:
     """Verify the corollary bound over all nonempty subsets of {0,1}^d.
 
-    Exhaustive for d <= 4; for larger d the ``_sampled_masks`` subsets are
-    checked, which is a heuristic sweep only.
+    Exhaustive for d <= EXHAUSTIVE_D_MAX; above it the ``samples`` subsets that
+    ``_sampled_masks`` draws from ``seed`` are checked, which is a heuristic
+    sweep only.  ``samples`` and ``seed`` are checked at every d.
     """
+    _check_sampling(samples, seed)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     c = optimal_constant_d(k, d)
@@ -377,25 +386,20 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
 
     failures = 0
     min_slack = math.inf
-    min_sets: List[List[str]] = []
-    eq_sets: List[List[str]] = []
+    min_sets: List[int] = []  # subset masks, rendered on return
+    eq_sets: List[int] = []
 
     def record(subset_mask: int, slack: int) -> None:
         nonlocal min_slack, min_sets
-
-        def points() -> List[str]:
-            return _points_str(d, (p for p in range(n_points) if subset_mask >> p & 1))
-
-        if slack == 0 and len(eq_sets) < keep:
-            eq_sets.append(points())
+        if slack == 0 and len(eq_sets) < KEEP_SETS:
+            eq_sets.append(subset_mask)
         if slack < min_slack:
             min_slack = slack
-            min_sets = [points()]
-        elif slack == min_slack and len(min_sets) < keep:
-            min_sets.append(points())
+            min_sets = [subset_mask]
+        elif slack == min_slack and len(min_sets) < KEEP_SETS:
+            min_sets.append(subset_mask)
 
     den = c.denominator
-    cfg = None if exhaustive else _sample_config(d, sample_cfg)
     engine = _PackedCounts(codes, k, n_points)
     if exhaustive:
         checked = 2**n_points - 1
@@ -426,15 +430,16 @@ def enumerate_verify(d: int, k: int, sample_cfg: Optional[SampleConfig] = None,
             if slack <= min_slack or slack == 0:
                 record(subset_mask, slack)
     else:
-        checked = cfg.samples
-        for subset_mask in _sampled_masks(d, cfg):
+        checked = samples
+        for subset_mask in _sampled_masks(d, samples, seed):
             members = [p for p in range(n_points) if subset_mask >> p & 1]
             slack = engine.peak(engine.fold(members)) * den - scaled_bound[len(members)]
             if slack < 0:
                 failures += 1
             record(subset_mask, slack)
     return EnumerationSummary(d, k, checked, failures, Fraction(min_slack, c.denominator),
-                              min_sets, eq_sets, exhaustive)
+                              [_subset_str(d, m) for m in min_sets],
+                              [_subset_str(d, m) for m in eq_sets], exhaustive)
 
 
 @dataclass(frozen=True)
@@ -487,12 +492,9 @@ def g_sidon_size_cap(d: int, k: int, g: int) -> Tuple[int, str]:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k % 2 == 1:
+    if k % 2 == 1 or d == 1:
         bound = Fraction(g) / optimal_constant_d(k, d)
-        form = "paper-odd-k"
-    elif d == 1:
-        bound = Fraction(g) / optimal_constant_d(k, d)
-        form = "general"
+        form = "paper-odd-k" if k % 2 == 1 else "general"
     else:
         bound = Fraction(g * (k + 1) ** d)
         form = "trivial-average"
@@ -539,27 +541,26 @@ def _largest_g_sidon(engine: _PackedCounts, g: int, order: Sequence[int],
     return best, nodes
 
 
-def max_size_g_sidon(d: int, k: int, g: int,
-                     search_cfg: Optional[SampleConfig] = None) -> SearchResult:
+def max_size_g_sidon(d: int, k: int, g: int, samples: int = 1000, seed: int = 0) -> SearchResult:
     """Largest g-Sidon set of order k found by the pruned walk ``_largest_g_sidon``.
 
     Up to EXHAUSTIVE_D_MAX the walk visits the points in mask order with no
-    budget.  Above it the order is random.Random(search_cfg.seed).shuffle of
-    the points and ``search_cfg.samples`` is the add budget.
+    budget.  Above it the order is random.Random(seed).shuffle of the points
+    and ``samples`` is the add budget; both are checked at every d.
     ``exhaustive`` means the walk finished, so the set is a largest one.  The
     walk never reads the size cap: ``best_size > size_cap`` refutes its bound.
     """
+    _check_sampling(samples, seed)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
     cap, cap_form = g_sidon_size_cap(d, k, g)
-    cfg = _sample_config(d, search_cfg) if d > EXHAUSTIVE_D_MAX else None
     engine = _PackedCounts(_codes(d, 1, k + 1), k, 2**d)
     order = list(range(2**d))
     budget = math.inf
-    if cfg is not None:
-        random.Random(cfg.seed).shuffle(order)
-        budget = cfg.samples
+    if d > EXHAUSTIVE_D_MAX:
+        random.Random(seed).shuffle(order)
+        budget = samples
     best, nodes = _largest_g_sidon(engine, g, order, budget)
     return SearchResult(d, k, g, CubeSet(d, best), len(best), cap, cap_form, nodes < budget, nodes)

@@ -170,7 +170,7 @@ def test_criterion_6_sidon_exhaustive():
     for d in (1, 2, 3):
         for k in (2, 3):
             violating, min_slack, min_sets = brute_sidon_violations(d, k)
-            summary = enumerate_verify(d, k, keep=2 ** 2**d)
+            summary = enumerate_verify(d, k)
             good = summary.exhaustive
             good &= summary.failures == len(violating)
             good &= summary.min_slack == min_slack

@@ -245,6 +245,19 @@ class TestSidon:
                     "--samples", "0"]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("d", ["3", "5"])
+    @pytest.mark.parametrize("action", [["verify"], ["search", "--g", "2"]], ids=["verify", "search"])
+    def test_negative_seed_rejected_before_any_work(self, capsys, monkeypatch, action, d):
+        # random.Random would run -1 as seed 1; at d <= 4 the seed is unread but still checked
+        def refuse(*args):
+            raise AssertionError("engine built")
+
+        monkeypatch.setattr(sidon, "_PackedCounts", refuse)
+        assert run(["sidon", *action, "--d", d, "--k", "2", "--seed", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be >= 0, got -1" in captured.err
+
     def test_search(self, capsys):
         code, rep = run_json(capsys, "sidon", "search", "--d", "2", "--k", "2", "--g", "2")
         assert code == EXIT_OK

@@ -1,9 +1,11 @@
+import heapq
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -252,6 +254,32 @@ class TestCoarseGridSeeds:
                  for i, j in itertools.combinations(range(m + 1), 2)}
         assert peaks == {math.comb(k, k // 2) / 2**k}
         assert _coarse_grid_seeds(k, m) == []
+
+    @pytest.mark.parametrize("k,m", [(300, 3), (1000, 2)])
+    def test_blocked_scores_match_one_array(self, k, m):
+        # the reference scores the whole grid in one (points, km+1) FFT
+        n = 2
+        while math.comb(n + 1 + m, m) <= 4000:
+            n += 1
+        weights = minimax._simplex_grid(m, n) / n
+        size = k * m + 1
+        scores = np.fft.irfft(np.fft.rfft(weights, size) ** k, size).max(axis=1)
+        cut = np.partition(scores, minimax.GRID_SEEDS - 1)[minimax.GRID_SEEDS - 1] * (1 + 1e-9)
+        near_best = ((_peak([w] * k), tuple(w.tolist())) for w in weights[scores <= cut])
+        ref = [np.array(w) for _, w in heapq.nsmallest(minimax.GRID_SEEDS, near_best)]
+        seeds = _coarse_grid_seeds(k, m)
+        assert len(seeds) == len(ref) == minimax.GRID_SEEDS
+        assert all(np.array_equal(a, b) for a, b in zip(seeds, ref))
+
+    def test_scoring_memory_bounded(self):
+        # one array of the 4 000-point grid's 2 001-term powers peaks near 120 MB
+        tracemalloc.start()
+        try:
+            _coarse_grid_seeds(1000, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_rescores_only_near_best(self, monkeypatch):
         # the 3 003 points of the (2, 8) grid are scored in one FFT pass; few reach _peak

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -7,11 +8,11 @@ from fractions import Fraction
 import pytest
 
 from convmax import gridfn, sidon
+from convmax.cli import run
 from convmax.errors import MemoryCapExceeded
 from convmax.gridfn import convolve_many
 from convmax.sidon import (
     CubeSet,
-    SampleConfig,
     enumerate_verify,
     g_sidon_size_cap,
     max_size_g_sidon,
@@ -301,18 +302,24 @@ class TestEnumerateVerify:
                                      (1, 5), (2, 5)])
     def test_matches_brute_force_sweep(self, d, k):
         violating, min_slack, min_sets = brute_sidon_violations(d, k)
-        summary = enumerate_verify(d, k, keep=2 ** 2**d)
+        summary = enumerate_verify(d, k)
         assert summary.subsets_checked == 2 ** 2**d - 1
         assert summary.failures == len(violating)
         assert summary.min_slack == min_slack
         assert sorted(summary.min_slack_sets) == min_sets
 
-    def test_sampled_requires_config(self):
-        with pytest.raises(ValueError):
-            enumerate_verify(5, 2)
+    def test_defaults_are_the_cli_defaults(self, capsys):
+        # --samples 1000 --seed 0: above d = 4 the routes run without arguments
+        def payload(*argv):
+            run(list(argv))
+            return json.loads(capsys.readouterr().out)["payload"]
+
+        assert enumerate_verify(5, 2).to_dict() == payload("sidon", "verify", "--d", "5", "--k", "2")
+        assert max_size_g_sidon(5, 2, 2).to_dict() == payload(
+            "sidon", "search", "--d", "5", "--k", "2", "--g", "2")
 
     def test_sampled_mode(self):
-        summary = enumerate_verify(5, 2, SampleConfig(samples=40, seed=1))
+        summary = enumerate_verify(5, 2, samples=40, seed=1)
         assert not summary.exhaustive
         assert summary.failures == 0
         assert summary.subsets_checked == 40
@@ -322,7 +329,7 @@ class TestEnumerateVerify:
         subsets = brute_sampled_subsets(5, 30, seed)
         bound = SIDON_CONSTANTS[2] ** 5
         slacks = [brute_max_count(A, 2) - bound * len(A) ** 2 for A in subsets]
-        summary = enumerate_verify(5, 2, SampleConfig(samples=30, seed=seed))
+        summary = enumerate_verify(5, 2, samples=30, seed=seed)
         assert summary.subsets_checked == 30
         assert summary.failures == sum(s < 0 for s in slacks)
         assert summary.min_slack == min(slacks)
@@ -330,7 +337,7 @@ class TestEnumerateVerify:
 
     def test_sampled_masks_are_drawn_lazily(self, monkeypatch):
         # a huge --samples costs no memory: masks are drawn as the sweep reads them
-        first = list(sidon._sampled_masks(5, SampleConfig(samples=3, seed=0)))
+        first = list(sidon._sampled_masks(5, samples=3, seed=0))
         draws = 0
         getrandbits = random.Random.getrandbits
 
@@ -342,18 +349,23 @@ class TestEnumerateVerify:
             return getrandbits(self, n)
 
         monkeypatch.setattr(random.Random, "getrandbits", counted)
-        masks = sidon._sampled_masks(5, SampleConfig(samples=10**9, seed=0))
+        masks = sidon._sampled_masks(5, samples=10**9, seed=0)
         assert list(itertools.islice(masks, 3)) == first
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_sampled_rejects_no_samples(self, samples):
         with pytest.raises(ValueError, match="samples"):
-            enumerate_verify(5, 2, SampleConfig(samples=samples, seed=1))
+            enumerate_verify(5, 2, samples=samples, seed=1)
 
-    def test_exhaustive_ignores_sample_config(self):
-        summary = enumerate_verify(2, 2, SampleConfig(samples=0, seed=1))
-        assert summary.exhaustive
-        assert summary.subsets_checked == 15
+    @pytest.mark.parametrize("samples,seed,message", [(0, 1, "samples must be >= 1, got 0"),
+                                                      (10, -1, "seed must be >= 0, got -1")],
+                             ids=["no-samples", "negative-seed"])
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_bad_sampling_rejected_at_every_d(self, d, samples, seed, message):
+        with pytest.raises(ValueError, match=message):
+            enumerate_verify(d, 2, samples=samples, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            max_size_g_sidon(d, 2, 2, samples=samples, seed=seed)
 
 
 class TestSizeCap:
@@ -440,11 +452,11 @@ class TestMaxSizeSearch:
         assert res.exhaustive
         assert ["".join(map(str, p)) for p in res.best_set.points()] == brute_first_g_sidon(d, k, g)
 
-    @pytest.mark.parametrize("d,g,cfg", [(2, 2, None), (5, 4, SampleConfig(samples=60, seed=0))])
+    @pytest.mark.parametrize("d,g,cfg", [(2, 2, None), (5, 4, {"samples": 60, "seed": 0})])
     def test_set_above_cap_is_returned(self, monkeypatch, d, g, cfg):
         # the search never reads the cap, so a cap that is too small shows as best_size > size_cap
         monkeypatch.setattr(sidon, "g_sidon_size_cap", lambda d, k, g: (1, "paper-odd-k"))
-        res = max_size_g_sidon(d, 2, g, cfg)
+        res = max_size_g_sidon(d, 2, g, **(cfg or {}))
         assert res.size_cap == 1
         assert res.best_size > 1
         assert max(representation_counts(res.best_set, 2).values()) <= g
@@ -454,7 +466,7 @@ class TestMaxSizeSearch:
             max_size_g_sidon(1, 2, 0)
 
     def test_stochastic_mode(self):
-        res = max_size_g_sidon(5, 2, 4, SampleConfig(samples=30, seed=3))
+        res = max_size_g_sidon(5, 2, 4, samples=30, seed=3)
         assert not res.exhaustive
         assert res.best_size >= 1
         assert max(representation_counts(res.best_set, 2).values()) <= 4
@@ -462,26 +474,26 @@ class TestMaxSizeSearch:
     @pytest.mark.parametrize("seed", range(5))
     def test_budgeted_walk_d5_finds_ten_points(self, seed):
         # a 12-point 2-Sidon set exists at d = 5; 2000 adds of the seeded walk reach 10
-        res = max_size_g_sidon(5, 2, 2, SampleConfig(samples=2000, seed=seed))
+        res = max_size_g_sidon(5, 2, 2, samples=2000, seed=seed)
         assert not res.exhaustive
         assert res.best_size >= 10
         assert brute_max_count(["".join(map(str, p)) for p in res.best_set.points()], 2) <= 2
 
     @pytest.mark.parametrize("seed", range(3))
     def test_budgeted_walk_d6_finds_fourteen_points(self, seed):
-        res = max_size_g_sidon(6, 2, 2, SampleConfig(samples=1000, seed=seed))
+        res = max_size_g_sidon(6, 2, 2, samples=1000, seed=seed)
         assert res.best_size >= 14
         assert max(representation_counts(res.best_set, 2).values()) <= 2
 
     def test_budgeted_walk_takes_whole_cube_when_every_set_qualifies(self):
-        res = max_size_g_sidon(5, 2, 10**6, SampleConfig(samples=1000, seed=0))
+        res = max_size_g_sidon(5, 2, 10**6, samples=1000, seed=0)
         assert res.best_set.members == full_cube(5).members
         assert res.exhaustive
         assert res.nodes == 32
 
     def test_budgeted_walk_finishes_at_g1(self):
         # two distinct points a, b already give the sum a + b two ordered representations
-        res = max_size_g_sidon(5, 2, 1, SampleConfig(samples=1000, seed=0))
+        res = max_size_g_sidon(5, 2, 1, samples=1000, seed=0)
         assert res.exhaustive
         assert res.best_size == 1
         assert res.nodes < 1000
@@ -490,14 +502,14 @@ class TestMaxSizeSearch:
         # a larger budget continues the same seeded walk, so the best set can only grow
         sizes = []
         for budget in (10, 100, 1000):
-            res = max_size_g_sidon(5, 2, 2, SampleConfig(samples=budget, seed=4))
+            res = max_size_g_sidon(5, 2, 2, samples=budget, seed=4)
             assert res.nodes <= budget
             sizes.append(res.best_size)
         assert sizes == sorted(sizes)
 
     def test_walk_deeper_than_the_recursion_limit(self):
         # k = 1, g = 1: every set qualifies, so the walk chooses all 1024 points in turn
-        res = max_size_g_sidon(10, 1, 1, SampleConfig(samples=2000, seed=0))
+        res = max_size_g_sidon(10, 1, 1, samples=2000, seed=0)
         assert res.best_size == 1024
         assert res.exhaustive
         assert res.nodes == 1024
@@ -533,7 +545,7 @@ class TestMaxSizeSearch:
     @pytest.mark.parametrize("samples", [0, -1])
     def test_stochastic_rejects_no_samples(self, samples):
         with pytest.raises(ValueError, match="samples"):
-            max_size_g_sidon(5, 2, 2, SampleConfig(samples=samples, seed=3))
+            max_size_g_sidon(5, 2, 2, samples=samples, seed=3)
 
 
     def test_over_cap_above_d4_rejected_before_shuffling(self, monkeypatch):
@@ -544,19 +556,19 @@ class TestMaxSizeSearch:
         monkeypatch.setattr(random.Random, "shuffle", refuse)
         monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 242)
         with pytest.raises(MemoryCapExceeded, match="243 exceeds cap 242"):
-            max_size_g_sidon(5, 2, 2, SampleConfig(samples=1, seed=0))
+            max_size_g_sidon(5, 2, 2, samples=1, seed=0)
 
     def test_walk_states_capped_by_point_count(self, monkeypatch):
         # the walk holds one state, so one table of 3^5 = 243 entries is all the cap must allow
         monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 243)
-        res = max_size_g_sidon(5, 2, 10**6, SampleConfig(samples=10**9, seed=0))
+        res = max_size_g_sidon(5, 2, 10**6, samples=10**9, seed=0)
         assert res.best_size == 32 and res.exhaustive
 
     def test_walk_memory_does_not_grow_with_depth(self):
         # 512 chosen points of 3^9-field states would hold about 38 MB if kept per depth
         tracemalloc.start()
         try:
-            res = max_size_g_sidon(9, 2, 10**6, SampleConfig(samples=512, seed=0))
+            res = max_size_g_sidon(9, 2, 10**6, samples=512, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
