@@ -237,7 +237,8 @@ def _cmd_sidon(args, argv) -> int:
         summary = enumerate_verify(args.d, args.k, args.samples, args.seed)
         sweep_s = time.perf_counter() - t0
         meta = {"sweep_s": sweep_s,
-                "subsets_per_s": summary.subsets_checked / sweep_s if sweep_s > 0 else None}
+                "subsets_per_s": summary.subsets_checked / sweep_s if sweep_s > 0 else None,
+                "orbits": summary.orbits}
         payload = summary.to_dict()
         violation = summary.failures > 0
     elif args.action == "classify":

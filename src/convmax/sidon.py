@@ -23,15 +23,21 @@ immutable, so a parent's state stays valid after a point is added to it;
 (P_k + (2^(w-1) - 1 - t) * ONES) & HIGH, with ONES a 1 in every field and
 HIGH every top bit; it is never true for t >= 2^(w-1) - 1.
 A max count is found by galloping up with that test and bisecting.
-``enumerate_verify`` visits the masks 1 .. 2^(2^d) - 1 in increasing order
-with the parent states on a stack.  Counts never fall when a point is added,
-so it reads the new count in the field that held the parent's max, and
-gallops only when one test above that count fires.  The g-Sidon walk holds
-one state and takes points back out with ``remove``.  The single-set routes
-(``representation_counts``, ``verify_bound`` and the sampled sweep) add a
-set's points to the empty state; ``representation_counts`` reads every field
-back in one linear pass over the binary digits, and ``verify_bound`` reads its
-argmax codes off the guard bits that fire just below the max.
+The g-Sidon walk holds one state and takes points back out with ``remove``.
+Every other route adds a set's points to the empty state;
+``representation_counts`` reads every field back in one linear pass over the
+binary digits, and ``verify_bound`` reads its argmax codes off the guard bits
+that fire just below the max.
+
+The exhaustive ``enumerate_verify`` scores one set per symmetry class of the
+cube.  A coordinate permutation permutes the base-(k+1) codes, and reflecting
+coordinate t maps each coordinate sum s_t of k points to k - s_t, a bijection
+on the codes of kA; so the multiset of counts, hence the max count, |A| and
+the slack, is the same on every set of a class under the 2^d d! symmetries.
+The sweep walks the subset masks 1 .. 2^(2^d) - 1 in increasing order, skips
+the masks already marked, and scores each unmarked one, the least of its
+class, after marking its class (``_symmetry_orbit``): 2, 5, 21 and 401 classes
+at d = 1..4 instead of 2^(2^d) - 1 sets.
 
 The claimed bound is max representation count >= C_{k,d} |A|^k with C_{k,d}
 the tensor power of the exact one-dimensional constant.  It is attained by the
@@ -60,11 +66,12 @@ and ``exhaustive`` means it finished; the sweep there reads the first
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .constants import optimal_constant_d
 from .gridfn import GridFn, _codes, _digits
@@ -154,9 +161,9 @@ class _PackedCounts:
             return 0
         return (top + (self.limit - t) * self.ones) & self.high
 
-    def peak(self, top: int, lo: int = 0) -> int:
-        """The max field of ``top``, known to be >= lo: gallop up from lo, then bisect."""
-        step = 1
+    def peak(self, top: int) -> int:
+        """The max field of ``top``: gallop up from 0, then bisect."""
+        lo, step = 0, 1
         while True:
             t = lo + step - 1
             if not self.above(top, t):
@@ -340,6 +347,9 @@ class EnumerationSummary:
     min_slack_sets: List[List[str]]   # serialized point lists, capped
     equality_sets: List[List[str]]
     exhaustive: bool
+    # symmetry classes the exhaustive sweep scored, None when sampled; a run
+    # statistic, left out of to_dict
+    orbits: Optional[int]
 
     def to_dict(self) -> dict:
         return {
@@ -365,6 +375,38 @@ KEEP_SETS = 8
 def _subset_str(d: int, subset_mask: int) -> List[str]:
     """The points of a subset given as a 2^d-bit mask (bit p set for point mask p)."""
     return _points_str(d, (p for p in range(2**d) if subset_mask >> p & 1))
+
+
+def _symmetry_orbit(d: int) -> Callable[[int], Set[int]]:
+    """The map from a subset mask of {0,1}^d, d <= 4, to its images under the cube's symmetries.
+
+    Bit p of a subset mask is point p.  Reflecting the coordinate at point bit t
+    swaps the blocks of 2^t subset bits whose points have bit t clear and set.
+    A coordinate permutation sends the points 0..7 and 8..15 through one image
+    table each, filled one point at a time (the second is [0] below d = 4).
+    The tables are built per call, about 12k entries at d = 4.
+    """
+    n = 2**d
+    flips = [(1 << t, sum(1 << p for p in range(n) if not p >> t & 1)) for t in range(d)]
+    tables = []
+    for sigma in itertools.permutations(range(d)):
+        pm = [sum((p >> s & 1) << j for j, s in enumerate(sigma)) for p in range(n)]
+        pair = []
+        for base in (0, 8):
+            img = [0] * (1 << max(0, min(8, n - base)))
+            for b in range(1, len(img)):
+                low = b & -b
+                img[b] = img[b ^ low] | 1 << pm[base + low.bit_length() - 1]
+            pair.append(img)
+        tables.append(pair)
+
+    def orbit(x: int) -> Set[int]:
+        images = {x}
+        for step, clear in flips:
+            images |= {y >> step & clear | (y & clear) << step for y in images}
+        return {lo[y & 255] | hi[y >> 8] for lo, hi in tables for y in images}
+
+    return orbit
 
 
 def enumerate_verify(d: int, k: int, samples: int = 1000, seed: int = 0) -> EnumerationSummary:
@@ -403,34 +445,28 @@ def enumerate_verify(d: int, k: int, samples: int = 1000, seed: int = 0) -> Enum
     engine = _PackedCounts(codes, k, n_points)
     if exhaustive:
         checked = 2**n_points - 1
-        add, above, peak, w = engine.add, engine.above, engine.peak, engine.w
-        field = (1 << w) - 1
-        # stack[i]: counts, max count and the bit offset of a field holding it,
-        # for the i highest points of the current mask
-        stack = [(engine.empty, 0, 0)]
-        for subset_mask in range(1, checked + 1):
-            # the mask before this one ends in q set bits below bit q: pop them, add point q
-            q = (subset_mask & -subset_mask).bit_length() - 1
-            if q:
-                del stack[-q:]
-            counts, max_count, at = stack[-1]
-            counts = add(counts, codes[q])
-            top = counts[-1]
-            # counts never fall: read the parent's max field again, and search
-            # further only if the guard bits above it fire
-            max_count = top >> at & field
-            if above(top, max_count):
-                max_count = peak(top, max_count + 1)
-                fired = above(top, max_count - 1)
-                at = (fired & -fired).bit_length() - w  # the lowest field holding the max
-            stack.append((counts, max_count, at))
-            slack = max_count * den - scaled_bound[len(stack) - 1]
-            if slack < 0:
-                failures += 1
-            if slack <= min_slack or slack == 0:
-                record(subset_mask, slack)
+        orbit = _symmetry_orbit(d)
+        seen = bytearray(checked + 1)
+        seen[0] = 1  # the empty set is not swept
+        classes = []  # (slack, class size, least member)
+        rep = seen.find(0)
+        while rep >= 0:
+            images = orbit(rep)
+            for y in images:
+                seen[y] = 1
+            members = [p for p in range(n_points) if rep >> p & 1]
+            slack = engine.peak(engine.fold(members)) * den - scaled_bound[len(members)]
+            classes.append((slack, len(images), rep))
+            rep = seen.find(0, rep + 1)
+        orbits = len(classes)
+        failures = sum(size for slack, size, _ in classes if slack < 0)
+        min_slack = min(slack for slack, _, _ in classes)
+        # the first KEEP_SETS masks of the classes at a slack, rebuilt from their least members
+        min_sets, eq_sets = [sorted(y for slack, _, least in classes if slack == target
+                                    for y in orbit(least))[:KEEP_SETS]
+                             for target in (min_slack, 0)]
     else:
-        checked = samples
+        checked, orbits = samples, None
         for subset_mask in _sampled_masks(d, samples, seed):
             members = [p for p in range(n_points) if subset_mask >> p & 1]
             slack = engine.peak(engine.fold(members)) * den - scaled_bound[len(members)]
@@ -439,7 +475,7 @@ def enumerate_verify(d: int, k: int, samples: int = 1000, seed: int = 0) -> Enum
             record(subset_mask, slack)
     return EnumerationSummary(d, k, checked, failures, Fraction(min_slack, c.denominator),
                               [_subset_str(d, m) for m in min_sets],
-                              [_subset_str(d, m) for m in eq_sets], exhaustive)
+                              [_subset_str(d, m) for m in eq_sets], exhaustive, orbits)
 
 
 @dataclass(frozen=True)

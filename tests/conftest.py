@@ -143,27 +143,37 @@ def brute_first_g_sidon(d: int, k: int, g: int, order=None):
     return []
 
 
-def brute_sidon_violations(d: int, k: int):
+def brute_sidon_violations(d: int, k: int, mask_order: bool = False):
     """Sweep every nonempty A in {0,1}^d against max count >= C_{k,1}^d |A|^k.
 
     Counts ordered k-tuples of A by their coordinatewise sum.  Sets are sorted
     lists of '0'/'1' strings, first coordinate first.  Returns
-    (violating sets, minimum slack, sets attaining the minimum slack).
+    (violating sets, minimum slack, sets attaining the minimum slack, sets
+    with slack 0).  The lists are sorted, or with ``mask_order`` in increasing
+    order of the subset mask whose bit p selects the point that p spells.
     """
     c = SIDON_CONSTANTS[k] ** d
     cube = ["".join(bits) for bits in itertools.product("01", repeat=d)]
-    violating, min_slack, min_sets = [], None, []
+    violating, min_slack, min_sets, equality = [], None, [], []
     for size in range(1, len(cube) + 1):
         for subset in itertools.combinations(cube, size):
             slack = brute_max_count(subset, k) - c * size**k
             members = sorted(subset)
             if slack < 0:
                 violating.append(members)
+            if slack == 0:
+                equality.append(members)
             if min_slack is None or slack < min_slack:
                 min_slack, min_sets = slack, [members]
             elif slack == min_slack:
                 min_sets.append(members)
-    return sorted(violating), min_slack, sorted(min_sets)
+
+    def order(sets):
+        if mask_order:
+            return sorted(sets, key=lambda s: sum(1 << int(p, 2) for p in s))
+        return sorted(sets)
+
+    return order(violating), min_slack, order(min_sets), order(equality)
 
 
 def brute_sampled_subsets(d: int, samples: int, seed: int):

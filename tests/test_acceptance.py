@@ -169,7 +169,7 @@ def test_criterion_6_sidon_exhaustive():
     details = []
     for d in (1, 2, 3):
         for k in (2, 3):
-            violating, min_slack, min_sets = brute_sidon_violations(d, k)
+            violating, min_slack, min_sets, _ = brute_sidon_violations(d, k)
             summary = enumerate_verify(d, k)
             good = summary.exhaustive
             good &= summary.failures == len(violating)

@@ -287,6 +287,14 @@ class TestSidon:
         assert meta["subsets_per_s"] is None or meta["subsets_per_s"] > 0
         assert "sweep_s" not in rep["payload"]
 
+    def test_verify_meta_reports_orbits(self, capsys):
+        # symmetry classes the exhaustive sweep scored; the sampled sweep has none
+        _, rep = run_json(capsys, "sidon", "verify", "--d", "3", "--k", "2")
+        assert rep["meta"]["orbits"] == 21
+        assert "orbits" not in rep["payload"]
+        _, rep = run_json(capsys, "sidon", "verify", "--d", "5", "--k", "2", "--samples", "5")
+        assert rep["meta"]["orbits"] is None
+
     def test_search_meta_reports_search_time(self, capsys):
         _, rep = run_json(capsys, "sidon", "search", "--d", "3", "--k", "2", "--g", "2")
         assert rep["meta"]["search_s"] >= 0

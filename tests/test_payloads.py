@@ -26,6 +26,8 @@ PINNED = [
      "a6b021cb431ba22dabb721181c069648e4a60fe8e8a4e45081d346111b3534b1"),
     ("sidon verify --d 4 --k 3", EXIT_OK,
      "3c07a6f8dcb865a739090e7ed3ab5672746298074a998089a2a0e8ce63d0eb49"),
+    ("sidon verify --d 4 --k 5", EXIT_OK,
+     "fc8cdc7471cc9b853d472a0f6399564b2c42548cebab585116737829b6e792fc"),
     ("sidon search --d 4 --k 2 --g 2", EXIT_OK,
      "eade4f2a3c3a714346fbf00c15456257e6720a7735b6ed8d6869c9a81062ea13"),
     ("sidon search --d 4 --k 2 --g 4", EXIT_OK,

@@ -151,7 +151,7 @@ class TestRunningCounts:
                         c for c, n in enumerate(expected) if n == max(expected)]
 
     def test_exhaustive_add_counts(self, monkeypatch):
-        # the sweep adds each nonempty subset's last point once; the search
+        # the sweep folds the least set of each symmetry class once; the search
         # walks each surviving prefix once instead of once per candidate size
         adds = 0
         add = sidon._PackedCounts.add
@@ -162,8 +162,14 @@ class TestRunningCounts:
             return add(self, counts, x)
 
         monkeypatch.setattr(sidon._PackedCounts, "add", counted)
-        assert enumerate_verify(4, 2).min_slack == Fraction(578, 6561)
-        assert adds == 2**16 - 1
+        for d, classes in zip((1, 2, 3, 4), (2, 5, 21, 401)):
+            adds = 0
+            summary = enumerate_verify(d, 2)
+            assert summary.orbits == classes
+            # complements pair the classes of j and 2^d - j points, so the sizes
+            # of all classes, the empty one included, average 2^(d-1)
+            assert adds == 2 ** (d - 1) * (classes + 1)
+        assert summary.min_slack == Fraction(578, 6561)
         adds = 0
         res = max_size_g_sidon(4, 2, 2)
         assert res.best_size == 7
@@ -227,6 +233,55 @@ class TestRunningCounts:
         expected = oracle_counts(6, 2, members)
         assert engine.unpack(top) == expected
         assert engine.peak(top) == max(expected)
+
+
+def cube_symmetries(d):
+    """The 2^d d! maps of point tuples that permute coordinates, then reflect some."""
+    for perm in itertools.permutations(range(d)):
+        for flips in itertools.product((0, 1), repeat=d):
+            yield lambda x, perm=perm, flips=flips: tuple(x[perm[t]] ^ flips[t] for t in range(d))
+
+
+def subset_points(d, subset_mask):
+    """The point tuples of a subset mask, bit p for the point whose digits spell p."""
+    return [tuple(p >> (d - 1 - t) & 1 for t in range(d))
+            for p in range(2**d) if subset_mask >> p & 1]
+
+
+class TestCubeSymmetry:
+    """The exhaustive sweep scores one set per class: what it rests on."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_counts_invariant_under_cube_symmetries(self, d, k):
+        rng = random.Random(31 * d + k)
+        for _ in range(3):
+            A = CubeSet(d, rng.sample(range(2**d), rng.randint(1, 2**d)))
+            counts = sorted(n for n in oracle_counts(d, k, sorted(A.members)) if n)
+            assert sorted(representation_counts(A, k).values()) == counts
+            for sym in cube_symmetries(d):
+                B = CubeSet.from_points(d, [sym(p) for p in A.points()])
+                assert sorted(n for n in oracle_counts(d, k, sorted(B.members)) if n) == counts
+                assert sorted(representation_counts(B, k).values()) == counts
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_orbit_is_every_symmetry_image(self, d):
+        orbit = sidon._symmetry_orbit(d)
+        syms = list(cube_symmetries(d))
+        assert len(syms) == 2**d * math.factorial(d)
+        if d <= 3:
+            masks = range(1, 2 ** 2**d)
+        else:
+            masks = random.Random(4).sample(range(1, 2**16), 40) + [1, 2**16 - 1]
+        classes = set()
+        for x in masks:
+            points = subset_points(d, x)
+            images = {sum(1 << int("".join(map(str, sym(p))), 2) for p in points)
+                      for sym in syms}
+            assert orbit(x) == images
+            classes.add(min(images))
+        if d <= 3:
+            assert len(classes) == (2, 5, 21)[d - 1]
 
 
 class TestVerifyBound:
@@ -299,14 +354,16 @@ class TestEnumerateVerify:
         assert summary.subsets_checked == 255
 
     @pytest.mark.parametrize("d,k", [(1, 1), (2, 1), (3, 1), (1, 4), (2, 4), (3, 4),
-                                     (1, 5), (2, 5)])
+                                     (1, 5), (2, 5), (3, 2), (3, 3)])
     def test_matches_brute_force_sweep(self, d, k):
-        violating, min_slack, min_sets = brute_sidon_violations(d, k)
+        violating, min_slack, min_sets, equality = brute_sidon_violations(d, k, mask_order=True)
         summary = enumerate_verify(d, k)
         assert summary.subsets_checked == 2 ** 2**d - 1
         assert summary.failures == len(violating)
         assert summary.min_slack == min_slack
-        assert sorted(summary.min_slack_sets) == min_sets
+        # the first sets in increasing subset-mask order, as a set-by-set sweep meets them
+        assert summary.min_slack_sets == min_sets[:sidon.KEEP_SETS]
+        assert summary.equality_sets == equality[:sidon.KEEP_SETS]
 
     def test_defaults_are_the_cli_defaults(self, capsys):
         # --samples 1000 --seed 0: above d = 4 the routes run without arguments
