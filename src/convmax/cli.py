@@ -148,6 +148,7 @@ def _cmd_solve(args, argv) -> int:
         t0 = time.perf_counter()
         oracle = grid_oracle(args.k, args.m, args.grid, diagonal=args.mode == "diagonal")
         meta["oracle_s"] = time.perf_counter() - t0
+        meta["oracle_folds"] = oracle.folds
     t0 = time.perf_counter()
     if args.mode == "diagonal":
         res = diagonal_constant(args.k, args.m, cfg)

@@ -20,8 +20,12 @@ The independent cross-checks are exact:
 * ``grid_oracle`` — exhaustive exact sweep over the simplex grid points
   with denominator n (``_simplex_grid``, in lexicographic order).  It folds
   integer numerators with ``gridfn._convolve_seq`` (each factor a numerator
-  over n, a k-fold one over n^k), shares every prefix fold in general mode
-  and builds Fractions only for the minimiser.
+  over n, a k-fold one over n^k) and builds Fractions only for the
+  minimiser.  It folds one member of each class of points that share a
+  peak: in general mode each multiset of factors (convolution commutes),
+  once per nondecreasing tuple with every prefix fold shared; in diagonal
+  mode each pair {w, w[::-1]}.  ``points_evaluated`` counts every point the
+  sweep decides, per^k ordered tuples or per weights.
   Its minimum is an upper bound for the true constant and is exactly the
   best value any solver restricted to that grid can reach.
 * the m = 1 closed forms: ``_diagonal_envelope_exact``,
@@ -40,7 +44,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from typing import List, Optional, Sequence, Tuple
@@ -112,14 +116,6 @@ def _conv_all(ws: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.convolve, ws)
 
 
-def _conv_matrix(c: np.ndarray, m: int) -> np.ndarray:
-    """M[i, a] = c[i - a] (0 outside c), so M @ w == np.convolve(c, w) for len(w) = m+1."""
-    M = np.zeros((len(c) + m, m + 1))
-    for a in range(m + 1):
-        M[a:a + len(c), a] = c
-    return M
-
-
 def _shared_modes(profile: np.ndarray) -> List[int]:
     top = float(np.max(profile))
     return [i for i, v in enumerate(profile) if v >= top - CERT_TOL]
@@ -185,6 +181,40 @@ def _peak(ws: Sequence[np.ndarray]) -> float:
     return float(np.max(_conv_all(ws)))
 
 
+def _factors(x: np.ndarray, k: int, r: int) -> List[np.ndarray]:
+    """The k factors of an epigraph point x = (r factors of length m+1, t)."""
+    return list(x[:-1].reshape(r, -1)) * (k // r)
+
+
+def _epigraph_jac(k: int, r: int, m: int):
+    """The Jacobian x -> d(t - f_1*...*f_k)/dx of the epigraph constraint, r free factors.
+
+    Entry (i, (j, a)) is -(k/r) c_j[i - a], where c_j is the fold of all
+    factors but one copy of factor j, and the t column is ones.  Each call
+    writes the r leave-one-out folds into one flat source, after which a 0.0
+    and a 1.0 slot sit, and gathers the whole Jacobian from it with one
+    precomputed (km+1, r(m+1)+1) index: a fresh array every call.
+    """
+    copies = k // r
+    n_c = (k - 1) * m + 1
+    zero, one = r * n_c, r * n_c + 1
+    lag = np.arange(k * m + 1)[:, None] - np.arange(m + 1)
+    inside = (lag >= 0) & (lag < n_c)
+    index = np.full((k * m + 1, r * (m + 1) + 1), one)
+    for j in range(r):
+        index[:, j * (m + 1):(j + 1) * (m + 1)] = np.where(inside, lag + j * n_c, zero)
+    src = np.zeros(one + 1)
+    src[one] = 1.0
+
+    def jac(x):
+        f = _factors(x, k, r)
+        for j in range(r):
+            np.multiply(_conv_all(f[:j] + f[j + 1:]), -copies, out=src[j * n_c:(j + 1) * n_c])
+        return src[index]
+
+    return jac
+
+
 def _polish(ws0: Sequence[np.ndarray], k: int) -> Tuple[List[np.ndarray], float, bool, int]:
     """SLSQP on the epigraph form: min t s.t. (f_1*...*f_k)_i <= t, each f_j in simplex.
 
@@ -196,29 +226,24 @@ def _polish(ws0: Sequence[np.ndarray], k: int) -> Tuple[List[np.ndarray], float,
     copies = k // r
     m = len(ws0[0]) - 1
     n_w = r * (m + 1)
-    n_out = k * m + 1
-
-    def factors(x):
-        return list(x[:-1].reshape(r, m + 1)) * copies
 
     def cons_f(x):
-        return x[-1] - _conv_all(factors(x))
-
-    def cons_jac(x):
-        f = factors(x)
-        blocks = [_conv_matrix(-copies * _conv_all(f[:j] + f[j + 1:]), m) for j in range(r)]
-        return np.column_stack(blocks + [np.ones(n_out)])
+        return x[-1] - _conv_all(_factors(x, k, r))
 
     A_eq = np.zeros((r, n_w + 1))
     for j in range(r):
         A_eq[j, j * (m + 1):(j + 1) * (m + 1)] = 1.0
+    # the objective gradient never changes; read-only, since SLSQP gets this one array each call
+    grad = np.zeros(n_w + 1)
+    grad[-1] = 1.0
+    grad.flags.writeable = False
 
     x0 = np.concatenate([*ws0, [_peak(list(ws0) * copies)]])
     res = minimize(
         lambda x: x[-1], x0, method="SLSQP",
-        jac=lambda x: np.concatenate([np.zeros(n_w), [1.0]]),
+        jac=lambda x: grad,
         constraints=[
-            {"type": "ineq", "fun": cons_f, "jac": cons_jac},
+            {"type": "ineq", "fun": cons_f, "jac": _epigraph_jac(k, r, m)},
             {"type": "eq", "fun": lambda x: x[:-1].reshape(r, m + 1).sum(axis=1) - 1.0,
              "jac": lambda x: A_eq},
         ],
@@ -357,7 +382,8 @@ class GridOracleResult:
     diagonal: bool
     grid_min: Fraction           # exact minimum over the grid: an upper bound for the constant
     argmin: tuple                # weight tuples with denominator n
-    points_evaluated: int
+    points_evaluated: int        # grid points decided: per^k ordered tuples, or per (diagonal)
+    folds: Optional[int] = field(default=None, compare=False)   # points actually folded
 
     def to_dict(self) -> dict:
         return {
@@ -369,19 +395,20 @@ class GridOracleResult:
         }
 
 
-def _prefix_folds(comps: Sequence[tuple], k: int):
-    """(tuple, fold) for every k-tuple of ``comps`` in ``itertools.product`` order.
+def _multiset_folds(comps: Sequence[list], k: int):
+    """(index tuple, fold) for every nondecreasing k-tuple of indices into ``comps``.
 
+    The tuples come in ``itertools.combinations_with_replacement`` order.
     Each j-prefix is folded once and shared by all its extensions, so the
-    sweep makes per^2 + ... + per^k folds instead of (k - 1) per^k.
+    sweep makes C(per+1, 2) + ... + C(per+k-1, k) folds.
     """
     if k == 1:
-        for c in comps:
-            yield (c,), c
+        for i, c in enumerate(comps):
+            yield (i,), c
         return
-    for prefix, acc in _prefix_folds(comps, k - 1):
-        for c in comps:
-            yield prefix + (c,), _convolve_seq(acc, c)
+    for prefix, acc in _multiset_folds(comps, k - 1):
+        for i in range(prefix[-1], len(comps)):
+            yield prefix + (i,), _convolve_seq(acc, comps[i])
 
 
 def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleResult:
@@ -389,8 +416,19 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleRes
 
     The grid minimum is an upper bound for the true constant.  Weights are
     integer numerators over n, so every fold is an integer numerator over
-    n^k and the sweep is exact; the first minimising point in sweep order
-    wins, and only it is turned into Fractions.
+    n^k and the sweep is exact; the first minimising point in
+    ``itertools.product`` order (diagonal: grid order) wins, and only it is
+    turned into Fractions.
+
+    Each symmetry class of points with one peak is folded once, through its
+    least member.  General mode: convolution commutes, so a k-tuple and its
+    sorted multiset have one peak, and only the nondecreasing tuples are
+    folded; the least minimiser is sorted, since sorting a tuple never makes
+    it larger.  Diagonal mode: reversed weights give a reversed fold, so a
+    point w with w > w[::-1] is skipped; the least minimiser is never larger
+    than its reversal.  ``points_evaluated`` counts the points the sweep
+    decides (per^k ordered tuples, or per weights), ``folds`` the ones it
+    folded.
     """
     if k < 2 or m < 1 or n < 1:
         raise ValueError(f"need k >= 2, m >= 1, n >= 1; got k={k}, m={m}, n={n}")
@@ -401,16 +439,17 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleRes
 
     comps = _simplex_grid(m, n).tolist()
     if diagonal:
-        folds = (((c,), reduce(_convolve_seq, (c,) * k)) for c in comps)
+        folds = (((i,), reduce(_convolve_seq, (c,) * k))
+                 for i, c in enumerate(comps) if c <= c[::-1])
     else:
-        folds = _prefix_folds(comps, k)
+        folds = _multiset_folds(comps, k)
     best, best_combo = None, None
-    for combo, fold in folds:
+    for folded, (combo, fold) in enumerate(folds, 1):
         v = max(fold)
         if best is None or v < best:
             best, best_combo = v, combo
-    argmin = tuple(tuple(Fraction(c, n) for c in w) for w in best_combo)
-    return GridOracleResult(k, m, n, diagonal, Fraction(best, n**k), argmin, total)
+    argmin = tuple(tuple(Fraction(c, n) for c in comps[i]) for i in best_combo)
+    return GridOracleResult(k, m, n, diagonal, Fraction(best, n**k), argmin, total, folded)
 
 
 # ---------------------------------------------------------------------------

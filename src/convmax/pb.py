@@ -7,7 +7,9 @@ built by folding in one parameter at a time:
 
 with out-of-range entries read as 0.  All operations work in exact rational
 mode (int/Fraction parameters) or float mode; exact mode gives exact
-equalities everywhere.
+equalities everywhere.  Exact mode runs the recursion on integer numerators
+over the product of the parameter denominators and builds one Fraction per
+entry at the end (all-int parameters give int entries).
 
 Ratio and residual operations require parameters in the open cube (0,1)^k;
 boundary values are accepted by ``pb_pmf`` and by ``likelihood_ratios``, which
@@ -76,16 +78,25 @@ class PBDist:
 
 
 def _pmf_values(p: Sequence[Prob]) -> List[Prob]:
-    one = 1 if all(is_exact(x) for x in p) else 1.0
-    f = [one]
+    if not all(is_exact(x) for x in p):
+        f = [1.0]
+        for pj in p:
+            q = 1.0 - pj
+            nxt = [q * f[0]]
+            for i in range(1, len(f)):
+                nxt.append(q * f[i] + pj * f[i - 1])
+            nxt.append(pj * f[-1])
+            f = nxt
+        return f
+    # p_j = a_j / b_j: F_i = f_i * (b_1 ... b_j) obeys F_i <- (b_j - a_j) F_i + a_j F_{i-1}
+    F, den = [1], 1
     for pj in p:
-        q = one - pj
-        nxt = [q * f[0]]
-        for i in range(1, len(f)):
-            nxt.append(q * f[i] + pj * f[i - 1])
-        nxt.append(pj * f[-1])
-        f = nxt
-    return f
+        a, b = pj.numerator, pj.denominator
+        F = [(b - a) * x + a * y for x, y in zip([*F, 0], [0, *F])]
+        den *= b
+    if any(isinstance(x, Fraction) for x in p):
+        return [Fraction(x, den) for x in F]
+    return F
 
 
 def pb_pmf(p: Sequence[Prob]) -> PBDist:

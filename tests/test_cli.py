@@ -98,6 +98,15 @@ class TestSolve:
         assert code == EXIT_OK
         assert rep["payload"]["grid_oracle"]["grid_min"] == "1/4"
 
+    @pytest.mark.parametrize("mode,folds,points", [("general", 220, 1000), ("diagonal", 6, 10)])
+    def test_meta_reports_oracle_folds(self, capsys, mode, folds, points):
+        code, rep = run_json(capsys, "solve", "--k", "3", "--m", "2", "--mode", mode,
+                             "--grid", "3", "--multistarts", "2")
+        assert code == EXIT_OK
+        assert rep["meta"]["oracle_folds"] == folds
+        assert rep["payload"]["grid_oracle"]["points_evaluated"] == points
+        assert "folds" not in rep["payload"]["grid_oracle"]
+
     @pytest.mark.parametrize("grid", ["0", "-1"])
     def test_grid_below_one_rejected(self, capsys, grid):
         assert run(["solve", "--k", "2", "--grid", grid]) == EXIT_USAGE

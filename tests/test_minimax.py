@@ -17,12 +17,14 @@ import convmax
 import convmax.minimax as minimax
 from convmax.constants import optimal_constant
 from convmax.errors import BudgetExceeded
-from convmax.gridfn import GridFn
+from convmax.gridfn import GridFn, convolve_many
 from convmax.minimax import (
     SolverConfig,
     _coarse_grid_seeds,
     _conv_all,
-    _conv_matrix,
+    _epigraph_jac,
+    _factors,
+    _polish,
     _peak,
     _simplex_grid,
     diagonal_constant,
@@ -45,6 +47,26 @@ class TestConfig:
         assert list(asdict(cfg)) == ["multistarts", "seed"]
 
 
+def _conv_matrix(c: np.ndarray, m: int) -> np.ndarray:
+    """Reference column build: M[i, a] = c[i - a] (0 outside c), so M @ w == np.convolve(c, w)."""
+    M = np.zeros((len(c) + m, m + 1))
+    for a in range(m + 1):
+        M[a:a + len(c), a] = c
+    return M
+
+
+def _reference_jac(k: int, r: int, m: int):
+    """The epigraph constraint Jacobian built block by block from ``_conv_matrix``."""
+    copies = k // r
+
+    def jac(x):
+        f = list(x[:-1].reshape(r, m + 1)) * copies
+        blocks = [_conv_matrix(-copies * _conv_all(f[:j] + f[j + 1:]), m) for j in range(r)]
+        return np.column_stack(blocks + [np.ones(k * m + 1)])
+
+    return jac
+
+
 def test_conv_matrix_matches_loop():
     rng = np.random.default_rng(0)
     for n, m in [(1, 1), (3, 2), (5, 4), (2, 6)]:
@@ -55,6 +77,59 @@ def test_conv_matrix_matches_loop():
         assert M.tolist() == loop
         w = rng.random(m + 1)
         assert M @ w == pytest.approx(np.convolve(c, w), rel=1e-12)
+
+
+class TestEpigraphJacobian:
+    CASES = [(k, m, r) for k, m in [(2, 3), (3, 2), (4, 5)] for r in sorted({1, k})]
+
+    @staticmethod
+    def point(k, r, m, seed):
+        rng = np.random.default_rng(seed)
+        return np.concatenate([rng.exponential(size=r * (m + 1)), [0.7]])
+
+    @pytest.mark.parametrize("k,m,r", CASES)
+    def test_equals_column_build(self, k, m, r):
+        jac, ref = _epigraph_jac(k, r, m), _reference_jac(k, r, m)
+        for seed in range(5):
+            x = self.point(k, r, m, seed)
+            got, want = jac(x), ref(x)
+            assert got.shape == want.shape == (k * m + 1, r * (m + 1) + 1)
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()    # signed zeros too
+
+    @pytest.mark.parametrize("k,m,r", CASES)
+    def test_matches_central_difference(self, k, m, r):
+        def cons(x):
+            return x[-1] - _conv_all(_factors(x, k, r))
+
+        x, h = self.point(k, r, m, 7), 1e-6
+        J = _epigraph_jac(k, r, m)(x)
+        for col in range(len(x)):
+            e = np.zeros(len(x))
+            e[col] = h
+            fd = (cons(x + e) - cons(x - e)) / (2 * h)
+            assert J[:, col] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+    def test_fresh_array_each_call(self):
+        jac = _epigraph_jac(3, 3, 2)
+        x, y = self.point(3, 3, 2, 0), self.point(3, 3, 2, 1)
+        first = jac(x)
+        kept = first.copy()
+        second = jac(y)
+        assert second is not first and not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("k,m,r", [(2, 3, 1), (3, 2, 3), (4, 5, 1), (2, 4, 2)])
+    def test_solve_identical_to_column_build(self, monkeypatch, k, m, r):
+        # same Jacobian floats, so SLSQP takes the same iterates
+        rng = np.random.default_rng(11)
+        ws0 = [rng.exponential(size=m + 1) for _ in range(r)]
+        ws0 = [w / w.sum() for w in ws0]
+        got = _polish(ws0, k)
+        monkeypatch.setattr(minimax, "_epigraph_jac", _reference_jac)
+        want = _polish(ws0, k)
+        assert got[1:] == want[1:]
+        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
 
 
 def test_conv_all_matches_fold_from_one():
@@ -319,6 +394,15 @@ class TestGridOracle:
         assert res.points_evaluated == 4**2
         assert grid_oracle(2, 1, 3, diagonal=True).points_evaluated == 4
 
+    def test_fold_counts(self):
+        # one fold per multiset (general) and per reversal pair (diagonal)
+        res = grid_oracle(3, 2, 6)
+        assert (res.points_evaluated, res.folds) == (28**3, 4060)
+        comps = _simplex_grid(3, 4).tolist()
+        diag = grid_oracle(2, 3, 4, diagonal=True)
+        assert diag.folds == sum(c <= c[::-1] for c in comps) < diag.points_evaluated
+        assert "folds" not in res.to_dict()
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             grid_oracle(4, 3, 40)
@@ -350,8 +434,20 @@ class TestGridOracle:
         # grid_min, argmin (first minimiser) and points_evaluated all agree
         assert grid_oracle(k, m, n, diagonal) == brute_grid_oracle(k, m, n, diagonal)
 
+    @pytest.mark.parametrize("k,m,n", [(2, 3, 2), (2, 3, 3), (2, 4, 2), (2, 4, 4),
+                                       (3, 3, 3), (3, 4, 2), (4, 3, 2)])
+    def test_diagonal_reversal_ties(self, k, m, n):
+        # here the first minimiser is not a palindrome: its reversal ties with it
+        # and comes later, and the sweep that skips it still agrees with brute force
+        res = grid_oracle(k, m, n, diagonal=True)
+        assert res == brute_grid_oracle(k, m, n, diagonal=True)
+        w = res.argmin[0]
+        assert w < w[::-1]
+        rev = GridFn(1, m, w[::-1])
+        assert max(convolve_many([rev] * k).values) == res.grid_min
+
     def test_prefix_folds_shared(self, monkeypatch):
-        # each prefix is folded once: per + per^2 + per^3 folds at most, not 2 per^3
+        # each nondecreasing j-prefix is folded once: C(per+1, 2) + ... + C(per+k-1, k) folds
         calls = []
         fold = minimax._convolve_seq
 
@@ -362,7 +458,7 @@ class TestGridOracle:
         monkeypatch.setattr(minimax, "_convolve_seq", counting)
         grid_oracle(3, 2, 3)
         per = math.comb(3 + 2, 2)
-        assert 0 < len(calls) <= per + per**2 + per**3
+        assert len(calls) == sum(math.comb(per + j - 1, j) for j in range(2, 4))
 
 
 class TestIntersectionRestricted:

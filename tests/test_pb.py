@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from convmax.errors import BoundaryParameter, UnimodalityViolation, ZeroDenomina
 from convmax.gridfn import GridFn, convolve_many
 from convmax.pb import (
     PBDist,
+    _pmf_values,
     check_newton_differences,
     check_ultra_log_concave,
     differences,
@@ -76,6 +78,53 @@ class TestPmf:
     def test_float_mode(self):
         pmf = pb_pmf((0.5, 0.5)).pmf
         assert pmf == pytest.approx((0.25, 0.5, 0.25))
+
+
+def fraction_recursion(p):
+    """The recursion f_i <- (1 - p_j) f_i + p_j f_{i-1}, one Fraction step at a time."""
+    f = [Fraction(1)]
+    for pj in p:
+        f = [(1 - pj) * a + pj * b for a, b in zip([*f, 0], [0, *f])]
+    return f
+
+
+def float_recursion(p):
+    """The float recursion in its one fixed operation order."""
+    f = [1.0]
+    for pj in p:
+        q = 1.0 - pj
+        f = [q * f[0]] + [q * f[i] + pj * f[i - 1] for i in range(1, len(f))] + [pj * f[-1]]
+    return f
+
+
+class TestIntegerRoute:
+    """Exact mode runs on integer numerators; it must match the Fraction recursion."""
+
+    def test_matches_fraction_recursion(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            p = [rng.choice((0, 1, Fraction(0), Fraction(1),
+                             Fraction(rng.randint(0, 30), rng.randint(1, 30))))
+                 for _ in range(rng.randint(0, 12))]
+            p = [min(x, 1) for x in p]
+            got = _pmf_values(p)
+            assert got == fraction_recursion(p)
+            want = Fraction if any(isinstance(x, Fraction) for x in p) else int
+            assert all(type(v) is want for v in got)
+
+    def test_all_int_input_gives_ints(self):
+        for p in [(), (0,), (1,), (0, 1, 1, 0), (1, 1, 1)]:
+            got = _pmf_values(p)
+            assert all(type(v) is int for v in got)
+            assert got == fraction_recursion(p)
+
+    def test_float_input_unchanged(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            p = [rng.choice((0.0, 1.0, rng.random())) for _ in range(rng.randint(1, 15))]
+            assert _pmf_values(p) == float_recursion(p)
+        # one float parameter puts the whole vector in float mode
+        assert _pmf_values((Fraction(1, 3), 0.5)) == float_recursion((Fraction(1, 3), 0.5))
 
 
 class TestMode:
