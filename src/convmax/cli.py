@@ -37,7 +37,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-PB_CHECKS = ("unimodal", "ulc", "newton", "ratios", "lagrange")
 
 
 def _wrap(argv, payload, config=None, seed=None, meta=None) -> dict:
@@ -186,46 +185,34 @@ def _parse_probs(text: str):
 
 def _cmd_pb(args, argv) -> int:
     p = _parse_probs(args.p)
-    checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    unknown = [c for c in checks if c not in PB_CHECKS]
-    if unknown:
-        raise ValueError(f"unknown check(s) {', '.join(unknown)}; known: {', '.join(PB_CHECKS)}")
     dist = pb.pb_pmf(p)
     exact = dist.is_exact
     num = str if exact else float   # exact values as 'p/q' strings, floats as JSON numbers
+    mode, shared = pb.pb_mode(dist)
+    ulc = pb.check_ultra_log_concave(dist)
     payload = {
         "p": [str(x) for x in p],
         "exact": exact,
         "pmf": [num(v) for v in dist.pmf],
+        "mode": {"index": mode, "shared": shared},
+        "ultra_log_concave": {
+            "ok": ulc.ultra_ok,
+            "plain_ok": ulc.plain_ok,
+            "worst_margin": num(ulc.worst_ultra),
+        },
     }
-    violation = False
-    if "unimodal" in checks:
-        mode, shared = pb.pb_mode(dist)
-        payload["mode"] = {"index": mode, "shared": shared}
-    if "ulc" in checks:
-        rep = pb.check_ultra_log_concave(dist)
-        payload["ultra_log_concave"] = {
-            "ok": rep.ultra_ok,
-            "plain_ok": rep.plain_ok,
-            "worst_margin": num(rep.worst_ultra),
-        }
-        violation |= not (rep.ultra_ok and rep.plain_ok)
-    if "newton" in checks and dist.k >= 3:
-        rep = pb.check_newton_differences(dist)
-        payload["newton_differences"] = {
-            "ok": rep.ok,
-            "worst_margin": num(rep.worst),
-        }
-        violation |= not rep.ok
-    if "ratios" in checks:
-        payload["likelihood_ratios"] = [None if r is None else num(r)
-                                        for r in pb.likelihood_ratios(dist)]
-    if "lagrange" in checks:
-        try:
-            residuals = pb.lagrange_residuals(p)
-        except pb.BoundaryParameter:
-            residuals = {}
-        payload["lagrange_residuals"] = {str(i): num(r) for i, r in residuals.items()}
+    violation = not (ulc.ultra_ok and ulc.plain_ok)
+    if dist.k >= 3:
+        newton = pb.check_newton_differences(dist)
+        payload["newton_differences"] = {"ok": newton.ok, "worst_margin": num(newton.worst)}
+        violation |= not newton.ok
+    payload["likelihood_ratios"] = [None if r is None else num(r)
+                                    for r in pb.likelihood_ratios(dist)]
+    try:
+        residuals = pb.lagrange_residuals(p)
+    except pb.BoundaryParameter:
+        residuals = {}
+    payload["lagrange_residuals"] = {str(i): num(r) for i, r in residuals.items()}
     _emit(_wrap(argv, payload), args.format, args.out)
     return EXIT_VIOLATION if violation else EXIT_OK
 
@@ -236,10 +223,7 @@ def _cmd_sidon(args, argv) -> int:
     t0 = time.perf_counter()
     if args.action == "verify":
         summary = enumerate_verify(args.d, args.k, args.samples, args.seed)
-        sweep_s = time.perf_counter() - t0
-        meta = {"sweep_s": sweep_s,
-                "subsets_per_s": summary.subsets_checked / sweep_s if sweep_s > 0 else None,
-                "orbits": summary.orbits}
+        meta = {"sweep_s": time.perf_counter() - t0, "orbits": summary.orbits}
         payload = summary.to_dict()
         violation = summary.failures > 0
     elif args.action == "classify":
@@ -324,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pb", help="Poisson-binomial pmf and structural checks")
     p.add_argument("--p", required=True, help="comma list: floats or exact 'p/q' rationals")
-    p.add_argument("--checks", default=",".join(PB_CHECKS))
     common(p)
     p.set_defaults(func=_cmd_pb)
 

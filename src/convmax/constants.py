@@ -10,7 +10,8 @@ is attained with equality by the product extremal function, but it is a
 proven lower bound only at d = 1.  For d >= 2 it is NOT a lower bound for all
 inputs, for either parity of k: exact rational counterexamples exist (two
 distinct factors at k=2, d=2; five-point Sidon sets at k=2, d=3; three
-distinct factors at k=3, d=2; one factor used three times at k=3, d=3), so
+distinct factors at k=3, d=2; one factor used three times at k=3, d=3; a
+12-point 2-Sidon set at k=3, d=5), so
 consumers must treat optimal_constant_d as the attained reference value
 rather than a guaranteed floor outside d = 1.  Everything here is exact
 rational arithmetic; the even-k exponent k/2 is an integer so no real powers

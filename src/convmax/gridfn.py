@@ -1,9 +1,9 @@
 """Nonnegative functions on discrete cubes {0,...,m}^d with exact convolution.
 
 Values are either exact (int / Fraction) or binary64 floats.  Exact -> float
-conversion is allowed anywhere; float -> exact is refused so no precision is
-laundered into "exact" results.  Storage is a dense row-major table with the
-first coordinate slowest.
+conversion is allowed anywhere; nothing converts a float to an exact value,
+so no precision is laundered into "exact" results.  Storage is a dense
+row-major table with the first coordinate slowest.
 """
 
 from __future__ import annotations
@@ -30,19 +30,6 @@ def is_exact(x: Scalar) -> bool:
 def _quotient(num: Scalar, den: Scalar) -> Scalar:
     """num / den: a Fraction when both operands are exact, a float otherwise."""
     return Fraction(num, den) if is_exact(num) and is_exact(den) else num / den
-
-
-def as_exact(x) -> Fraction:
-    """Exact rational from an int, Fraction or 'p/q' string.
-
-    Floats are refused: converting binary64 noise into an "exact" rational
-    would silently corrupt every downstream equality check.
-    """
-    if isinstance(x, float):
-        raise TypeError(
-            "refusing float -> exact conversion; pass an int, Fraction or 'p/q' string"
-        )
-    return Fraction(x)
 
 
 def _check_value(v: Scalar) -> Scalar:

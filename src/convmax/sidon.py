@@ -24,10 +24,11 @@ immutable, so a parent's state stays valid after a point is added to it;
 HIGH every top bit; it is never true for t >= 2^(w-1) - 1.
 A max count is found by galloping up with that test and bisecting.
 The g-Sidon walk holds one state and takes points back out with ``remove``.
-Every other route adds a set's points to the empty state;
-``representation_counts`` reads every field back in one linear pass over the
-binary digits, and ``verify_bound`` reads its argmax codes off the guard bits
-that fire just below the max.
+Every other route adds a set's points to the empty state.  Counts are read
+back by one reader, ``fields_above(top, t)``: the guard bits of that test
+locate the fields above t, and only those are parsed.
+``representation_counts`` reads the fields above 0, and ``verify_bound`` the
+codes of the fields above max - 1.
 
 The exhaustive ``enumerate_verify`` scores one set per symmetry class of the
 cube.  A coordinate permutation permutes the base-(k+1) codes, and reflecting
@@ -41,21 +42,23 @@ at d = 1..4 instead of 2^(2^d) - 1 sets.
 
 The claimed bound is max representation count >= C_{k,d} |A|^k with C_{k,d}
 the tensor power of the exact one-dimensional constant.  It is attained by the
-product extremal function, but it is a proven floor only at d = 1.  For even k
-it fails on sets: five-point Sidon sets in {0,1}^3 have max count 2 below the
-k=2 value (4/9)^3 * 25.  For odd k it fails on general functions in dimension
->= 2 (see ``constants``); on 0/1 indicators no odd-k failure is known, and the
-exhaustive sweeps find none for k in {3, 5} at d <= 4.  verify_bound
-therefore reports pass/fail faithfully instead of asserting; exhaustive
-sweeps surface the genuine counterexamples.
+product extremal function, but it is a proven floor only at d = 1.  It fails
+on sets for both parities of k: five-point Sidon sets in {0,1}^3 have max
+count 2 below the k=2 value (4/9)^3 * 25, and a 12-point 2-Sidon set in
+{0,1}^5 has max 3-fold count 12 below the k=3 value (3/8)^5 * 12^3 = 6561/512.
+The exhaustive sweeps find no odd-k failure for k in {3, 5} at d <= 4.
+verify_bound therefore reports pass/fail faithfully instead of asserting;
+the sweeps surface the genuine counterexamples.
 
 Size caps for g-Sidon sets: g / C_{k,1} at d = 1 (a theorem), the
 average-bound cap (g (k+1)^d)^(1/k) for even k with d >= 2 (always valid), and
 the explicit g 2^{kd} / binom(k, k//2)^d form for odd k.  The odd-k cap rests
 on the odd-k bound for indicators: computer-checked where the exhaustive sweep
-finds no failure, a conjecture elsewhere.  So the search never reads the cap:
-it is one pruned depth-first walk over the 2^d points (``_largest_g_sidon``),
-and ``sidon search`` checks its result against the cap.  Both routes take
+finds no failure, and refuted at (d, k, g) = (5, 3, 12), where the 12-point
+set above is a 12-Sidon set of order 3 against a cap of 11.  So the search
+never reads the cap: it is one pruned depth-first walk over the 2^d points
+(``_largest_g_sidon``), and ``sidon search`` checks its result against the
+cap.  Both routes take
 ``samples`` and ``seed``, the CLI's ``--samples`` and ``--seed``, check them
 at every d (samples >= 1, seed >= 0) and read them only above
 EXHAUSTIVE_D_MAX.  There the walk takes the points in the order
@@ -179,23 +182,21 @@ class _PackedCounts:
                 hi = mid
         return lo
 
-    def at_max(self, top: int, m: int) -> List[int]:
-        """The codes, in increasing order, of the fields holding m >= 1, the max field of ``top``."""
-        w = self.w
-        # the guard bit of code c, bit c*w + w - 1, fires exactly when its count is m
-        bits = format(self.above(top, m - 1) >> (w - 1), "b")[::-1]
-        codes = []
-        i = bits.find("1")
-        while i >= 0:
-            codes.append(i // w)
-            i = bits.find("1", i + 1)
-        return codes
+    def fields_above(self, top: int, t: int) -> List[Tuple[int, int]]:
+        """(code, count) of each field of ``top`` holding a count above t, in code order.
 
-    def unpack(self, top: int) -> List[int]:
-        """The ``length`` fields of ``top`` in code order, read in one pass over its binary digits."""
+        The guard bits that ``above`` sets locate those fields; only they are parsed.
+        """
         w = self.w
-        bits = format(top, f"0{self.length * w}b")
-        return [int(bits[i - w:i], 2) for i in range(len(bits), 0, -w)]
+        n = self.length * w
+        bits = format(top, f"0{n}b")  # field c is bits[n - c*w - w : n - c*w]
+        flags = format(self.above(top, t) >> (w - 1), "b")[::-1]  # '1' at c*w for field c
+        fields = []
+        i = flags.find("1")
+        while i >= 0:
+            fields.append((i // w, int(bits[n - i - w:n - i], 2)))
+            i = flags.find("1", i + 1)
+        return fields
 
     def fold(self, members: Iterable[int]) -> int:
         """P_k of the points ``members``, added one by one to the empty set."""
@@ -298,7 +299,7 @@ def _set_counts(A: CubeSet, k: int) -> Tuple[_PackedCounts, int]:
 def representation_counts(A: CubeSet, k: int) -> Dict[Point, int]:
     """Ordered k-tuple representation counts of each point of kA."""
     engine, top = _set_counts(A, k)
-    return {_digits(code, A.d, k + 1): n for code, n in enumerate(engine.unpack(top)) if n}
+    return {_digits(code, A.d, k + 1): n for code, n in engine.fields_above(top, 0)}
 
 
 def verify_bound(A: CubeSet, k: int) -> SidonReport:
@@ -309,7 +310,7 @@ def verify_bound(A: CubeSet, k: int) -> SidonReport:
     """
     engine, top = _set_counts(A, k)
     max_count = engine.peak(top)
-    argmax = [_digits(code, A.d, k + 1) for code in engine.at_max(top, max_count)]
+    argmax = [_digits(code, A.d, k + 1) for code, _ in engine.fields_above(top, max_count - 1)]
     bound = optimal_constant_d(k, A.d) * len(A) ** k
     slack = max_count - bound
     return SidonReport(A, k, max_count, argmax, bound, slack, max_count >= bound)
@@ -420,29 +421,15 @@ def enumerate_verify(d: int, k: int, samples: int = 1000, seed: int = 0) -> Enum
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     c = optimal_constant_d(k, d)
-    codes = _codes(d, 1, k + 1)
     n_points = 2**d
     exhaustive = d <= EXHAUSTIVE_D_MAX
-    # slack = max count - c s^k, kept as an integer numerator over c.denominator
-    scaled_bound = [c.numerator * s**k for s in range(n_points + 1)]
+    engine = _PackedCounts(_codes(d, 1, k + 1), k, n_points)
 
-    failures = 0
-    min_slack = math.inf
-    min_sets: List[int] = []  # subset masks, rendered on return
-    eq_sets: List[int] = []
+    def slack(subset_mask: int) -> int:
+        """max count - c |A|^k, as an integer numerator over c.denominator."""
+        members = [p for p in range(n_points) if subset_mask >> p & 1]
+        return engine.peak(engine.fold(members)) * c.denominator - c.numerator * len(members) ** k
 
-    def record(subset_mask: int, slack: int) -> None:
-        nonlocal min_slack, min_sets
-        if slack == 0 and len(eq_sets) < KEEP_SETS:
-            eq_sets.append(subset_mask)
-        if slack < min_slack:
-            min_slack = slack
-            min_sets = [subset_mask]
-        elif slack == min_slack and len(min_sets) < KEEP_SETS:
-            min_sets.append(subset_mask)
-
-    den = c.denominator
-    engine = _PackedCounts(codes, k, n_points)
     if exhaustive:
         checked = 2**n_points - 1
         orbit = _symmetry_orbit(d)
@@ -454,25 +441,30 @@ def enumerate_verify(d: int, k: int, samples: int = 1000, seed: int = 0) -> Enum
             images = orbit(rep)
             for y in images:
                 seen[y] = 1
-            members = [p for p in range(n_points) if rep >> p & 1]
-            slack = engine.peak(engine.fold(members)) * den - scaled_bound[len(members)]
-            classes.append((slack, len(images), rep))
+            classes.append((slack(rep), len(images), rep))
             rep = seen.find(0, rep + 1)
         orbits = len(classes)
-        failures = sum(size for slack, size, _ in classes if slack < 0)
-        min_slack = min(slack for slack, _, _ in classes)
+        failures = sum(size for s, size, _ in classes if s < 0)
+        min_slack = min(s for s, _, _ in classes)
         # the first KEEP_SETS masks of the classes at a slack, rebuilt from their least members
-        min_sets, eq_sets = [sorted(y for slack, _, least in classes if slack == target
+        min_sets, eq_sets = [sorted(y for s, _, least in classes if s == target
                                     for y in orbit(least))[:KEEP_SETS]
                              for target in (min_slack, 0)]
     else:
         checked, orbits = samples, None
+        failures = 0
+        min_slack = math.inf
+        min_sets, eq_sets = [], []  # subset masks in draw order, rendered on return
         for subset_mask in _sampled_masks(d, samples, seed):
-            members = [p for p in range(n_points) if subset_mask >> p & 1]
-            slack = engine.peak(engine.fold(members)) * den - scaled_bound[len(members)]
-            if slack < 0:
+            s = slack(subset_mask)
+            if s < 0:
                 failures += 1
-            record(subset_mask, slack)
+            if s == 0 and len(eq_sets) < KEEP_SETS:
+                eq_sets.append(subset_mask)
+            if s < min_slack:
+                min_slack, min_sets = s, [subset_mask]
+            elif s == min_slack and len(min_sets) < KEEP_SETS:
+                min_sets.append(subset_mask)
     return EnumerationSummary(d, k, checked, failures, Fraction(min_slack, c.denominator),
                               [_subset_str(d, m) for m in min_sets],
                               [_subset_str(d, m) for m in eq_sets], exhaustive, orbits)
@@ -522,9 +514,10 @@ def g_sidon_size_cap(d: int, k: int, g: int) -> Tuple[int, str]:
     For odd k the explicit g 2^{kd} / binom(k, k//2)^d form ('paper-odd-k')
     assumes the tensor-power bound on 0/1 indicators, which is unproven for
     d >= 2: the exhaustive sweeps find no failure for k in {3, 5} at d <= 4,
-    but the bound fails for general functions.  For even k with d >= 2 the
-    bound fails on sets, so the cap falls back to the always-valid average
-    bound |A|^k <= g (k+1)^d ('trivial-average').
+    and the 12-point set that ``max_size_g_sidon(5, 3, 12, samples=20000,
+    seed=4)`` finds refutes the k = 3 cap 11 at d = 5, g = 12.  For even k
+    with d >= 2 the bound fails on sets, so the cap falls back to the
+    always-valid average bound |A|^k <= g (k+1)^d ('trivial-average').
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

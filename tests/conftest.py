@@ -15,6 +15,11 @@ from convmax.minimax import GridOracleResult, SolverConfig
 #: Few starts, so the float-solver tests stay fast.
 FAST = SolverConfig(multistarts=8)
 
+#: A 12-point 2-Sidon set in {0,1}^5, found by max_size_g_sidon(5, 2, 2, samples=2000, seed=4).
+#: Its largest ordered 3-fold count, 12, is below the k = 3 bound (3/8)^5 * 12^3 = 6561/512.
+ODD_K_COUNTEREXAMPLE = ["00011", "00101", "00110", "01000", "01001", "01110",
+                        "10000", "10011", "10100", "11010", "11101", "11111"]
+
 
 def brute_convolve(f: GridFn, g: GridFn) -> dict:
     """Direct double sum over all point pairs; returns {point: value}."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -10,6 +11,8 @@ import convmax.minimax
 from convmax import cli, gridfn, sidon
 from convmax.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, export_report, run
 from convmax.minimax import SolverConfig
+
+from conftest import ODD_K_COUNTEREXAMPLE
 
 
 def run_json(capsys, *argv):
@@ -178,14 +181,25 @@ class TestPb:
         assert pl["ultra_log_concave"]["ok"] is True
         assert pl["newton_differences"]["ok"] is True
         assert pl["likelihood_ratios"] == ["3", "1", "1/3"]
+        assert list(pl) == ["p", "exact", "pmf", "mode", "ultra_log_concave",
+                            "newton_differences", "likelihood_ratios", "lagrange_residuals"]
 
     def test_float_input(self, capsys):
-        code, rep = run_json(capsys, "pb", "--p", "0.25,0.75", "--checks", "unimodal,ulc")
+        # every check runs; Newton differences need k >= 3
+        code, rep = run_json(capsys, "pb", "--p", "0.25,0.75")
         assert code == EXIT_OK
         assert rep["payload"]["exact"] is False
+        assert list(rep["payload"]) == ["p", "exact", "pmf", "mode", "ultra_log_concave",
+                                        "likelihood_ratios", "lagrange_residuals"]
 
     def test_out_of_range(self, capsys):
         assert run(["pb", "--p", "1.5"]) == EXIT_USAGE
+
+    def test_empty_list_rejected(self, capsys):
+        assert run(["pb", "--p", ","]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "empty probability list" in captured.err
 
     @pytest.mark.parametrize("p", ["1/2,0.5", "0.25,1/3,0.5"])
     def test_mixed_exact_and_decimal_rejected(self, capsys, p):
@@ -199,8 +213,10 @@ class TestPb:
         assert run(["pb", "--p", p]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("checks", ["unimodl,ulcc", "unimodal,ratio"])
+    @pytest.mark.parametrize("checks", ["unimodl,ulcc", "unimodal,ratio", "unimodal",
+                                        "unimodal,ulc,newton,ratios,lagrange"])
     def test_unknown_check_rejected(self, capsys, checks):
+        # every report carries every check: --checks is no option, whatever it names
         assert run(["pb", "--p", "1/3,1/2,2/3", "--checks", checks]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
@@ -220,11 +236,6 @@ class TestPb:
         assert rep["payload"]["pmf"] == ["2/3", "1/3"]
         assert rep["payload"]["lagrange_residuals"] == {"1": "0"}
 
-    def test_check_subset(self, capsys):
-        code, rep = run_json(capsys, "pb", "--p", "1/3,1/3,1/3", "--checks", "unimodal")
-        assert code == EXIT_OK
-        assert "ultra_log_concave" not in rep["payload"]
-
 
 class TestSidon:
     def test_verify(self, capsys):
@@ -240,6 +251,24 @@ class TestSidon:
         assert code == EXIT_OK
         assert rep["payload"]["max_count"] == 9
         assert rep["payload"]["slack"] == "0"
+
+    def test_classify_odd_k_counterexample(self, capsys, tmp_path):
+        f = tmp_path / "set.txt"
+        f.write_text("\n".join(ODD_K_COUNTEREXAMPLE) + "\n")
+        code, rep = run_json(capsys, "sidon", "classify", "--set", str(f), "--k", "3")
+        assert code == EXIT_VIOLATION
+        assert rep["payload"]["max_count"] == 12
+        assert rep["payload"]["slack"] == "-417/512"
+        assert rep["payload"]["passed"] is False
+
+    def test_search_refutes_odd_k_cap(self, capsys):
+        # the walk finds the 12-point set, a 12-Sidon set of order 3 above the cap 11
+        code, rep = run_json(capsys, "sidon", "search", "--d", "5", "--k", "3", "--g", "12",
+                             "--samples", "20000", "--seed", "4")
+        assert code == EXIT_VIOLATION
+        pl = rep["payload"]
+        assert (pl["best_size"], pl["size_cap"], pl["cap_form"]) == (12, 11, "paper-odd-k")
+        assert pl["best_set"] == ODD_K_COUNTEREXAMPLE
 
     def test_classify_missing_file(self, capsys, tmp_path):
         code = run(["sidon", "classify", "--set", str(tmp_path / "nope"), "--k", "2"])
@@ -293,7 +322,8 @@ class TestSidon:
         _, rep = run_json(capsys, "sidon", "verify", "--d", "3", "--k", "2")
         meta = rep["meta"]
         assert meta["sweep_s"] >= 0
-        assert meta["subsets_per_s"] is None or meta["subsets_per_s"] > 0
+        # subsets_checked / sweep_s, both already in the report
+        assert "subsets_per_s" not in meta
         assert "sweep_s" not in rep["payload"]
 
     def test_verify_meta_reports_orbits(self, capsys):
@@ -381,6 +411,22 @@ class TestContinuous:
         code, rep = run_json(capsys, "continuous", "--k", "2")
         assert code == EXIT_OK
         assert rep["payload"]["rows"][0]["upper_bound"] == "16/9"
+
+    def test_bound_below_known_lower_is_a_violation(self, capsys, monkeypatch):
+        # an m = 2 row of 2 * 3 * 0.1 undercuts the known k = 2 lower bound 1.28
+        solve = convmax.continuous.diagonal_constant
+
+        def undercut(k, m, cfg, extra_seeds=None):
+            res = solve(k, 1, cfg)
+            return res if m == 1 else dataclasses.replace(res, m=m, value=0.1,
+                                                          argument=[[1 / 3] * 3])
+
+        monkeypatch.setattr(convmax.continuous, "diagonal_constant", undercut)
+        assert run(["continuous", "--k", "2", "--m-max", "2"]) == EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bound validity violation: computed bound 0.6" in captured.err
+        assert "at m=2 undercuts the known lower bound 1.28" in captured.err
 
     def test_csv_format(self, capsys):
         code = run(["continuous", "--k", "2", "--m-max", "2", "--format", "csv",

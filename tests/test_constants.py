@@ -219,3 +219,13 @@ class TestRatioLowerBoundFuzz:
         assert r == Fraction(5, 96)
         assert r < optimal_constant_d(3, 3) == Fraction(27, 512)
         assert r >= Fraction(1, 64)  # the average bound still holds
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: extremal_function(0, 2), "k must be >= 1, got 0"),
+    (lambda: extremal_function(2, 0), "d must be >= 1, got 0"),
+    (lambda: diagonal_profile(0), "k must be >= 1, got 0"),
+], ids=["extremal-k", "extremal-d", "profile-k"])
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -100,6 +100,11 @@ class TestStepFunction:
         with pytest.raises(ValueError):
             step_function_export([], 2)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_rejects_k_below_one(self, k):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            step_function_export([0.5, 0.5], k)
+
     def test_to_dict(self):
         d = step_function_export([0.5, 0.5], 2).to_dict()
         assert d["k"] == 2

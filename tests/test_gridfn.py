@@ -9,7 +9,6 @@ from convmax.gridfn import (
     GridFn,
     _codes,
     _digits,
-    as_exact,
     convolve,
     convolve_many,
     l1_norm,
@@ -64,11 +63,6 @@ class TestConstruction:
     def test_exact_flag(self):
         assert g1(Fraction(1, 2), 1).is_exact
         assert not g1(0.5, 1).is_exact
-
-    def test_no_precision_laundering(self):
-        with pytest.raises(TypeError, match="float"):
-            as_exact(0.5)
-        assert as_exact("2/3") == Fraction(2, 3)
 
 
 class TestPointLayout:
@@ -261,3 +255,16 @@ class TestProductFunction:
             assert ratio(fs) == math.prod(
                 ratio([axes[i][t] for i in range(k)]) for t in range(d)
             )
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: GridFn(1, 1, (1, "2")), TypeError, "must be int, Fraction or float, got str"),
+    (lambda: GridFn(1, -1, ()), ValueError, "side degree must be >= 0, got -1"),
+    (lambda: GridFn(2, 1, (1, 2, 3, 4))[(0, 2)], IndexError, r"coordinate 2 outside \{0,...,1\}"),
+    (lambda: GridFn(1, 2, (1, 2, 3))[-1], IndexError, r"coordinate -1 outside \{0,...,2\}"),
+    (lambda: product_function([g1(1, 1), GridFn(2, 1, (1, 1, 1, 1))]), DimensionMismatch,
+     "axis 1 has d=2, expected 1"),
+], ids=["non-numeric", "negative-m", "index", "int-index", "product-axis-d"])
+def test_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

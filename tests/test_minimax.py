@@ -502,3 +502,9 @@ class TestResultSerialization:
         assert "config" not in d
         assert "seed" not in d and "tolerance" not in d
         assert d["value_exact"] == "4/9"
+
+
+@pytest.mark.parametrize("k", [1, 0])
+def test_intersection_restricted_rejects_k_below_two(k):
+    with pytest.raises(ValueError, match=f"k must be >= 2, got {k}"):
+        intersection_restricted_solve(k)

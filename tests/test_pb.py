@@ -245,6 +245,11 @@ class TestIntersectionPoint:
         den = 2 * f[1] - f[2] - f[0]
         assert Fraction(num, den) == Fraction(-1, 2)
 
+    def test_above_one_or_no_tie_is_none(self):
+        assert intersection_point((Fraction(4, 5),), 1) is None   # formula value 3/2
+        # D_{1,1} = D_{1,2} = -1/3: the formula's denominator vanishes
+        assert intersection_point((Fraction(1, 3),), 2) is None
+
     def test_tie_actually_happens(self, rng):
         for _ in range(60):
             k = rng.randint(2, 7)
@@ -333,6 +338,11 @@ class TestPartialDerivative:
     def test_needs_two_params(self):
         with pytest.raises(ValueError):
             partial_derivative((Fraction(1, 2),), 0, 0)
+
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_bad_pmf_index(self, i):
+        with pytest.raises(ValueError, match=f"pmf index i={i} outside 0..3"):
+            partial_derivative(HALF3, i, 0)
 
 
 class TestLagrangeResidual:

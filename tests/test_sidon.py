@@ -21,6 +21,7 @@ from convmax.sidon import (
 )
 
 from conftest import (
+    ODD_K_COUNTEREXAMPLE,
     SIDON_CONSTANTS,
     brute_first_g_sidon,
     brute_max_count,
@@ -121,6 +122,11 @@ def oracle_counts(d, k, members):
     return list(convolve_many([CubeSet(d, members).indicator()] * k).values)
 
 
+def fields_above(counts, t):
+    """(code, count) of the counts above t, in code order."""
+    return [(c, n) for c, n in enumerate(counts) if n > t]
+
+
 class TestRunningCounts:
     """The packed running-count engine against the Fraction ``GridFn`` convolution of the set."""
 
@@ -144,11 +150,11 @@ class TestRunningCounts:
                     states.pop()
                 expected = oracle_counts(d, k, members)
                 top = states[-1][-1]
-                assert engine.unpack(top) == expected
+                assert engine.fields_above(top, 0) == fields_above(expected, 0)
                 assert engine.peak(top) == max(expected)
                 if members:
-                    assert engine.at_max(top, max(expected)) == [
-                        c for c, n in enumerate(expected) if n == max(expected)]
+                    assert engine.fields_above(top, max(expected) - 1) == fields_above(
+                        expected, max(expected) - 1)
 
     def test_exhaustive_add_counts(self, monkeypatch):
         # the sweep folds the least set of each symmetry class once; the search
@@ -182,21 +188,21 @@ class TestRunningCounts:
         assert engine.w == 2 and engine.limit == 1
         for p, x in enumerate(engine.codes):
             top = engine.fold([p])
-            assert engine.unpack(top) == oracle_counts(2, k, [p])
+            assert engine.fields_above(top, 0) == fields_above(oracle_counts(2, k, [p]), 0)
             assert engine.above(top, 0) == 1 << (2 * k * x + 1)
             assert engine.above(top, 1) == 0
             assert engine.above(top, 10**40) == 0
             assert engine.peak(top) == 1
-            assert engine.at_max(top, 1) == [k * x]
+            assert engine.fields_above(top, 1) == engine.fields_above(top, 10**40) == []
 
     def test_k1_adjacent_full_fields(self):
         # at k = 1 distinct points count at most 1 each, so n = 1 sizes any set:
         # w = 2, and neighbouring fields both at the limit carry nothing
         engine = packed_engine(3, 1, 1)
         top = engine.fold(range(8))
-        assert engine.unpack(top) == [1] * 8
+        assert engine.fields_above(top, 0) == [(c, 1) for c in range(8)]
         assert engine.above(top, 0) == engine.high and engine.above(top, 1) == 0
-        assert engine.at_max(top, 1) == list(range(8))
+        assert engine.fields_above(top, 1) == []
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_guard_test_at_every_threshold(self, k):
@@ -213,6 +219,8 @@ class TestRunningCounts:
                                                       engine.limit + 1, 2**200]:
                 assert engine.above(top, t) == sum(1 << (c * w + w - 1)
                                                    for c, n in enumerate(counts) if n > t)
+                # t > 0 parses only the fields above t; t >= limit finds none
+                assert engine.fields_above(top, t) == fields_above(counts, t)
             assert engine.peak(top) == max(counts)
 
     def test_full_count_field_keeps_guard_bit_clear(self):
@@ -220,18 +228,20 @@ class TestRunningCounts:
         engine = packed_engine(2, 1, 3)
         assert engine.limit == 3
         top = engine.fold([2, 2, 2])  # one point thrice: a multiset of n = 3 points
-        assert engine.unpack(top) == [0, 0, 3, 0]
+        assert engine.fields_above(top, 0) == [(2, 3)]
         assert engine.above(top, 2) == 1 << (2 * 3 + 2)
         assert engine.above(top, 3) == 0
-        assert engine.peak(top) == 3 and engine.at_max(top, 3) == [2]
+        assert engine.peak(top) == 3 and engine.fields_above(top, 2) == [(2, 3)]
+        assert engine.fields_above(top, 3) == []
 
-    def test_unpack_matches_oracle_d6(self):
+    def test_fields_match_oracle_d6(self):
         rng = random.Random(6)
         members = sorted(rng.sample(range(64), 23))
         engine = packed_engine(6, 2, len(members))
         top = engine.fold(members)
         expected = oracle_counts(6, 2, members)
-        assert engine.unpack(top) == expected
+        for t in (0, 1, 2, max(expected) - 1, max(expected), engine.limit):
+            assert engine.fields_above(top, t) == fields_above(expected, t)
         assert engine.peak(top) == max(expected)
 
 
@@ -322,6 +332,16 @@ class TestVerifyBound:
         assert not rep.passed
         assert rep.slack < 0
 
+    def test_twelve_point_set_beats_odd_k_bound(self):
+        # frozen counterexample: the odd-k tensor-power bound fails on 0/1 indicators too
+        A = CubeSet.parse("\n".join(ODD_K_COUNTEREXAMPLE))
+        rep = verify_bound(A, 3)
+        assert rep.max_count == brute_max_count(ODD_K_COUNTEREXAMPLE, 3) == 12
+        assert rep.bound == Fraction(6561, 512) == SIDON_CONSTANTS[3] ** 5 * 12**3
+        assert rep.slack == Fraction(-417, 512)
+        assert not rep.passed
+        assert verify_bound(A, 2).max_count == 2
+
 
 class TestEnumerateVerify:
     @pytest.mark.parametrize("d,k", [(1, 2), (1, 3), (2, 2), (2, 3)])
@@ -391,6 +411,23 @@ class TestEnumerateVerify:
         assert summary.failures == sum(s < 0 for s in slacks)
         assert summary.min_slack == min(slacks)
         assert summary.min_slack_sets[0] == subsets[slacks.index(min(slacks))]
+
+    @pytest.mark.parametrize("k,min_slack,equality", [(2, Fraction(-3262, 6561), 0),
+                                                       (3, Fraction(-417, 512), 1)])
+    def test_sampled_failures_and_equality_in_draw_order(self, monkeypatch, k, min_slack,
+                                                         equality):
+        # the 12-point set fails both bounds; the full cube has slack 0 at k = 3 only,
+        # its max count 243 = (3/8)^5 * 32^3
+        # bit p of a subset mask is the point with mask p
+        A, full = sum(1 << int(p, 2) for p in ODD_K_COUNTEREXAMPLE), 2**32 - 1
+        monkeypatch.setattr(sidon, "_sampled_masks", lambda d, samples, seed: iter([A, full, A]))
+        summary = enumerate_verify(5, k, samples=3, seed=0)
+        assert summary.subsets_checked == 3 and not summary.exhaustive
+        assert summary.failures == 2
+        assert summary.min_slack == min_slack
+        assert summary.min_slack_sets == [ODD_K_COUNTEREXAMPLE] * 2
+        cube = ["".join(p) for p in itertools.product("01", repeat=5)]
+        assert summary.equality_sets == [cube] * equality
 
     def test_sampled_masks_are_drawn_lazily(self, monkeypatch):
         # a huge --samples costs no memory: masks are drawn as the sweep reads them
@@ -653,3 +690,16 @@ class TestMemoryCap:
     def test_at_cap_runs(self, monkeypatch, name):
         monkeypatch.setattr(gridfn, "MEMORY_CAP_ENTRIES", 81)
         self.CALLS[name]()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: CubeSet(0, []), "dimension must be >= 1, got 0"),
+    (lambda: CubeSet.from_points(2, [(0, 2)]), r"coordinate 2 outside \{0,1\}"),
+    (lambda: CubeSet.parse("01\n011\n"), "inconsistent point dimensions"),
+    (lambda: representation_counts(full_cube(2), 0), "k must be >= 1, got 0"),
+    (lambda: enumerate_verify(2, 0), "k must be >= 1, got 0"),
+    (lambda: sidon._int_kth_root(-1, 2), "negative radicand"),
+], ids=["cube-d", "coordinate-2", "mixed-lengths", "counts-k", "sweep-k", "negative-root"])
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
