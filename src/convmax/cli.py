@@ -61,6 +61,7 @@ def export_report(payload, fmt: str = "json") -> bytes:
 
 
 def _to_text(obj, indent: int = 0) -> str:
+    """A report dict, or a list inside one, as indented lines; nested containers in a list as JSON."""
     pad = "  " * indent
     if isinstance(obj, dict):
         lines = []
@@ -71,10 +72,8 @@ def _to_text(obj, indent: int = 0) -> str:
             else:
                 lines.append(f"{pad}{key}: {val}")
         return "\n".join(lines)
-    if isinstance(obj, list):
-        return "\n".join(f"{pad}- {json.dumps(v) if isinstance(v, (dict, list)) else v}"
-                         for v in obj)
-    return f"{pad}{obj}"
+    return "\n".join(f"{pad}- {json.dumps(v) if isinstance(v, (dict, list)) else v}"
+                     for v in obj)
 
 
 def _rational(x: Fraction) -> dict:

@@ -92,14 +92,15 @@ def verify_sharpness(k: int, d: int) -> SharpnessCertificate:
     return SharpnessCertificate(k, d, lhs, rhs, lhs == rhs)
 
 
-def envelope_value(k: int, x: Fraction) -> Fraction:
-    """max_{0<=i<=k} binom(k,i) x^(k-i) (1-x)^i at a point x = n/q of [0,1].
-
-    Computed on integers as max_i binom(k,i) n^(k-i) (q-n)^i over q^k.
-    """
+def _envelope_terms(k: int, x: Fraction) -> List[int]:
+    """binom(k,i) n^(k-i) (q-n)^i for i = 0..k at x = n/q: the envelope's terms times q^k."""
     n, q = x.numerator, x.denominator
-    return Fraction(max(math.comb(k, i) * n ** (k - i) * (q - n) ** i for i in range(k + 1)),
-                    q**k)
+    return [math.comb(k, i) * n ** (k - i) * (q - n) ** i for i in range(k + 1)]
+
+
+def envelope_value(k: int, x: Fraction) -> Fraction:
+    """max_{0<=i<=k} binom(k,i) x^(k-i) (1-x)^i at a point x = n/q of [0,1], on integers."""
+    return Fraction(max(_envelope_terms(k, x)), x.denominator**k)
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,9 @@ class DiagonalProfile:
 
     On [(k-i)/(k+1), (k+1-i)/(k+1)] the envelope equals the i-th term, so the
     per-interval argmax index drops by one from k down to 0 as x sweeps [0,1].
+    Each term is unimodal with its peak inside its own interval, so the
+    envelope's minimum over [0,1] sits at a breakpoint: the crossing points
+    where two adjacent terms tie.
     """
 
     k: int
@@ -118,22 +122,14 @@ class DiagonalProfile:
 
 
 def diagonal_profile(k: int) -> DiagonalProfile:
+    """The envelope's pieces, and the min and argmins of ``envelope_value`` over its breakpoints."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     breakpoints = [Fraction(j, k + 1) for j in range(k + 1)]
-    piece_index = list(range(k, -1, -1))
-    # Interval-endpoint values; the minimum over the left endpoints of the
-    # lower half is the optimal constant.
-    min_value = min(
-        math.comb(k, i) * Fraction(k - i, k + 1) ** (k - i) * Fraction(i + 1, k + 1) ** i
-        for i in range(k // 2 + 1)
-    )
-    left = Fraction(k - k // 2, k + 1)
-    if k % 2 == 0:
-        locations = [left, 1 - left]
-    else:
-        locations = [left]  # = 1/2
-    return DiagonalProfile(k, breakpoints, piece_index, min_value, locations)
+    values = [envelope_value(k, x) for x in breakpoints]
+    min_value = min(values)
+    locations = [x for x, v in zip(breakpoints, values) if v == min_value]
+    return DiagonalProfile(k, breakpoints, list(range(k, -1, -1)), min_value, locations)
 
 
 def continuous_upper_bound_m1(k: int) -> Fraction:

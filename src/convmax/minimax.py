@@ -9,8 +9,9 @@ random starts, and reduced to the best start.
   diagonal optimum (``_padded_m1``) and the uniform weights, each used for all
   k factors.
 * ``diagonal_constant`` — one factor used k times.  At m = 1 the objective is
-  the one-dimensional diagonal envelope, minimized exactly over its rational
-  crossing points.  For m > 1 the starts are the uniform weights, the
+  the one-dimensional diagonal envelope, and the exact result is read off
+  ``constants.diagonal_profile``, its minimum over the rational crossing
+  points.  For m > 1 the starts are the uniform weights, the
   zero-padded m = 1 optimum, the best points of a coarse simplex grid
   (``_coarse_grid_seeds``: m <= 26 only, filtered by one FFT power of the
   whole grid) and caller-chained seeds.
@@ -28,8 +29,10 @@ The independent cross-checks are exact:
   sweep decides, per^k ordered tuples or per weights.
   Its minimum is an upper bound for the true constant and is exactly the
   best value any solver restricted to that grid can reach.
-* the m = 1 closed forms: ``_diagonal_envelope_exact``,
-  ``intersection_restricted_solve`` and ``constants.optimal_constant``.
+* three independent exact routes at m = 1: the closed form
+  ``constants.optimal_constant``, the envelope minimum
+  ``constants.diagonal_profile`` (which ``diagonal_constant`` reads) and the
+  Poisson-binomial intersection route ``intersection_restricted_solve``.
 
 All solvers return upper estimates of the true constants (they evaluate the
 objective at feasible points).  Whether C_{k,m} = Cbar_{k,m} for m > 1 is
@@ -53,7 +56,7 @@ import numpy as np
 # linprog is unused here but kept as a module attribute: the benchmark tracer patches it.
 from scipy.optimize import linprog, minimize  # noqa: F401
 
-from .constants import optimal_constant
+from .constants import _envelope_terms, diagonal_profile, optimal_constant
 from .errors import BudgetExceeded
 from .gridfn import _convolve_seq
 from .pb import intersection_point, pb_pmf
@@ -138,27 +141,6 @@ def _clean_weights(w: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Exact 1-d subproblems
-# ---------------------------------------------------------------------------
-
-def _diagonal_envelope_exact(k: int) -> Tuple[Fraction, Fraction, List[int]]:
-    """Exact diagonal minimum at m = 1 over the envelope crossing points.
-
-    Adjacent binomial pmf entries cross at p = i/(k+1); the envelope minimum
-    over [0,1] sits at one of these points.
-    """
-    best_p, best_v, best_modes = None, None, None
-    for i in range(0, k + 2):
-        p = Fraction(i, k + 1)
-        pmf = [math.comb(k, t) * p**t * (1 - p) ** (k - t) for t in range(k + 1)]
-        v = max(pmf)
-        if best_v is None or v < best_v:
-            best_p, best_v = p, v
-            best_modes = [t for t, x in enumerate(pmf) if x == v]
-    return best_p, best_v, best_modes
-
-
-# ---------------------------------------------------------------------------
 # Epigraph solve and multistart driver shared by both modes
 # ---------------------------------------------------------------------------
 
@@ -171,7 +153,7 @@ def _check_km(k: int, m: int) -> None:
 
 def _padded_m1(k: int, m: int) -> np.ndarray:
     """The exact m = 1 diagonal optimum, as floats, zero-padded to length m + 1."""
-    p, _, _ = _diagonal_envelope_exact(k)
+    p = 1 - diagonal_profile(k).envelope_min_locations[-1]
     w = np.zeros(m + 1)
     w[0], w[1] = 1.0 - float(p), float(p)
     return w
@@ -349,12 +331,17 @@ def diagonal_constant(k: int, m: int, cfg: SolverConfig = SolverConfig(),
                              f"weights with a positive sum, got {s.tolist()}")
 
     if m == 1:
-        p, v, modes = _diagonal_envelope_exact(k)
-        w = [1.0 - float(p), float(p)]
+        # the weight (1 - p, p) has pmf entry i equal to envelope term i at x = 1 - p;
+        # the last minimizing x gives the least minimizing p
+        prof = diagonal_profile(k)
+        x, v = prof.envelope_min_locations[-1], prof.envelope_min_value
+        p = 1 - x
+        terms = _envelope_terms(k, x)
+        top = max(terms)
         return MinimaxResult(
             value=float(v),
-            argument=[w],
-            shared_modes=modes,
+            argument=[[1.0 - float(p), float(p)]],
+            shared_modes=[i for i, t in enumerate(terms) if t == top],
             method="diagonal-envelope-exact",
             iterations=k + 2,
             converged=True,

@@ -7,9 +7,13 @@ built by folding in one parameter at a time:
 
 with out-of-range entries read as 0.  All operations work in exact rational
 mode (int/Fraction parameters) or float mode; exact mode gives exact
-equalities everywhere.  Exact mode runs the recursion on integer numerators
-over the product of the parameter denominators and builds one Fraction per
-entry at the end (all-int parameters give int entries).
+equalities everywhere.  The recursion is one loop,
+F_i <- (b - a) F_i + a F_{i-1}: an exact p_j = a/b runs it on integer
+numerators over the product of the parameter denominators and builds one
+Fraction per entry at the end (all-int parameters give int entries), and a
+float p_j runs it as (a, b) = (p_j, 1.0) on the pmf itself.  Float mode
+judges mode ties and the log-concavity margins within the relative
+tolerance ``FLOAT_TIE_RTOL``, since rounding breaks exact equalities.
 
 Ratio and residual operations require parameters in the open cube (0,1)^k;
 boundary values are accepted by ``pb_pmf`` and by ``likelihood_ratios``, which
@@ -78,23 +82,15 @@ class PBDist:
 
 
 def _pmf_values(p: Sequence[Prob]) -> List[Prob]:
-    if not all(is_exact(x) for x in p):
-        f = [1.0]
-        for pj in p:
-            q = 1.0 - pj
-            nxt = [q * f[0]]
-            for i in range(1, len(f)):
-                nxt.append(q * f[i] + pj * f[i - 1])
-            nxt.append(pj * f[-1])
-            f = nxt
-        return f
-    # p_j = a_j / b_j: F_i = f_i * (b_1 ... b_j) obeys F_i <- (b_j - a_j) F_i + a_j F_{i-1}
+    # p_j = a_j / b_j: F_i = f_i * (b_1 ... b_j) obeys F_i <- (b_j - a_j) F_i + a_j F_{i-1};
+    # a float p_j folds as (p_j, 1.0), so F is then the float pmf itself
+    exact = all(is_exact(x) for x in p)
     F, den = [1], 1
     for pj in p:
-        a, b = pj.numerator, pj.denominator
+        a, b = (pj.numerator, pj.denominator) if exact else (pj, 1.0)
         F = [(b - a) * x + a * y for x, y in zip([*F, 0], [0, *F])]
         den *= b
-    if any(isinstance(x, Fraction) for x in p):
+    if exact and any(isinstance(x, Fraction) for x in p):
         return [Fraction(x, den) for x in F]
     return F
 
@@ -108,8 +104,7 @@ def pb_pmf(p: Sequence[Prob]) -> PBDist:
 def _entries_tie(a: Prob, b: Prob, exact: bool) -> bool:
     if exact:
         return a == b
-    scale = max(abs(a), abs(b), 1e-300)
-    return abs(a - b) <= FLOAT_TIE_RTOL * scale
+    return abs(a - b) <= FLOAT_TIE_RTOL * max(abs(a), abs(b))
 
 
 def pb_mode(dist: PBDist) -> Tuple[int, bool]:
@@ -214,20 +209,27 @@ class ConcavityReport:
 
 
 def check_ultra_log_concave(dist: PBDist) -> ConcavityReport:
-    """Check f_i^2 >= ((i+1)/i)((k-i+1)/(k-i)) f_{i-1} f_{i+1} and the plain form."""
+    """Check f_i^2 >= ((i+1)/i)((k-i+1)/(k-i)) f_{i-1} f_{i+1} and the plain form.
+
+    A float margin passes down to -FLOAT_TIE_RTOL f_i^2: a binomial pmf meets
+    ultra-log-concavity with equality, which rounding can push below 0.
+    """
     k, f = dist.k, dist.pmf
+    exact = dist.is_exact
     ultra, plain = [], []
+    ultra_ok = plain_ok = True
     for i in range(1, k):
         factor = Fraction((i + 1) * (k - i + 1), i * (k - i))
         lhs = f[i] * f[i]
         prod = f[i - 1] * f[i + 1]
         ultra.append(lhs - factor * prod)
         plain.append(lhs - prod)
-    worst_u = min(ultra) if ultra else 0
-    worst_p = min(plain) if plain else 0
+        floor = 0 if exact else -FLOAT_TIE_RTOL * lhs
+        ultra_ok &= ultra[-1] >= floor
+        plain_ok &= plain[-1] >= floor
     return ConcavityReport(
-        k, tuple(ultra), tuple(plain), worst_u, worst_p,
-        worst_u >= 0, worst_p >= 0,
+        k, tuple(ultra), tuple(plain), min(ultra) if ultra else 0, min(plain) if plain else 0,
+        ultra_ok, plain_ok,
     )
 
 

@@ -17,8 +17,10 @@ at code c is the w-bit field starting at bit c*w, with w = bit_length(n^k) + 1
 every field stays clear.  Adding the point with code x is
 P_i += sum_{j=1..i} C(i,j) P_{i-j} << j*x*w, every term read from the old
 state: O(k^2) big-int operations whatever the set size.  Ints are
-immutable, so a parent's state stays valid after a point is added to it;
-``remove`` peels the same terms off upwards and is the exact inverse of ``add``.
+immutable, so a parent's state stays valid after a point is added to it.
+``remove`` is the exact inverse of ``add`` by the signed binomial update,
+P_i += sum_{j=1..i} C(i,j) (-1)^j P_{i-j} << j*x*w, read from the old state
+as well; the sum is exact, so a negative partial sum does no harm.
 "Some count of P_k exceeds t" is one guard-bit test,
 (P_k + (2^(w-1) - 1 - t) * ONES) & HIGH, with ONES a 1 in every field and
 HIGH every top bit; it is never true for t >= 2^(w-1) - 1.
@@ -104,7 +106,7 @@ class _PackedCounts:
     bit of its field, which stays free as a guard bit.  P_0 = delta_0 is the
     int 1 and is never stored.  A state is the tuple (P_1, ..., P_k); ints are
     immutable, so ``add`` returns a new state and the old one stays valid.
-    ``remove`` takes a point of the set back out.
+    ``remove`` takes a point of the set back out.  Both are one update body.
     """
 
     def __init__(self, codes: Sequence[int], k: int, n: int):
@@ -120,38 +122,33 @@ class _PackedCounts:
         self.terms = [[(math.comb(i, j), i - j - 1) for j in range(i - 1, 0, -1)]
                       for i in range(1, k + 1)]
 
-    def add(self, counts: Tuple[int, ...], x: int) -> Tuple[int, ...]:
-        """The state with code x added: P_i += sum_{j=1..i} C(i,j) P_{i-j} X^(j x).
+    def _update(self, counts: Tuple[int, ...], x: int, minus: bool = False) -> Tuple[int, ...]:
+        """The state with code x added (``minus``: taken out): each P_i = S^i becomes (S ± X^x)^i.
 
-        With X^x = 1 << x*w the sum is Horner's rule in X^x, read from the old
-        state, so a step is O(k^2) big-int operations whatever the set size.
+        By the binomial theorem P_i += sum_{j=1..i} C(i,j) u^j P_{i-j} with
+        u = ±X^x, every term read from the old state.  The sum is Horner's rule
+        in u: each step multiplies by u, a shift by x*w (negated when
+        ``minus``), so a step is O(k^2) big-int operations whatever the set
+        size.  The sum is exact integer arithmetic, so the fields come out
+        right even where a partial sum is negative.
         """
         s = x * self.w
-        e = 1 << s
+        u = -(1 << s) if minus else 1 << s
         out = []
         for p, terms in zip(counts, self.terms):
-            acc = e
+            acc = u
             for coef, i in terms:
                 acc = (acc + coef * counts[i]) << s
+                if minus:
+                    acc = -acc
             out.append(p + acc)
         return tuple(out)
 
-    def remove(self, counts: Tuple[int, ...], x: int) -> Tuple[int, ...]:
-        """The state with code x, a point of the set, taken out: the inverse of ``add``.
+    add = _update
 
-        Peeled upwards, P_i -= sum_{j=1..i} C(i,j) P'_{i-j} X^(j x) with the
-        already peeled P'_{i-j}.  Every peeled field is a true count below its
-        guard bit, so no borrow crosses a field.
-        """
-        s = x * self.w
-        e = 1 << s
-        out = []
-        for p, terms in zip(counts, self.terms):
-            acc = e
-            for coef, i in terms:
-                acc = (acc + coef * out[i]) << s
-            out.append(p - acc)
-        return tuple(out)
+    def remove(self, counts: Tuple[int, ...], x: int) -> Tuple[int, ...]:
+        """The state with code x, a point of the set, taken out: the inverse of ``add``."""
+        return self._update(counts, x, True)
 
     def above(self, top: int, t: int) -> int:
         """The guard bits of the fields of ``top`` that hold a count above t; 0 if none does.

@@ -195,6 +195,13 @@ class TestPb:
     def test_out_of_range(self, capsys):
         assert run(["pb", "--p", "1.5"]) == EXIT_USAGE
 
+    def test_float_binomial_is_ultra_log_concave(self, capsys):
+        # a binomial pmf meets the ultra inequality with equality; rounding is not a violation
+        code, rep = run_json(capsys, "pb", "--p", "0.1,0.1,0.1,0.1,0.1")
+        assert code == EXIT_OK
+        ulc = rep["payload"]["ultra_log_concave"]
+        assert ulc["ok"] is True and ulc["worst_margin"] < 0
+
     def test_empty_list_rejected(self, capsys):
         assert run(["pb", "--p", ","]) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -531,6 +538,20 @@ class TestOutput:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "4/9" in out
+
+    def test_text_format_nested_lists(self, capsys):
+        # a list of lists prints one "- " line per inner list, as JSON
+        code = run(["sidon", "verify", "--d", "3", "--k", "2", "--format", "text"])
+        out = capsys.readouterr().out
+        assert code == EXIT_VIOLATION
+        lines = out.splitlines()
+        i = lines.index("  min_slack_sets:")
+        assert lines[i + 1:i + 9] == [f"    - {json.dumps(s)}" for s in [
+            ["000", "001", "011", "101", "110"], ["000", "010", "011", "101", "110"],
+            ["000", "011", "100", "101", "110"], ["000", "001", "010", "100", "111"],
+            ["001", "010", "011", "100", "111"], ["001", "010", "100", "101", "111"],
+            ["001", "010", "100", "110", "111"], ["000", "011", "101", "110", "111"]]]
+        assert "  min_slack: -142/729" in lines
 
     def test_export_report_rejects_unknown(self):
         with pytest.raises(ValueError):

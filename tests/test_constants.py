@@ -127,6 +127,13 @@ class TestDiagonalProfile:
         assert prof.envelope_min_value == Fraction(3, 8)
         assert prof.envelope_min_locations == [Fraction(1, 2)]
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_min_locations(self, k):
+        # the crossing points nearest 1/2: a tied pair for even k, 1/2 itself for odd k
+        h = Fraction(k // 2, k + 1)
+        expected = [h, h + Fraction(1, k + 1)] if k % 2 == 0 else [Fraction(1, 2)]
+        assert diagonal_profile(k).envelope_min_locations == expected
+
     def test_breakpoints_increasing(self):
         for k in range(1, 10):
             bp = diagonal_profile(k).breakpoints

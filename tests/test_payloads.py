@@ -2,9 +2,11 @@
 
 A change that keeps behaviour keeps these bytes.  The digest is taken over
 ``json.dumps(payload, indent=2)`` of the report written with ``--out``.  The
-solver commands (``solve``, ``continuous``, ``selftest``) are left out: their
-digits depend on the numpy and BLAS build.  ``pb`` on floats is pinned, since
-it is pure-Python IEEE arithmetic with no numpy.  The exact half of
+solver commands (``solve``, ``continuous``, ``selftest``) are left out where
+their digits depend on the numpy and BLAS build.  ``solve --m 1`` in diagonal
+mode is pinned: it reads the exact envelope minimum and recomputes its value
+through ``GridFn``, so it does no numpy arithmetic.  ``pb`` on floats is
+pinned, since it is pure-Python IEEE arithmetic with no numpy.  The exact half of
 ``solve --grid``, the grid oracle, is pinned on its own over
 ``json.dumps(GridOracleResult.to_dict(), indent=2)``.
 """
@@ -46,6 +48,14 @@ PINNED = [
      "0db540538fb2b4006ba6067711c12600b8afe817d9367c7fa65bc205f47da2be"),
     ("pb --p 0.2,0.7,0.4", EXIT_OK,
      "f4750f765660c77faa4049763c19c6fc113efa1b090e24b1099e31d0d26cf28b"),
+    ("solve --k 2 --m 1", EXIT_OK,
+     "5a728e9380dc3bc5c0a6e3c96fe728ee70aa97a0be2366914a0213463054cad5"),
+    ("solve --k 3 --m 1", EXIT_OK,
+     "58fc239e2ca954982d385bb16c8c76d3590b20aac6f84759e2dd11af258fb693"),
+    ("solve --k 4 --m 1", EXIT_OK,
+     "8b0062155dc37dfaf764fc1174a9f80d428aea7749b7400f2fbade8ce1ea1daa"),
+    ("solve --k 7 --m 1", EXIT_OK,
+     "e632b6b4cb03bd71f6198541b59b4fa4e0b0178ad6313238c2a6984e814f891e"),
     ("constant --k 3 --profile", EXIT_OK,
      "60c95a7d39507ecee6147711858523bd47638506a32df6db14c5b20e1c64e587"),
     ("constant --k 4 --d 2 --sharpness", EXIT_OK,

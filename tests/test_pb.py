@@ -150,6 +150,15 @@ class TestMode:
         with pytest.raises(UnimodalityViolation):
             pb_mode(fake)
 
+    def test_float_tie_is_relative(self):
+        # entries below 1e-309 tie only when relatively close; two zeros still tie
+        assert pb_mode(PBDist(3, (0.0, 0.0, 1e-320, 1.0), (0.5,) * 3)) == (3, False)
+        with pytest.raises(UnimodalityViolation, match="interior tie at 1"):
+            pb_mode(PBDist(3, (0.0, 1e-320, 1e-320, 1.0), (0.5,) * 3))
+        dist = pb_pmf([0.5] * 1100)
+        assert dist.pmf[2] == 0.0 < dist.pmf[3] < dist.pmf[4] < 1e-309
+        assert pb_mode(dist) == (550, False)
+
     def test_fuzz_unimodal(self, rng):
         for _ in range(150):
             k = rng.randint(1, 10)
@@ -280,6 +289,27 @@ class TestUltraLogConcavity:
             assert rep.ultra_ok
             assert rep.plain_ok
             assert rep.worst_ultra >= 0
+
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_float_binomial_within_tolerance(self, k):
+        # equality cases whose float margins round below 0, e.g. -1.39e-17 at p = 0.1, k = 5
+        for j in range(1, 20):
+            rep = check_ultra_log_concave(pb_pmf([j / 20] * k))
+            assert rep.ultra_ok and rep.plain_ok
+        assert check_ultra_log_concave(pb_pmf([0.1] * 5)).worst_ultra < 0
+
+    def test_float_violation_still_flagged(self):
+        rep = check_ultra_log_concave(PBDist(2, (0.5, 0.0, 0.5), (0.5, 0.5)))
+        assert not rep.ultra_ok and not rep.plain_ok
+        assert rep.worst_ultra == -1.0 and rep.worst_plain == -0.25
+
+    def test_exact_margins_judged_at_zero(self):
+        # plain log-concavity holds with equality; the ultra factor 4 fails it
+        fake = PBDist(2, (Fraction(1, 3),) * 3, (0, 0))
+        rep = check_ultra_log_concave(fake)
+        assert rep.plain_ok and not rep.ultra_ok
+        assert (rep.worst_plain, rep.worst_ultra) == (0, Fraction(-1, 3))
 
 
 class TestNewtonDifferences:

@@ -156,6 +156,30 @@ class TestRunningCounts:
                     assert engine.fields_above(top, max(expected) - 1) == fields_above(
                         expected, max(expected) - 1)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_remove_any_member_matches_fold(self, k):
+        # ``remove`` reads only the state it is given, so any member, not just the
+        # last one added, comes out to the state of the remaining set
+        rng = random.Random(104729 * k)
+        for d in (1, 2, 3, 4):
+            engine = packed_engine(d, k, 2**d)
+
+            def state(members):
+                counts = engine.empty
+                for p in members:
+                    counts = engine.add(counts, engine.codes[p])
+                return counts
+
+            for _ in range(6):
+                members = rng.sample(range(2**d), rng.randint(1, 2**d))
+                full = state(members)
+                for p in members:
+                    rest = [q for q in members if q != p]
+                    out = engine.remove(full, engine.codes[p])
+                    assert out == state(rest)
+                    assert engine.fields_above(out[-1], 0) == fields_above(
+                        oracle_counts(d, k, rest), 0)
+
     def test_exhaustive_add_counts(self, monkeypatch):
         # the sweep folds the least set of each symmetry class once; the search
         # walks each surviving prefix once instead of once per candidate size
