@@ -61,12 +61,17 @@ def export_report(payload, fmt: str = "json") -> bytes:
 
 
 def _to_text(obj, indent: int = 0) -> str:
-    """A report dict, or a list inside one, as indented lines; nested containers in a list as JSON."""
+    """A report dict, or a list inside one, as indented lines.
+
+    Nested containers in a list, and empty ones anywhere, print as JSON.
+    """
     pad = "  " * indent
     if isinstance(obj, dict):
         lines = []
         for key, val in obj.items():
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list)) and not val:
+                lines.append(f"{pad}{key}: {json.dumps(val)}")
+            elif isinstance(val, (dict, list)):
                 lines.append(f"{pad}{key}:")
                 lines.append(_to_text(val, indent + 1))
             else:
@@ -153,6 +158,8 @@ def _cmd_solve(args, argv) -> int:
     else:
         res = general_constant(args.k, args.m, cfg)
     meta["solve_s"] = time.perf_counter() - t0
+    meta["starts"] = res.starts
+    meta["slsqp_status"] = {str(mode): n for mode, n in res.slsqp_status.items()}
     payload = {"result": res.to_dict()}
     # independent recomputation of the reported argument
     fns = [GridFn(1, args.m, w) for w in (res.argument * args.k

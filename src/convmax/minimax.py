@@ -3,7 +3,11 @@
 Both float solvers share one engine, ``_polish``: an SLSQP solve of the
 epigraph form min t s.t. (f_1*...*f_k)_i <= t, each factor on the simplex,
 run by ``_multistart`` from each solver's fixed starts, then from seeded
-random starts, and reduced to the best start.
+random starts, and reduced to the best start.  ``_polish`` drives scipy's
+compiled SLSQP core (Kraft's method, ``scipy.optimize._slsqplib.slsqp``,
+scipy >= 1.16) through its reverse-communication loop with the inputs
+``minimize(method="SLSQP")`` would give it, so the iterates are scipy's own,
+without its Python driver around each of the core's calls.
 
 * ``general_constant`` — k free factors.  Starts: the zero-padded m = 1
   diagonal optimum (``_padded_m1``) and the uniform weights, each used for all
@@ -47,14 +51,22 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache, reduce
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-# linprog is unused here but kept as a module attribute: the benchmark tracer patches it.
+# linprog and minimize are unused here but kept as module attributes: the
+# benchmark tracer (perfbench/tracer.py) reads and patches both.
 from scipy.optimize import linprog, minimize  # noqa: F401
+
+try:
+    from scipy.optimize._slsqplib import slsqp as _slsqp_core
+except ImportError as exc:  # pragma: no cover - depends on the installed scipy
+    raise ImportError("convmax.minimax drives scipy's compiled SLSQP core "
+                      "scipy.optimize._slsqplib, which needs scipy >= 1.16") from exc
 
 from .constants import _envelope_terms, diagonal_profile, optimal_constant
 from .errors import BudgetExceeded
@@ -65,7 +77,9 @@ from .pb import intersection_point, pb_pmf
 #: Tolerance for the mode-sharing certificate (``shared_modes``).
 CERT_TOL = 1e-7
 
-#: Most grid points (tuples in general mode) that ``grid_oracle`` sweeps.
+#: Most points that ``grid_oracle`` folds: nondecreasing k-tuples in general
+#: mode; in diagonal mode every weight, since each is generated and compared
+#: with its reversal.
 GRID_BUDGET = 2_000_000
 
 
@@ -93,6 +107,9 @@ class MinimaxResult:
     k: int
     m: int
     value_exact: Optional[Fraction] = None
+    # run counters for CLI meta, kept out of to_dict and of comparisons
+    starts: int = field(default=0, compare=False)                    # SLSQP solves run
+    slsqp_status: Dict[int, int] = field(default_factory=dict, compare=False)  # starts per exit mode
 
     def to_dict(self) -> dict:
         d = {
@@ -168,16 +185,36 @@ def _factors(x: np.ndarray, k: int, r: int) -> List[np.ndarray]:
     return list(x[:-1].reshape(r, -1)) * (k // r)
 
 
-def _epigraph_jac(k: int, r: int, m: int):
-    """The Jacobian x -> d(t - f_1*...*f_k)/dx of the epigraph constraint, r free factors.
+#: SLSQP's accuracy (``minimize``'s ``ftol``) and iteration cap, per start.
+SLSQP_ACC = 1e-14
+SLSQP_MAXITER = 300
 
-    Entry (i, (j, a)) is -(k/r) c_j[i - a], where c_j is the fold of all
-    factors but one copy of factor j, and the t column is ones.  Each call
-    writes the r leave-one-out folds into one flat source, after which a 0.0
-    and a 1.0 slot sit, and gathers the whole Jacobian from it with one
-    precomputed (km+1, r(m+1)+1) index: a fresh array every call.
+
+class _EpigraphSetup(NamedTuple):
+    """Everything the SLSQP solve of a (k, r, m) epigraph problem needs but its start.
+
+    The arrays are read-only: each solve copies ``C`` and allocates its own
+    work arrays of the given sizes.
     """
-    copies = k // r
+    index: np.ndarray        # Jacobian gather index, see ``_epigraph_jac``
+    xl: np.ndarray           # bounds of x = (weights, t): [0, 1] per weight, NaN (free) for t
+    xu: np.ndarray
+    grad: np.ndarray         # gradient of the objective t
+    C: np.ndarray            # constraint Jacobian, Fortran order: r equality rows, then km+1 zero rows
+    state: Tuple[Tuple[str, float], ...]   # the core's state on entry
+    buffer_size: int
+    index_size: int          # length of the core's int work array and of its multipliers
+
+
+@lru_cache(maxsize=32)
+def _epigraph_setup(k: int, r: int, m: int) -> _EpigraphSetup:
+    """The start-independent part of the epigraph solve, built once per (k, r, m).
+
+    The state, bounds and work sizes are the ones ``scipy.optimize.minimize``
+    (scipy >= 1.16) hands the core for this problem with ``ftol`` =
+    ``SLSQP_ACC`` and ``maxiter`` = ``SLSQP_MAXITER``.
+    """
+    # the Jacobian gather index of ``_epigraph_jac``: src slots r*n_c and r*n_c + 1 hold 0.0 and 1.0
     n_c = (k - 1) * m + 1
     zero, one = r * n_c, r * n_c + 1
     lag = np.arange(k * m + 1)[:, None] - np.arange(m + 1)
@@ -185,8 +222,44 @@ def _epigraph_jac(k: int, r: int, m: int):
     index = np.full((k * m + 1, r * (m + 1) + 1), one)
     for j in range(r):
         index[:, j * (m + 1):(j + 1) * (m + 1)] = np.where(inside, lag + j * n_c, zero)
-    src = np.zeros(one + 1)
-    src[one] = 1.0
+
+    n_w = r * (m + 1)
+    n = n_w + 1
+    meq, mieq = r, k * m + 1
+    n_con = meq + mieq
+    xl, xu = np.append(np.zeros(n_w), np.nan), np.append(np.ones(n_w), np.nan)
+    grad = np.zeros(n)
+    grad[-1] = 1.0
+    C = np.zeros((n_con, n), order="F")
+    for j in range(r):
+        C[j, j * (m + 1):(j + 1) * (m + 1)] = 1.0
+    for a in (index, xl, xu, grad, C):
+        a.flags.writeable = False
+    state = (("acc", SLSQP_ACC), ("alpha", 0.0), ("f0", 0.0), ("gs", 0.0), ("h1", 0.0),
+             ("h2", 0.0), ("h3", 0.0), ("h4", 0.0), ("t", 0.0), ("t0", 0.0),
+             ("tol", 10.0 * SLSQP_ACC), ("exact", 0), ("inconsistent", 0), ("reset", 0),
+             ("iter", 0), ("itermax", SLSQP_MAXITER), ("line", 0), ("m", n_con),
+             ("meq", meq), ("mode", 0), ("n", n))
+    # scipy's worst-case workspace for SLSQP, LSQ, LSEI, LDP and NNLS together (mieq > 0)
+    buffer_size = (n * (n + 1) // 2 + 3 * n_con * n - (n_con + 5 * n + 7) * meq + 9 * n_con
+                   + 8 * n * n + 35 * n + meq * meq + 28)
+    return _EpigraphSetup(index, xl, xu, grad, C, state, buffer_size, n_con + 2 * n + 2)
+
+
+def _epigraph_jac(k: int, r: int, m: int):
+    """The Jacobian x -> d(t - f_1*...*f_k)/dx of the epigraph constraint, r free factors.
+
+    Entry (i, (j, a)) is -(k/r) c_j[i - a], where c_j is the fold of all
+    factors but one copy of factor j, and the t column is ones.  Each call
+    writes the r leave-one-out folds into one flat source, after which a 0.0
+    and a 1.0 slot sit, and gathers the whole Jacobian from it with the
+    (km+1, r(m+1)+1) index of ``_epigraph_setup``: a fresh array every call.
+    """
+    copies = k // r
+    n_c = (k - 1) * m + 1
+    index = _epigraph_setup(k, r, m).index
+    src = np.zeros(r * n_c + 2)
+    src[-1] = 1.0
 
     def jac(x):
         f = _factors(x, k, r)
@@ -197,43 +270,69 @@ def _epigraph_jac(k: int, r: int, m: int):
     return jac
 
 
-def _polish(ws0: Sequence[np.ndarray], k: int) -> Tuple[List[np.ndarray], float, bool, int]:
+def _epigraph_slsqp(ws0: Sequence[np.ndarray], k: int) -> Tuple[np.ndarray, int, int]:
+    """SLSQP on the epigraph form from (ws0, its peak); returns the final x, exit mode and nit.
+
+    This is scipy's own SLSQP driver loop, cut to this problem.  The start
+    is clipped to the bounds, and the compiled core asks for the objective
+    and constraint values (mode 1) or their gradients (mode -1) at x, which
+    it updates in place, until it exits.  Constraint values are written into
+    ``d`` in place; the objective gradient and the r equality rows of ``C``
+    never change, so a gradient request writes only the ``_epigraph_jac``
+    gather into the inequality rows.  The core's inputs are those of
+    ``minimize(method="SLSQP")``, so x, nit and the exit mode are
+    bit-identical to it.
+    """
+    r, m = len(ws0), len(ws0[0]) - 1
+    setup = _epigraph_setup(k, r, m)
+    jac = _epigraph_jac(k, r, m)
+    x = np.append(np.clip(np.concatenate(ws0), 0.0, 1.0), _peak(list(ws0) * (k // r)))
+    C = setup.C.copy(order="F")
+    d = np.empty(len(C))
+
+    def evaluate():
+        # equality rows first, as the core expects
+        d[:r] = x[:-1].reshape(r, m + 1).sum(axis=1) - 1.0
+        d[r:] = x[-1] - _conv_all(_factors(x, k, r))
+
+    state = dict(setup.state)
+    mult = np.zeros(setup.index_size)
+    indices = np.zeros(setup.index_size, dtype=np.int32)
+    buffer = np.zeros(setup.buffer_size)
+    fx = x[-1]
+    C[r:] = jac(x)
+    evaluate()
+    while True:
+        _slsqp_core(state, fx, setup.grad, C, d, x, mult, setup.xl, setup.xu, buffer, indices)
+        mode = state["mode"]
+        if mode == 1:
+            fx = x[-1]
+            evaluate()
+        elif mode == -1:
+            C[r:] = jac(x)
+        else:
+            return x, int(mode), int(state["iter"])
+
+
+class _ExitMode(int):
+    """An SLSQP exit mode that is true exactly when it is 0 (success), so it reads as an ok flag."""
+
+    def __bool__(self) -> bool:
+        return self == 0
+
+
+def _polish(ws0: Sequence[np.ndarray], k: int) -> Tuple[List[np.ndarray], float, _ExitMode, int]:
     """SLSQP on the epigraph form: min t s.t. (f_1*...*f_k)_i <= t, each f_j in simplex.
 
     ``ws0`` holds one factor (diagonal mode: it is used k times) or k factors
-    (general mode).  Returns the cleaned factors, their objective, SLSQP
-    success and its nit.
+    (general mode).  Runs ``_epigraph_slsqp`` and returns the cleaned
+    factors, their objective, the SLSQP exit mode (true on success) and its
+    nit.
     """
-    r = len(ws0)
-    copies = k // r
-    m = len(ws0[0]) - 1
-    n_w = r * (m + 1)
-
-    def cons_f(x):
-        return x[-1] - _conv_all(_factors(x, k, r))
-
-    A_eq = np.zeros((r, n_w + 1))
-    for j in range(r):
-        A_eq[j, j * (m + 1):(j + 1) * (m + 1)] = 1.0
-    # the objective gradient never changes; read-only, since SLSQP gets this one array each call
-    grad = np.zeros(n_w + 1)
-    grad[-1] = 1.0
-    grad.flags.writeable = False
-
-    x0 = np.concatenate([*ws0, [_peak(list(ws0) * copies)]])
-    res = minimize(
-        lambda x: x[-1], x0, method="SLSQP",
-        jac=lambda x: grad,
-        constraints=[
-            {"type": "ineq", "fun": cons_f, "jac": _epigraph_jac(k, r, m)},
-            {"type": "eq", "fun": lambda x: x[:-1].reshape(r, m + 1).sum(axis=1) - 1.0,
-             "jac": lambda x: A_eq},
-        ],
-        bounds=[(0.0, 1.0)] * n_w + [(None, None)],
-        options={"maxiter": 300, "ftol": 1e-14},
-    )
-    ws = [_clean_weights(w) for w in res.x[:-1].reshape(r, m + 1)]
-    return ws, _peak(ws * copies), bool(res.success), int(res.nit)
+    r, m = len(ws0), len(ws0[0]) - 1
+    x, mode, nit = _epigraph_slsqp(ws0, k)
+    ws = [_clean_weights(w) for w in x[:-1].reshape(r, m + 1)]
+    return ws, _peak(ws * (k // r)), _ExitMode(mode), nit
 
 
 def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.ndarray]],
@@ -241,17 +340,20 @@ def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.
     """Run ``_polish`` from each start in order; the first best start wins ties.
 
     ``starts`` is padded to ``cfg.multistarts`` with seeded random starts of the same shape.
+    The result counts the starts run and the starts per SLSQP exit mode.
     """
     starts = list(starts)
     rng = np.random.default_rng(cfg.seed)
     while len(starts) < cfg.multistarts:
         starts.append([_clean_weights(rng.exponential(size=m + 1)) for _ in range(len(starts[0]))])
-    best_ws, best_v, best_ok, total_nit = None, math.inf, False, 0
+    best_ws, best_v, best_exit, total_nit = None, math.inf, False, 0
+    status: Counter = Counter()
     for ws0 in starts:
-        ws, v, ok, nit = _polish(ws0, k)
+        ws, v, exit_mode, nit = _polish(ws0, k)
         total_nit += nit
+        status[int(exit_mode)] += 1
         if v < best_v:
-            best_ws, best_v, best_ok = ws, v, ok
+            best_ws, best_v, best_exit = ws, v, exit_mode
 
     profile = _conv_all(best_ws * (k // len(best_ws)))
     return MinimaxResult(
@@ -260,10 +362,12 @@ def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.
         shared_modes=_shared_modes(profile),
         method="slsqp",
         iterations=total_nit,
-        converged=best_ok,
+        converged=bool(best_exit),
         diagonal=diagonal,
         k=k,
         m=m,
+        starts=len(starts),
+        slsqp_status=dict(sorted(status.items())),
     )
 
 
@@ -415,14 +519,16 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleRes
     point w with w > w[::-1] is skipped; the least minimiser is never larger
     than its reversal.  ``points_evaluated`` counts the points the sweep
     decides (per^k ordered tuples, or per weights), ``folds`` the ones it
-    folded.
+    folded.  ``GRID_BUDGET`` bounds the points to fold: the C(per+k-1, k)
+    nondecreasing tuples in general mode, all per weights in diagonal mode
+    (each one is compared with its reversal).
     """
     if k < 2 or m < 1 or n < 1:
         raise ValueError(f"need k >= 2, m >= 1, n >= 1; got k={k}, m={m}, n={n}")
     per = math.comb(n + m, m)
-    total = per if diagonal else per**k
-    if total > GRID_BUDGET:
-        raise BudgetExceeded(f"{total} grid points exceed budget {GRID_BUDGET}")
+    work = per if diagonal else math.comb(per + k - 1, k)
+    if work > GRID_BUDGET:
+        raise BudgetExceeded(f"{work} grid points to fold exceed budget {GRID_BUDGET}")
 
     comps = _simplex_grid(m, n).tolist()
     if diagonal:
@@ -436,7 +542,8 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleRes
         if best is None or v < best:
             best, best_combo = v, combo
     argmin = tuple(tuple(Fraction(c, n) for c in comps[i]) for i in best_combo)
-    return GridOracleResult(k, m, n, diagonal, Fraction(best, n**k), argmin, total, folded)
+    return GridOracleResult(k, m, n, diagonal, Fraction(best, n**k), argmin,
+                            per if diagonal else per**k, folded)
 
 
 # ---------------------------------------------------------------------------

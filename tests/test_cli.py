@@ -157,6 +157,20 @@ class TestSolve:
         assert "oracle_s" not in rep["meta"]
         assert rep["meta"]["solve_s"] >= 0
 
+    @pytest.mark.parametrize("mode", ["diagonal", "general"])
+    def test_meta_reports_slsqp_counters(self, capsys, mode):
+        _, rep = run_json(capsys, "solve", "--k", "2", "--m", "3", "--multistarts", "5",
+                          "--mode", mode)
+        meta = rep["meta"]
+        assert meta["starts"] >= 5
+        assert sum(meta["slsqp_status"].values()) == meta["starts"]
+        assert all(int(mode) >= 0 for mode in meta["slsqp_status"])
+        assert "starts" not in rep["payload"]["result"]
+
+    def test_meta_exact_m1_runs_no_slsqp(self, capsys):
+        _, rep = run_json(capsys, "solve", "--k", "3", "--m", "1", "--mode", "diagonal")
+        assert (rep["meta"]["starts"], rep["meta"]["slsqp_status"]) == (0, {})
+
     def test_seed_recorded_and_deterministic(self, capsys):
         code, a = run_json(capsys, "solve", "--k", "2", "--m", "2", "--seed", "5",
                            "--multistarts", "6")
@@ -552,6 +566,10 @@ class TestOutput:
             ["001", "010", "011", "100", "111"], ["001", "010", "100", "101", "111"],
             ["001", "010", "100", "110", "111"], ["000", "011", "101", "110", "111"]]]
         assert "  min_slack: -142/729" in lines
+
+    def test_text_format_empty_list(self, capsys):
+        run(["sidon", "verify", "--d", "3", "--k", "2", "--format", "text"])
+        assert "  equality_sets: []" in capsys.readouterr().out.splitlines()
 
     def test_export_report_rejects_unknown(self):
         with pytest.raises(ValueError):

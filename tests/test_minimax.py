@@ -23,6 +23,7 @@ from convmax.minimax import (
     _coarse_grid_seeds,
     _conv_all,
     _epigraph_jac,
+    _epigraph_slsqp,
     _factors,
     _polish,
     _peak,
@@ -132,6 +133,82 @@ class TestEpigraphJacobian:
         assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
 
 
+def _minimize_epigraph(ws0, k):
+    """The epigraph solve through ``scipy.optimize.minimize``: the reference for the direct driver."""
+    from scipy.optimize import minimize
+
+    r, m = len(ws0), len(ws0[0]) - 1
+    n_w = r * (m + 1)
+    A_eq = np.zeros((r, n_w + 1))
+    for j in range(r):
+        A_eq[j, j * (m + 1):(j + 1) * (m + 1)] = 1.0
+    grad = np.zeros(n_w + 1)
+    grad[-1] = 1.0
+    x0 = np.concatenate([*ws0, [_peak(list(ws0) * (k // r))]])
+    return minimize(
+        lambda x: x[-1], x0, method="SLSQP", jac=lambda x: grad,
+        constraints=[
+            {"type": "ineq", "fun": lambda x: x[-1] - _conv_all(_factors(x, k, r)),
+             "jac": _epigraph_jac(k, r, m)},
+            {"type": "eq", "fun": lambda x: x[:-1].reshape(r, m + 1).sum(axis=1) - 1.0,
+             "jac": lambda x: A_eq},
+        ],
+        bounds=[(0.0, 1.0)] * n_w + [(None, None)],
+        options={"maxiter": minimax.SLSQP_MAXITER, "ftol": minimax.SLSQP_ACC},
+    )
+
+
+class TestDirectSLSQP:
+    """The direct drive of scipy's SLSQP core takes exactly ``minimize``'s iterates.
+
+    It fails if scipy changes the private core's calling convention.
+    """
+
+    @staticmethod
+    def starts(r, m):
+        uniform = [np.full(m + 1, 1.0 / (m + 1))] * r
+        rng = np.random.default_rng(100 * r + m)
+        seeded = [[minimax._clean_weights(rng.exponential(size=m + 1)) for _ in range(r)]
+                  for _ in range(3)]
+        return [uniform] + seeded
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("mode", ["diagonal", "general"])
+    def test_bit_identical_to_minimize(self, mode, k, m):
+        r = 1 if mode == "diagonal" else k
+        for ws0 in self.starts(r, m):
+            x, status, nit = _epigraph_slsqp(ws0, k)
+            ref = _minimize_epigraph(ws0, k)
+            assert x.tobytes() == ref.x.tobytes()
+            assert (nit, status, status == 0) == (ref.nit, ref.status, ref.success)
+            ws, _, ok, polish_nit = _polish(ws0, k)
+            assert (bool(ok), polish_nit) == (ref.success, ref.nit)
+
+    def test_setup_is_shared_and_read_only(self):
+        setup = minimax._epigraph_setup(3, 1, 4)
+        assert minimax._epigraph_setup(3, 1, 4) is setup
+        for a in (setup.index, setup.C, setup.grad, setup.xl, setup.xu):
+            assert not a.flags.writeable
+        before = setup.C.copy()
+        _polish([np.full(5, 0.2)], 3)
+        assert np.array_equal(setup.C, before)
+
+    def test_exit_mode_reads_as_ok_flag(self):
+        assert minimax._ExitMode(0) and not minimax._ExitMode(8)
+        assert int(minimax._ExitMode(9)) == 9
+
+    def test_missing_core_names_the_scipy_version(self):
+        # scipy.optimize itself loads; only the compiled core is missing, as before 1.16
+        code = ("import sys, scipy.optimize; sys.modules['scipy.optimize._slsqplib'] = None\n"
+                "try:\n    import convmax.minimax\n"
+                "except ImportError as e:\n    print(e)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(convmax.__file__).parent.parent)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert "scipy >= 1.16" in out
+
+
 def test_conv_all_matches_fold_from_one():
     # starting the fold at the first factor keeps every float bit
     rng = np.random.default_rng(1)
@@ -216,14 +293,14 @@ class TestGeneralM2Plus:
 
     def test_iterations_sum_slsqp_nit(self, monkeypatch):
         nits = []
-        real = minimax.minimize
+        real = minimax._polish
 
-        def recording(*args, **kwargs):
-            res = real(*args, **kwargs)
-            nits.append(res.nit)
+        def recording(ws0, k):
+            res = real(ws0, k)
+            nits.append(res[3])
             return res
 
-        monkeypatch.setattr(minimax, "minimize", recording)
+        monkeypatch.setattr(minimax, "_polish", recording)
         res = general_constant(2, 3, FAST)
         assert res.method == "slsqp"
         assert len(nits) == FAST.multistarts
@@ -260,14 +337,14 @@ class TestDiagonalM2Plus:
 
     def test_iterations_sum_slsqp_nit(self, monkeypatch):
         nits = []
-        real = minimax.minimize
+        real = minimax._polish
 
-        def recording(*args, **kwargs):
-            res = real(*args, **kwargs)
-            nits.append(res.nit)
+        def recording(ws0, k):
+            res = real(ws0, k)
+            nits.append(res[3])
             return res
 
-        monkeypatch.setattr(minimax, "minimize", recording)
+        monkeypatch.setattr(minimax, "_polish", recording)
         res = diagonal_constant(2, 4, FAST)
         assert res.method == "slsqp"
         assert len(nits) == FAST.multistarts
@@ -407,6 +484,33 @@ class TestGridOracle:
         with pytest.raises(BudgetExceeded):
             grid_oracle(4, 3, 40)
 
+    def test_budget_bounds_folds_not_tuples(self, monkeypatch):
+        # (3, 2, 6): 4060 nondecreasing tuples folded out of 28^3 = 21952
+        want = grid_oracle(3, 2, 6)
+        for budget in (4060, 5000):
+            monkeypatch.setattr(minimax, "GRID_BUDGET", budget)
+            got = grid_oracle(3, 2, 6)
+            assert got.grid_min == want.grid_min
+            assert (got.points_evaluated, got.folds) == (28**3, 4060)
+        monkeypatch.setattr(minimax, "GRID_BUDGET", 4059)
+        with pytest.raises(BudgetExceeded, match="exceed budget"):
+            grid_oracle(3, 2, 6)
+
+    def test_diagonal_budget_counts_every_weight(self, monkeypatch):
+        # all 35 weights are compared with their reversal, fewer are folded
+        monkeypatch.setattr(minimax, "GRID_BUDGET", 35)
+        res = grid_oracle(2, 3, 4, diagonal=True)
+        assert res.points_evaluated == 35 > res.folds
+        monkeypatch.setattr(minimax, "GRID_BUDGET", 34)
+        with pytest.raises(BudgetExceeded, match="exceed budget"):
+            grid_oracle(2, 3, 4, diagonal=True)
+
+    @pytest.mark.parametrize("k,m,n,diagonal", [(4, 3, 40, False), (2, 24, 10, False),
+                                                (2, 24, 10, True)])
+    def test_large_grids_still_refused(self, k, m, n, diagonal):
+        with pytest.raises(BudgetExceeded, match="exceed budget"):
+            grid_oracle(k, m, n, diagonal)
+
     @pytest.mark.parametrize("k,m,n", [(2, 1, 3), (2, 2, 4), (3, 2, 3), (2, 3, 3)])
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_argmin_reevaluates_to_grid_min(self, k, m, n, diagonal):
@@ -502,6 +606,14 @@ class TestResultSerialization:
         assert "config" not in d
         assert "seed" not in d and "tolerance" not in d
         assert d["value_exact"] == "4/9"
+
+    def test_run_counters_not_serialized(self):
+        res = general_constant(2, 2, FAST)
+        assert res.starts == FAST.multistarts
+        assert sum(res.slsqp_status.values()) == res.starts
+        assert "starts" not in res.to_dict() and "slsqp_status" not in res.to_dict()
+        exact = diagonal_constant(2, 1)
+        assert (exact.starts, exact.slsqp_status) == (0, {})
 
 
 @pytest.mark.parametrize("k", [1, 0])
