@@ -105,6 +105,21 @@ def _convolve_seq(a: Sequence, b: Sequence) -> list:
     return out
 
 
+def _convolve_rows(a, b):
+    """Row i is the exact 1-d convolution of rows a[i] and b[i] of two integer numpy arrays.
+
+    The batched form of ``_convolve_seq``: one shifted multiply-add per
+    column of b.  The dtype is a's and b's, int64 or object (Python ints); an
+    int64 caller keeps every entry below 2^63.
+    """
+    import numpy as np  # here, not at the top: the exact commands start without numpy
+
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=a.dtype)
+    for j in range(b.shape[1]):
+        out[:, j:j + a.shape[1]] += a * b[:, j:j + 1]
+    return out
+
+
 def _table_size(d: int, base: int) -> int:
     """base^d, the length of a table indexed by d-digit codes; the one cap check."""
     size = base**d

@@ -24,13 +24,14 @@ The independent cross-checks are exact:
 
 * ``grid_oracle`` — exhaustive exact sweep over the simplex grid points
   with denominator n (``_simplex_grid``, in lexicographic order).  It folds
-  integer numerators with ``gridfn._convolve_seq`` (each factor a numerator
-  over n, a k-fold one over n^k) and builds Fractions only for the
-  minimiser.  It folds one member of each class of points that share a
-  peak: in general mode each multiset of factors (convolution commutes),
-  once per nondecreasing tuple with every prefix fold shared; in diagonal
-  mode each pair {w, w[::-1]}.  ``points_evaluated`` counts every point the
-  sweep decides, per^k ordered tuples or per weights.
+  integer numerators (each factor a numerator over n, a k-fold one over n^k)
+  in numpy blocks of points, k - 1 ``gridfn._convolve_rows`` calls per block
+  and no prefix shared, as int64 when n^k < 2^63 and as Python ints (dtype
+  object) otherwise, and builds Fractions only for the minimiser.  It folds
+  one member of each class of points that share a peak: in general mode
+  each multiset of factors (convolution commutes), once per nondecreasing
+  tuple; in diagonal mode each pair {w, w[::-1]}.  ``points_evaluated``
+  counts every point the sweep decides, per^k ordered tuples or per weights.
   Its minimum is an upper bound for the true constant and is exactly the
   best value any solver restricted to that grid can reach.
 * three independent exact routes at m = 1: the closed form
@@ -70,7 +71,7 @@ except ImportError as exc:  # pragma: no cover - depends on the installed scipy
 
 from .constants import _envelope_terms, diagonal_profile, optimal_constant
 from .errors import BudgetExceeded
-from .gridfn import _convolve_seq
+from .gridfn import _convolve_rows
 from .pb import intersection_point, pb_pmf
 
 
@@ -81,6 +82,10 @@ CERT_TOL = 1e-7
 #: mode; in diagonal mode every weight, since each is generated and compared
 #: with its reversal.
 GRID_BUDGET = 2_000_000
+
+#: Most entries of one block of batched work: FFT scores in
+#: ``_coarse_grid_seeds``, fold entries in ``grid_oracle``.
+BLOCK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -289,11 +294,15 @@ def _epigraph_slsqp(ws0: Sequence[np.ndarray], k: int) -> Tuple[np.ndarray, int,
     x = np.append(np.clip(np.concatenate(ws0), 0.0, 1.0), _peak(list(ws0) * (k // r)))
     C = setup.C.copy(order="F")
     d = np.empty(len(C))
+    # views, built once: the core updates x in place and reads d in place
+    W = x[:-1].reshape(r, m + 1)
+    factors = list(W) * (k // r)
+    d_eq, d_ieq = d[:r], d[r:]
 
     def evaluate():
         # equality rows first, as the core expects
-        d[:r] = x[:-1].reshape(r, m + 1).sum(axis=1) - 1.0
-        d[r:] = x[-1] - _conv_all(_factors(x, k, r))
+        np.subtract(W.sum(axis=1), 1.0, out=d_eq)
+        np.subtract(x[-1], _conv_all(factors), out=d_ieq)
 
     state = dict(setup.state)
     mult = np.zeros(setup.index_size)
@@ -409,9 +418,9 @@ def _coarse_grid_seeds(k: int, m: int) -> List[np.ndarray]:
         return []
     weights = _simplex_grid(m, n) / n
     size = k * m + 1
-    # score the rows in blocks of at most 2^20 scores: one FFT of the whole
-    # grid holds (points, km+1) arrays, about 120 MB at (k, m) = (1000, 2)
-    rows = max(1, 2**20 // size)
+    # score the rows in blocks of at most BLOCK_ENTRIES scores: one FFT of the
+    # whole grid holds (points, km+1) arrays, about 120 MB at (k, m) = (1000, 2)
+    rows = max(1, BLOCK_ENTRIES // size)
     scores = np.concatenate([
         np.fft.irfft(np.fft.rfft(weights[i:i + rows], size) ** k, size).max(axis=1)
         for i in range(0, len(weights), rows)])
@@ -486,20 +495,17 @@ class GridOracleResult:
         }
 
 
-def _multiset_folds(comps: Sequence[list], k: int):
-    """(index tuple, fold) for every nondecreasing k-tuple of indices into ``comps``.
+def _nondecreasing_blocks(per: int, k: int, rows: int):
+    """The nondecreasing k-tuples of ``range(per)``, as (rows, k) index arrays.
 
-    The tuples come in ``itertools.combinations_with_replacement`` order.
-    Each j-prefix is folded once and shared by all its extensions, so the
-    sweep makes C(per+1, 2) + ... + C(per+k-1, k) folds.
+    The tuples come in ``itertools.combinations_with_replacement`` order; the
+    last array may hold fewer rows.
     """
-    if k == 1:
-        for i, c in enumerate(comps):
-            yield (i,), c
-        return
-    for prefix, acc in _multiset_folds(comps, k - 1):
-        for i in range(prefix[-1], len(comps)):
-            yield prefix + (i,), _convolve_seq(acc, comps[i])
+    tuples = itertools.combinations_with_replacement(range(per), k)
+    total = math.comb(per + k - 1, k)
+    for start in range(0, total, rows):
+        yield np.fromiter(itertools.chain.from_iterable(itertools.islice(tuples, rows)),
+                          dtype=np.intp, count=min(rows, total - start) * k).reshape(-1, k)
 
 
 def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleResult:
@@ -522,6 +528,13 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleRes
     folded.  ``GRID_BUDGET`` bounds the points to fold: the C(per+k-1, k)
     nondecreasing tuples in general mode, all per weights in diagonal mode
     (each one is compared with its reversal).
+
+    The points are folded in blocks of at most ``BLOCK_ENTRIES`` fold
+    entries, each block with k - 1 ``gridfn._convolve_rows`` calls and no
+    prefix shared between tuples; the first least peak of a block replaces
+    the best so far only when strictly smaller.  Every fold entry is at most
+    n^k, so the numerators are int64 when n^k < 2^63 and Python ints (dtype
+    object) otherwise, through the same code.
     """
     if k < 2 or m < 1 or n < 1:
         raise ValueError(f"need k >= 2, m >= 1, n >= 1; got k={k}, m={m}, n={n}")
@@ -530,19 +543,27 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleRes
     if work > GRID_BUDGET:
         raise BudgetExceeded(f"{work} grid points to fold exceed budget {GRID_BUDGET}")
 
-    comps = _simplex_grid(m, n).tolist()
+    grid = _simplex_grid(m, n)
+    rows = max(1, BLOCK_ENTRIES // (k * m + 1))
     if diagonal:
-        folds = (((i,), reduce(_convolve_seq, (c,) * k))
-                 for i, c in enumerate(comps) if c <= c[::-1])
+        # w <= w[::-1] is decided at the first index where they differ (index 0 if none)
+        rev = grid[:, ::-1]
+        at = np.arange(per), (grid != rev).argmax(axis=1)
+        kept = np.flatnonzero(grid[at] <= rev[at])
+        blocks = (kept[i:i + rows, None] for i in range(0, len(kept), rows))
     else:
-        folds = _multiset_folds(comps, k)
-    best, best_combo = None, None
-    for folded, (combo, fold) in enumerate(folds, 1):
-        v = max(fold)
-        if best is None or v < best:
-            best, best_combo = v, combo
-    argmin = tuple(tuple(Fraction(c, n) for c in comps[i]) for i in best_combo)
-    return GridOracleResult(k, m, n, diagonal, Fraction(best, n**k), argmin,
+        blocks = _nondecreasing_blocks(per, k, rows)
+    comps = grid.astype(np.int64 if n**k <= np.iinfo(np.int64).max else object)
+    best, best_combo, folded = None, None, 0
+    for idx in blocks:
+        factors = [comps[col] for col in idx.T] * (k // idx.shape[1])
+        peaks = reduce(_convolve_rows, factors).max(axis=1)
+        i = int(np.argmin(peaks))
+        if best is None or peaks[i] < best:
+            best, best_combo = peaks[i], idx[i].tolist()
+        folded += len(idx)
+    argmin = tuple(tuple(Fraction(c, n) for c in comps[i].tolist()) for i in best_combo)
+    return GridOracleResult(k, m, n, diagonal, Fraction(int(best), n**k), argmin,
                             per if diagonal else per**k, folded)
 
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from convmax import gridfn
@@ -8,6 +9,8 @@ from convmax.errors import DimensionMismatch, MemoryCapExceeded, ZeroMassInput
 from convmax.gridfn import (
     GridFn,
     _codes,
+    _convolve_rows,
+    _convolve_seq,
     _digits,
     convolve,
     convolve_many,
@@ -148,6 +151,24 @@ class TestConvolve:
             f = random_exact_gridfn(rng, 2)
             g = random_exact_gridfn(rng, 2)
             assert l1_norm(convolve(f, g)) == l1_norm(f) * l1_norm(g)
+
+
+class TestConvolveRows:
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_each_row_matches_convolve_seq(self, rng, dtype):
+        for la, lb in [(1, 1), (1, 4), (3, 2), (5, 5)]:
+            a = [[rng.randint(0, 9) for _ in range(la)] for _ in range(6)]
+            b = [[rng.randint(0, 9) for _ in range(lb)] for _ in range(6)]
+            out = _convolve_rows(np.array(a, dtype=dtype), np.array(b, dtype=dtype))
+            assert out.dtype == dtype and out.shape == (6, la + lb - 1)
+            assert out.tolist() == [_convolve_seq(x, y) for x, y in zip(a, b)]
+
+    def test_object_rows_stay_exact_past_int64(self):
+        big = 3**40
+        a = np.array([[big, 1], [0, big]], dtype=object)
+        out = _convolve_rows(a, a)
+        assert out.tolist() == [[big * big, 2 * big, 1], [0, 0, big * big]]
+        assert all(type(v) is int for v in out.ravel())
 
 
 class TestConvolveMany:

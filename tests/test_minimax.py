@@ -550,19 +550,51 @@ class TestGridOracle:
         rev = GridFn(1, m, w[::-1])
         assert max(convolve_many([rev] * k).values) == res.grid_min
 
-    def test_prefix_folds_shared(self, monkeypatch):
-        # each nondecreasing j-prefix is folded once: C(per+1, 2) + ... + C(per+k-1, k) folds
+    @pytest.mark.parametrize("k,m,n,diagonal", [(3, 2, 3, False), (2, 3, 4, True)])
+    def test_blocks_fold_with_convolve_rows(self, monkeypatch, k, m, n, diagonal):
+        # with 10 points a block, each block of points is folded by k - 1 _convolve_rows calls
+        want = grid_oracle(k, m, n, diagonal)
         calls = []
-        fold = minimax._convolve_seq
+        fold = minimax._convolve_rows
 
         def counting(a, b):
-            calls.append(1)
+            calls.append(len(a))
             return fold(a, b)
 
-        monkeypatch.setattr(minimax, "_convolve_seq", counting)
-        grid_oracle(3, 2, 3)
-        per = math.comb(3 + 2, 2)
-        assert len(calls) == sum(math.comb(per + j - 1, j) for j in range(2, 4))
+        monkeypatch.setattr(minimax, "_convolve_rows", counting)
+        monkeypatch.setattr(minimax, "BLOCK_ENTRIES", 10 * (k * m + 1))
+        got = grid_oracle(k, m, n, diagonal)
+        assert got == want and got.folds == want.folds
+        assert len(calls) == (k - 1) * math.ceil(got.folds / 10) > k - 1
+        assert max(calls) == 10 and sum(calls) == (k - 1) * got.folds
+
+    def test_budget_edge_memory_bounded(self):
+        # the 1 789 486 nondecreasing pairs of the 1 891-point grid, in blocks of
+        # 2^20 fold entries; the index arrays of all pairs at once hold about 29 MB
+        tracemalloc.start()
+        try:
+            res = grid_oracle(2, 2, 60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert res.grid_min == Fraction(1, 4)
+        assert (res.folds, res.points_evaluated) == (math.comb(1892, 2), 1891**2)
+
+    @pytest.mark.parametrize("k,m,n,diagonal", [(40, 1, 3, True), (63, 1, 2, False),
+                                                (64, 1, 2, True)])
+    def test_object_dtype_past_int64(self, k, m, n, diagonal):
+        # n^k > 2^63 - 1: the numerators are Python ints, and the minimum is still exact
+        assert n**k > np.iinfo(np.int64).max
+        res = grid_oracle(k, m, n, diagonal)
+        if diagonal:
+            assert res == brute_grid_oracle(k, m, n, diagonal=True)
+        factors = [GridFn(1, m, w) for w in res.argmin] * (k // len(res.argmin))
+        assert max(convolve_many(factors).values) == res.grid_min
+
+    def test_int64_up_to_its_largest_power(self):
+        # 2^62 fits int64: the diagonal (62, 1, 2) sweep agrees with brute force
+        assert grid_oracle(62, 1, 2, True) == brute_grid_oracle(62, 1, 2, diagonal=True)
 
 
 class TestIntersectionRestricted:

@@ -83,6 +83,15 @@ PINNED_ORACLE = [
     ((2, 2, 6, True), "ce9112e3088e435ac73fa4aef044986b319ff2ed5b69792222a6f16740170073"),
 ]
 
+#: Edges of the integer sweep: a non-palindromic tied diagonal minimiser, a
+#: k = 3 multiset sweep, and two grids with n^k > 2^63 - 1 (Python-int numerators).
+PINNED_ORACLE += [
+    ((2, 3, 4, True), "88a88bea3f14f858d6ba300e67fc49900a7eba3e18dc805a22bf605fcfc73f3f"),
+    ((3, 1, 8, False), "70ecc1a9650e8c65b7fb7473f66f888922a8c36d781332c99af153765ddb6b77"),
+    ((40, 1, 3, True), "f31caf38aa31d036f4d69219c22b05f12aa813e414b2d4c1af6340aac3885949"),
+    ((63, 1, 2, False), "5899176cd28071cf74cc72fc76c7218fc09129fb882ee830c6459d9139ed20b7"),
+]
+
 
 @pytest.mark.parametrize("case,digest", PINNED_ORACLE, ids=[str(c) for c, _ in PINNED_ORACLE])
 def test_grid_oracle_digest(case, digest):
