@@ -7,7 +7,12 @@ random starts, and reduced to the best start.  ``_polish`` drives scipy's
 compiled SLSQP core (Kraft's method, ``scipy.optimize._slsqplib.slsqp``,
 scipy >= 1.16) through its reverse-communication loop with the inputs
 ``minimize(method="SLSQP")`` would give it, so the iterates are scipy's own,
-without its Python driver around each of the core's calls.
+without its Python driver around each of the core's calls.  The module imports
+numpy and the top-level ``scipy`` package only: ``_load_slsqp_core`` loads the
+core's extension straight from its file, since ``import scipy.optimize`` would
+add about 0.37 s and 47 MB RSS to every float command for a module this one
+never calls.  ``minimize`` and ``linprog`` remain as lazy module names, read
+only by the benchmark tracer.
 
 * ``general_constant`` — k free factors.  Starts: the zero-padded m = 1
   diagonal optimum (``_padded_m1``) and the uniform weights, each used for all
@@ -23,7 +28,7 @@ without its Python driver around each of the core's calls.
 The independent cross-checks are exact:
 
 * ``grid_oracle`` — exhaustive exact sweep over the simplex grid points
-  with denominator n (``_simplex_grid``, in lexicographic order).  It folds
+  with denominator n (``_simplex_blocks``, in lexicographic order).  It folds
   integer numerators (each factor a numerator over n, a k-fold one over n^k)
   in numpy blocks of points, k - 1 ``gridfn._convolve_rows`` calls per block
   and no prefix shared, as int64 when n^k < 2^63 and as Python ints (dtype
@@ -50,8 +55,12 @@ order and are reduced by minimum, the first start winning ties.
 from __future__ import annotations
 
 import heapq
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,20 +68,54 @@ from functools import lru_cache, reduce
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-# linprog and minimize are unused here but kept as module attributes: the
-# benchmark tracer (perfbench/tracer.py) reads and patches both.
-from scipy.optimize import linprog, minimize  # noqa: F401
-
-try:
-    from scipy.optimize._slsqplib import slsqp as _slsqp_core
-except ImportError as exc:  # pragma: no cover - depends on the installed scipy
-    raise ImportError("convmax.minimax drives scipy's compiled SLSQP core "
-                      "scipy.optimize._slsqplib, which needs scipy >= 1.16") from exc
+# the top-level package only: _load_slsqp_core loads the one compiled extension
+# the solvers call, and scipy.optimize loads only if the lazy minimize/linprog
+# names below are read
+import scipy
 
 from .constants import _envelope_terms, diagonal_profile, optimal_constant
 from .errors import BudgetExceeded
 from .gridfn import _convolve_rows
 from .pb import intersection_point, pb_pmf
+
+
+def _load_slsqp_core():
+    """scipy's compiled SLSQP function, without running ``scipy/optimize/__init__.py``.
+
+    ``import scipy.optimize`` loads the whole package (about 0.37 s and 47 MB
+    RSS); the one extension ``_polish`` calls loads in a few ms.  A module
+    already in ``sys.modules`` is reused; one loaded here is registered
+    there, so a later ``import scipy.optimize`` reuses it too.  Before scipy
+    1.16 there is no such extension, and an entry of ``None`` blocks it.
+    """
+    name = "scipy.optimize._slsqplib"
+    if name not in sys.modules:
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(scipy.__path__[0], "optimize")])
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+    module = sys.modules.get(name)   # None: absent, or blocked in sys.modules
+    if module is None:
+        raise ImportError(f"convmax.minimax drives scipy's compiled SLSQP core {name}, "
+                          "which needs scipy >= 1.16")
+    return module.slsqp
+
+
+_slsqp_core = _load_slsqp_core()
+
+
+def __getattr__(name):
+    # minimize and linprog are never called here.  They resolve from
+    # scipy.optimize on first access only because the benchmark tracer
+    # (perfbench/tracer.py) reads both; they go away with ROADMAP item 1's
+    # benchmark change.
+    if name in ("minimize", "linprog"):
+        import scipy.optimize
+
+        return getattr(scipy.optimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: Tolerance for the mode-sharing certificate (``shared_modes``).
@@ -149,12 +192,9 @@ def _shared_modes(profile: np.ndarray) -> List[int]:
 def _simplex_grid(m: int, n: int) -> np.ndarray:
     """Integer numerators of the simplex grid points with denominator n, one per row.
 
-    The m bars of each ``combinations(range(n + m), m)`` split n stars into
-    m + 1 cells, so the rows come in lexicographic order.
+    The one-block case of ``_simplex_blocks``; the rows come in lexicographic order.
     """
-    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n + m), m)),
-                       dtype=np.intp).reshape(-1, m)
-    return np.diff(bars, prepend=-1, append=n + m) - 1
+    return next(_simplex_blocks(m, n, math.comb(n + m, m)))
 
 
 def _clean_weights(w: np.ndarray) -> np.ndarray:
@@ -495,17 +535,57 @@ class GridOracleResult:
         }
 
 
+def _tuple_blocks(tuples, total: int, width: int, rows: int):
+    """The ``total`` width-tuples of the iterator ``tuples``, in order, as (rows, width) arrays.
+
+    The last array may hold fewer rows.
+    """
+    for start in range(0, total, rows):
+        yield np.fromiter(itertools.chain.from_iterable(itertools.islice(tuples, rows)),
+                          dtype=np.intp, count=min(rows, total - start) * width).reshape(-1, width)
+
+
 def _nondecreasing_blocks(per: int, k: int, rows: int):
     """The nondecreasing k-tuples of ``range(per)``, as (rows, k) index arrays.
 
-    The tuples come in ``itertools.combinations_with_replacement`` order; the
-    last array may hold fewer rows.
+    The tuples come in ``itertools.combinations_with_replacement`` order.
     """
-    tuples = itertools.combinations_with_replacement(range(per), k)
-    total = math.comb(per + k - 1, k)
-    for start in range(0, total, rows):
-        yield np.fromiter(itertools.chain.from_iterable(itertools.islice(tuples, rows)),
-                          dtype=np.intp, count=min(rows, total - start) * k).reshape(-1, k)
+    return _tuple_blocks(itertools.combinations_with_replacement(range(per), k),
+                         math.comb(per + k - 1, k), k, rows)
+
+
+def _simplex_blocks(m: int, n: int, rows: int):
+    """Integer numerators of the simplex grid points with denominator n, as (rows, m + 1) arrays.
+
+    The m bars of each ``combinations(range(n + m), m)`` split n stars into
+    m + 1 cells, so the rows come in lexicographic order.
+    """
+    bars = _tuple_blocks(itertools.combinations(range(n + m), m), math.comb(n + m, m), m, rows)
+    return (np.diff(b, prepend=-1, append=n + m) - 1 for b in bars)
+
+
+def _regroup(arrays, rows: int):
+    """The rows of ``arrays``, in order, as new arrays of ``rows`` rows; the last may hold fewer."""
+    out, filled = None, 0
+    for a in arrays:
+        while len(a):
+            if out is None:
+                out, filled = np.empty((rows, *a.shape[1:]), dtype=a.dtype), 0
+            take = min(rows - filled, len(a))
+            out[filled:filled + take] = a[:take]
+            a, filled = a[take:], filled + take
+            if filled == rows:
+                yield out
+                out = None
+    if out is not None:
+        yield out[:filled]
+
+
+def _not_above_reversal(w: np.ndarray) -> np.ndarray:
+    """Which rows of w satisfy w <= w[::-1], decided at the first index where they differ."""
+    rev = w[:, ::-1]
+    at = np.arange(len(w)), (w != rev).argmax(axis=1)
+    return w[at] <= rev[at]
 
 
 def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleResult:
@@ -532,7 +612,10 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleRes
     The points are folded in blocks of at most ``BLOCK_ENTRIES`` fold
     entries, each block with k - 1 ``gridfn._convolve_rows`` calls and no
     prefix shared between tuples; the first least peak of a block replaces
-    the best so far only when strictly smaller.  Every fold entry is at most
+    the best so far only when strictly smaller.  Diagonal mode never holds
+    the whole grid: it is generated in blocks of that many rows, each is
+    filtered by the reversal test, and the kept rows are regrouped into full
+    blocks to fold.  Every fold entry is at most
     n^k, so the numerators are int64 when n^k < 2^63 and Python ints (dtype
     object) otherwise, through the same code.
     """
@@ -543,26 +626,23 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleRes
     if work > GRID_BUDGET:
         raise BudgetExceeded(f"{work} grid points to fold exceed budget {GRID_BUDGET}")
 
-    grid = _simplex_grid(m, n)
-    rows = max(1, BLOCK_ENTRIES // (k * m + 1))
+    rows = max(1, min(work, BLOCK_ENTRIES // (k * m + 1)))
+    dtype = np.int64 if n**k <= np.iinfo(np.int64).max else object
     if diagonal:
-        # w <= w[::-1] is decided at the first index where they differ (index 0 if none)
-        rev = grid[:, ::-1]
-        at = np.arange(per), (grid != rev).argmax(axis=1)
-        kept = np.flatnonzero(grid[at] <= rev[at])
-        blocks = (kept[i:i + rows, None] for i in range(0, len(kept), rows))
+        kept = (w[_not_above_reversal(w)].astype(dtype, copy=False)
+                for w in _simplex_blocks(m, n, rows))
+        blocks = ([w] for w in _regroup(kept, rows))
     else:
-        blocks = _nondecreasing_blocks(per, k, rows)
-    comps = grid.astype(np.int64 if n**k <= np.iinfo(np.int64).max else object)
-    best, best_combo, folded = None, None, 0
-    for idx in blocks:
-        factors = [comps[col] for col in idx.T] * (k // idx.shape[1])
-        peaks = reduce(_convolve_rows, factors).max(axis=1)
+        comps = _simplex_grid(m, n).astype(dtype)
+        blocks = ([comps[col] for col in idx.T] for idx in _nondecreasing_blocks(per, k, rows))
+    best, best_ws, folded = None, None, 0
+    for ws in blocks:
+        peaks = reduce(_convolve_rows, ws * (k // len(ws))).max(axis=1)
         i = int(np.argmin(peaks))
         if best is None or peaks[i] < best:
-            best, best_combo = peaks[i], idx[i].tolist()
-        folded += len(idx)
-    argmin = tuple(tuple(Fraction(c, n) for c in comps[i].tolist()) for i in best_combo)
+            best, best_ws = peaks[i], [w[i].tolist() for w in ws]
+        folded += len(ws[0])
+    argmin = tuple(tuple(Fraction(c, n) for c in w) for w in best_ws)
     return GridOracleResult(k, m, n, diagonal, Fraction(int(best), n**k), argmin,
                             per if diagonal else per**k, folded)
 

@@ -1,4 +1,5 @@
-"""The exact commands start without numpy or scipy; the solver names load on first use."""
+"""The exact commands start without numpy or scipy, the float commands without
+scipy.optimize; the solver names load on first use."""
 
 import importlib
 import json
@@ -37,7 +38,12 @@ codes = [cli.run(argv + ["--out", os.devnull]) for argv in exact]
 before = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
 solve = cli.run(["solve", "--k", "2", "--m", "2", "--multistarts", "2", "--out", os.devnull])
 after = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
-print(json.dumps({"codes": codes, "before": before, "solve": solve, "after": after}))
+floats = [cli.run(argv + ["--out", os.devnull])
+          for argv in (["continuous", "--k", "2", "--m-max", "2", "--multistarts", "2"],
+                       ["selftest"])]
+loaded = {m: m in sys.modules for m in ("scipy.optimize", "scipy.optimize._slsqplib")}
+print(json.dumps({"codes": codes, "before": before, "solve": solve, "after": after,
+                  "floats": floats, "loaded": loaded}))
 """
 
 
@@ -53,6 +59,10 @@ def test_exact_commands_start_without_float_stack():
     assert res["before"] == []
     assert res["solve"] == 0
     assert res["after"] == ["numpy", "scipy"]
+    # the float commands load scipy's compiled SLSQP core, never scipy.optimize itself
+    assert res["floats"] == [0, 0]
+    assert not res["loaded"]["scipy.optimize"]
+    assert res["loaded"]["scipy.optimize._slsqplib"]
 
 
 @pytest.mark.parametrize("name, module", LAZY.items())

@@ -209,6 +209,73 @@ class TestDirectSLSQP:
         assert "scipy >= 1.16" in out
 
 
+def _fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports convmax and these tests."""
+    paths = [str(Path(convmax.__file__).parent.parent), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestCoreLoader:
+    """``minimax`` loads only scipy's compiled SLSQP extension, never ``scipy.optimize``."""
+
+    def test_later_scipy_optimize_reuses_the_core(self):
+        # the extension this module loaded is the one scipy.optimize then drives,
+        # and the direct drive still takes minimize's iterates bit for bit
+        code = """
+import sys
+import convmax.minimax as minimax
+assert "scipy.optimize" not in sys.modules
+import scipy.optimize
+from test_minimax import TestDirectSLSQP, _minimize_epigraph
+assert scipy.optimize._slsqp_py.slsqp is minimax._slsqp_core
+for r in (1, 2):
+    for ws0 in TestDirectSLSQP.starts(r, 3):
+        x, status, nit = minimax._epigraph_slsqp(ws0, 2)
+        ref = _minimize_epigraph(ws0, 2)
+        assert x.tobytes() == ref.x.tobytes(), r
+        assert (nit, status) == (ref.nit, ref.status), r
+print("ok")
+"""
+        assert _fresh(code).split() == ["ok"]
+
+    def test_earlier_scipy_optimize_core_is_reused(self):
+        code = """
+import sys
+import scipy.optimize
+core = sys.modules["scipy.optimize._slsqplib"]
+import convmax.minimax as minimax
+assert sys.modules["scipy.optimize._slsqplib"] is core
+assert minimax._slsqp_core is core.slsqp
+print("ok")
+"""
+        assert _fresh(code).split() == ["ok"]
+
+    def test_tracer_names_resolve_from_scipy_optimize(self):
+        import scipy.optimize
+
+        assert minimax.minimize is scipy.optimize.minimize
+        assert minimax.linprog is scipy.optimize.linprog
+
+    def test_other_names_raise_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            minimax.no_such_name
+        assert not hasattr(minimax, "no_such_name")
+
+    def test_directory_without_the_core_names_the_scipy_version(self, monkeypatch, tmp_path):
+        import scipy
+
+        (tmp_path / "optimize").mkdir()
+        monkeypatch.delitem(sys.modules, "scipy.optimize._slsqplib", raising=False)
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match=r"scipy >= 1\.16"):
+            minimax._load_slsqp_core()
+        assert "scipy.optimize._slsqplib" not in sys.modules
+
+
 def test_conv_all_matches_fold_from_one():
     # starting the fold at the first factor keeps every float bit
     rng = np.random.default_rng(1)
@@ -375,6 +442,12 @@ class TestSimplexGrid:
     def test_lexicographic_compositions(self, m, n):
         ref = sorted(c for c in itertools.product(range(n + 1), repeat=m + 1) if sum(c) == n)
         assert [tuple(row) for row in _simplex_grid(m, n).tolist()] == ref
+
+    @pytest.mark.parametrize("rows", [1, 7, 35, 1000])
+    def test_blocks_concatenate_to_the_grid(self, rows):
+        blocks = list(minimax._simplex_blocks(3, 4, rows))
+        assert all(len(b) == rows for b in blocks[:-1]) and 0 < len(blocks[-1]) <= rows
+        assert np.array_equal(np.concatenate(blocks), _simplex_grid(3, 4))
 
 
 class TestCoarseGridSeeds:
@@ -580,6 +653,22 @@ class TestGridOracle:
         assert peak < 32 * 2**20
         assert res.grid_min == Fraction(1, 4)
         assert (res.folds, res.points_evaluated) == (math.comb(1892, 2), 1891**2)
+
+    def test_diagonal_grid_memory_bounded(self):
+        # 646 646 weights, generated and folded in blocks of 2^20 // 21 rows;
+        # the whole grid and its reversal test at once peak at about 163 MB
+        tracemalloc.start()
+        try:
+            res = grid_oracle(2, 10, 12, diagonal=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        assert res.grid_min == Fraction(1, 12)
+        assert (res.folds, res.points_evaluated) == (323_554, 646_646)
+        six = Fraction(1, 6)
+        twelve = Fraction(1, 12)
+        assert res.argmin == ((0, twelve, six, six, six, 0, twelve, six, 0, 0, six),)
 
     @pytest.mark.parametrize("k,m,n,diagonal", [(40, 1, 3, True), (63, 1, 2, False),
                                                 (64, 1, 2, True)])
