@@ -12,6 +12,7 @@ the float stack.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -282,7 +283,9 @@ def _cmd_selftest(args, argv) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="convmax",
         description="Optimal constants for suprema of k-fold convolutions on discrete cubes",

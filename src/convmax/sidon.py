@@ -26,9 +26,11 @@ as well; the sum is exact, so a negative partial sum does no harm.
 HIGH every top bit; it is never true for t >= 2^(w-1) - 1.
 A max count is found by galloping up with that test and bisecting.
 The g-Sidon walk holds one state and takes points back out with ``remove``.
-Every other route adds a set's points to the empty state.  Counts are read
-back by one reader, ``fields_above(top, t)``: the guard bits of that test
-locate the fields above t, and only those are parsed.
+Every other route counts a fixed set at once with ``fold``: P_1 is the
+polynomial sum_a X^(c_a) at X = 2^w and P_k its k-th power, built by one
+squaring and shifted sums with no field carrying into the next (Kronecker
+substitution).  Counts are read back by one reader, ``fields_above(top, t)``:
+the guard bits of that test locate the fields above t, and only those are parsed.
 ``representation_counts`` reads the fields above 0, and ``verify_bound`` the
 codes of the fields above max - 1.
 
@@ -60,10 +62,11 @@ finds no failure, and refuted at (d, k, g) = (5, 3, 12), where the 12-point
 set above is a 12-Sidon set of order 3 against a cap of 11.  So the search
 never reads the cap: it is one pruned depth-first walk over the 2^d points
 (``_largest_g_sidon``), and ``sidon search`` checks its result against the
-cap.  Both routes take
-``samples`` and ``seed``, the CLI's ``--samples`` and ``--seed``, check them
-at every d (samples >= 1, seed >= 0) and read them only above
-EXHAUSTIVE_D_MAX.  There the walk takes the points in the order
+cap.  Reflecting coordinates keeps every count, so some largest set holds any
+chosen point, and the walk starts from the state holding its first one.
+Both routes take ``samples`` and ``seed``, the CLI's ``--samples`` and
+``--seed``, check them at every d (samples >= 1, seed >= 0) and read them
+only above EXHAUSTIVE_D_MAX.  There the walk takes the points in the order
 random.Random(seed) shuffles them, ``samples`` is its budget of engine adds
 and ``exhaustive`` means it finished; the sweep there reads the first
 ``samples`` nonzero subsets of a stream seeded by ``seed``, ``_sampled_masks``.
@@ -107,6 +110,7 @@ class _PackedCounts:
     int 1 and is never stored.  A state is the tuple (P_1, ..., P_k); ints are
     immutable, so ``add`` returns a new state and the old one stays valid.
     ``remove`` takes a point of the set back out.  Both are one update body.
+    ``fold`` builds P_k of a fixed set by products instead, into the same ints.
     """
 
     def __init__(self, codes: Sequence[int], k: int, n: int):
@@ -196,11 +200,30 @@ class _PackedCounts:
         return fields
 
     def fold(self, members: Iterable[int]) -> int:
-        """P_k of the points ``members``, added one by one to the empty set."""
-        counts, codes = self.empty, self.codes
-        for p in members:
-            counts = self.add(counts, codes[p])
-        return counts[-1]
+        """P_k of the points ``members`` (a repeated member counts again), as a product.
+
+        With X = 2^w the packed P_i is the polynomial (sum_a X^(c_a))^i at X,
+        and no field carries into the next (every count is at most n^k), so
+        the ints are the ones ``add`` builds.  P_1 sets one bit per point in a
+        zeroed buffer; P_2 = P_1 * P_1 is CPython's squaring; each further
+        P_i = sum_a P_(i-1) << c_a*w, one shifted copy per point.
+        """
+        w, codes = self.w, self.codes
+        shifts = [codes[p] * w for p in members]
+        if not shifts:
+            return 0
+        buf = bytearray((max(shifts) >> 3) + 1)
+        for s in shifts:
+            buf[s >> 3] |= 1 << (s & 7)
+        top = int.from_bytes(buf, "little")
+        if top.bit_count() < len(shifts):  # a repeated member: its bit was set twice
+            top = sum(1 << s for s in shifts)
+        k = len(self.terms)
+        if k > 1:
+            top *= top
+        for _ in range(k - 2):
+            top = sum(top << s for s in shifts)
+        return top
 
 
 @dataclass(frozen=True)
@@ -477,7 +500,8 @@ class SearchResult:
     size_cap: int
     cap_form: str    # 'paper-odd-k', 'general' or 'trivial-average'
     exhaustive: bool
-    nodes: int       # engine adds the search made; a run statistic, left out of to_dict
+    nodes: int       # engine adds the walk made, its first point's included; a run
+                     # statistic, left out of to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -529,33 +553,41 @@ def g_sidon_size_cap(d: int, k: int, g: int) -> Tuple[int, str]:
 
 
 def _largest_g_sidon(engine: _PackedCounts, g: int, order: Sequence[int],
-                     budget: float) -> Tuple[List[int], int]:
-    """First largest subset found, in ``itertools.combinations`` order over ``order``,
-    with every count <= g; also returns the number of ``add`` calls made.
+                     budget: float) -> Tuple[List[int], int, bool]:
+    """First largest subset, in ``itertools.combinations`` order over ``order``, with
+    every count <= g (g >= 1); also the ``add`` calls made and whether the walk finished.
 
-    Depth-first over the positions of ``order``; only a strictly larger set
-    replaces the best.  A prefix with a count above g is dropped with all its
-    extensions (adding a point never lowers a count), and so is a prefix that
-    cannot outgrow the best set even with every point left.  The walk stops
-    before the add that would exceed ``budget``: fewer adds mean it finished.
-    It holds one state, the counts of the chosen points: backtracking pops the
-    last chosen position p, removes its point and resumes at p + 1.
+    ``order`` lists every point of the cube.  For a point a of a largest set,
+    x -> x ^ a ^ order[0] reflects coordinates, so it keeps every count and
+    maps that set onto one holding order[0]; and every combination holding
+    position 0 comes before every other one.  So the first largest set holds
+    order[0]: the walk starts from the state that holds it (its add is the
+    first node) and walks the positions 1.. depth-first; only a strictly
+    larger set replaces the best.  A prefix with a count above g is dropped with all its extensions
+    (adding a point never lowers a count), and so is a prefix that cannot
+    outgrow the best set even with every point left.  The walk stops before
+    the add that would exceed ``budget``; it has finished when no prefix is
+    left, which proves its set a largest one.  It holds one state, the counts
+    of the chosen points: backtracking pops the last chosen position p,
+    removes its point and resumes at p + 1.
     """
     codes, add, remove, above = engine.codes, engine.add, engine.remove, engine.above
     n_points = len(order)
-    chosen: List[int] = []  # positions in order
-    best: List[int] = []
-    nodes = 0
-    counts = engine.empty
-    i = 0
-    while nodes < budget:
+    chosen = [0]  # positions in order
+    best = [order[0]]
+    nodes = 1
+    counts = add(engine.empty, codes[order[0]])  # one point: every count is 1 <= g
+    i = 1
+    while True:
         if len(chosen) + n_points - i <= len(best):
-            if not chosen:
-                break
+            if len(chosen) == 1:
+                return best, nodes, True
             p = chosen.pop()
             counts = remove(counts, codes[order[p]])
             i = p + 1
             continue
+        if nodes >= budget:
+            return best, nodes, False
         nodes += 1
         grown = add(counts, codes[order[i]])
         if not above(grown[-1], g):
@@ -564,17 +596,18 @@ def _largest_g_sidon(engine: _PackedCounts, g: int, order: Sequence[int],
             if len(chosen) > len(best):
                 best = [order[p] for p in chosen]
         i += 1
-    return best, nodes
 
 
 def max_size_g_sidon(d: int, k: int, g: int, samples: int = 1000, seed: int = 0) -> SearchResult:
     """Largest g-Sidon set of order k found by the pruned walk ``_largest_g_sidon``.
 
     Up to EXHAUSTIVE_D_MAX the walk visits the points in mask order with no
-    budget.  Above it the order is random.Random(seed).shuffle of the points
-    and ``samples`` is the add budget; both are checked at every d.
-    ``exhaustive`` means the walk finished, so the set is a largest one.  The
-    walk never reads the size cap: ``best_size > size_cap`` refutes its bound.
+    budget, holding point 0.  Above it the order is random.Random(seed).shuffle
+    of the points, the walk holds the first of them and ``samples`` is the add
+    budget, that point's add included; both are checked at every d.
+    ``exhaustive`` is the walk's own finished flag, so the set is a largest one,
+    also when the walk finished on its last allowed add.  The walk never reads
+    the size cap: ``best_size > size_cap`` refutes its bound.
     """
     _check_sampling(samples, seed)
     if d < 1:
@@ -588,5 +621,5 @@ def max_size_g_sidon(d: int, k: int, g: int, samples: int = 1000, seed: int = 0)
     if d > EXHAUSTIVE_D_MAX:
         random.Random(seed).shuffle(order)
         budget = samples
-    best, nodes = _largest_g_sidon(engine, g, order, budget)
-    return SearchResult(d, k, g, CubeSet(d, best), len(best), cap, cap_form, nodes < budget, nodes)
+    best, nodes, finished = _largest_g_sidon(engine, g, order, budget)
+    return SearchResult(d, k, g, CubeSet(d, best), len(best), cap, cap_form, finished, nodes)

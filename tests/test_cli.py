@@ -363,7 +363,7 @@ class TestSidon:
     def test_search_meta_reports_nodes(self, capsys):
         # engine adds of the pruned walk; a run statistic, so not in the payload
         _, rep = run_json(capsys, "sidon", "search", "--d", "4", "--k", "2", "--g", "2")
-        assert rep["meta"]["nodes"] == 5648
+        assert rep["meta"]["nodes"] == 2400
         assert "nodes" not in rep["payload"]
         _, rep = run_json(capsys, "sidon", "search", "--d", "5", "--k", "2", "--g", "2",
                           "--samples", "50")
@@ -604,6 +604,17 @@ class TestOutput:
         monkeypatch.setattr(module, work, fail)
         assert run(argv) == EXIT_USAGE
         assert capsys.readouterr().out == ""
+
+    def test_parser_built_once_and_reused(self, capsys):
+        # a usage error and an earlier command's options leave the shared parser as it was
+        assert cli._build_parser() is cli._build_parser()
+        assert run(["sidon", "search", "--d", "3", "--k", "2"]) == EXIT_USAGE
+        assert "--g" in capsys.readouterr().err
+        code, rep = run_json(capsys, "constant", "--k", "3", "--profile")
+        assert code == EXIT_OK and "profile" in rep["payload"]
+        code, rep = run_json(capsys, "constant", "--k", "2")
+        assert code == EXIT_OK and "profile" not in rep["payload"]
+        assert rep["payload"]["constant"]["exact"] == "4/9"
 
     def test_meta_separated_from_payload(self, capsys):
         _, rep = run_json(capsys, "constant", "--k", "2")

@@ -127,6 +127,14 @@ def fields_above(counts, t):
     return [(c, n) for c, n in enumerate(counts) if n > t]
 
 
+def add_fold(engine, members):
+    """P_k of ``members`` added one by one to the empty state."""
+    counts = engine.empty
+    for p in members:
+        counts = engine.add(counts, engine.codes[p])
+    return counts[-1]
+
+
 class TestRunningCounts:
     """The packed running-count engine against the Fraction ``GridFn`` convolution of the set."""
 
@@ -181,29 +189,26 @@ class TestRunningCounts:
                         oracle_counts(d, k, rest), 0)
 
     def test_exhaustive_add_counts(self, monkeypatch):
-        # the sweep folds the least set of each symmetry class once; the search
-        # walks each surviving prefix once instead of once per candidate size
-        adds = 0
-        add = sidon._PackedCounts.add
+        # the sweep folds the least set of each symmetry class once and adds no
+        # point; the search walks each surviving prefix that holds its first point once
+        calls = {"add": 0, "fold": 0}
+        for name in calls:
+            def counted(self, *args, name=name, method=getattr(sidon._PackedCounts, name)):
+                calls[name] += 1
+                return method(self, *args)
 
-        def counted(self, counts, x):
-            nonlocal adds
-            adds += 1
-            return add(self, counts, x)
-
-        monkeypatch.setattr(sidon._PackedCounts, "add", counted)
+            monkeypatch.setattr(sidon._PackedCounts, name, counted)
         for d, classes in zip((1, 2, 3, 4), (2, 5, 21, 401)):
-            adds = 0
+            calls.update(add=0, fold=0)
             summary = enumerate_verify(d, 2)
             assert summary.orbits == classes
-            # complements pair the classes of j and 2^d - j points, so the sizes
-            # of all classes, the empty one included, average 2^(d-1)
-            assert adds == 2 ** (d - 1) * (classes + 1)
+            assert calls == {"add": 0, "fold": classes}
         assert summary.min_slack == Fraction(578, 6561)
-        adds = 0
+        calls.update(add=0, fold=0)
         res = max_size_g_sidon(4, 2, 2)
         assert res.best_size == 7
-        assert adds == res.nodes <= 5676
+        assert calls == {"add": res.nodes, "fold": 0}
+        assert res.nodes == 2400
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_singleton_fills_its_field(self, k):
@@ -257,6 +262,38 @@ class TestRunningCounts:
         assert engine.above(top, 3) == 0
         assert engine.peak(top) == 3 and engine.fields_above(top, 2) == [(2, 3)]
         assert engine.fields_above(top, 3) == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_product_fold_matches_add_fold(self, k):
+        # the product fold builds the very ints the one-by-one adds build, on engines
+        # sized for the cube and for the set, members in any order
+        rng = random.Random(31 * k)
+        for d in range(1, 7):
+            cube = list(range(2**d))
+            for members in [cube] + [rng.sample(cube, rng.randint(1, 2**d)) for _ in range(3)]:
+                expected = oracle_counts(d, k, members)
+                for n in (2**d, len(members)):
+                    engine = packed_engine(d, k, n)
+                    top = engine.fold(members)
+                    assert top == add_fold(engine, members)
+                    assert engine.fields_above(top, 0) == fields_above(expected, 0)
+                    assert engine.peak(top) == max(expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_product_fold_at_the_guard_bit(self, d):
+        # k = 1 sized for one point: the full cube fills every field to n^k = limit = 1
+        engine = packed_engine(d, 1, 1)
+        assert engine.limit == 1
+        cube = list(range(2**d))
+        assert engine.fold(cube) == add_fold(engine, cube) == engine.ones
+        # one point n times counts n^k at code k*x; at k = 1 and n = 2^j - 1 that is the limit
+        for k, n in ((1, 3), (1, 7), (2, 3), (3, 5)):
+            engine = packed_engine(d, k, n)
+            members = [2**d - 1] * n
+            top = engine.fold(members)
+            assert top == add_fold(engine, members) == n**k << k * engine.codes[-1] * engine.w
+            assert engine.peak(top) == n**k <= engine.limit
+            assert (n**k == engine.limit) == (k == 1)
 
     def test_fields_match_oracle_d6(self):
         rng = random.Random(6)
@@ -530,6 +567,31 @@ class TestSizeCap:
             g_sidon_size_cap(d, k, 1)
 
 
+def walk_from_empty(engine, g, order, budget):
+    """Reference copy of the g-Sidon walk that starts from the empty state: the first
+    largest set in combinations order over ``order`` and the adds it made."""
+    codes = engine.codes
+    n_points = len(order)
+    chosen, best, nodes, counts, i = [], [], 0, engine.empty, 0
+    while nodes < budget:
+        if len(chosen) + n_points - i <= len(best):
+            if not chosen:
+                break
+            p = chosen.pop()
+            counts = engine.remove(counts, codes[order[p]])
+            i = p + 1
+            continue
+        nodes += 1
+        grown = engine.add(counts, codes[order[i]])
+        if not engine.above(grown[-1], g):
+            chosen.append(i)
+            counts = grown
+            if len(chosen) > len(best):
+                best = [order[p] for p in chosen]
+        i += 1
+    return best, nodes
+
+
 class TestMaxSizeSearch:
     def test_d1_k2_g1(self):
         res = max_size_g_sidon(1, 2, 1)
@@ -638,18 +700,60 @@ class TestMaxSizeSearch:
         order = list(range(8))
         random.Random(seed).shuffle(order)
         engine = sidon._PackedCounts(gridfn._codes(3, 1, k + 1), k, 8)
-        best, nodes = sidon._largest_g_sidon(engine, g, order, math.inf)
+        best, nodes, _ = sidon._largest_g_sidon(engine, g, order, math.inf)
         assert [format(p, "03b") for p in best] == brute_first_g_sidon(3, k, g, order)
         assert nodes > 0
 
     def test_walk_stops_at_its_budget(self):
         engine = sidon._PackedCounts(gridfn._codes(3, 1, 3), 2, 8)
         order = list(range(8))
-        _, unbounded = sidon._largest_g_sidon(engine, 2, order, math.inf)
+        _, unbounded, _ = sidon._largest_g_sidon(engine, 2, order, math.inf)
         for budget in (1, 7, unbounded - 1, unbounded):
-            best, nodes = sidon._largest_g_sidon(engine, 2, order, budget)
+            best, nodes, _ = sidon._largest_g_sidon(engine, 2, order, budget)
             assert nodes == budget
             assert max(representation_counts(CubeSet(3, best), 2).values()) <= 2
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_held_point_walk_matches_walk_from_empty(self, d):
+        # a reflection moves a largest set onto order[0], and the combinations that
+        # hold position 0 come first, so holding it keeps the first largest set
+        order = list(range(2**d))
+        for k in (2, 3, 4):
+            engine = packed_engine(d, k, 2**d)
+            for g in range(1, 2 * k + 1):
+                ref_best, ref_nodes = walk_from_empty(engine, g, order, math.inf)
+                best, nodes, finished = sidon._largest_g_sidon(engine, g, order, math.inf)
+                assert best == ref_best and finished
+                assert nodes <= ref_nodes
+
+    @pytest.mark.parametrize("k,g", [(2, 2), (2, 4), (3, 2), (3, 6)])
+    def test_held_point_walk_matches_on_d5_shuffles(self, k, g):
+        engine = packed_engine(5, k, 32)
+        for seed in range(3):
+            order = list(range(32))
+            random.Random(seed).shuffle(order)
+            for budget in (10, 100, 1000, 5000):
+                ref_best, ref_nodes = walk_from_empty(engine, g, order, budget)
+                best, nodes, finished = sidon._largest_g_sidon(engine, g, order, budget)
+                assert best == ref_best
+                assert nodes <= ref_nodes
+                # a walk that finished still finishes; one cut at its budget may now finish
+                assert finished or ref_nodes == budget
+
+    def test_walk_finishing_on_its_last_add_is_exhaustive(self):
+        # the finished flag, not nodes < budget, says whether the walk ran to the end
+        engine = packed_engine(3, 2, 8)
+        order = list(range(8))
+        _, n, finished = sidon._largest_g_sidon(engine, 2, order, math.inf)
+        assert finished and n == 35
+        for budget, done in ((n - 1, False), (n, True), (n + 1, True)):
+            best, nodes, finished = sidon._largest_g_sidon(engine, 2, order, budget)
+            assert (nodes, finished) == (min(budget, n), done)
+            assert len(best) == 5 or not done
+        # above d = 4 at g = 1 no second point fits: the walk ends after 32 adds
+        for samples, done in ((31, False), (32, True), (33, True)):
+            res = max_size_g_sidon(5, 2, 1, samples=samples, seed=0)
+            assert (res.nodes, res.exhaustive) == (min(samples, 32), done)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_rejects_d_below_one_before_any_work(self, monkeypatch, k):
