@@ -28,7 +28,7 @@ from .constants import (
     optimal_constant_d,
     verify_sharpness,
 )
-from .errors import BoundValidityError, ConvmaxError
+from .errors import BoundValidityError, ConvmaxError, UnimodalityViolation
 from .gridfn import GridFn, ratio
 from . import pb
 from .sidon import CubeSet, enumerate_verify, max_size_g_sidon, verify_bound
@@ -371,6 +371,10 @@ def run(argv) -> int:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:
         return args.func(args, argv)
+    except UnimodalityViolation as e:
+        # a broken invariant, not bad input
+        print(f"unimodality violation: {e}", file=sys.stderr)
+        return EXIT_VIOLATION
     except (ConvmaxError, ValueError, TypeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

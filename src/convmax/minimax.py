@@ -7,7 +7,9 @@ random starts, and reduced to the best start.  ``_polish`` drives scipy's
 compiled SLSQP core (Kraft's method, ``scipy.optimize._slsqplib.slsqp``,
 scipy >= 1.16) through its reverse-communication loop with the inputs
 ``minimize(method="SLSQP")`` would give it, so the iterates are scipy's own,
-without its Python driver around each of the core's calls.  The module imports
+without its Python driver around each of the core's calls.  On each Jacobian
+request it writes the leave-one-out folds of the factors into one flat array
+and gathers the constraint rows from it with a fixed index.  The module imports
 numpy and the top-level ``scipy`` package only: ``_load_slsqp_core`` loads the
 core's extension straight from its file, since ``import scipy.optimize`` would
 add about 0.37 s and 47 MB RSS to every float command for a module this one
@@ -214,20 +216,12 @@ def _check_km(k: int, m: int) -> None:
 
 
 def _padded_m1(k: int, m: int) -> np.ndarray:
-    """The exact m = 1 diagonal optimum, as floats, zero-padded to length m + 1."""
-    p = 1 - diagonal_profile(k).envelope_min_locations[-1]
-    w = np.zeros(m + 1)
-    w[0], w[1] = 1.0 - float(p), float(p)
-    return w
+    """The m = 1 diagonal optimum of ``diagonal_constant``, zero-padded to length m + 1."""
+    return np.array(diagonal_constant(k, 1).argument[0] + [0.0] * (m - 1))
 
 
 def _peak(ws: Sequence[np.ndarray]) -> float:
     return float(np.max(_conv_all(ws)))
-
-
-def _factors(x: np.ndarray, k: int, r: int) -> List[np.ndarray]:
-    """The k factors of an epigraph point x = (r factors of length m+1, t)."""
-    return list(x[:-1].reshape(r, -1)) * (k // r)
 
 
 #: SLSQP's accuracy (``minimize``'s ``ftol``) and iteration cap, per start.
@@ -241,7 +235,7 @@ class _EpigraphSetup(NamedTuple):
     The arrays are read-only: each solve copies ``C`` and allocates its own
     work arrays of the given sizes.
     """
-    index: np.ndarray        # Jacobian gather index, see ``_epigraph_jac``
+    index: np.ndarray        # Jacobian gather index of ``_polish``'s ``gradient()``
     xl: np.ndarray           # bounds of x = (weights, t): [0, 1] per weight, NaN (free) for t
     xu: np.ndarray
     grad: np.ndarray         # gradient of the objective t
@@ -259,7 +253,7 @@ def _epigraph_setup(k: int, r: int, m: int) -> _EpigraphSetup:
     (scipy >= 1.16) hands the core for this problem with ``ftol`` =
     ``SLSQP_ACC`` and ``maxiter`` = ``SLSQP_MAXITER``.
     """
-    # the Jacobian gather index of ``_epigraph_jac``: src slots r*n_c and r*n_c + 1 hold 0.0 and 1.0
+    # the gather index of ``_polish``'s Jacobian: src slots r*n_c and r*n_c + 1 hold 0.0 and 1.0
     n_c = (k - 1) * m + 1
     zero, one = r * n_c, r * n_c + 1
     lag = np.arange(k * m + 1)[:, None] - np.arange(m + 1)
@@ -291,52 +285,38 @@ def _epigraph_setup(k: int, r: int, m: int) -> _EpigraphSetup:
     return _EpigraphSetup(index, xl, xu, grad, C, state, buffer_size, n_con + 2 * n + 2)
 
 
-def _epigraph_jac(k: int, r: int, m: int):
-    """The Jacobian x -> d(t - f_1*...*f_k)/dx of the epigraph constraint, r free factors.
+def _polish(ws0: Sequence[np.ndarray], k: int) -> Tuple[List[np.ndarray], float, int, int]:
+    """SLSQP on the epigraph form: min t s.t. (f_1*...*f_k)_i <= t, each f_j in simplex.
 
-    Entry (i, (j, a)) is -(k/r) c_j[i - a], where c_j is the fold of all
-    factors but one copy of factor j, and the t column is ones.  Each call
-    writes the r leave-one-out folds into one flat source, after which a 0.0
-    and a 1.0 slot sit, and gathers the whole Jacobian from it with the
-    (km+1, r(m+1)+1) index of ``_epigraph_setup``: a fresh array every call.
-    """
-    copies = k // r
-    n_c = (k - 1) * m + 1
-    index = _epigraph_setup(k, r, m).index
-    src = np.zeros(r * n_c + 2)
-    src[-1] = 1.0
+    ``ws0`` holds one factor (diagonal mode: it is used k times) or k factors
+    (general mode); x = (the r = len(ws0) free factors, t) starts from ws0,
+    clipped to the bounds, and its peak.  This is scipy's own SLSQP driver
+    loop, cut to this problem: the compiled core updates x in place and asks
+    for the constraint values (mode 1) or their Jacobian (mode -1) at x
+    until it exits.  ``evaluate()`` writes the values into ``d`` in place.
+    The objective gradient and the r equality rows of ``C`` never change, so
+    ``gradient()`` writes only the inequality rows: entry (i, (j, a)) is
+    -(k/r) c_j[i - a], where c_j is the fold of all factors but one copy of
+    factor j, and the t column is ones.  It writes the r leave-one-out folds
+    into one flat source, after which a 0.0 and a 1.0 slot sit, and gathers
+    the rows from it with the (km+1, r(m+1)+1) index of ``_epigraph_setup``.
+    The core's inputs are those of ``minimize(method="SLSQP")``, so the
+    iterates, nit and exit mode are bit-identical to it.
 
-    def jac(x):
-        f = _factors(x, k, r)
-        for j in range(r):
-            np.multiply(_conv_all(f[:j] + f[j + 1:]), -copies, out=src[j * n_c:(j + 1) * n_c])
-        return src[index]
-
-    return jac
-
-
-def _epigraph_slsqp(ws0: Sequence[np.ndarray], k: int) -> Tuple[np.ndarray, int, int]:
-    """SLSQP on the epigraph form from (ws0, its peak); returns the final x, exit mode and nit.
-
-    This is scipy's own SLSQP driver loop, cut to this problem.  The start
-    is clipped to the bounds, and the compiled core asks for the objective
-    and constraint values (mode 1) or their gradients (mode -1) at x, which
-    it updates in place, until it exits.  Constraint values are written into
-    ``d`` in place; the objective gradient and the r equality rows of ``C``
-    never change, so a gradient request writes only the ``_epigraph_jac``
-    gather into the inequality rows.  The core's inputs are those of
-    ``minimize(method="SLSQP")``, so x, nit and the exit mode are
-    bit-identical to it.
+    Returns the cleaned factors, their peak, the SLSQP exit mode (0 on
+    success) and nit.
     """
     r, m = len(ws0), len(ws0[0]) - 1
+    copies, n_c = k // r, (k - 1) * m + 1
     setup = _epigraph_setup(k, r, m)
-    jac = _epigraph_jac(k, r, m)
-    x = np.append(np.clip(np.concatenate(ws0), 0.0, 1.0), _peak(list(ws0) * (k // r)))
+    x = np.append(np.clip(np.concatenate(ws0), 0.0, 1.0), _peak(list(ws0) * copies))
     C = setup.C.copy(order="F")
     d = np.empty(len(C))
-    # views, built once: the core updates x in place and reads d in place
+    src = np.zeros(r * n_c + 2)
+    src[-1] = 1.0
+    # views, built once: the core updates x in place and reads C and d in place
     W = x[:-1].reshape(r, m + 1)
-    factors = list(W) * (k // r)
+    factors = list(W) * copies
     d_eq, d_ieq = d[:r], d[r:]
 
     def evaluate():
@@ -344,12 +324,18 @@ def _epigraph_slsqp(ws0: Sequence[np.ndarray], k: int) -> Tuple[np.ndarray, int,
         np.subtract(W.sum(axis=1), 1.0, out=d_eq)
         np.subtract(x[-1], _conv_all(factors), out=d_ieq)
 
+    def gradient():
+        for j in range(r):
+            np.multiply(_conv_all(factors[:j] + factors[j + 1:]), -copies,
+                        out=src[j * n_c:(j + 1) * n_c])
+        C[r:] = src[setup.index]
+
     state = dict(setup.state)
     mult = np.zeros(setup.index_size)
     indices = np.zeros(setup.index_size, dtype=np.int32)
     buffer = np.zeros(setup.buffer_size)
     fx = x[-1]
-    C[r:] = jac(x)
+    gradient()
     evaluate()
     while True:
         _slsqp_core(state, fx, setup.grad, C, d, x, mult, setup.xl, setup.xu, buffer, indices)
@@ -358,30 +344,10 @@ def _epigraph_slsqp(ws0: Sequence[np.ndarray], k: int) -> Tuple[np.ndarray, int,
             fx = x[-1]
             evaluate()
         elif mode == -1:
-            C[r:] = jac(x)
+            gradient()
         else:
-            return x, int(mode), int(state["iter"])
-
-
-class _ExitMode(int):
-    """An SLSQP exit mode that is true exactly when it is 0 (success), so it reads as an ok flag."""
-
-    def __bool__(self) -> bool:
-        return self == 0
-
-
-def _polish(ws0: Sequence[np.ndarray], k: int) -> Tuple[List[np.ndarray], float, _ExitMode, int]:
-    """SLSQP on the epigraph form: min t s.t. (f_1*...*f_k)_i <= t, each f_j in simplex.
-
-    ``ws0`` holds one factor (diagonal mode: it is used k times) or k factors
-    (general mode).  Runs ``_epigraph_slsqp`` and returns the cleaned
-    factors, their objective, the SLSQP exit mode (true on success) and its
-    nit.
-    """
-    r, m = len(ws0), len(ws0[0]) - 1
-    x, mode, nit = _epigraph_slsqp(ws0, k)
-    ws = [_clean_weights(w) for w in x[:-1].reshape(r, m + 1)]
-    return ws, _peak(ws * (k // r)), _ExitMode(mode), nit
+            ws = [_clean_weights(w) for w in W]
+            return ws, _peak(ws * copies), int(mode), int(state["iter"])
 
 
 def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.ndarray]],
@@ -395,14 +361,14 @@ def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.
     rng = np.random.default_rng(cfg.seed)
     while len(starts) < cfg.multistarts:
         starts.append([_clean_weights(rng.exponential(size=m + 1)) for _ in range(len(starts[0]))])
-    best_ws, best_v, best_exit, total_nit = None, math.inf, False, 0
+    best_ws, best_v, best_mode, total_nit = None, math.inf, None, 0
     status: Counter = Counter()
     for ws0 in starts:
-        ws, v, exit_mode, nit = _polish(ws0, k)
+        ws, v, mode, nit = _polish(ws0, k)
         total_nit += nit
-        status[int(exit_mode)] += 1
+        status[mode] += 1
         if v < best_v:
-            best_ws, best_v, best_exit = ws, v, exit_mode
+            best_ws, best_v, best_mode = ws, v, mode
 
     profile = _conv_all(best_ws * (k // len(best_ws)))
     return MinimaxResult(
@@ -411,7 +377,7 @@ def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.
         shared_modes=_shared_modes(profile),
         method="slsqp",
         iterations=total_nit,
-        converged=bool(best_exit),
+        converged=best_mode == 0,
         diagonal=diagonal,
         k=k,
         m=m,

@@ -14,6 +14,7 @@ from typing import Dict
 from . import pb
 from .constants import optimal_constant, verify_sharpness
 from .continuous import KNOWN_LOWER_K2
+from .errors import UnimodalityViolation
 from .gridfn import GridFn, convolve_many
 from .minimax import (
     SolverConfig,
@@ -38,7 +39,7 @@ def _fuzz_pb(rng: random.Random, trials: int) -> Dict:
             failures.append(f"trial {t}: normalization")
         try:
             pb.pb_mode(dist)
-        except Exception as e:
+        except UnimodalityViolation as e:
             failures.append(f"trial {t}: unimodality ({e})")
         rep = pb.check_ultra_log_concave(dist)
         if not rep.ultra_ok:

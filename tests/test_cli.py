@@ -8,8 +8,9 @@ import pytest
 import convmax.constants
 import convmax.continuous
 import convmax.minimax
-from convmax import cli, gridfn, sidon
+from convmax import cli, gridfn, pb, sidon
 from convmax.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, export_report, run
+from convmax.errors import UnimodalityViolation
 from convmax.minimax import SolverConfig
 
 from conftest import ODD_K_COUNTEREXAMPLE
@@ -256,6 +257,17 @@ class TestPb:
         assert code == EXIT_OK
         assert rep["payload"]["pmf"] == ["2/3", "1/3"]
         assert rep["payload"]["lagrange_residuals"] == {"1": "0"}
+
+    def test_unimodality_violation_exits_as_violation(self, capsys, monkeypatch):
+        # a failed unimodality chain is a broken invariant (exit 1), not bad input (exit 2)
+        def broken(dist):
+            raise UnimodalityViolation("rise violated at 0")
+
+        monkeypatch.setattr(pb, "pb_mode", broken)
+        assert run(["pb", "--p", "1/3,1/2"]) == EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unimodality violation: rise violated at 0" in captured.err
 
 
 class TestSidon:
@@ -537,6 +549,28 @@ class TestSelftest:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "seed must be >= 0" in captured.err
+
+    def test_fuzz_reports_unimodality_violations(self, monkeypatch):
+        import convmax.selftest
+
+        def broken(dist):
+            raise UnimodalityViolation("fall violated at 1")
+
+        monkeypatch.setattr(pb, "pb_mode", broken)
+        fuzz = convmax.selftest._fuzz_pb(random.Random(0), 2)
+        assert fuzz["failures"] == ["trial 0: unimodality (fall violated at 1)",
+                                    "trial 1: unimodality (fall violated at 1)"]
+
+    def test_fuzz_does_not_relabel_other_errors(self, monkeypatch):
+        # a TypeError in pb_mode is a bug in the battery's own call, not a unimodality failure
+        import convmax.selftest
+
+        def broken(dist):
+            raise TypeError("bad pmf")
+
+        monkeypatch.setattr(pb, "pb_mode", broken)
+        with pytest.raises(TypeError, match="bad pmf"):
+            convmax.selftest._fuzz_pb(random.Random(0), 2)
 
 
 class TestOutput:

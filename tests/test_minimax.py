@@ -22,9 +22,6 @@ from convmax.minimax import (
     SolverConfig,
     _coarse_grid_seeds,
     _conv_all,
-    _epigraph_jac,
-    _epigraph_slsqp,
-    _factors,
     _polish,
     _peak,
     _simplex_grid,
@@ -56,12 +53,17 @@ def _conv_matrix(c: np.ndarray, m: int) -> np.ndarray:
     return M
 
 
+def _factors(x: np.ndarray, k: int, r: int):
+    """The k factors of an epigraph point x = (r factors of length m+1, t)."""
+    return list(x[:-1].reshape(r, -1)) * (k // r)
+
+
 def _reference_jac(k: int, r: int, m: int):
     """The epigraph constraint Jacobian built block by block from ``_conv_matrix``."""
     copies = k // r
 
     def jac(x):
-        f = list(x[:-1].reshape(r, m + 1)) * copies
+        f = _factors(x, k, r)
         blocks = [_conv_matrix(-copies * _conv_all(f[:j] + f[j + 1:]), m) for j in range(r)]
         return np.column_stack(blocks + [np.ones(k * m + 1)])
 
@@ -83,58 +85,28 @@ def test_conv_matrix_matches_loop():
 class TestEpigraphJacobian:
     CASES = [(k, m, r) for k, m in [(2, 3), (3, 2), (4, 5)] for r in sorted({1, k})]
 
-    @staticmethod
-    def point(k, r, m, seed):
-        rng = np.random.default_rng(seed)
-        return np.concatenate([rng.exponential(size=r * (m + 1)), [0.7]])
-
-    @pytest.mark.parametrize("k,m,r", CASES)
-    def test_equals_column_build(self, k, m, r):
-        jac, ref = _epigraph_jac(k, r, m), _reference_jac(k, r, m)
-        for seed in range(5):
-            x = self.point(k, r, m, seed)
-            got, want = jac(x), ref(x)
-            assert got.shape == want.shape == (k * m + 1, r * (m + 1) + 1)
-            assert np.array_equal(got, want)
-            assert got.tobytes() == want.tobytes()    # signed zeros too
-
     @pytest.mark.parametrize("k,m,r", CASES)
     def test_matches_central_difference(self, k, m, r):
         def cons(x):
             return x[-1] - _conv_all(_factors(x, k, r))
 
-        x, h = self.point(k, r, m, 7), 1e-6
-        J = _epigraph_jac(k, r, m)(x)
+        rng = np.random.default_rng(7)
+        x, h = np.concatenate([rng.exponential(size=r * (m + 1)), [0.7]]), 1e-6
+        J = _reference_jac(k, r, m)(x)
+        assert J.shape == (k * m + 1, r * (m + 1) + 1)
         for col in range(len(x)):
             e = np.zeros(len(x))
             e[col] = h
             fd = (cons(x + e) - cons(x - e)) / (2 * h)
             assert J[:, col] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
-    def test_fresh_array_each_call(self):
-        jac = _epigraph_jac(3, 3, 2)
-        x, y = self.point(3, 3, 2, 0), self.point(3, 3, 2, 1)
-        first = jac(x)
-        kept = first.copy()
-        second = jac(y)
-        assert second is not first and not np.shares_memory(first, second)
-        assert np.array_equal(first, kept)
-
-    @pytest.mark.parametrize("k,m,r", [(2, 3, 1), (3, 2, 3), (4, 5, 1), (2, 4, 2)])
-    def test_solve_identical_to_column_build(self, monkeypatch, k, m, r):
-        # same Jacobian floats, so SLSQP takes the same iterates
-        rng = np.random.default_rng(11)
-        ws0 = [rng.exponential(size=m + 1) for _ in range(r)]
-        ws0 = [w / w.sum() for w in ws0]
-        got = _polish(ws0, k)
-        monkeypatch.setattr(minimax, "_epigraph_jac", _reference_jac)
-        want = _polish(ws0, k)
-        assert got[1:] == want[1:]
-        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
-
 
 def _minimize_epigraph(ws0, k):
-    """The epigraph solve through ``scipy.optimize.minimize``: the reference for the direct driver."""
+    """``_polish``'s result from ``scipy.optimize.minimize``'s x: the reference for the direct drive.
+
+    The constraint Jacobian is the column build ``_reference_jac``, so equal
+    results also show that ``_polish``'s gather takes the column build's iterates.
+    """
     from scipy.optimize import minimize
 
     r, m = len(ws0), len(ws0[0]) - 1
@@ -145,17 +117,28 @@ def _minimize_epigraph(ws0, k):
     grad = np.zeros(n_w + 1)
     grad[-1] = 1.0
     x0 = np.concatenate([*ws0, [_peak(list(ws0) * (k // r))]])
-    return minimize(
+    res = minimize(
         lambda x: x[-1], x0, method="SLSQP", jac=lambda x: grad,
         constraints=[
             {"type": "ineq", "fun": lambda x: x[-1] - _conv_all(_factors(x, k, r)),
-             "jac": _epigraph_jac(k, r, m)},
+             "jac": _reference_jac(k, r, m)},
             {"type": "eq", "fun": lambda x: x[:-1].reshape(r, m + 1).sum(axis=1) - 1.0,
              "jac": lambda x: A_eq},
         ],
         bounds=[(0.0, 1.0)] * n_w + [(None, None)],
         options={"maxiter": minimax.SLSQP_MAXITER, "ftol": minimax.SLSQP_ACC},
     )
+    assert res.success == (res.status == 0)
+    ws = [minimax._clean_weights(w) for w in res.x[:-1].reshape(r, m + 1)]
+    return ws, _peak(ws * (k // r)), res.status, res.nit
+
+
+def _assert_same_solve(got, want):
+    """``_polish`` results ``got`` and ``want`` agree bit for bit, and the exit mode is an int."""
+    (ws, v, mode, nit), (ref_ws, ref_v, ref_mode, ref_nit) = got, want
+    assert [w.tobytes() for w in ws] == [w.tobytes() for w in ref_ws]
+    assert (v, mode, nit) == (ref_v, ref_mode, ref_nit)
+    assert type(mode) is int
 
 
 class TestDirectSLSQP:
@@ -178,12 +161,7 @@ class TestDirectSLSQP:
     def test_bit_identical_to_minimize(self, mode, k, m):
         r = 1 if mode == "diagonal" else k
         for ws0 in self.starts(r, m):
-            x, status, nit = _epigraph_slsqp(ws0, k)
-            ref = _minimize_epigraph(ws0, k)
-            assert x.tobytes() == ref.x.tobytes()
-            assert (nit, status, status == 0) == (ref.nit, ref.status, ref.success)
-            ws, _, ok, polish_nit = _polish(ws0, k)
-            assert (bool(ok), polish_nit) == (ref.success, ref.nit)
+            _assert_same_solve(_polish(ws0, k), _minimize_epigraph(ws0, k))
 
     def test_setup_is_shared_and_read_only(self):
         setup = minimax._epigraph_setup(3, 1, 4)
@@ -193,10 +171,6 @@ class TestDirectSLSQP:
         before = setup.C.copy()
         _polish([np.full(5, 0.2)], 3)
         assert np.array_equal(setup.C, before)
-
-    def test_exit_mode_reads_as_ok_flag(self):
-        assert minimax._ExitMode(0) and not minimax._ExitMode(8)
-        assert int(minimax._ExitMode(9)) == 9
 
     def test_missing_core_names_the_scipy_version(self):
         # scipy.optimize itself loads; only the compiled core is missing, as before 1.16
@@ -230,14 +204,11 @@ import sys
 import convmax.minimax as minimax
 assert "scipy.optimize" not in sys.modules
 import scipy.optimize
-from test_minimax import TestDirectSLSQP, _minimize_epigraph
+from test_minimax import TestDirectSLSQP, _assert_same_solve, _minimize_epigraph
 assert scipy.optimize._slsqp_py.slsqp is minimax._slsqp_core
 for r in (1, 2):
     for ws0 in TestDirectSLSQP.starts(r, 3):
-        x, status, nit = minimax._epigraph_slsqp(ws0, 2)
-        ref = _minimize_epigraph(ws0, 2)
-        assert x.tobytes() == ref.x.tobytes(), r
-        assert (nit, status) == (ref.nit, ref.status), r
+        _assert_same_solve(minimax._polish(ws0, 2), _minimize_epigraph(ws0, 2))
 print("ok")
 """
         assert _fresh(code).split() == ["ok"]
@@ -293,7 +264,7 @@ def test_first_of_tied_starts_wins(monkeypatch, solve):
 
     def tied(ws0, k):
         seen.append([list(w) for w in ws0])
-        return list(ws0), 0.5, True, 1
+        return list(ws0), 0.5, 0, 1
 
     monkeypatch.setattr(minimax, "_polish", tied)
     res = solve(2, 3, FAST)
@@ -301,6 +272,22 @@ def test_first_of_tied_starts_wins(monkeypatch, solve):
     assert len({json.dumps(ws) for ws in seen}) > 1
     assert res.argument == seen[0]
     assert (res.value, res.iterations, res.converged) == (0.5, FAST.multistarts, True)
+
+
+@pytest.mark.parametrize("solve", [general_constant, diagonal_constant])
+def test_failing_best_start_is_not_converged(monkeypatch, solve):
+    # the second start is the best one, and it exits with SLSQP mode 8
+    seen = []
+
+    def second_fails(ws0, k):
+        seen.append(ws0)
+        v, mode = (0.25, 8) if len(seen) == 2 else (0.5, 0)
+        return list(ws0), v, mode, 1
+
+    monkeypatch.setattr(minimax, "_polish", second_fails)
+    res = solve(2, 3, FAST)
+    assert res.value == 0.25 and res.converged is False
+    assert res.slsqp_status == {0: FAST.multistarts - 1, 8: 1}
 
 
 class TestDiagonalM1:
