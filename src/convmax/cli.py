@@ -16,6 +16,7 @@ import functools
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -263,7 +264,12 @@ def _cmd_continuous(args, argv) -> int:
     except BoundValidityError as e:
         print(f"bound validity violation: {e}", file=sys.stderr)
         return EXIT_VIOLATION
-    meta = {"table_s": time.perf_counter() - t0}
+    status = Counter()
+    for row in table.rows:
+        status.update(row.slsqp_status)
+    meta = {"table_s": time.perf_counter() - t0,
+            "starts": sum(row.starts for row in table.rows),
+            "slsqp_status": {str(mode): n for mode, n in sorted(status.items())}}
     payload = table.to_dict()
     if args.export_steps is not None:
         row = table.rows[args.export_steps - 1]

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from .constants import continuous_upper_bound_m1, optimal_constant
 from .errors import BoundValidityError
@@ -36,6 +36,9 @@ class BoundRow:
     converged: bool
     method: str
     weights: List[float]   # the factor whose k-fold peak is cbar; not serialized
+    # the row's SLSQP solves for CLI meta (none at m = 1), kept out of to_dict and comparisons
+    starts: int = field(default=0, compare=False)
+    slsqp_status: Dict[int, int] = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
         exact = isinstance(self.cbar, Fraction)
@@ -88,8 +91,8 @@ def upper_bound_sequence(k: int, m_max: int,
         # optimum is already a built-in seed of the diagonal solver
         extra = [rows[-1].weights + [0.0]] if m > 2 else None
         res = diagonal_constant(k, m, cfg, extra_seeds=extra)
-        rows.append(BoundRow(m, res.value, k * (m + 1) * res.value,
-                             res.converged, res.method, res.argument[0]))
+        rows.append(BoundRow(m, res.value, k * (m + 1) * res.value, res.converged,
+                             res.method, res.argument[0], res.starts, res.slsqp_status))
     converged_rows = [r for r in rows if r.converged]
     best = min(float(r.upper_bound) for r in converged_rows)
     lower = KNOWN_LOWER_K2 if k == 2 else None

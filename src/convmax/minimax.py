@@ -7,7 +7,13 @@ random starts, and reduced to the best start.  ``_polish`` drives scipy's
 compiled SLSQP core (Kraft's method, ``scipy.optimize._slsqplib.slsqp``,
 scipy >= 1.16) through its reverse-communication loop with the inputs
 ``minimize(method="SLSQP")`` would give it, so the iterates are scipy's own,
-without its Python driver around each of the core's calls.  On each Jacobian
+without its Python driver around each of the core's calls.  The solve bounds
+each weight by w >= 0 and leaves t free.  It poses no bound w <= 1: the
+factor's row sum(w) = 1 with w >= 0 implies it, and the core turns every
+finite bound into one more inequality row of each QP step ((k + 1)m + 2 rows
+in diagonal mode, not (k + 2)m + 3).  Without it the iterates still stay on the
+simplex, since each QP step keeps the equality rows and the bounds, and a
+line-search step is a convex combination of two such points.  On each Jacobian
 request it writes the leave-one-out folds of the factors into one flat array
 and gathers the constraint rows from it with a fixed index.  The module imports
 numpy and the top-level ``scipy`` package only: ``_load_slsqp_core`` loads the
@@ -236,8 +242,8 @@ class _EpigraphSetup(NamedTuple):
     work arrays of the given sizes.
     """
     index: np.ndarray        # Jacobian gather index of ``_polish``'s ``gradient()``
-    xl: np.ndarray           # bounds of x = (weights, t): [0, 1] per weight, NaN (free) for t
-    xu: np.ndarray
+    xl: np.ndarray           # lower bounds of x = (weights, t): 0 per weight, NaN (free) for t
+    xu: np.ndarray           # upper bounds: NaN (none) throughout; sum(w) = 1 implies w <= 1
     grad: np.ndarray         # gradient of the objective t
     C: np.ndarray            # constraint Jacobian, Fortran order: r equality rows, then km+1 zero rows
     state: Tuple[Tuple[str, float], ...]   # the core's state on entry
@@ -251,7 +257,8 @@ def _epigraph_setup(k: int, r: int, m: int) -> _EpigraphSetup:
 
     The state, bounds and work sizes are the ones ``scipy.optimize.minimize``
     (scipy >= 1.16) hands the core for this problem with ``ftol`` =
-    ``SLSQP_ACC`` and ``maxiter`` = ``SLSQP_MAXITER``.
+    ``SLSQP_ACC``, ``maxiter`` = ``SLSQP_MAXITER`` and the bounds of the
+    module docstring: w >= 0 per weight, none on t.
     """
     # the gather index of ``_polish``'s Jacobian: src slots r*n_c and r*n_c + 1 hold 0.0 and 1.0
     n_c = (k - 1) * m + 1
@@ -266,7 +273,7 @@ def _epigraph_setup(k: int, r: int, m: int) -> _EpigraphSetup:
     n = n_w + 1
     meq, mieq = r, k * m + 1
     n_con = meq + mieq
-    xl, xu = np.append(np.zeros(n_w), np.nan), np.append(np.ones(n_w), np.nan)
+    xl, xu = np.append(np.zeros(n_w), np.nan), np.full(n, np.nan)
     grad = np.zeros(n)
     grad[-1] = 1.0
     C = np.zeros((n_con, n), order="F")
@@ -290,7 +297,7 @@ def _polish(ws0: Sequence[np.ndarray], k: int) -> Tuple[List[np.ndarray], float,
 
     ``ws0`` holds one factor (diagonal mode: it is used k times) or k factors
     (general mode); x = (the r = len(ws0) free factors, t) starts from ws0,
-    clipped to the bounds, and its peak.  This is scipy's own SLSQP driver
+    clipped to w >= 0, and its peak.  This is scipy's own SLSQP driver
     loop, cut to this problem: the compiled core updates x in place and asks
     for the constraint values (mode 1) or their Jacobian (mode -1) at x
     until it exits.  ``evaluate()`` writes the values into ``d`` in place.
@@ -309,7 +316,7 @@ def _polish(ws0: Sequence[np.ndarray], k: int) -> Tuple[List[np.ndarray], float,
     r, m = len(ws0), len(ws0[0]) - 1
     copies, n_c = k // r, (k - 1) * m + 1
     setup = _epigraph_setup(k, r, m)
-    x = np.append(np.clip(np.concatenate(ws0), 0.0, 1.0), _peak(list(ws0) * copies))
+    x = np.append(np.maximum(np.concatenate(ws0), 0.0), _peak(list(ws0) * copies))
     C = setup.C.copy(order="F")
     d = np.empty(len(C))
     src = np.zeros(r * n_c + 2)
@@ -435,6 +442,23 @@ def _coarse_grid_seeds(k: int, m: int) -> List[np.ndarray]:
     return [np.array(w) for _, w in heapq.nsmallest(GRID_SEEDS, near_best)]
 
 
+@lru_cache(maxsize=64)
+def _diagonal_m1(k: int) -> Tuple[Fraction, Fraction, Tuple[int, ...]]:
+    """The exact m = 1 diagonal optimum: the value, the least minimizing p and the shared modes.
+
+    Read off ``constants.diagonal_profile`` once per k: at k = 300 that takes
+    about 0.5 s, and every ``diagonal_constant`` and ``general_constant`` call
+    at m > 1 starts from this optimum.
+    """
+    # the weight (1 - p, p) has pmf entry i equal to envelope term i at x = 1 - p;
+    # the last minimizing x gives the least minimizing p
+    prof = diagonal_profile(k)
+    x = prof.envelope_min_locations[-1]
+    terms = _envelope_terms(k, x)
+    top = max(terms)
+    return prof.envelope_min_value, 1 - x, tuple(i for i, t in enumerate(terms) if t == top)
+
+
 def diagonal_constant(k: int, m: int, cfg: SolverConfig = SolverConfig(),
                       extra_seeds: Optional[Sequence[Sequence[float]]] = None) -> MinimaxResult:
     """Upper estimate of Cbar_{k,m}; exact at m = 1 via the envelope.
@@ -450,17 +474,11 @@ def diagonal_constant(k: int, m: int, cfg: SolverConfig = SolverConfig(),
                              f"weights with a positive sum, got {s.tolist()}")
 
     if m == 1:
-        # the weight (1 - p, p) has pmf entry i equal to envelope term i at x = 1 - p;
-        # the last minimizing x gives the least minimizing p
-        prof = diagonal_profile(k)
-        x, v = prof.envelope_min_locations[-1], prof.envelope_min_value
-        p = 1 - x
-        terms = _envelope_terms(k, x)
-        top = max(terms)
+        v, p, modes = _diagonal_m1(k)
         return MinimaxResult(
             value=float(v),
             argument=[[1.0 - float(p), float(p)]],
-            shared_modes=[i for i, t in enumerate(terms) if t == top],
+            shared_modes=list(modes),
             method="diagonal-envelope-exact",
             iterations=k + 2,
             converged=True,

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import random
@@ -508,6 +509,22 @@ class TestContinuous:
         _, rep = run_json(capsys, "continuous", "--k", "2")
         assert rep["meta"]["table_s"] >= 0
         assert "export_s" not in rep["meta"]
+
+    def test_meta_reports_slsqp_counters(self, capsys):
+        # summed over the solved rows m = 2..4; the exact m = 1 row runs no SLSQP
+        _, rep = run_json(capsys, "continuous", "--k", "2", "--m-max", "4",
+                          "--multistarts", "3", "--seed", "1")
+        table = convmax.continuous.upper_bound_sequence(2, 4, SolverConfig(multistarts=3, seed=1))
+        status = collections.Counter()
+        for row in table.rows:
+            status.update(row.slsqp_status)
+        meta = rep["meta"]
+        assert meta["starts"] == sum(row.starts for row in table.rows) >= 3 * 3
+        assert meta["slsqp_status"] == {str(mode): n for mode, n in sorted(status.items())}
+        assert sum(meta["slsqp_status"].values()) == meta["starts"]
+        assert rep["payload"] == table.to_dict()
+        _, rep = run_json(capsys, "continuous", "--k", "2")
+        assert (rep["meta"]["starts"], rep["meta"]["slsqp_status"]) == (0, {})
 
     @pytest.mark.parametrize("starts", ["0", "-3"])
     def test_multistarts_below_one_rejected(self, capsys, monkeypatch, starts):

@@ -10,6 +10,7 @@ from convmax.continuous import (
     step_function_export,
     upper_bound_sequence,
 )
+import convmax.minimax as minimax
 from convmax.minimax import SolverConfig
 
 from conftest import FAST
@@ -53,6 +54,23 @@ class TestUpperBoundSequence:
     def test_rows_labelled_by_m(self):
         table = upper_bound_sequence(2, 3, FAST)
         assert [r.m for r in table.rows] == [1, 2, 3]
+
+    def test_m1_optimum_worked_out_once_per_k(self, monkeypatch):
+        # every row at m > 1 starts from the m = 1 optimum, read off the profile once
+        calls = []
+        profile = minimax.diagonal_profile
+        monkeypatch.setattr(minimax, "diagonal_profile", lambda k: calls.append(k) or profile(k))
+        minimax._diagonal_m1.cache_clear()
+        upper_bound_sequence(3, 6, FAST)
+        assert calls == [3]
+
+    def test_rows_count_their_solves(self):
+        table = upper_bound_sequence(2, 3, FAST)
+        assert (table.rows[0].starts, table.rows[0].slsqp_status) == (0, {})
+        for row in table.rows[1:]:
+            assert row.starts >= FAST.multistarts
+            assert sum(row.slsqp_status.values()) == row.starts
+            assert "starts" not in row.to_dict() and "slsqp_status" not in row.to_dict()
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

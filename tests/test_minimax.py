@@ -125,7 +125,7 @@ def _minimize_epigraph(ws0, k):
             {"type": "eq", "fun": lambda x: x[:-1].reshape(r, m + 1).sum(axis=1) - 1.0,
              "jac": lambda x: A_eq},
         ],
-        bounds=[(0.0, 1.0)] * n_w + [(None, None)],
+        bounds=[(0.0, None)] * n_w + [(None, None)],
         options={"maxiter": minimax.SLSQP_MAXITER, "ftol": minimax.SLSQP_ACC},
     )
     assert res.success == (res.status == 0)
@@ -150,10 +150,13 @@ class TestDirectSLSQP:
     @staticmethod
     def starts(r, m):
         uniform = [np.full(m + 1, 1.0 / (m + 1))] * r
+        # point masses: every weight sits on a bound, so w <= 1 was active there
+        first, last = np.eye(m + 1)[0], np.eye(m + 1)[-1]
+        deltas = [[first] * r, [first, last] * (r // 2) + [first] * (r % 2)]
         rng = np.random.default_rng(100 * r + m)
         seeded = [[minimax._clean_weights(rng.exponential(size=m + 1)) for _ in range(r)]
                   for _ in range(3)]
-        return [uniform] + seeded
+        return [uniform] + deltas + seeded
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8])
     @pytest.mark.parametrize("k", [2, 3])
@@ -171,6 +174,14 @@ class TestDirectSLSQP:
         before = setup.C.copy()
         _polish([np.full(5, 0.2)], 3)
         assert np.array_equal(setup.C, before)
+
+    @pytest.mark.parametrize("k,r,m", [(2, 1, 4), (3, 3, 2)])
+    def test_weights_bounded_below_only(self, k, r, m):
+        # sum(w) = 1 and w >= 0 imply w <= 1, so the core gets no finite upper bound
+        setup = minimax._epigraph_setup(k, r, m)
+        n_w = r * (m + 1)
+        assert np.isnan(setup.xu).all() and len(setup.xu) == n_w + 1
+        assert setup.xl[:-1].tolist() == [0.0] * n_w and np.isnan(setup.xl[-1])
 
     def test_missing_core_names_the_scipy_version(self):
         # scipy.optimize itself loads; only the compiled core is missing, as before 1.16
