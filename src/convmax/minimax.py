@@ -529,15 +529,6 @@ def _tuple_blocks(tuples, total: int, width: int, rows: int):
                           dtype=np.intp, count=min(rows, total - start) * width).reshape(-1, width)
 
 
-def _nondecreasing_blocks(per: int, k: int, rows: int):
-    """The nondecreasing k-tuples of ``range(per)``, as (rows, k) index arrays.
-
-    The tuples come in ``itertools.combinations_with_replacement`` order.
-    """
-    return _tuple_blocks(itertools.combinations_with_replacement(range(per), k),
-                         math.comb(per + k - 1, k), k, rows)
-
-
 def _simplex_blocks(m: int, n: int, rows: int):
     """Integer numerators of the simplex grid points with denominator n, as (rows, m + 1) arrays.
 
@@ -546,23 +537,6 @@ def _simplex_blocks(m: int, n: int, rows: int):
     """
     bars = _tuple_blocks(itertools.combinations(range(n + m), m), math.comb(n + m, m), m, rows)
     return (np.diff(b, prepend=-1, append=n + m) - 1 for b in bars)
-
-
-def _regroup(arrays, rows: int):
-    """The rows of ``arrays``, in order, as new arrays of ``rows`` rows; the last may hold fewer."""
-    out, filled = None, 0
-    for a in arrays:
-        while len(a):
-            if out is None:
-                out, filled = np.empty((rows, *a.shape[1:]), dtype=a.dtype), 0
-            take = min(rows - filled, len(a))
-            out[filled:filled + take] = a[:take]
-            a, filled = a[take:], filled + take
-            if filled == rows:
-                yield out
-                out = None
-    if out is not None:
-        yield out[:filled]
 
 
 def _not_above_reversal(w: np.ndarray) -> np.ndarray:
@@ -597,11 +571,11 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleRes
     entries, each block with k - 1 ``gridfn._convolve_rows`` calls and no
     prefix shared between tuples; the first least peak of a block replaces
     the best so far only when strictly smaller.  Diagonal mode never holds
-    the whole grid: it is generated in blocks of that many rows, each is
-    filtered by the reversal test, and the kept rows are regrouped into full
-    blocks to fold.  Every fold entry is at most
-    n^k, so the numerators are int64 when n^k < 2^63 and Python ints (dtype
-    object) otherwise, through the same code.
+    the whole grid: it is generated in blocks of that many rows, and each is
+    folded as soon as the reversal test has filtered it (a block the test
+    empties is skipped).  Every fold entry is at most n^k, so the numerators
+    are int64 when n^k < 2^63 and Python ints (dtype object) otherwise,
+    through the same code.
     """
     if k < 2 or m < 1 or n < 1:
         raise ValueError(f"need k >= 2, m >= 1, n >= 1; got k={k}, m={m}, n={n}")
@@ -615,10 +589,11 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleRes
     if diagonal:
         kept = (w[_not_above_reversal(w)].astype(dtype, copy=False)
                 for w in _simplex_blocks(m, n, rows))
-        blocks = ([w] for w in _regroup(kept, rows))
+        blocks = ([w] for w in kept if len(w))
     else:
         comps = _simplex_grid(m, n).astype(dtype)
-        blocks = ([comps[col] for col in idx.T] for idx in _nondecreasing_blocks(per, k, rows))
+        tuples = itertools.combinations_with_replacement(range(per), k)
+        blocks = ([comps[col] for col in idx.T] for idx in _tuple_blocks(tuples, work, k, rows))
     best, best_ws, folded = None, None, 0
     for ws in blocks:
         peaks = reduce(_convolve_rows, ws * (k // len(ws))).max(axis=1)

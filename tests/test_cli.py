@@ -1,7 +1,12 @@
 import collections
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -588,6 +593,34 @@ class TestSelftest:
         monkeypatch.setattr(pb, "pb_mode", broken)
         with pytest.raises(TypeError, match="bad pmf"):
             convmax.selftest._fuzz_pb(random.Random(0), 2)
+
+    def test_failing_section_fails_the_run(self, capsys, monkeypatch):
+        import convmax.selftest
+
+        def wrong(factors):
+            return gridfn.GridFn(1, 1, (Fraction(1), Fraction(0)))
+
+        monkeypatch.setattr(convmax.selftest, "convolve_many", wrong)
+        code, rep = run_json(capsys, "selftest")
+        assert code == EXIT_VIOLATION
+        payload = rep["payload"]
+        assert payload["passed"] is False
+        assert payload["pb_exact_cross_check"]["failures"][0] == "trial 0: pmf != convolution"
+        assert payload["closed_forms"]["ok"] is True
+
+
+class TestMain:
+    @pytest.mark.parametrize("argv,code", [
+        (["constant", "--k", "2"], EXIT_OK),
+        (["sidon", "verify", "--d", "3", "--k", "2"], EXIT_VIOLATION),
+        (["solve", "--k", "1"], EXIT_USAGE)])
+    def test_module_entry_point_exit_codes(self, argv, code):
+        # ``python -m convmax.cli`` runs main(), the target of the ``convmax`` script
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "convmax.cli", *argv, "--out", os.devnull],
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == code, proc.stderr
 
 
 class TestOutput:

@@ -621,9 +621,13 @@ class TestGridOracle:
         rev = GridFn(1, m, w[::-1])
         assert max(convolve_many([rev] * k).values) == res.grid_min
 
-    @pytest.mark.parametrize("k,m,n,diagonal", [(3, 2, 3, False), (2, 3, 4, True)])
+    @pytest.mark.parametrize("k,m,n,diagonal", [(3, 2, 3, False), (2, 3, 4, True),
+                                                (3, 1, 5, True)])
     def test_blocks_fold_with_convolve_rows(self, monkeypatch, k, m, n, diagonal):
-        # with 10 points a block, each block of points is folded by k - 1 _convolve_rows calls
+        # the points are generated 10 at a time (1 at m = 1), and each block that keeps a
+        # point (diagonal: one not above its reversal) is folded by k - 1 _convolve_rows
+        # calls; at m = 1 the filter empties the blocks of (a, n - a) with a > n/2
+        rows = 1 if m == 1 else 10
         want = grid_oracle(k, m, n, diagonal)
         calls = []
         fold = minimax._convolve_rows
@@ -633,11 +637,18 @@ class TestGridOracle:
             return fold(a, b)
 
         monkeypatch.setattr(minimax, "_convolve_rows", counting)
-        monkeypatch.setattr(minimax, "BLOCK_ENTRIES", 10 * (k * m + 1))
+        monkeypatch.setattr(minimax, "BLOCK_ENTRIES", rows * (k * m + 1))
         got = grid_oracle(k, m, n, diagonal)
         assert got == want and got.folds == want.folds
-        assert len(calls) == (k - 1) * math.ceil(got.folds / 10) > k - 1
-        assert max(calls) == 10 and sum(calls) == (k - 1) * got.folds
+        if diagonal:
+            grid = sorted(w for w in itertools.product(range(n + 1), repeat=m + 1) if sum(w) == n)
+            chunks = [grid[i:i + rows] for i in range(0, len(grid), rows)]
+            blocks = sum(any(w <= w[::-1] for w in chunk) for chunk in chunks)
+            assert blocks < len(chunks)
+        else:
+            blocks = math.ceil(got.folds / rows)
+        assert len(calls) == (k - 1) * blocks > k - 1
+        assert max(calls) <= rows and sum(calls) == (k - 1) * got.folds
 
     def test_budget_edge_memory_bounded(self):
         # the 1 789 486 nondecreasing pairs of the 1 891-point grid, in blocks of

@@ -150,6 +150,19 @@ class TestMode:
         with pytest.raises(UnimodalityViolation):
             pb_mode(fake)
 
+    @pytest.mark.parametrize("pmf,message", [
+        ((Fraction(1, 8), Fraction(1, 2), Fraction(1, 8), Fraction(1, 4)),
+         "fall violated at 2: 1/8 < 1/4"),
+        ((Fraction(1, 8), Fraction(1, 2), Fraction(1, 8), Fraction(1, 8)),
+         "interior tie at 2 above the mode"),
+        ((0.125, 0.5, 0.125, 0.25), "fall violated at 2: 0.125 < 0.25"),
+    ])
+    def test_violation_after_the_mode(self, pmf, message):
+        # the mode is index 1; the chain breaks on its falling side
+        with pytest.raises(UnimodalityViolation) as err:
+            pb_mode(PBDist(3, pmf, (Fraction(1, 2),) * 3))
+        assert str(err.value) == message
+
     def test_float_tie_is_relative(self):
         # entries below 1e-309 tie only when relatively close; two zeros still tie
         assert pb_mode(PBDist(3, (0.0, 0.0, 1e-320, 1.0), (0.5,) * 3)) == (3, False)
