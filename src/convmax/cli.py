@@ -162,6 +162,8 @@ def _cmd_solve(args, argv) -> int:
     meta["solve_s"] = time.perf_counter() - t0
     meta["starts"] = res.starts
     meta["slsqp_status"] = {str(mode): n for mode, n in res.slsqp_status.items()}
+    meta["slsqp_calls"] = res.slsqp_calls
+    meta["slsqp_rounds"] = res.slsqp_rounds
     payload = {"result": res.to_dict()}
     # independent recomputation of the reported argument
     fns = [GridFn(1, args.m, w) for w in (res.argument * args.k
@@ -269,7 +271,9 @@ def _cmd_continuous(args, argv) -> int:
         status.update(row.slsqp_status)
     meta = {"table_s": time.perf_counter() - t0,
             "starts": sum(row.starts for row in table.rows),
-            "slsqp_status": {str(mode): n for mode, n in sorted(status.items())}}
+            "slsqp_status": {str(mode): n for mode, n in sorted(status.items())},
+            "slsqp_calls": sum(row.slsqp_calls for row in table.rows),
+            "slsqp_rounds": sum(row.slsqp_rounds for row in table.rows)}
     payload = table.to_dict()
     if args.export_steps is not None:
         row = table.rows[args.export_steps - 1]
@@ -316,7 +320,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--mode", choices=["diagonal", "general"], default="diagonal")
     p.add_argument("--grid", type=int, default=None, help="also run the exact grid oracle")
-    p.add_argument("--multistarts", type=int, default=64)
+    p.add_argument("--multistarts", type=int, default=64, metavar="N",
+                   help="SLSQP starts: the built-in starts (2 in general mode, up to 5 in "
+                        "diagonal mode) always run, then seeded random starts pad them to N")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_solve)
@@ -354,7 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("continuous", help="upper bounds for the continuous constant")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m-max", dest="m_max", type=int, default=1)
-    p.add_argument("--multistarts", type=int, default=16)
+    p.add_argument("--multistarts", type=int, default=16, metavar="N",
+                   help="SLSQP starts per row m >= 2: the built-in starts (up to 5, and from "
+                        "m = 3 on the previous row's optimum) always run, then seeded random "
+                        "starts pad them to N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--export-steps", type=int, default=None,
                    help="also export the step function of table row m (1..--m-max)")

@@ -39,6 +39,8 @@ class BoundRow:
     # the row's SLSQP solves for CLI meta (none at m = 1), kept out of to_dict and comparisons
     starts: int = field(default=0, compare=False)
     slsqp_status: Dict[int, int] = field(default_factory=dict, compare=False)
+    slsqp_calls: int = field(default=0, compare=False)
+    slsqp_rounds: int = field(default=0, compare=False)
 
     def to_dict(self) -> dict:
         exact = isinstance(self.cbar, Fraction)
@@ -92,7 +94,8 @@ def upper_bound_sequence(k: int, m_max: int,
         extra = [rows[-1].weights + [0.0]] if m > 2 else None
         res = diagonal_constant(k, m, cfg, extra_seeds=extra)
         rows.append(BoundRow(m, res.value, k * (m + 1) * res.value, res.converged,
-                             res.method, res.argument[0], res.starts, res.slsqp_status))
+                             res.method, res.argument[0], res.starts, res.slsqp_status,
+                             res.slsqp_calls, res.slsqp_rounds))
     converged_rows = [r for r in rows if r.converged]
     best = min(float(r.upper_bound) for r in converged_rows)
     lower = KNOWN_LOWER_K2 if k == 2 else None

@@ -106,17 +106,21 @@ def _convolve_seq(a: Sequence, b: Sequence) -> list:
 
 
 def _convolve_rows(a, b):
-    """Row i is the exact 1-d convolution of rows a[i] and b[i] of two integer numpy arrays.
+    """Row i is the 1-d convolution of rows a[i] and b[i] of two numpy arrays.
 
-    The batched form of ``_convolve_seq``: one shifted multiply-add per
-    column of b.  The dtype is a's and b's, int64 or object (Python ints); an
-    int64 caller keeps every entry below 2^63.
+    The batched form of ``_convolve_seq`` and the one batched fold for every
+    dtype: int64 and object (Python ints) rows fold exactly, float64 rows in
+    binary64.  One shifted multiply-add per column of b, so each output entry
+    adds its products in column order of b, whatever the number of rows:
+    a row's result does not depend on the rows stacked beside it.  Rows are
+    the last axis; a and b share their leading axes, of any number (none for
+    two single 1-d rows).  An int64 caller keeps every entry below 2^63.
     """
     import numpy as np  # here, not at the top: the exact commands start without numpy
 
-    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=a.dtype)
-    for j in range(b.shape[1]):
-        out[:, j:j + a.shape[1]] += a * b[:, j:j + 1]
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + b.shape[-1] - 1,), dtype=np.result_type(a, b))
+    for j in range(b.shape[-1]):
+        out[..., j:j + a.shape[-1]] += a * b[..., j:j + 1]
     return out
 
 

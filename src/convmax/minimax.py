@@ -1,20 +1,28 @@
 """Numerical computation of the discrete constants C_{k,m} and Cbar_{k,m}.
 
-Both float solvers share one engine, ``_polish``: an SLSQP solve of the
+Both float solvers share one engine, ``_polish``: SLSQP solves of the
 epigraph form min t s.t. (f_1*...*f_k)_i <= t, each factor on the simplex,
 run by ``_multistart`` from each solver's fixed starts, then from seeded
 random starts, and reduced to the best start.  ``_polish`` drives scipy's
 compiled SLSQP core (Kraft's method, ``scipy.optimize._slsqplib.slsqp``,
 scipy >= 1.16) through its reverse-communication loop with the inputs
 ``minimize(method="SLSQP")`` would give it, so the iterates are scipy's own,
-without its Python driver around each of the core's calls.  The solve bounds
+without its Python driver around each of the core's calls.  It runs all
+starts of a solve in lock-step, each with its own core state and work
+arrays: a round calls the core once per unfinished start, then answers every
+request for constraint values with one batched evaluation and every request
+for the Jacobian with one batched gather.  Each float fold is one
+``gridfn._convolve_rows`` call over the stacked rows, whose rows do not
+depend on each other, so a start takes the same iterates alone or in any
+batch.  At most ``BLOCK_ENTRIES`` work-array entries are in flight; longer
+lists of starts run in chunks, in order.  The solve bounds
 each weight by w >= 0 and leaves t free.  It poses no bound w <= 1: the
 factor's row sum(w) = 1 with w >= 0 implies it, and the core turns every
 finite bound into one more inequality row of each QP step ((k + 1)m + 2 rows
 in diagonal mode, not (k + 2)m + 3).  Without it the iterates still stay on the
 simplex, since each QP step keeps the equality rows and the bounds, and a
 line-search step is a convex combination of two such points.  On each Jacobian
-request it writes the leave-one-out folds of the factors into one flat array
+request it writes the leave-one-out folds of the factors into one flat row
 and gathers the constraint rows from it with a fixed index.  The module imports
 numpy and the top-level ``scipy`` package only: ``_load_slsqp_core`` loads the
 core's extension straight from its file, since ``import scipy.optimize`` would
@@ -62,7 +70,6 @@ order and are reduced by minimum, the first start winning ties.
 
 from __future__ import annotations
 
-import heapq
 import importlib.machinery
 import importlib.util
 import itertools
@@ -134,8 +141,9 @@ CERT_TOL = 1e-7
 #: with its reversal.
 GRID_BUDGET = 2_000_000
 
-#: Most entries of one block of batched work: FFT scores in
-#: ``_coarse_grid_seeds``, fold entries in ``grid_oracle``.
+#: Most entries of one block of batched work: FFT scores and rescoring folds
+#: in ``_coarse_grid_seeds``, fold entries in ``grid_oracle``, the SLSQP work
+#: arrays of the starts ``_polish`` runs at once.
 BLOCK_ENTRIES = 2**20
 
 
@@ -166,6 +174,8 @@ class MinimaxResult:
     # run counters for CLI meta, kept out of to_dict and of comparisons
     starts: int = field(default=0, compare=False)                    # SLSQP solves run
     slsqp_status: Dict[int, int] = field(default_factory=dict, compare=False)  # starts per exit mode
+    slsqp_calls: int = field(default=0, compare=False)               # SLSQP core calls
+    slsqp_rounds: int = field(default=0, compare=False)              # lock-step rounds of those calls
 
     def to_dict(self) -> dict:
         d = {
@@ -188,8 +198,18 @@ class MinimaxResult:
 # ---------------------------------------------------------------------------
 
 def _conv_all(ws: Sequence[np.ndarray]) -> np.ndarray:
-    """The convolution of the factors ``ws`` (at least one), folded left to right."""
-    return reduce(np.convolve, ws)
+    """The convolution of the factors ``ws`` (at least one), folded left to right.
+
+    Each factor is one row or a stack of rows with the same leading axes, and
+    every fold is a ``gridfn._convolve_rows`` call, so a row's fold has the
+    same bits alone or in any stack.
+    """
+    return reduce(_convolve_rows, ws)
+
+
+def _peak(ws: Sequence[np.ndarray]) -> np.ndarray:
+    """The largest entry of the fold of ``ws``: one float64 per stacked row (a scalar for 1-d rows)."""
+    return _conv_all(ws).max(axis=-1)
 
 
 def _shared_modes(profile: np.ndarray) -> List[int]:
@@ -226,10 +246,6 @@ def _padded_m1(k: int, m: int) -> np.ndarray:
     return np.array(diagonal_constant(k, 1).argument[0] + [0.0] * (m - 1))
 
 
-def _peak(ws: Sequence[np.ndarray]) -> float:
-    return float(np.max(_conv_all(ws)))
-
-
 #: SLSQP's accuracy (``minimize``'s ``ftol``) and iteration cap, per start.
 SLSQP_ACC = 1e-14
 SLSQP_MAXITER = 300
@@ -238,10 +254,10 @@ SLSQP_MAXITER = 300
 class _EpigraphSetup(NamedTuple):
     """Everything the SLSQP solve of a (k, r, m) epigraph problem needs but its start.
 
-    The arrays are read-only: each solve copies ``C`` and allocates its own
-    work arrays of the given sizes.
+    The arrays are read-only: each start copies ``C`` and gets its own work
+    arrays of the given sizes.
     """
-    index: np.ndarray        # Jacobian gather index of ``_polish``'s ``gradient()``
+    index: np.ndarray        # Jacobian gather index of ``_polish``'s ``gradient``
     xl: np.ndarray           # lower bounds of x = (weights, t): 0 per weight, NaN (free) for t
     xu: np.ndarray           # upper bounds: NaN (none) throughout; sum(w) = 1 implies w <= 1
     grad: np.ndarray         # gradient of the objective t
@@ -249,6 +265,7 @@ class _EpigraphSetup(NamedTuple):
     state: Tuple[Tuple[str, float], ...]   # the core's state on entry
     buffer_size: int
     index_size: int          # length of the core's int work array and of its multipliers
+    entries: int             # work-array entries of one start: x, d, C, multipliers, ints, buffer
 
 
 @lru_cache(maxsize=32)
@@ -289,89 +306,145 @@ def _epigraph_setup(k: int, r: int, m: int) -> _EpigraphSetup:
     # scipy's worst-case workspace for SLSQP, LSQ, LSEI, LDP and NNLS together (mieq > 0)
     buffer_size = (n * (n + 1) // 2 + 3 * n_con * n - (n_con + 5 * n + 7) * meq + 9 * n_con
                    + 8 * n * n + 35 * n + meq * meq + 28)
-    return _EpigraphSetup(index, xl, xu, grad, C, state, buffer_size, n_con + 2 * n + 2)
+    index_size = n_con + 2 * n + 2
+    entries = n + n_con + n * n_con + 2 * index_size + buffer_size
+    return _EpigraphSetup(index, xl, xu, grad, C, state, buffer_size, index_size, entries)
 
 
-def _polish(ws0: Sequence[np.ndarray], k: int) -> Tuple[List[np.ndarray], float, int, int]:
-    """SLSQP on the epigraph form: min t s.t. (f_1*...*f_k)_i <= t, each f_j in simplex.
+#: One start's solve: its cleaned factors, their peak, the SLSQP exit mode (0 on success) and nit.
+Solve = Tuple[List[np.ndarray], float, int, int]
 
-    ``ws0`` holds one factor (diagonal mode: it is used k times) or k factors
-    (general mode); x = (the r = len(ws0) free factors, t) starts from ws0,
-    clipped to w >= 0, and its peak.  This is scipy's own SLSQP driver
-    loop, cut to this problem: the compiled core updates x in place and asks
-    for the constraint values (mode 1) or their Jacobian (mode -1) at x
-    until it exits.  ``evaluate()`` writes the values into ``d`` in place.
-    The objective gradient and the r equality rows of ``C`` never change, so
-    ``gradient()`` writes only the inequality rows: entry (i, (j, a)) is
-    -(k/r) c_j[i - a], where c_j is the fold of all factors but one copy of
-    factor j, and the t column is ones.  It writes the r leave-one-out folds
-    into one flat source, after which a 0.0 and a 1.0 slot sit, and gathers
-    the rows from it with the (km+1, r(m+1)+1) index of ``_epigraph_setup``.
-    The core's inputs are those of ``minimize(method="SLSQP")``, so the
-    iterates, nit and exit mode are bit-identical to it.
 
-    Returns the cleaned factors, their peak, the SLSQP exit mode (0 on
-    success) and nit.
+def _polish(starts: Sequence[Sequence[np.ndarray]], k: int) -> Tuple[List[Solve], int, int]:
+    """SLSQP on the epigraph form from each start: min t s.t. (f_1*...*f_k)_i <= t, f_j in simplex.
+
+    Every start holds one factor (diagonal mode: it is used k times) or k
+    factors (general mode), all of one length m + 1; its x = (the r free
+    factors, t) starts from them, clipped to w >= 0, and their peak.  This is
+    scipy's own SLSQP driver loop, cut to this problem and run for the starts
+    in lock-step: each start keeps its own core state, x, d, C, multipliers,
+    buffer and int work array.  Each round calls the compiled core once per
+    unfinished start; the core updates that start's x in place and asks for
+    the constraint values (mode 1) or their Jacobian (mode -1) at x, or
+    exits.  Then one batched ``evaluate`` writes the values of every mode-1
+    start into its d, and one batched ``gradient`` the Jacobians of every
+    mode -1 start into its C.  The objective gradient and the r equality rows
+    of C never change, so ``gradient`` writes only the inequality rows: entry
+    (i, (j, a)) is -(k/r) c_j[i - a], where c_j is the fold of all factors
+    but one copy of factor j, and the t column is ones.  It writes each
+    start's r leave-one-out folds into one flat source row, after which a 0.0
+    and a 1.0 slot sit, and gathers the rows from it with the (km+1,
+    r(m+1)+1) index of ``_epigraph_setup``.  Every fold is a
+    ``_convolve_rows`` call, whose rows do not depend on each other, so a
+    start takes the same iterates alone or in any batch; and the core's
+    inputs are those of ``minimize(method="SLSQP")``, so the iterates, nit
+    and exit mode are bit-identical to it given the same fold.
+
+    At most ``BLOCK_ENTRIES`` // ``_EpigraphSetup.entries`` starts (at least
+    one) are in flight: longer lists run in chunks of that many, in order.
+
+    Returns each start's ``Solve`` in start order, the core calls and the
+    lock-step rounds, both summed over the chunks.
     """
-    r, m = len(ws0), len(ws0[0]) - 1
-    copies, n_c = k // r, (k - 1) * m + 1
-    setup = _epigraph_setup(k, r, m)
-    x = np.append(np.maximum(np.concatenate(ws0), 0.0), _peak(list(ws0) * copies))
-    C = setup.C.copy(order="F")
-    d = np.empty(len(C))
-    src = np.zeros(r * n_c + 2)
-    src[-1] = 1.0
-    # views, built once: the core updates x in place and reads C and d in place
-    W = x[:-1].reshape(r, m + 1)
-    factors = list(W) * copies
-    d_eq, d_ieq = d[:r], d[r:]
+    setup = _epigraph_setup(k, len(starts[0]), len(starts[0][0]) - 1)
+    chunk = max(1, BLOCK_ENTRIES // setup.entries)
+    solves, calls, rounds = [], 0, 0
+    for i in range(0, len(starts), chunk):
+        S = np.array([list(ws0) for ws0 in starts[i:i + chunk]], dtype=float)
+        part, part_calls, part_rounds = _lockstep(S, k, setup)
+        solves += part
+        calls += part_calls
+        rounds += part_rounds
+    return solves, calls, rounds
 
-    def evaluate():
+
+def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup) -> Tuple[List[Solve], int, int]:
+    """``_polish`` on one chunk: the starts S, a (B, r, m + 1) array, in lock-step."""
+    B, r, m1 = S.shape
+    copies, n_c = k // r, (k - 1) * (m1 - 1) + 1
+    n_con, n = setup.C.shape
+    X = np.empty((B, n))
+    X[:, :-1] = np.maximum(S.reshape(B, -1), 0.0)
+    X[:, -1] = _peak(list(S.transpose(1, 0, 2)) * copies)
+    # Cs[b].T is start b's copy of C, in the Fortran order the core reads
+    Cs = np.empty((B, n, n_con))
+    Cs[:] = setup.C.T
+    D = np.empty((B, n_con))
+    mult = np.zeros((B, setup.index_size))
+    ints = np.zeros((B, setup.index_size), dtype=np.int32)
+    buffer = np.zeros((B, setup.buffer_size))
+    fx = np.empty(B)        # each start's objective t at its last evaluation
+    gather = setup.index.T
+
+    def factors(x):
+        W = x[:, :-1].reshape(len(x), r, m1)
+        return W, [W[:, j] for j in range(r)] * copies
+
+    def evaluate(rows):
         # equality rows first, as the core expects
-        np.subtract(W.sum(axis=1), 1.0, out=d_eq)
-        np.subtract(x[-1], _conv_all(factors), out=d_ieq)
+        x = X[rows]
+        W, f = factors(x)
+        fx[rows] = x[:, -1]
+        d = np.empty((len(rows), n_con))
+        np.subtract(W.sum(axis=2), 1.0, out=d[:, :r])
+        np.subtract(x[:, -1:], _conv_all(f), out=d[:, r:])
+        D[rows] = d
 
-    def gradient():
+    def gradient(rows):
+        _, f = factors(X[rows])
+        src = np.zeros((len(rows), r * n_c + 2))
+        src[:, -1] = 1.0
         for j in range(r):
-            np.multiply(_conv_all(factors[:j] + factors[j + 1:]), -copies,
-                        out=src[j * n_c:(j + 1) * n_c])
-        C[r:] = src[setup.index]
+            np.multiply(_conv_all(f[:j] + f[j + 1:]), -copies, out=src[:, j * n_c:(j + 1) * n_c])
+        Cs[rows, :, r:] = src[:, gather]
 
-    state = dict(setup.state)
-    mult = np.zeros(setup.index_size)
-    indices = np.zeros(setup.index_size, dtype=np.int32)
-    buffer = np.zeros(setup.buffer_size)
-    fx = x[-1]
-    gradient()
-    evaluate()
-    while True:
-        _slsqp_core(state, fx, setup.grad, C, d, x, mult, setup.xl, setup.xu, buffer, indices)
-        mode = state["mode"]
-        if mode == 1:
-            fx = x[-1]
-            evaluate()
-        elif mode == -1:
-            gradient()
-        else:
-            ws = [_clean_weights(w) for w in W]
-            return ws, _peak(ws * copies), int(mode), int(state["iter"])
+    everyone = np.arange(B)
+    gradient(everyone)
+    evaluate(everyone)
+    states = [dict(setup.state) for _ in range(B)]
+    views = [(states[b], Cs[b].T, D[b], X[b], mult[b], buffer[b], ints[b]) for b in range(B)]
+    live, calls, rounds = list(range(B)), 0, 0
+    while live:
+        rounds += 1
+        calls += len(live)
+        values, jacobians = [], []
+        for b in live:
+            state, C, d, x, mu, buf, iw = views[b]
+            _slsqp_core(state, fx[b], setup.grad, C, d, x, mu, setup.xl, setup.xu, buf, iw)
+            if state["mode"] == 1:
+                values.append(b)
+            elif state["mode"] == -1:
+                jacobians.append(b)
+        if values:
+            evaluate(np.array(values))
+        if jacobians:
+            gradient(np.array(jacobians))
+        live = sorted(values + jacobians)
+
+    W = np.maximum(X[:, :-1].reshape(B, r, m1), 0.0)
+    W /= W.sum(axis=2, keepdims=True)
+    peaks = _peak(list(W.transpose(1, 0, 2)) * copies).tolist()
+    solves = [(list(W[b]), peaks[b], int(states[b]["mode"]), int(states[b]["iter"]))
+              for b in range(B)]
+    return solves, calls, rounds
 
 
 def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.ndarray]],
                 diagonal: bool) -> MinimaxResult:
-    """Run ``_polish`` from each start in order; the first best start wins ties.
+    """Run ``_polish`` from all starts at once; the first best start wins ties.
 
     ``starts`` is padded to ``cfg.multistarts`` with seeded random starts of the same shape.
-    The result counts the starts run and the starts per SLSQP exit mode.
+    The result counts the starts run, the starts per SLSQP exit mode, the core
+    calls and the lock-step rounds.
     """
     starts = list(starts)
     rng = np.random.default_rng(cfg.seed)
     while len(starts) < cfg.multistarts:
         starts.append([_clean_weights(rng.exponential(size=m + 1)) for _ in range(len(starts[0]))])
+    solves, calls, rounds = _polish(starts, k)
     best_ws, best_v, best_mode, total_nit = None, math.inf, None, 0
     status: Counter = Counter()
-    for ws0 in starts:
-        ws, v, mode, nit = _polish(ws0, k)
+    for ws, v, mode, nit in solves:
         total_nit += nit
         status[mode] += 1
         if v < best_v:
@@ -390,6 +463,8 @@ def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.
         m=m,
         starts=len(starts),
         slsqp_status=dict(sorted(status.items())),
+        slsqp_calls=calls,
+        slsqp_rounds=rounds,
     )
 
 
@@ -418,11 +493,13 @@ def _coarse_grid_seeds(k: int, m: int) -> List[np.ndarray]:
     n is the largest denominator whose grid has at most 4000 points.  Below
     n = 3, that is for every m >= 27, there are no seeds: every two-cell
     point (delta_i + delta_j) / 2 has the same k-fold peak, so that grid
-    ranks nothing.  Points are ranked by the float peak ``_peak([w] * k)``,
-    then by the weight tuple.  An FFT power of all grid weights at once only
-    filters: the points within a relative 1e-9 of the ``GRID_SEEDS``-th
-    smallest FFT score are rescored with ``_peak``, since float rounding in
-    either score can break exact ties either way.
+    ranks nothing.  Points are ranked by the float peak of their k-fold
+    (``_peak``, the ``_convolve_rows`` fold), then by the weight tuple.  An
+    FFT power of all grid weights at once only filters: the points within a
+    relative 1e-9 of the ``GRID_SEEDS``-th smallest FFT score are rescored
+    by one batched ``_peak`` (per block of ``BLOCK_ENTRIES`` entries, like
+    the scores) and ranked by one lexsort, since float rounding in either
+    score can break exact ties either way.
     """
     n = 2
     while math.comb(n + 1 + m, m) <= 4000:
@@ -438,8 +515,10 @@ def _coarse_grid_seeds(k: int, m: int) -> List[np.ndarray]:
         np.fft.irfft(np.fft.rfft(weights[i:i + rows], size) ** k, size).max(axis=1)
         for i in range(0, len(weights), rows)])
     cut = np.partition(scores, GRID_SEEDS - 1)[GRID_SEEDS - 1] * (1 + 1e-9)
-    near_best = ((_peak([w] * k), tuple(w.tolist())) for w in weights[scores <= cut])
-    return [np.array(w) for _, w in heapq.nsmallest(GRID_SEEDS, near_best)]
+    near = weights[scores <= cut]
+    peaks = np.concatenate([_peak([near[i:i + rows]] * k) for i in range(0, len(near), rows)])
+    # rank by (peak, weight tuple): lexsort's last key is the first one compared
+    return list(near[np.lexsort((*near.T[::-1], peaks))[:GRID_SEEDS]])
 
 
 @lru_cache(maxsize=64)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from convmax.gridfn import GridFn
+from convmax.gridfn import GridFn, _convolve_rows
 from convmax.minimax import GridOracleResult, SolverConfig
 
 #: Few starts, so the float-solver tests stay fast.
@@ -95,21 +95,21 @@ def brute_grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOra
 
 def brute_coarse_grid_seeds(k: int, m: int, top: int = 3):
     """The diagonal coarse-grid seeds by their definition: every grid point is
-    scored with a float ``np.convolve`` fold from [1.0], and all (peak, weight
-    tuple) pairs are sorted.  A grid with denominator n < 3 gives no seeds."""
+    scored with the module's float fold ``_convolve_rows`` from [1.0], and all
+    (peak, weight tuple) pairs are sorted.  A grid with denominator n < 3 gives
+    no seeds.  The fold runs on all points stacked, which gives each row the
+    bits it has alone."""
     n = 2
     while math.comb(n + 1 + m, m) <= 4000:
         n += 1
     if n < 3:
         return []
-    scored = []
-    for comp in itertools.combinations_with_replacement(range(m + 1), n):
-        w = np.bincount(comp, minlength=m + 1) / n
-        acc = np.array([1.0])
-        for _ in range(k):
-            acc = np.convolve(acc, w)
-        scored.append((float(np.max(acc)), tuple(w)))
-    scored.sort()
+    weights = np.array([np.bincount(comp, minlength=m + 1) / n
+                        for comp in itertools.combinations_with_replacement(range(m + 1), n)])
+    acc = np.ones((len(weights), 1))
+    for _ in range(k):
+        acc = _convolve_rows(acc, weights)
+    scored = sorted(zip(acc.max(axis=1).tolist(), map(tuple, weights.tolist())))
     return [np.array(w) for _, w in scored[:top]]
 
 

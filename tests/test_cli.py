@@ -172,11 +172,33 @@ class TestSolve:
         assert meta["starts"] >= 5
         assert sum(meta["slsqp_status"].values()) == meta["starts"]
         assert all(int(mode) >= 0 for mode in meta["slsqp_status"])
-        assert "starts" not in rep["payload"]["result"]
+        # each round calls the core once per unfinished start
+        assert 0 < meta["slsqp_rounds"] <= meta["slsqp_calls"] <= meta["starts"] * meta["slsqp_rounds"]
+        for key in ("starts", "slsqp_calls", "slsqp_rounds"):
+            assert key not in rep["payload"]["result"]
 
     def test_meta_exact_m1_runs_no_slsqp(self, capsys):
         _, rep = run_json(capsys, "solve", "--k", "3", "--m", "1", "--mode", "diagonal")
         assert (rep["meta"]["starts"], rep["meta"]["slsqp_status"]) == (0, {})
+        assert (rep["meta"]["slsqp_calls"], rep["meta"]["slsqp_rounds"]) == (0, 0)
+
+    def test_lockstep_leaves_payload_bytes(self, capsys, monkeypatch):
+        # starts run one at a time take the same iterates: only meta's rounds move
+        argv = ["solve", "--k", "3", "--m", "2", "--mode", "general", "--multistarts", "6"]
+        _, batched = run_json(capsys, *argv)
+        monkeypatch.setattr(convmax.minimax, "BLOCK_ENTRIES", 1)
+        _, alone = run_json(capsys, *argv)
+        assert json.dumps(alone["payload"]) == json.dumps(batched["payload"])
+        calls = batched["meta"]["slsqp_calls"]
+        assert alone["meta"]["slsqp_calls"] == alone["meta"]["slsqp_rounds"] == calls
+        assert batched["meta"]["slsqp_rounds"] < calls
+
+    @pytest.mark.parametrize("mode,starts", [("diagonal", 5), ("general", 2)])
+    def test_multistarts_pads_the_built_in_starts(self, capsys, mode, starts):
+        # --multistarts N never drops a built-in start: N = 2 still runs all of them
+        _, rep = run_json(capsys, "solve", "--k", "2", "--m", "3", "--mode", mode,
+                          "--multistarts", "2")
+        assert rep["meta"]["starts"] == starts
 
     def test_seed_recorded_and_deterministic(self, capsys):
         code, a = run_json(capsys, "solve", "--k", "2", "--m", "2", "--seed", "5",
@@ -527,9 +549,13 @@ class TestContinuous:
         assert meta["starts"] == sum(row.starts for row in table.rows) >= 3 * 3
         assert meta["slsqp_status"] == {str(mode): n for mode, n in sorted(status.items())}
         assert sum(meta["slsqp_status"].values()) == meta["starts"]
+        assert meta["slsqp_calls"] == sum(row.slsqp_calls for row in table.rows)
+        assert meta["slsqp_rounds"] == sum(row.slsqp_rounds for row in table.rows)
+        assert 0 < meta["slsqp_rounds"] < meta["slsqp_calls"]
         assert rep["payload"] == table.to_dict()
         _, rep = run_json(capsys, "continuous", "--k", "2")
         assert (rep["meta"]["starts"], rep["meta"]["slsqp_status"]) == (0, {})
+        assert (rep["meta"]["slsqp_calls"], rep["meta"]["slsqp_rounds"]) == (0, 0)
 
     @pytest.mark.parametrize("starts", ["0", "-3"])
     def test_multistarts_below_one_rejected(self, capsys, monkeypatch, starts):

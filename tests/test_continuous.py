@@ -67,10 +67,13 @@ class TestUpperBoundSequence:
     def test_rows_count_their_solves(self):
         table = upper_bound_sequence(2, 3, FAST)
         assert (table.rows[0].starts, table.rows[0].slsqp_status) == (0, {})
+        assert (table.rows[0].slsqp_calls, table.rows[0].slsqp_rounds) == (0, 0)
         for row in table.rows[1:]:
             assert row.starts >= FAST.multistarts
             assert sum(row.slsqp_status.values()) == row.starts
-            assert "starts" not in row.to_dict() and "slsqp_status" not in row.to_dict()
+            assert 0 < row.slsqp_rounds < row.slsqp_calls
+            for key in ("starts", "slsqp_status", "slsqp_calls", "slsqp_rounds"):
+                assert key not in row.to_dict()
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

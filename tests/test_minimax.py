@@ -17,7 +17,7 @@ import convmax
 import convmax.minimax as minimax
 from convmax.constants import optimal_constant
 from convmax.errors import BudgetExceeded
-from convmax.gridfn import GridFn, convolve_many
+from convmax.gridfn import GridFn, _convolve_rows, convolve_many
 from convmax.minimax import (
     SolverConfig,
     _coarse_grid_seeds,
@@ -164,7 +164,7 @@ class TestDirectSLSQP:
     def test_bit_identical_to_minimize(self, mode, k, m):
         r = 1 if mode == "diagonal" else k
         for ws0 in self.starts(r, m):
-            _assert_same_solve(_polish(ws0, k), _minimize_epigraph(ws0, k))
+            _assert_same_solve(_polish([ws0], k)[0][0], _minimize_epigraph(ws0, k))
 
     def test_setup_is_shared_and_read_only(self):
         setup = minimax._epigraph_setup(3, 1, 4)
@@ -172,7 +172,7 @@ class TestDirectSLSQP:
         for a in (setup.index, setup.C, setup.grad, setup.xl, setup.xu):
             assert not a.flags.writeable
         before = setup.C.copy()
-        _polish([np.full(5, 0.2)], 3)
+        _polish([[np.full(5, 0.2)]], 3)
         assert np.array_equal(setup.C, before)
 
     @pytest.mark.parametrize("k,r,m", [(2, 1, 4), (3, 3, 2)])
@@ -192,6 +192,79 @@ class TestDirectSLSQP:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True).stdout
         assert "scipy >= 1.16" in out
+
+
+class TestLockstep:
+    """``_polish`` runs its starts in lock-step, and each start's solve is the one it gets alone."""
+
+    @staticmethod
+    def alone(starts, k):
+        """Each start's solve and core calls, from one ``_polish`` call per start."""
+        runs = [_polish([ws0], k) for ws0 in starts]
+        assert all(calls == rounds for _, calls, rounds in runs)
+        return [solves[0] for solves, _, _ in runs], [calls for _, calls, _ in runs]
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("mode", ["diagonal", "general"])
+    def test_batch_matches_alone(self, mode, k, m):
+        r = 1 if mode == "diagonal" else k
+        starts = TestDirectSLSQP.starts(r, m)
+        solves, calls, rounds = _polish(starts, k)
+        ref, ref_calls = self.alone(starts, k)
+        assert len(solves) == len(starts)
+        for got, want in zip(solves, ref):
+            _assert_same_solve(got, want)
+        # the starts leave the batch on different rounds, and it runs until the last one exits
+        assert len(set(ref_calls)) > 1
+        assert (calls, rounds) == (sum(ref_calls), max(ref_calls))
+
+    def test_iteration_cap_stops_some_starts(self, monkeypatch):
+        # the cap is read into the core's state when the setup is built
+        minimax._epigraph_setup.cache_clear()
+        monkeypatch.setattr(minimax, "SLSQP_MAXITER", 7)
+        try:
+            starts = TestDirectSLSQP.starts(1, 4)
+            solves, _, _ = _polish(starts, 3)
+            ref, _ = self.alone(starts, 3)
+        finally:
+            minimax._epigraph_setup.cache_clear()
+        for got, want in zip(solves, ref):
+            _assert_same_solve(got, want)
+        # mode 9 is the iteration limit; the uniform start converges in 6 iterations
+        assert [mode for _, _, mode, _ in solves][:2] == [0, 9]
+        assert all(nit <= 7 for *_, nit in solves)
+
+    def test_chunks_stay_within_block_entries(self, monkeypatch):
+        k, r, m = 2, 2, 4
+        starts = TestDirectSLSQP.starts(r, m)
+        want, want_calls, _ = _polish(starts, k)
+        entries = minimax._epigraph_setup(k, r, m).entries
+        chunks = []
+        core = minimax._slsqp_core
+
+        def recording(state, fx, grad, C, d, x, mult, xl, xu, buffer, ints):
+            # each work array is a row (C: a transposed slice) of its chunk's array
+            bases = [a.base for a in (C, d, x, mult, buffer, ints)]
+            if not chunks or chunks[-1][0] is not bases[0]:
+                chunks.append(bases)
+            return core(state, fx, grad, C, d, x, mult, xl, xu, buffer, ints)
+
+        monkeypatch.setattr(minimax, "_slsqp_core", recording)
+        for cap, per_chunk in [(2 * entries + 1, 2), (entries - 1, 1)]:
+            chunks.clear()
+            monkeypatch.setattr(minimax, "BLOCK_ENTRIES", cap)
+            solves, calls, rounds = _polish(starts, k)
+            for got, ref in zip(solves, want):
+                _assert_same_solve(got, ref)
+            assert len(solves) == len(starts) and calls == want_calls
+            # the chunks ran one after the other, none of them revisited
+            assert len(chunks) == len({id(c[0]) for c in chunks}) == len(starts) // per_chunk
+            for bases in chunks:
+                assert len(bases[2]) == per_chunk
+                # below one start's entries the chunks hold one start each, over the cap
+                assert per_chunk == 1 or sum(a.size for a in bases) <= cap
+            assert (rounds == calls) == (per_chunk == 1)
 
 
 def _fresh(code: str) -> str:
@@ -219,7 +292,7 @@ from test_minimax import TestDirectSLSQP, _assert_same_solve, _minimize_epigraph
 assert scipy.optimize._slsqp_py.slsqp is minimax._slsqp_core
 for r in (1, 2):
     for ws0 in TestDirectSLSQP.starts(r, 3):
-        _assert_same_solve(minimax._polish(ws0, 2), _minimize_epigraph(ws0, 2))
+        _assert_same_solve(minimax._polish([ws0], 2)[0][0], _minimize_epigraph(ws0, 2))
 print("ok")
 """
         assert _fresh(code).split() == ["ok"]
@@ -259,23 +332,24 @@ print("ok")
 
 
 def test_conv_all_matches_fold_from_one():
-    # starting the fold at the first factor keeps every float bit
+    # starting the float fold at the first factor keeps every bit, one row or stacked
     rng = np.random.default_rng(1)
     for m, k in [(1, 2), (2, 5), (7, 3), (16, 2), (40, 4)]:
-        ws = [rng.exponential(size=m + 1) for _ in range(k)]
+        ws = [rng.exponential(size=(3, m + 1)) for _ in range(k)]
         acc = np.array([1.0])
         for w in ws:
-            acc = np.convolve(acc, w)
-        assert np.array_equal(_conv_all(ws), acc)
+            acc = _convolve_rows(acc, w[1])
+        assert np.array_equal(_conv_all([w[1] for w in ws]), acc)
+        assert np.array_equal(_conv_all(ws)[1], acc)
 
 
 @pytest.mark.parametrize("solve", [general_constant, diagonal_constant])
 def test_first_of_tied_starts_wins(monkeypatch, solve):
     seen = []
 
-    def tied(ws0, k):
-        seen.append([list(w) for w in ws0])
-        return list(ws0), 0.5, 0, 1
+    def tied(starts, k):
+        seen.extend([list(w) for w in ws0] for ws0 in starts)
+        return [(list(ws0), 0.5, 0, 1) for ws0 in starts], len(starts), 1
 
     monkeypatch.setattr(minimax, "_polish", tied)
     res = solve(2, 3, FAST)
@@ -290,10 +364,10 @@ def test_failing_best_start_is_not_converged(monkeypatch, solve):
     # the second start is the best one, and it exits with SLSQP mode 8
     seen = []
 
-    def second_fails(ws0, k):
-        seen.append(ws0)
-        v, mode = (0.25, 8) if len(seen) == 2 else (0.5, 0)
-        return list(ws0), v, mode, 1
+    def second_fails(starts, k):
+        seen.extend(starts)
+        return [(list(ws0), *((0.25, 8) if i == 1 else (0.5, 0)), 1)
+                for i, ws0 in enumerate(starts)], len(starts), 1
 
     monkeypatch.setattr(minimax, "_polish", second_fails)
     res = solve(2, 3, FAST)
@@ -360,10 +434,10 @@ class TestGeneralM2Plus:
         nits = []
         real = minimax._polish
 
-        def recording(ws0, k):
-            res = real(ws0, k)
-            nits.append(res[3])
-            return res
+        def recording(starts, k):
+            solves, calls, rounds = real(starts, k)
+            nits.extend(nit for *_, nit in solves)
+            return solves, calls, rounds
 
         monkeypatch.setattr(minimax, "_polish", recording)
         res = general_constant(2, 3, FAST)
@@ -404,10 +478,10 @@ class TestDiagonalM2Plus:
         nits = []
         real = minimax._polish
 
-        def recording(ws0, k):
-            res = real(ws0, k)
-            nits.append(res[3])
-            return res
+        def recording(starts, k):
+            solves, calls, rounds = real(starts, k)
+            nits.extend(nit for *_, nit in solves)
+            return solves, calls, rounds
 
         monkeypatch.setattr(minimax, "_polish", recording)
         res = diagonal_constant(2, 4, FAST)
@@ -429,7 +503,7 @@ class TestDiagonalM2Plus:
         [-0.1, 0.6, 0.5], [0.0, 0.0, 0.0]],
         ids=["long", "short", "nan", "inf", "negative", "zero-sum"])
     def test_invalid_extra_seed_rejected(self, monkeypatch, seed):
-        monkeypatch.setattr(minimax, "_polish", lambda *a: pytest.fail("solver ran"))
+        monkeypatch.setattr(minimax, "_polish", lambda starts, k: pytest.fail("solver ran"))
         with pytest.raises(ValueError, match="extra seed"):
             diagonal_constant(2, 2, FAST, extra_seeds=[[0.4, 0.3, 0.3], seed])
 
@@ -463,7 +537,7 @@ class TestCoarseGridSeeds:
         # brute_coarse_grid_seeds(300, 3), frozen as numerators over n = 26; a
         # float score of the integer counts would overflow here (26^300)
         seeds = _coarse_grid_seeds(300, 3)
-        frozen = [[13, 0, 1, 12], [12, 1, 0, 13], [12, 0, 1, 13]]
+        frozen = [[12, 1, 0, 13], [13, 0, 1, 12], [13, 1, 0, 12]]
         assert len(seeds) == len(frozen)
         assert all(np.array_equal(s, np.array(c) / 26) for s, c in zip(seeds, frozen))
 
@@ -505,17 +579,19 @@ class TestCoarseGridSeeds:
         assert peak < 24 * 2**20
 
     def test_rescores_only_near_best(self, monkeypatch):
-        # the 3 003 points of the (2, 8) grid are scored in one FFT pass; few reach _peak
-        calls = []
+        # the 3 003 points of the (2, 8) grid are scored in one FFT pass; few rows
+        # reach the one batched float fold that rescores them
+        rows = []
         peak = minimax._peak
 
         def counting(ws):
-            calls.append(1)
+            rows.append(len(ws[0]))
             return peak(ws)
 
         monkeypatch.setattr(minimax, "_peak", counting)
-        _coarse_grid_seeds(2, 8)
-        assert 3 <= len(calls) <= 300
+        want = _coarse_grid_seeds(2, 8)
+        assert len(rows) == 1 and 3 <= rows[0] <= 300
+        assert all(np.array_equal(a, b) for a, b in zip(want, brute_coarse_grid_seeds(2, 8)))
 
 
 class TestGridOracle:
@@ -741,9 +817,11 @@ class TestResultSerialization:
         res = general_constant(2, 2, FAST)
         assert res.starts == FAST.multistarts
         assert sum(res.slsqp_status.values()) == res.starts
-        assert "starts" not in res.to_dict() and "slsqp_status" not in res.to_dict()
+        assert 0 < res.slsqp_rounds < res.slsqp_calls
+        for key in ("starts", "slsqp_status", "slsqp_calls", "slsqp_rounds"):
+            assert key not in res.to_dict()
         exact = diagonal_constant(2, 1)
-        assert (exact.starts, exact.slsqp_status) == (0, {})
+        assert (exact.starts, exact.slsqp_status, exact.slsqp_calls, exact.slsqp_rounds) == (0, {}, 0, 0)
 
 
 @pytest.mark.parametrize("k", [1, 0])
