@@ -110,18 +110,36 @@ def _convolve_rows(a, b):
 
     The batched form of ``_convolve_seq`` and the one batched fold for every
     dtype: int64 and object (Python ints) rows fold exactly, float64 rows in
-    binary64.  One shifted multiply-add per column of b, so each output entry
-    adds its products in column order of b, whatever the number of rows:
-    a row's result does not depend on the rows stacked beside it.  Rows are
-    the last axis; a and b share their leading axes, of any number (none for
-    two single 1-d rows).  An int64 caller keeps every entry below 2^63.
+    binary64.  Rows are the last axis; a and b share their leading axes, of
+    any number (none for two single 1-d rows).  An int64 caller keeps every
+    entry below 2^63.
+
+    One ``np.matmul`` of the Toeplitz view V[..., i, j] = a[i - j] against b
+    as a column, V read from a copy of a with lb - 1 zeros on each side (la +
+    2(lb - 1) entries per row beside the la + lb - 1 of the result; callers
+    that block rows budget that copy).  V steps backwards along j, so numpy
+    cannot hand it to BLAS and runs its own loop: each output entry starts
+    from 0 and adds its products in column order of b, like a shifted
+    multiply-add per column of b, and never depends on the rows stacked
+    beside it.  The padding adds only 0 * b[j] terms.  On finite rows those
+    are +-0, and a sum that starts from +0 never holds -0, so adding them
+    leaves every bit as the shift-add has it (``tests/conftest.py`` keeps
+    that shift-add as the reference).  An inf in b meets a zero of the
+    padding and gives NaN, in its own row only.
     """
     import numpy as np  # here, not at the top: the exact commands start without numpy
 
-    out = np.zeros(a.shape[:-1] + (a.shape[-1] + b.shape[-1] - 1,), dtype=np.result_type(a, b))
-    for j in range(b.shape[-1]):
-        out[..., j:j + a.shape[-1]] += a * b[..., j:j + 1]
-    return out
+    la, lb = a.shape[-1], b.shape[-1]
+    dt = np.result_type(a, b)
+    pad = np.zeros(a.shape[:-1] + (la + 2 * (lb - 1),), dtype=dt)
+    pad[..., lb - 1:lb - 1 + la] = a
+    step = pad.strides[-1]
+    shape, strides = pad.shape[:-1] + (la + lb - 1, lb), pad.strides[:-1] + (step, -step)
+    if dt == object or not pad.size:   # no buffer to view: object items, or no rows
+        V = np.lib.stride_tricks.as_strided(pad[..., lb - 1:], shape, strides)
+    else:
+        V = np.ndarray(shape, dt, pad, (lb - 1) * step, strides)
+    return np.matmul(V, b[..., :, None])[..., 0]
 
 
 def _table_size(d: int, base: int) -> int:

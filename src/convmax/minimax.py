@@ -12,14 +12,17 @@ starts of a solve in lock-step, each with its own core state and work
 arrays: a round calls the core once per unfinished start, then answers every
 request for constraint values with one batched evaluation and every request
 for the Jacobian with one batched gather.  Each float fold is one
-``gridfn._convolve_rows`` call over the stacked rows, whose rows do not
-depend on each other, so a start takes the same iterates alone or in any
-batch.  At most ``BLOCK_ENTRIES`` work-array entries are in flight; longer
-lists of starts run in chunks, in order.  The solve bounds
-each weight by w >= 0 and leaves t free.  It poses no bound w <= 1: the
-factor's row sum(w) = 1 with w >= 0 implies it, and the core turns every
-finite bound into one more inequality row of each QP step ((k + 1)m + 2 rows
-in diagonal mode, not (k + 2)m + 3).  Without it the iterates still stay on the
+``gridfn._convolve_rows`` call over the stacked rows: one strided
+``np.matmul`` that adds each entry's products in column order, so its rows
+have a shift-add's bits and do not depend on each other, and a start takes
+the same iterates alone or in any batch.  The folds of ``grid_oracle`` and
+``_coarse_grid_seeds`` run in blocks of ``_fold_rows`` rows, which budget
+the zero-padded operand the matmul reads.  At most ``BLOCK_ENTRIES``
+work-array entries of SLSQP starts are in flight; longer lists of starts
+run in chunks, in order.  The solve bounds each weight by w >= 0 and leaves
+t free.  It poses no bound w <= 1: the factor's row sum(w) = 1 with w >= 0
+implies it, and the core turns every finite bound into one more inequality
+row of each QP step ((k + 1)m + 2 rows in diagonal mode, not (k + 2)m + 3).  Without it the iterates still stay on the
 simplex, since each QP step keeps the equality rows and the bounds, and a
 line-search step is a convex combination of two such points.  On each Jacobian
 request it writes the leave-one-out folds of the factors into one flat row
@@ -38,20 +41,20 @@ only by the benchmark tracer.
   ``constants.diagonal_profile``, its minimum over the rational crossing
   points.  For m > 1 the starts are the uniform weights, the
   zero-padded m = 1 optimum, the best points of a coarse simplex grid
-  (``_coarse_grid_seeds``: m <= 26 only, filtered by one FFT power of the
-  whole grid) and caller-chained seeds.
+  (``_coarse_grid_seeds``: m <= 26 only, filtered by FFT powers of the
+  grid in blocks) and caller-chained seeds.
 
 The independent cross-checks are exact:
 
 * ``grid_oracle`` — exhaustive exact sweep over the simplex grid points
   with denominator n (``_simplex_blocks``, in lexicographic order).  It folds
   integer numerators (each factor a numerator over n, a k-fold one over n^k)
-  in numpy blocks of points, k - 1 ``gridfn._convolve_rows`` calls per block
-  and no prefix shared, as int64 when n^k < 2^63 and as Python ints (dtype
-  object) otherwise, and builds Fractions only for the minimiser.  It folds
-  one member of each class of points that share a peak: in general mode
-  each multiset of factors (convolution commutes), once per nondecreasing
-  tuple; in diagonal mode each pair {w, w[::-1]}.  ``points_evaluated``
+  in numpy blocks of ``_fold_rows`` points, k - 1 ``gridfn._convolve_rows``
+  calls per block and no prefix shared, as int64 when n^k < 2^63 and as
+  Python ints (dtype object) otherwise, and builds Fractions only for the
+  minimiser.  It folds one member of each class of points that share a
+  peak: in general mode each multiset of factors (convolution commutes),
+  once per nondecreasing tuple; in diagonal mode each pair {w, w[::-1]}.  ``points_evaluated``
   counts every point the sweep decides, per^k ordered tuples or per weights.
   Its minimum is an upper bound for the true constant and is exactly the
   best value any solver restricted to that grid can reach.
@@ -141,10 +144,14 @@ CERT_TOL = 1e-7
 #: with its reversal.
 GRID_BUDGET = 2_000_000
 
-#: Most entries of one block of batched work: FFT scores and rescoring folds
-#: in ``_coarse_grid_seeds``, fold entries in ``grid_oracle``, the SLSQP work
-#: arrays of the starts ``_polish`` runs at once.
+#: Most SLSQP work-array entries of the starts ``_polish`` runs at once.
 BLOCK_ENTRIES = 2**20
+
+#: Most entries of the widest padded fold operand in one block of
+#: ``grid_oracle`` or ``_coarse_grid_seeds`` (``_fold_rows``): 256 KB of
+#: int64 or float64, so a block's folds stay in cache.  Larger blocks fold no
+#: faster and raise the peak RSS of every grid-oracle solve.
+FOLD_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -210,6 +217,16 @@ def _conv_all(ws: Sequence[np.ndarray]) -> np.ndarray:
 def _peak(ws: Sequence[np.ndarray]) -> np.ndarray:
     """The largest entry of the fold of ``ws``: one float64 per stacked row (a scalar for 1-d rows)."""
     return _conv_all(ws).max(axis=-1)
+
+
+def _fold_rows(k: int, m: int) -> int:
+    """Rows per block of k-fold folds of length-(m + 1) rows, at least one.
+
+    ``_convolve_rows`` reads each fold's left operand from a copy padded to
+    la + 2m entries a row; the last fold's, (k + 1)m + 1 wide, is the
+    widest.  A block holds at most ``FOLD_ENTRIES`` entries of it.
+    """
+    return max(1, FOLD_ENTRIES // ((k + 1) * m + 1))
 
 
 def _shared_modes(profile: np.ndarray) -> List[int]:
@@ -398,27 +415,30 @@ def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup) -> Tuple[List[Solve]
             np.multiply(_conv_all(f[:j] + f[j + 1:]), -copies, out=src[:, j * n_c:(j + 1) * n_c])
         Cs[rows, :, r:] = src[:, gather]
 
-    everyone = np.arange(B)
-    gradient(everyone)
-    evaluate(everyone)
+    live = list(range(B))
+    gradient(live)
+    evaluate(live)
     states = [dict(setup.state) for _ in range(B)]
     views = [(states[b], Cs[b].T, D[b], X[b], mult[b], buffer[b], ints[b]) for b in range(B)]
-    live, calls, rounds = list(range(B)), 0, 0
+    core, grad, xl, xu = _slsqp_core, setup.grad, setup.xl, setup.xu
+    calls, rounds = 0, 0
     while live:
         rounds += 1
         calls += len(live)
         values, jacobians = [], []
+        ts = fx.tolist()    # the core takes each start's t as a Python float
         for b in live:
             state, C, d, x, mu, buf, iw = views[b]
-            _slsqp_core(state, fx[b], setup.grad, C, d, x, mu, setup.xl, setup.xu, buf, iw)
-            if state["mode"] == 1:
+            core(state, ts[b], grad, C, d, x, mu, xl, xu, buf, iw)
+            mode = state["mode"]
+            if mode == 1:
                 values.append(b)
-            elif state["mode"] == -1:
+            elif mode == -1:
                 jacobians.append(b)
         if values:
-            evaluate(np.array(values))
+            evaluate(values)
         if jacobians:
-            gradient(np.array(jacobians))
+            gradient(jacobians)
         live = sorted(values + jacobians)
 
     W = np.maximum(X[:, :-1].reshape(B, r, m1), 0.0)
@@ -494,12 +514,13 @@ def _coarse_grid_seeds(k: int, m: int) -> List[np.ndarray]:
     n = 3, that is for every m >= 27, there are no seeds: every two-cell
     point (delta_i + delta_j) / 2 has the same k-fold peak, so that grid
     ranks nothing.  Points are ranked by the float peak of their k-fold
-    (``_peak``, the ``_convolve_rows`` fold), then by the weight tuple.  An
-    FFT power of all grid weights at once only filters: the points within a
-    relative 1e-9 of the ``GRID_SEEDS``-th smallest FFT score are rescored
-    by one batched ``_peak`` (per block of ``BLOCK_ENTRIES`` entries, like
-    the scores) and ranked by one lexsort, since float rounding in either
-    score can break exact ties either way.
+    (``_peak``: ``_convolve_rows`` folds, whose bits are a shift-add's), then
+    by the weight tuple.  An FFT power of the grid weights only filters: the
+    points within a relative 1e-9 of the ``GRID_SEEDS``-th smallest FFT
+    score are rescored by ``_peak`` and ranked by one lexsort, since float
+    rounding in either score can break exact ties either way.  Both passes
+    run in blocks of ``_fold_rows(k, m)`` rows, so a block's FFT arrays and
+    padded fold operands hold at most about ``FOLD_ENTRIES`` entries each.
     """
     n = 2
     while math.comb(n + 1 + m, m) <= 4000:
@@ -508,9 +529,8 @@ def _coarse_grid_seeds(k: int, m: int) -> List[np.ndarray]:
         return []
     weights = _simplex_grid(m, n) / n
     size = k * m + 1
-    # score the rows in blocks of at most BLOCK_ENTRIES scores: one FFT of the
-    # whole grid holds (points, km+1) arrays, about 120 MB at (k, m) = (1000, 2)
-    rows = max(1, BLOCK_ENTRIES // size)
+    # one FFT of the whole grid holds (points, km+1) arrays, about 120 MB at (k, m) = (1000, 2)
+    rows = _fold_rows(k, m)
     scores = np.concatenate([
         np.fft.irfft(np.fft.rfft(weights[i:i + rows], size) ** k, size).max(axis=1)
         for i in range(0, len(weights), rows)])
@@ -646,13 +666,13 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleRes
     nondecreasing tuples in general mode, all per weights in diagonal mode
     (each one is compared with its reversal).
 
-    The points are folded in blocks of at most ``BLOCK_ENTRIES`` fold
-    entries, each block with k - 1 ``gridfn._convolve_rows`` calls and no
-    prefix shared between tuples; the first least peak of a block replaces
-    the best so far only when strictly smaller.  Diagonal mode never holds
-    the whole grid: it is generated in blocks of that many rows, and each is
-    folded as soon as the reversal test has filtered it (a block the test
-    empties is skipped).  Every fold entry is at most n^k, so the numerators
+    The points are folded in blocks of ``_fold_rows(k, m)`` rows (at most
+    ``FOLD_ENTRIES`` entries of the widest padded fold operand), each block
+    with k - 1 ``gridfn._convolve_rows`` calls and no prefix shared between
+    tuples; the first least peak of a block replaces the best so far only
+    when strictly smaller.  Diagonal mode never holds the whole grid: it is
+    generated in blocks of that many rows, and each is folded as soon as the
+    reversal test has filtered it (a block the test empties is skipped).  Every fold entry is at most n^k, so the numerators
     are int64 when n^k < 2^63 and Python ints (dtype object) otherwise,
     through the same code.
     """
@@ -663,7 +683,7 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleRes
     if work > GRID_BUDGET:
         raise BudgetExceeded(f"{work} grid points to fold exceed budget {GRID_BUDGET}")
 
-    rows = max(1, min(work, BLOCK_ENTRIES // (k * m + 1)))
+    rows = min(work, _fold_rows(k, m))
     dtype = np.int64 if n**k <= np.iinfo(np.int64).max else object
     if diagonal:
         kept = (w[_not_above_reversal(w)].astype(dtype, copy=False)

@@ -31,6 +31,16 @@ def brute_convolve(f: GridFn, g: GridFn) -> dict:
     return out
 
 
+def shift_add_rows(a, b):
+    """Row i is the 1-d convolution of rows a[i] and b[i]: one shifted
+    multiply-add per column of b into zeros, the reference whose bytes
+    ``gridfn._convolve_rows`` keeps."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + b.shape[-1] - 1,), dtype=np.result_type(a, b))
+    for j in range(b.shape[-1]):
+        out[..., j:j + a.shape[-1]] += a * b[..., j:j + 1]
+    return out
+
+
 def brute_pb_pmf(p):
     """Pmf by enumerating all 2^k success patterns."""
     k = len(p)

@@ -20,7 +20,7 @@ from convmax.gridfn import (
     sup_norm,
 )
 
-from conftest import brute_convolve, random_exact_gridfn
+from conftest import brute_convolve, random_exact_gridfn, shift_add_rows
 
 
 def g1(*vals):
@@ -162,6 +162,57 @@ class TestConvolveRows:
             out = _convolve_rows(np.array(a, dtype=dtype), np.array(b, dtype=dtype))
             assert out.dtype == dtype and out.shape == (6, la + lb - 1)
             assert out.tolist() == [_convolve_seq(x, y) for x, y in zip(a, b)]
+
+    @staticmethod
+    def _rows(gen, shape, dtype):
+        # zeros, negative values and (float) magnitudes over ten decades
+        if dtype is float:
+            x = gen.standard_normal(shape) * 10.0 ** gen.integers(-5, 6, shape)
+        else:
+            x = gen.integers(-(3**15), 3**15, shape)
+        x[gen.random(shape) < 0.25] = 0
+        return x.astype(dtype) if dtype is not object else np.array(x.tolist(), dtype=object)
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        if want.dtype == object:
+            assert [(type(v), v) for v in got.ravel()] == [(type(v), v) for v in want.ravel()]
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, np.int64, object])
+    @pytest.mark.parametrize("lead", [(), (6,), (2, 3)])
+    @pytest.mark.parametrize("la,lb", [(1, 1), (1, 3), (7, 3), (3, 1), (3, 7), (17, 17)])
+    def test_bytes_match_shift_add(self, dtype, lead, la, lb):
+        gen = np.random.default_rng([la, lb, len(lead)])
+        a, b = self._rows(gen, lead + (la,), dtype), self._rows(gen, lead + (lb,), dtype)
+        self._assert_same(_convolve_rows(a, b), shift_add_rows(a, b))
+
+    @pytest.mark.parametrize("r,copies", [(1, 3), (2, 1), (3, 1)])
+    def test_transposed_views_match_shift_add(self, r, copies):
+        # the factor views of the lock-step solve: S.transpose(1, 0, 2) of (B, r, m + 1) starts
+        gen = np.random.default_rng(r)
+        S = gen.random((9, r, 17))
+        fs = list(S.transpose(1, 0, 2)) * copies
+        want = got = fs[0]
+        for f in fs[1:]:
+            got, want = _convolve_rows(got, f), shift_add_rows(want, f)
+            self._assert_same(got, want)
+
+    def test_nonfinite_row_leaves_neighbours(self):
+        gen = np.random.default_rng(5)
+        a, b = gen.random((4, 6)), gen.random((4, 5))
+        a[1, 2], b[1, 3], a[2, 0] = np.inf, 0.0, np.nan
+        with np.errstate(invalid="ignore"):   # inf * 0
+            got, want = _convolve_rows(a, b), shift_add_rows(a, b)
+        for i in (0, 3):
+            assert got[i].tobytes() == want[i].tobytes()
+        assert np.isnan(got[1:3]).any(axis=1).all()
+
+    def test_no_rows(self):
+        out = _convolve_rows(np.zeros((0, 4)), np.zeros((0, 3)))
+        assert out.shape == (0, 6) and out.dtype == np.float64
 
     def test_object_rows_stay_exact_past_int64(self):
         big = 3**40

@@ -700,8 +700,9 @@ class TestGridOracle:
     @pytest.mark.parametrize("k,m,n,diagonal", [(3, 2, 3, False), (2, 3, 4, True),
                                                 (3, 1, 5, True)])
     def test_blocks_fold_with_convolve_rows(self, monkeypatch, k, m, n, diagonal):
-        # the points are generated 10 at a time (1 at m = 1), and each block that keeps a
-        # point (diagonal: one not above its reversal) is folded by k - 1 _convolve_rows
+        # a block holds FOLD_ENTRIES // ((k + 1)m + 1) points, the rows of the widest
+        # padded fold operand: here 10 (1 at m = 1).  Each block that keeps a point
+        # (diagonal: one not above its reversal) is folded by k - 1 _convolve_rows
         # calls; at m = 1 the filter empties the blocks of (a, n - a) with a > n/2
         rows = 1 if m == 1 else 10
         want = grid_oracle(k, m, n, diagonal)
@@ -713,7 +714,7 @@ class TestGridOracle:
             return fold(a, b)
 
         monkeypatch.setattr(minimax, "_convolve_rows", counting)
-        monkeypatch.setattr(minimax, "BLOCK_ENTRIES", rows * (k * m + 1))
+        monkeypatch.setattr(minimax, "FOLD_ENTRIES", rows * ((k + 1) * m + 1))
         got = grid_oracle(k, m, n, diagonal)
         assert got == want and got.folds == want.folds
         if diagonal:
@@ -740,15 +741,17 @@ class TestGridOracle:
         assert (res.folds, res.points_evaluated) == (math.comb(1892, 2), 1891**2)
 
     def test_diagonal_grid_memory_bounded(self):
-        # 646 646 weights, generated and folded in blocks of 2^20 // 21 rows;
-        # the whole grid and its reversal test at once peak at about 163 MB
+        # 646 646 weights, generated and folded in blocks of 2^15 // 31 rows;
+        # the whole grid and its reversal test at once peak at about 163 MB.
+        # The bound is 1 MB above the 24.2 MB of shift-add folds in blocks of
+        # 2^20 // 21 rows
         tracemalloc.start()
         try:
             res = grid_oracle(2, 10, 12, diagonal=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2**20
+        assert peak < 25.2 * 2**20
         assert res.grid_min == Fraction(1, 12)
         assert (res.folds, res.points_evaluated) == (323_554, 646_646)
         six = Fraction(1, 6)
