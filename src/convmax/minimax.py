@@ -3,10 +3,11 @@
 Both float solvers share one engine, ``_polish``: SLSQP solves of the
 epigraph form min t s.t. (f_1*...*f_k)_i <= t, each factor on the simplex,
 run by ``_multistart`` from each solver's fixed starts, then from seeded
-random starts, and reduced to the best start.  ``_polish`` drives scipy's
-compiled SLSQP core (Kraft's method, ``scipy.optimize._slsqplib.slsqp``,
-scipy >= 1.16) through its reverse-communication loop with the inputs
-``minimize(method="SLSQP")`` would give it, so the iterates are scipy's own,
+random starts (stdlib ``random``, uniform on each simplex), and reduced to
+the best start.  ``_polish`` drives scipy's compiled SLSQP core (Kraft's
+method, ``scipy.optimize._slsqplib.slsqp``, scipy >= 1.16) through its
+reverse-communication loop with the inputs ``minimize(method="SLSQP")``
+would give it, so the iterates are scipy's own,
 without its Python driver around each of the core's calls.  It runs all
 starts of a solve in lock-step, each with its own core state and work
 arrays: a round calls the core once per unfinished start, then answers every
@@ -27,15 +28,16 @@ simplex, since each QP step keeps the equality rows and the bounds, and a
 line-search step is a convex combination of two such points.  On each Jacobian
 request it writes the leave-one-out folds of the factors into one flat row
 and gathers the constraint rows from it with a fixed index.  The module imports
-numpy and the top-level ``scipy`` package only: ``_load_slsqp_core`` loads the
-core's extension straight from its file, since ``import scipy.optimize`` would
-add about 0.37 s and 47 MB RSS to every float command for a module this one
-never calls.  ``minimize`` and ``linprog`` remain as lazy module names, read
+numpy (never ``numpy.random``) and the top-level ``scipy`` package only:
+``_load_slsqp_core`` loads the core's extension straight from its file, since
+``import scipy.optimize`` would add about 0.37 s and 47 MB RSS to every float
+command for a module this one never calls.  ``minimize`` and ``linprog`` remain as lazy module names, read
 only by the benchmark tracer.
 
 * ``general_constant`` — k free factors.  Starts: the zero-padded m = 1
-  diagonal optimum (``_padded_m1``) and the uniform weights, each used for all
-  k factors.
+  diagonal optimum (``_padded_m1``) for all k factors, and the asymmetric
+  witness (delta_0 + delta_m)/2 as factor 1 with every other factor uniform
+  on {1, ..., m}: at k = 2 its fold peaks at 1/(2m).
 * ``diagonal_constant`` — one factor used k times.  At m = 1 the objective is
   the one-dimensional diagonal envelope, and the exact result is read off
   ``constants.diagonal_profile``, its minimum over the rational crossing
@@ -78,6 +80,7 @@ import importlib.util
 import itertools
 import math
 import os
+import random
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -453,14 +456,19 @@ def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.
                 diagonal: bool) -> MinimaxResult:
     """Run ``_polish`` from all starts at once; the first best start wins ties.
 
-    ``starts`` is padded to ``cfg.multistarts`` with seeded random starts of the same shape.
-    The result counts the starts run, the starts per SLSQP exit mode, the core
-    calls and the lock-step rounds.
+    ``starts`` is padded to ``cfg.multistarts`` with seeded random starts of
+    the same shape.  Each factor of a padding start is m + 1 draws of
+    ``random.Random(cfg.seed).expovariate(1.0)``, start by start and factor by
+    factor, normalised: uniform on the simplex (Dirichlet(1)).  The stdlib
+    generator keeps ``numpy.random``, and the OpenSSL bindings it imports,
+    out of every float command.  The result counts the starts run, the
+    starts per SLSQP exit mode, the core calls and the lock-step rounds.
     """
     starts = list(starts)
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     while len(starts) < cfg.multistarts:
-        starts.append([_clean_weights(rng.exponential(size=m + 1)) for _ in range(len(starts[0]))])
+        starts.append([_clean_weights([rng.expovariate(1.0) for _ in range(m + 1)])
+                       for _ in range(len(starts[0]))])
     solves, calls, rounds = _polish(starts, k)
     best_ws, best_v, best_mode, total_nit = None, math.inf, None, 0
     status: Counter = Counter()
@@ -493,10 +501,19 @@ def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.
 # ---------------------------------------------------------------------------
 
 def general_constant(k: int, m: int, cfg: SolverConfig = SolverConfig()) -> MinimaxResult:
-    """Upper estimate of C_{k,m}: one epigraph solve over k free factors per start."""
+    """Upper estimate of C_{k,m}: one epigraph solve over k free factors per start.
+
+    The fixed starts are the zero-padded m = 1 diagonal optimum for all k
+    factors, and the asymmetric pair f = (delta_0 + delta_m)/2 as factor 1
+    with g uniform on {1, ..., m} as every other factor.  The first start
+    keeps all factors equal; the second does not, and at k = 2 its fold
+    f*g is 1/(2m) on {1, ..., 2m}, below Cbar_{2,2} = 64/225 at m = 2.
+    """
     _check_km(k, m)
-    uniform = np.full(m + 1, 1.0 / (m + 1))
-    return _multistart(k, m, cfg, [[_padded_m1(k, m)] * k, [uniform] * k], diagonal=False)
+    f = np.zeros(m + 1)
+    f[[0, m]] = 0.5
+    g = np.append(0.0, np.full(m, 1.0 / m))
+    return _multistart(k, m, cfg, [[_padded_m1(k, m)] * k, [f] + [g] * (k - 1)], diagonal=False)
 
 
 # ---------------------------------------------------------------------------

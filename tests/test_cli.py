@@ -108,6 +108,22 @@ class TestSolve:
         assert code == EXIT_OK
         assert rep["payload"]["grid_oracle"]["grid_min"] == "1/4"
 
+    def test_general_fixed_starts_reach_grid_oracle(self, capsys):
+        # both fixed starts used to keep the factors equal, stopping at Cbar_{2,2} = 64/225
+        code, rep = run_json(capsys, "solve", "--k", "2", "--m", "2", "--mode", "general",
+                             "--grid", "6", "--multistarts", "2")
+        assert code == EXIT_OK
+        assert rep["payload"]["grid_oracle"]["grid_min"] == "1/4"
+        assert rep["payload"]["result"]["value"] == pytest.approx(1 / 4, abs=1e-12)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_general_k2_reaches_half_over_m(self, capsys, m):
+        code, rep = run_json(capsys, "solve", "--k", "2", "--m", str(m), "--mode", "general",
+                             "--multistarts", "2")
+        assert code == EXIT_OK
+        assert rep["meta"]["starts"] == 2
+        assert rep["payload"]["result"]["value"] == pytest.approx(1 / (2 * m), abs=1e-12)
+
     @pytest.mark.parametrize("mode,folds,points", [("general", 220, 1000), ("diagonal", 6, 10)])
     def test_meta_reports_oracle_folds(self, capsys, mode, folds, points):
         code, rep = run_json(capsys, "solve", "--k", "3", "--m", "2", "--mode", mode,

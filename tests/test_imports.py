@@ -1,5 +1,5 @@
 """The exact commands start without numpy or scipy, the float commands without
-scipy.optimize; the solver names load on first use."""
+scipy.optimize, numpy.random or OpenSSL; the solver names load on first use."""
 
 import importlib
 import json
@@ -39,9 +39,12 @@ before = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
 solve = cli.run(["solve", "--k", "2", "--m", "2", "--multistarts", "2", "--out", os.devnull])
 after = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
 floats = [cli.run(argv + ["--out", os.devnull])
-          for argv in (["continuous", "--k", "2", "--m-max", "2", "--multistarts", "2"],
+          for argv in (["solve", "--k", "2", "--m", "2", "--mode", "general", "--grid", "4",
+                        "--multistarts", "4"],
+                       ["continuous", "--k", "2", "--m-max", "3", "--multistarts", "4"],
                        ["selftest"])]
-loaded = {m: m in sys.modules for m in ("scipy.optimize", "scipy.optimize._slsqplib")}
+loaded = {m: m in sys.modules for m in ("scipy.optimize", "scipy.optimize._slsqplib", "numpy.random",
+                                        "secrets", "hmac", "hashlib", "_hashlib")}
 print(json.dumps({"codes": codes, "before": before, "solve": solve, "after": after,
                   "floats": floats, "loaded": loaded}))
 """
@@ -60,9 +63,13 @@ def test_exact_commands_start_without_float_stack():
     assert res["solve"] == 0
     assert res["after"] == ["numpy", "scipy"]
     # the float commands load scipy's compiled SLSQP core, never scipy.optimize itself
-    assert res["floats"] == [0, 0]
+    assert res["floats"] == [0, 0, 0]
     assert not res["loaded"]["scipy.optimize"]
     assert res["loaded"]["scipy.optimize._slsqplib"]
+    # the seeded starts come from the stdlib generator: numpy.random would pull in
+    # secrets, hmac, hashlib and OpenSSL's _hashlib for a few exponential draws
+    openssl = ("numpy.random", "secrets", "hmac", "hashlib", "_hashlib")
+    assert not [m for m in openssl if res["loaded"][m]]
 
 
 @pytest.mark.parametrize("name, module", LAZY.items())

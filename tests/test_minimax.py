@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -373,6 +374,30 @@ def test_failing_best_start_is_not_converged(monkeypatch, solve):
     res = solve(2, 3, FAST)
     assert res.value == 0.25 and res.converged is False
     assert res.slsqp_status == {0: FAST.multistarts - 1, 8: 1}
+
+
+@pytest.mark.parametrize("solve,fixed,factors", [(general_constant, 2, 3),
+                                                  (diagonal_constant, 5, 1)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_padding_starts_are_stdlib_exponential_draws(monkeypatch, solve, fixed, factors, seed):
+    # m + 1 draws of random.Random(seed).expovariate(1.0) per factor, start by
+    # start and factor by factor, each factor normalised to sum 1
+    seen = []
+
+    def record(starts, k):
+        seen.extend(starts)
+        return [(list(ws0), 0.5, 0, 1) for ws0 in starts], len(starts), 1
+
+    monkeypatch.setattr(minimax, "_polish", record)
+    m, cfg = 3, SolverConfig(multistarts=fixed + 4, seed=seed)
+    solve(3, m, cfg)
+    assert len(seen) == cfg.multistarts
+    rng = random.Random(seed)
+    for ws0 in seen[fixed:]:
+        assert len(ws0) == factors
+        for w in ws0:
+            draws = [rng.expovariate(1.0) for _ in range(m + 1)]
+            assert list(w) == pytest.approx([x / math.fsum(draws) for x in draws], rel=1e-14)
 
 
 class TestDiagonalM1:
