@@ -233,7 +233,8 @@ def _cmd_sidon(args, argv) -> int:
     t0 = time.perf_counter()
     if args.action == "verify":
         summary = enumerate_verify(args.d, args.k, args.samples, args.seed)
-        meta = {"sweep_s": time.perf_counter() - t0, "orbits": summary.orbits}
+        meta = {"sweep_s": time.perf_counter() - t0, "orbits": summary.orbits,
+                "peaks": summary.peaks}
         payload = summary.to_dict()
         violation = summary.failures > 0
     elif args.action == "classify":

@@ -23,11 +23,13 @@ work-array entries of SLSQP starts are in flight; longer lists of starts
 run in chunks, in order.  The solve bounds each weight by w >= 0 and leaves
 t free.  It poses no bound w <= 1: the factor's row sum(w) = 1 with w >= 0
 implies it, and the core turns every finite bound into one more inequality
-row of each QP step ((k + 1)m + 2 rows in diagonal mode, not (k + 2)m + 3).  Without it the iterates still stay on the
-simplex, since each QP step keeps the equality rows and the bounds, and a
-line-search step is a convex combination of two such points.  On each Jacobian
-request it writes the leave-one-out folds of the factors into one flat row
-and gathers the constraint rows from it with a fixed index.  The module imports
+row of each QP step ((k + 1)m + 2 rows in diagonal mode, not (k + 2)m + 3).
+Without it the points the core asks to evaluate can leave the simplex: its
+line-search trial points do, with sum(w) off by up to 3.7e3 at
+(k, m) = (100, 3), where their folds overflow float64.  ROADMAP item 22 holds
+the overflow mend.  On each Jacobian request it writes the leave-one-out
+folds of the factors into one flat row and gathers the constraint rows from
+it with a fixed index.  The module imports
 numpy (never ``numpy.random``) and the top-level ``scipy`` package only:
 ``_load_slsqp_core`` loads the core's extension straight from its file, since
 ``import scipy.optimize`` would add about 0.37 s and 47 MB RSS to every float

@@ -24,7 +24,8 @@ as well; the sum is exact, so a negative partial sum does no harm.
 "Some count of P_k exceeds t" is one guard-bit test,
 (P_k + (2^(w-1) - 1 - t) * ONES) & HIGH, with ONES a 1 in every field and
 HIGH every top bit; it is never true for t >= 2^(w-1) - 1.
-A max count is found by galloping up with that test and bisecting.
+A max count is found by galloping up with that test and bisecting, or by
+bisecting below a bound already known.
 The g-Sidon walk holds one state and takes points back out with ``remove``.
 Every other route counts a fixed set at once with ``fold``: P_1 is the
 polynomial sum_a X^(c_a) at X = 2^w and P_k its k-th power, built by one
@@ -41,8 +42,17 @@ on the codes of kA; so the multiset of counts, hence the max count, |A| and
 the slack, is the same on every set of a class under the 2^d d! symmetries.
 The sweep walks the subset masks 1 .. 2^(2^d) - 1 in increasing order, skips
 the masks already marked, and scores each unmarked one, the least of its
-class, after marking its class (``_symmetry_orbit``): 2, 5, 21 and 401 classes
-at d = 1..4 instead of 2^(2^d) - 1 sets.
+class, after marking its class: 2, 5, 21 and 401 classes at d = 1..4 instead
+of 2^(2^d) - 1 sets.  ``_symmetry_orbit`` reads a class off one OR of two
+table entries that pack the images of a subset under every symmetry, one
+16-bit field each; the image of a union is the union of the images.
+
+Both sweeps search the exact max count only where it can change the result.
+With c the least slack so far, floored at 0, a set whose counts exceed
+floor(c + C_{k,d} |A|^k) has slack above c, so it is no failure, no equality
+set and no new minimum: one guard-bit test drops it.  Only the other sets run
+``peak``, which bisects below that threshold; ``EnumerationSummary.peaks``
+counts them.
 
 The claimed bound is max representation count >= C_{k,d} |A|^k with C_{k,d}
 the tensor power of the exact one-dimensional constant.  It is attained by the
@@ -74,9 +84,11 @@ and ``exhaustive`` means it finished; the sweep there reads the first
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -165,16 +177,17 @@ class _PackedCounts:
             return 0
         return (top + (self.limit - t) * self.ones) & self.high
 
-    def peak(self, top: int) -> int:
-        """The max field of ``top``: gallop up from 0, then bisect."""
+    def peak(self, top: int, hi: Optional[int] = None) -> int:
+        """The max field of ``top``: gallop up from 0, then bisect; given ``hi``, a bound
+        no field of ``top`` exceeds, bisect 0..hi."""
         lo, step = 0, 1
-        while True:
+        while hi is None:
             t = lo + step - 1
             if not self.above(top, t):
                 hi = t
-                break
-            lo = t + 1
-            step *= 2
+            else:
+                lo = t + 1
+                step *= 2
         while lo < hi:
             mid = (lo + hi) // 2
             if self.above(top, mid):
@@ -368,9 +381,10 @@ class EnumerationSummary:
     min_slack_sets: List[List[str]]   # serialized point lists, capped
     equality_sets: List[List[str]]
     exhaustive: bool
-    # symmetry classes the exhaustive sweep scored, None when sampled; a run
-    # statistic, left out of to_dict
+    # symmetry classes the exhaustive sweep scored, None when sampled, and the
+    # sets whose exact max count was searched; run statistics, left out of to_dict
     orbits: Optional[int]
+    peaks: int
 
     def to_dict(self) -> dict:
         return {
@@ -401,31 +415,31 @@ def _subset_str(d: int, subset_mask: int) -> List[str]:
 def _symmetry_orbit(d: int) -> Callable[[int], Set[int]]:
     """The map from a subset mask of {0,1}^d, d <= 4, to its images under the cube's symmetries.
 
-    Bit p of a subset mask is point p.  Reflecting the coordinate at point bit t
-    swaps the blocks of 2^t subset bits whose points have bit t clear and set.
-    A coordinate permutation sends the points 0..7 and 8..15 through one image
-    table each, filled one point at a time (the second is [0] below d = 4).
-    The tables are built per call, about 12k entries at d = 4.
+    Bit p of a subset mask is point p, and a symmetry maps point p to
+    pi(p) ^ f for a coordinate permutation pi and a reflection mask f.  One
+    int packs the images of a subset under all 2^d d! symmetries, one 16-bit
+    field per symmetry; the image of a union is the union of the images, so
+    the packed int of a subset is the OR of those of its points.  Two tables
+    of such ints, one per byte of the subset mask (the high one is [0] below
+    d = 4), are filled one point at a time, so ``orbit`` is one OR, read back
+    as native 16-bit fields.  The tables are built per call.
     """
     n = 2**d
-    flips = [(1 << t, sum(1 << p for p in range(n) if not p >> t & 1)) for t in range(d)]
-    tables = []
+    images = []  # per symmetry, the image of each point
     for sigma in itertools.permutations(range(d)):
         pm = [sum((p >> s & 1) << j for j, s in enumerate(sigma)) for p in range(n)]
-        pair = []
-        for base in (0, 8):
-            img = [0] * (1 << max(0, min(8, n - base)))
-            for b in range(1, len(img)):
-                low = b & -b
-                img[b] = img[b ^ low] | 1 << pm[base + low.bit_length() - 1]
-            pair.append(img)
-        tables.append(pair)
+        images += [[q ^ f for q in pm] for f in range(n)]
+    size = 2 * len(images)
+    point = [int.from_bytes(array.array("H", [1 << img[p] for img in images]).tobytes(),
+                            sys.byteorder) for p in range(n)]
+    lo, hi = [0] * (1 << min(8, n)), [0] * (1 << max(0, n - 8))
+    for table, base in ((lo, 0), (hi, 8)):
+        for b in range(1, len(table)):
+            low = b & -b
+            table[b] = table[b ^ low] | point[base + low.bit_length() - 1]
 
     def orbit(x: int) -> Set[int]:
-        images = {x}
-        for step, clear in flips:
-            images |= {y >> step & clear | (y & clear) << step for y in images}
-        return {lo[y & 255] | hi[y >> 8] for lo, hi in tables for y in images}
+        return set(memoryview((lo[x & 255] | hi[x >> 8]).to_bytes(size, sys.byteorder)).cast("H"))
 
     return orbit
 
@@ -444,28 +458,44 @@ def enumerate_verify(d: int, k: int, samples: int = 1000, seed: int = 0) -> Enum
     n_points = 2**d
     exhaustive = d <= EXHAUSTIVE_D_MAX
     engine = _PackedCounts(_codes(d, 1, k + 1), k, n_points)
+    peaks = 0
 
-    def slack(subset_mask: int) -> int:
-        """max count - c |A|^k, as an integer numerator over c.denominator."""
+    def slack(subset_mask: int, least: float) -> Optional[int]:
+        """max count - c |A|^k, as an integer numerator over c.denominator, or None when
+        it exceeds max(least, 0): that set is no failure, no equality set and no new
+        minimum.  One ``above`` test decides that; only the other sets run ``peak``."""
+        nonlocal peaks
         members = [p for p in range(n_points) if subset_mask >> p & 1]
-        return engine.peak(engine.fold(members)) * c.denominator - c.numerator * len(members) ** k
+        top = engine.fold(members)
+        base = c.numerator * len(members) ** k
+        cap = None
+        if least < math.inf:
+            cap = (max(least, 0) + base) // c.denominator  # the largest max count kept
+            if engine.above(top, cap):
+                return None
+        peaks += 1
+        return engine.peak(top, cap) * c.denominator - base
 
+    min_slack = math.inf
     if exhaustive:
         checked = 2**n_points - 1
         orbit = _symmetry_orbit(d)
         seen = bytearray(checked + 1)
         seen[0] = 1  # the empty set is not swept
-        classes = []  # (slack, class size, least member)
+        orbits = 0
+        classes = []  # (slack, class size, least member) of the classes slack kept
         rep = seen.find(0)
         while rep >= 0:
             images = orbit(rep)
             for y in images:
                 seen[y] = 1
-            classes.append((slack(rep), len(images), rep))
+            orbits += 1
+            s = slack(rep, min_slack)
+            if s is not None:
+                classes.append((s, len(images), rep))
+                min_slack = min(min_slack, s)
             rep = seen.find(0, rep + 1)
-        orbits = len(classes)
         failures = sum(size for s, size, _ in classes if s < 0)
-        min_slack = min(s for s, _, _ in classes)
         # the first KEEP_SETS masks of the classes at a slack, rebuilt from their least members
         min_sets, eq_sets = [sorted(y for s, _, least in classes if s == target
                                     for y in orbit(least))[:KEEP_SETS]
@@ -473,10 +503,11 @@ def enumerate_verify(d: int, k: int, samples: int = 1000, seed: int = 0) -> Enum
     else:
         checked, orbits = samples, None
         failures = 0
-        min_slack = math.inf
         min_sets, eq_sets = [], []  # subset masks in draw order, rendered on return
         for subset_mask in _sampled_masks(d, samples, seed):
-            s = slack(subset_mask)
+            s = slack(subset_mask, min_slack)
+            if s is None:
+                continue
             if s < 0:
                 failures += 1
             if s == 0 and len(eq_sets) < KEEP_SETS:
@@ -487,7 +518,7 @@ def enumerate_verify(d: int, k: int, samples: int = 1000, seed: int = 0) -> Enum
                 min_sets.append(subset_mask)
     return EnumerationSummary(d, k, checked, failures, Fraction(min_slack, c.denominator),
                               [_subset_str(d, m) for m in min_sets],
-                              [_subset_str(d, m) for m in eq_sets], exhaustive, orbits)
+                              [_subset_str(d, m) for m in eq_sets], exhaustive, orbits, peaks)
 
 
 @dataclass(frozen=True)

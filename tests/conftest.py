@@ -9,8 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from convmax.gridfn import GridFn, _convolve_rows
+from convmax.constants import optimal_constant_d
+from convmax.gridfn import GridFn, _codes, _convolve_rows
 from convmax.minimax import GridOracleResult, SolverConfig
+from convmax.sidon import KEEP_SETS, _PackedCounts
 
 #: Few starts, so the float-solver tests stay fast.
 FAST = SolverConfig(multistarts=8)
@@ -206,6 +208,40 @@ def brute_sampled_subsets(d: int, samples: int, seed: int):
         if draw:
             subsets.append(sorted(cube[p] for p in range(2**d) if draw >> p & 1))
     return subsets
+
+
+def plain_sweep(d: int, k: int, masks=None) -> dict:
+    """``EnumerationSummary.to_dict()`` by the plain sweep: each subset folded by the
+    packed engine and its max count found by the full ``peak``, with no symmetry
+    classes and no cap on the search.
+
+    The subsets are every nonempty subset mask in increasing order
+    (exhaustive), or the masks ``masks`` yields, in its order (sampled); bit p
+    of a mask selects point mask p.  The first KEEP_SETS sets met at the least
+    slack and at slack 0 are kept.
+    """
+    c = optimal_constant_d(k, d)
+    engine = _PackedCounts(_codes(d, 1, k + 1), k, 2**d)
+    exhaustive = masks is None
+    if exhaustive:
+        masks = range(1, 2 ** 2**d)
+    checked = failures = 0
+    min_slack, min_sets, equality = None, [], []
+    for mask in masks:
+        checked += 1
+        members = [p for p in range(2**d) if mask >> p & 1]
+        slack = engine.peak(engine.fold(members)) - c * len(members) ** k
+        points = [format(p, f"0{d}b") for p in members]
+        failures += slack < 0
+        if slack == 0:
+            equality.append(points)
+        if min_slack is None or slack < min_slack:
+            min_slack, min_sets = slack, [points]
+        elif slack == min_slack:
+            min_sets.append(points)
+    return {"d": d, "k": k, "subsets_checked": checked, "failures": failures,
+            "min_slack": str(min_slack), "min_slack_sets": min_sets[:KEEP_SETS],
+            "equality_sets": equality[:KEEP_SETS], "exhaustive": exhaustive}
 
 
 def random_exact_gridfn(rng: random.Random, d: int, m: int = 1,

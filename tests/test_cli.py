@@ -411,6 +411,14 @@ class TestSidon:
         _, rep = run_json(capsys, "sidon", "verify", "--d", "5", "--k", "2", "--samples", "5")
         assert rep["meta"]["orbits"] is None
 
+    def test_verify_meta_reports_peaks(self, capsys):
+        # sets whose exact max count was searched: at most one per class, or per sample
+        _, rep = run_json(capsys, "sidon", "verify", "--d", "4", "--k", "2")
+        assert 1 <= rep["meta"]["peaks"] <= rep["meta"]["orbits"] == 401
+        assert "peaks" not in rep["payload"]
+        _, rep = run_json(capsys, "sidon", "verify", "--d", "5", "--k", "2", "--samples", "40")
+        assert 1 <= rep["meta"]["peaks"] <= rep["payload"]["subsets_checked"] == 40
+
     def test_search_meta_reports_search_time(self, capsys):
         _, rep = run_json(capsys, "sidon", "search", "--d", "3", "--k", "2", "--g", "2")
         assert rep["meta"]["search_s"] >= 0

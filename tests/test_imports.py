@@ -31,6 +31,8 @@ import json, os, sys
 import convmax, convmax.cli as cli
 
 exact = [["sidon", "verify", "--d", "3", "--k", "2"],
+         ["sidon", "verify", "--d", "4", "--k", "2"],
+         ["sidon", "verify", "--d", "5", "--k", "3", "--samples", "20"],
          ["sidon", "search", "--d", "3", "--k", "2", "--g", "2"],
          ["pb", "--p", "1/3,1/2"],
          ["constant", "--k", "3", "--profile", "--sharpness"]]

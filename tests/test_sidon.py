@@ -27,6 +27,7 @@ from conftest import (
     brute_max_count,
     brute_sampled_subsets,
     brute_sidon_violations,
+    plain_sweep,
 )
 
 
@@ -250,6 +251,9 @@ class TestRunningCounts:
                                                    for c, n in enumerate(counts) if n > t)
                 # t > 0 parses only the fields above t; t >= limit finds none
                 assert engine.fields_above(top, t) == fields_above(counts, t)
+                # a bound no field exceeds bounds the bisection, from the max up
+                if t >= max(counts):
+                    assert engine.peak(top, t) == max(counts)
             assert engine.peak(top) == max(counts)
 
     def test_full_count_field_keeps_guard_bit_clear(self):
@@ -521,6 +525,61 @@ class TestEnumerateVerify:
             enumerate_verify(d, 2, samples=samples, seed=seed)
         with pytest.raises(ValueError, match=message):
             max_size_g_sidon(d, 2, 2, samples=samples, seed=seed)
+
+
+class TestSweepMatchesPlainSweep:
+    """Orbit marking and the capped max-count search change no result of the sweeps."""
+
+    @pytest.mark.parametrize("d,k", [(d, k) for d in (1, 2, 3) for k in (1, 2, 3, 4)] + [(4, 2)])
+    def test_exhaustive(self, d, k):
+        summary = enumerate_verify(d, k)
+        assert summary.to_dict() == plain_sweep(d, k)  # failures included
+        assert 1 <= summary.peaks <= summary.orbits
+
+    def test_d4_classes_partition_the_subsets(self):
+        # marked as the sweep marks them: each class is disjoint from the classes
+        # before it, its size divides the group order 2^4 4! = 384, and they cover
+        # every nonempty subset
+        orbit = sidon._symmetry_orbit(4)
+        seen = bytearray(2**16)
+        seen[0] = 1
+        sizes = []
+        rep = seen.find(0)
+        while rep >= 0:
+            images = orbit(rep)
+            assert rep in images and not any(seen[y] for y in images)
+            assert 384 % len(images) == 0
+            for y in images:
+                seen[y] = 1
+            sizes.append(len(images))
+            rep = seen.find(0, rep + 1)
+        assert len(sizes) == enumerate_verify(4, 2).orbits == 401
+        assert sum(sizes) == 2**16 - 1
+
+    @pytest.mark.parametrize("d,k,seed", [(5, 2, 0), (5, 3, 1), (5, 4, 2), (6, 2, 3), (6, 3, 4)])
+    def test_sampled(self, d, k, seed):
+        summary = enumerate_verify(d, k, samples=150, seed=seed)
+        assert summary.to_dict() == plain_sweep(d, k, sidon._sampled_masks(d, 150, seed))
+        assert 1 <= summary.peaks <= 150
+
+    def test_cap_drops_most_sets(self):
+        # most d = 4 classes have slack far above the least: one guard-bit test
+        # each, no max-count search
+        assert enumerate_verify(4, 2).peaks < 401 // 4
+
+    @pytest.mark.parametrize("k,order,peaks", [(2, "AFA", 2), (2, "FAF", 2), (3, "AFA", 3)])
+    def test_only_sets_that_can_change_the_result_are_searched(self, monkeypatch, k, order,
+                                                                peaks):
+        # A, the 12-point set, fails both bounds; F, the full cube, has slack > 0 at
+        # k = 2 and slack 0 (an equality set) at k = 3.  The first set is searched;
+        # so is a set tying the least slack, but not one above max(least, 0)
+        masks = {"A": sum(1 << int(p, 2) for p in ODD_K_COUNTEREXAMPLE), "F": 2**32 - 1}
+        monkeypatch.setattr(sidon, "_sampled_masks",
+                            lambda d, samples, seed: iter([masks[c] for c in order]))
+        summary = enumerate_verify(5, k, samples=3, seed=0)
+        assert summary.peaks == peaks
+        assert summary.failures == order.count("A")
+        assert summary.to_dict() == plain_sweep(5, k, [masks[c] for c in order])
 
 
 class TestSizeCap:
