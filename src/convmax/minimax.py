@@ -16,25 +16,27 @@ for the Jacobian with one batched gather.  Each float fold is one
 ``gridfn._convolve_rows`` call over the stacked rows: one strided
 ``np.matmul`` that adds each entry's products in column order, so its rows
 have a shift-add's bits and do not depend on each other, and a start takes
-the same iterates alone or in any batch.  The folds of ``grid_oracle`` and
-``_coarse_grid_seeds`` run in blocks of ``_fold_rows`` rows, which budget
-the zero-padded operand the matmul reads.  At most ``BLOCK_ENTRIES``
-work-array entries of SLSQP starts are in flight; longer lists of starts
-run in chunks, in order.  The solve bounds each weight by w >= 0 and leaves
-t free.  It poses no bound w <= 1: the factor's row sum(w) = 1 with w >= 0
-implies it, and the core turns every finite bound into one more inequality
-row of each QP step ((k + 1)m + 2 rows in diagonal mode, not (k + 2)m + 3).
-Without it the points the core asks to evaluate can leave the simplex: its
-line-search trial points do, with sum(w) off by up to 3.7e3 at
-(k, m) = (100, 3), where their folds overflow float64.  ROADMAP item 22 holds
-the overflow mend.  On each Jacobian request it writes the leave-one-out
-folds of the factors into one flat row and gathers the constraint rows from
-it with a fixed index.  The module imports
-numpy (never ``numpy.random``) and the top-level ``scipy`` package only:
-``_load_slsqp_core`` loads the core's extension straight from its file, since
-``import scipy.optimize`` would add about 0.37 s and 47 MB RSS to every float
-command for a module this one never calls.  ``minimize`` and ``linprog`` remain as lazy module names, read
-only by the benchmark tracer.
+the same iterates alone or in any batch.  The folds of ``grid_oracle`` run
+in blocks of ``_fold_rows`` rows, which budget the zero-padded operand the
+matmul reads.  At most ``BLOCK_ENTRIES`` work-array entries of SLSQP starts
+are in flight; longer lists of starts run in chunks, in order.  The solve
+bounds each weight by w >= 0 and leaves t free.  It poses no bound w <= 1:
+the factor's row sum(w) = 1 with w >= 0 implies it, and the core turns every
+finite bound into one more inequality row of each QP step ((k + 1)m + 2 rows
+in diagonal mode, not (k + 2)m + 3).  Without it the points the core asks to
+evaluate can leave the simplex: its line-search trial points do, with sum(w)
+off by up to 3.7e3 at (k, m) = (100, 3), where their folds overflow float64.
+``_lockstep`` runs under one ``np.errstate`` that keeps the overflow silent,
+and reports each non-finite constraint value or Jacobian entry as the finite
+violation -``OVERFLOW_VIOLATION``, so the core backtracks.  On each Jacobian
+request it writes the leave-one-out folds of the factors into one flat row
+and gathers the constraint rows from it with a fixed index.  The module
+imports numpy (never ``numpy.random`` or ``numpy.fft``) and the top-level
+``scipy`` package only: ``_load_slsqp_core`` loads the core's extension
+straight from its file, since ``import scipy.optimize`` would add about
+0.37 s and 47 MB RSS to every float command for a module this one never
+calls.  ``minimize`` and ``linprog`` remain as lazy module names, read only
+by the benchmark tracer.
 
 * ``general_constant`` — k free factors.  Starts: the zero-padded m = 1
   diagonal optimum (``_padded_m1``) for all k factors, and the asymmetric
@@ -43,10 +45,8 @@ only by the benchmark tracer.
 * ``diagonal_constant`` — one factor used k times.  At m = 1 the objective is
   the one-dimensional diagonal envelope, and the exact result is read off
   ``constants.diagonal_profile``, its minimum over the rational crossing
-  points.  For m > 1 the starts are the uniform weights, the
-  zero-padded m = 1 optimum, the best points of a coarse simplex grid
-  (``_coarse_grid_seeds``: m <= 26 only, filtered by FFT powers of the
-  grid in blocks) and caller-chained seeds.
+  points.  For m > 1 the fixed starts are the uniform weights, the
+  zero-padded m = 1 optimum and caller-chained seeds.
 
 The independent cross-checks are exact:
 
@@ -153,10 +153,14 @@ GRID_BUDGET = 2_000_000
 BLOCK_ENTRIES = 2**20
 
 #: Most entries of the widest padded fold operand in one block of
-#: ``grid_oracle`` or ``_coarse_grid_seeds`` (``_fold_rows``): 256 KB of
-#: int64 or float64, so a block's folds stay in cache.  Larger blocks fold no
-#: faster and raise the peak RSS of every grid-oracle solve.
+#: ``grid_oracle`` (``_fold_rows``): 256 KB of int64 or float64, so a block's
+#: folds stay in cache.  Larger blocks fold no faster and raise the peak RSS
+#: of every grid-oracle solve.
 FOLD_ENTRIES = 2**15
+
+#: The violation ``_lockstep`` reports for a constraint value or Jacobian entry
+#: whose fold overflowed: the largest float64, so no finite value exceeds it.
+OVERFLOW_VIOLATION = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -225,7 +229,7 @@ def _peak(ws: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _fold_rows(k: int, m: int) -> int:
-    """Rows per block of k-fold folds of length-(m + 1) rows, at least one.
+    """Rows per block of ``grid_oracle``'s k-fold folds of length-(m + 1) rows, at least one.
 
     ``_convolve_rows`` reads each fold's left operand from a copy padded to
     la + 2m entries a row; the last fold's, (k + 1)m + 1 wide, is the
@@ -380,8 +384,24 @@ def _polish(starts: Sequence[Sequence[np.ndarray]], k: int) -> Tuple[List[Solve]
     return solves, calls, rounds
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a with every non-finite entry replaced, in place, by -``OVERFLOW_VIOLATION``."""
+    if not np.isfinite(a).all():    # the check alone costs a fifth of the replacement
+        np.nan_to_num(a, copy=False, nan=-OVERFLOW_VIOLATION, posinf=-OVERFLOW_VIOLATION,
+                      neginf=-OVERFLOW_VIOLATION)
+    return a
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup) -> Tuple[List[Solve], int, int]:
-    """``_polish`` on one chunk: the starts S, a (B, r, m + 1) array, in lock-step."""
+    """``_polish`` on one chunk: the starts S, a (B, r, m + 1) array, in lock-step.
+
+    A point the core asks about can lie far off the simplex, and at large k its
+    folds overflow (inf, or NaN from inf * 0).  Such a fold warns nothing: the
+    call runs under one ``np.errstate``, and each non-finite constraint value or
+    Jacobian entry is reported as -``OVERFLOW_VIOLATION``, a finite, very large
+    violation, so the core backtracks.  Finite entries keep their bits.
+    """
     B, r, m1 = S.shape
     copies, n_c = k // r, (k - 1) * (m1 - 1) + 1
     n_con, n = setup.C.shape
@@ -410,7 +430,7 @@ def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup) -> Tuple[List[Solve]
         d = np.empty((len(rows), n_con))
         np.subtract(W.sum(axis=2), 1.0, out=d[:, :r])
         np.subtract(x[:, -1:], _conv_all(f), out=d[:, r:])
-        D[rows] = d
+        D[rows] = _finite(d)
 
     def gradient(rows):
         _, f = factors(X[rows])
@@ -418,7 +438,7 @@ def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup) -> Tuple[List[Solve]
         src[:, -1] = 1.0
         for j in range(r):
             np.multiply(_conv_all(f[:j] + f[j + 1:]), -copies, out=src[:, j * n_c:(j + 1) * n_c])
-        Cs[rows, :, r:] = src[:, gather]
+        Cs[rows, :, r:] = _finite(src)[:, gather]
 
     live = list(range(B))
     gradient(live)
@@ -522,44 +542,6 @@ def general_constant(k: int, m: int, cfg: SolverConfig = SolverConfig()) -> Mini
 # Diagonal constant: all factors equal
 # ---------------------------------------------------------------------------
 
-#: Seeds that ``_coarse_grid_seeds`` returns.
-GRID_SEEDS = 3
-
-
-def _coarse_grid_seeds(k: int, m: int) -> List[np.ndarray]:
-    """The ``GRID_SEEDS`` best points of the diagonal simplex grid with denominator n.
-
-    n is the largest denominator whose grid has at most 4000 points.  Below
-    n = 3, that is for every m >= 27, there are no seeds: every two-cell
-    point (delta_i + delta_j) / 2 has the same k-fold peak, so that grid
-    ranks nothing.  Points are ranked by the float peak of their k-fold
-    (``_peak``: ``_convolve_rows`` folds, whose bits are a shift-add's), then
-    by the weight tuple.  An FFT power of the grid weights only filters: the
-    points within a relative 1e-9 of the ``GRID_SEEDS``-th smallest FFT
-    score are rescored by ``_peak`` and ranked by one lexsort, since float
-    rounding in either score can break exact ties either way.  Both passes
-    run in blocks of ``_fold_rows(k, m)`` rows, so a block's FFT arrays and
-    padded fold operands hold at most about ``FOLD_ENTRIES`` entries each.
-    """
-    n = 2
-    while math.comb(n + 1 + m, m) <= 4000:
-        n += 1
-    if n < 3:
-        return []
-    weights = _simplex_grid(m, n) / n
-    size = k * m + 1
-    # one FFT of the whole grid holds (points, km+1) arrays, about 120 MB at (k, m) = (1000, 2)
-    rows = _fold_rows(k, m)
-    scores = np.concatenate([
-        np.fft.irfft(np.fft.rfft(weights[i:i + rows], size) ** k, size).max(axis=1)
-        for i in range(0, len(weights), rows)])
-    cut = np.partition(scores, GRID_SEEDS - 1)[GRID_SEEDS - 1] * (1 + 1e-9)
-    near = weights[scores <= cut]
-    peaks = np.concatenate([_peak([near[i:i + rows]] * k) for i in range(0, len(near), rows)])
-    # rank by (peak, weight tuple): lexsort's last key is the first one compared
-    return list(near[np.lexsort((*near.T[::-1], peaks))[:GRID_SEEDS]])
-
-
 @lru_cache(maxsize=64)
 def _diagonal_m1(k: int) -> Tuple[Fraction, Fraction, Tuple[int, ...]]:
     """The exact m = 1 diagonal optimum: the value, the least minimizing p and the shared modes.
@@ -607,7 +589,6 @@ def diagonal_constant(k: int, m: int, cfg: SolverConfig = SolverConfig(),
         )
 
     seeds: List[np.ndarray] = [np.full(m + 1, 1.0 / (m + 1)), _padded_m1(k, m)]
-    seeds.extend(_coarse_grid_seeds(k, m))
     seeds.extend(_clean_weights(s) for s in extra)
     return _multistart(k, m, cfg, [[w] for w in seeds], diagonal=True)
 

@@ -2,7 +2,6 @@
 and the small solver config the float-solver tests share."""
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 from convmax.constants import optimal_constant_d
-from convmax.gridfn import GridFn, _codes, _convolve_rows
+from convmax.gridfn import GridFn, _codes
 from convmax.minimax import GridOracleResult, SolverConfig
 from convmax.sidon import KEEP_SETS, _PackedCounts
 
@@ -103,26 +102,6 @@ def brute_grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOra
         if best is None or v < best:
             best, best_combo = v, combo
     return GridOracleResult(k, m, n, diagonal, best, best_combo, len(combos))
-
-
-def brute_coarse_grid_seeds(k: int, m: int, top: int = 3):
-    """The diagonal coarse-grid seeds by their definition: every grid point is
-    scored with the module's float fold ``_convolve_rows`` from [1.0], and all
-    (peak, weight tuple) pairs are sorted.  A grid with denominator n < 3 gives
-    no seeds.  The fold runs on all points stacked, which gives each row the
-    bits it has alone."""
-    n = 2
-    while math.comb(n + 1 + m, m) <= 4000:
-        n += 1
-    if n < 3:
-        return []
-    weights = np.array([np.bincount(comp, minlength=m + 1) / n
-                        for comp in itertools.combinations_with_replacement(range(m + 1), n)])
-    acc = np.ones((len(weights), 1))
-    for _ in range(k):
-        acc = _convolve_rows(acc, weights)
-    scored = sorted(zip(acc.max(axis=1).tolist(), map(tuple, weights.tolist())))
-    return [np.array(w) for _, w in scored[:top]]
 
 
 #: One-dimensional optimal constants C_{k,1}: k = 2..5 as pinned by acceptance

@@ -1,5 +1,6 @@
 """The exact commands start without numpy or scipy, the float commands without
-scipy.optimize, numpy.random or OpenSSL; the solver names load on first use."""
+scipy.optimize, numpy.random, numpy.fft or OpenSSL; the solver names load on
+first use."""
 
 import importlib
 import json
@@ -46,7 +47,7 @@ floats = [cli.run(argv + ["--out", os.devnull])
                        ["continuous", "--k", "2", "--m-max", "3", "--multistarts", "4"],
                        ["selftest"])]
 loaded = {m: m in sys.modules for m in ("scipy.optimize", "scipy.optimize._slsqplib", "numpy.random",
-                                        "secrets", "hmac", "hashlib", "_hashlib")}
+                                        "secrets", "hmac", "hashlib", "_hashlib", "numpy.fft")}
 print(json.dumps({"codes": codes, "before": before, "solve": solve, "after": after,
                   "floats": floats, "loaded": loaded}))
 """
@@ -72,6 +73,8 @@ def test_exact_commands_start_without_float_stack():
     # secrets, hmac, hashlib and OpenSSL's _hashlib for a few exponential draws
     openssl = ("numpy.random", "secrets", "hmac", "hashlib", "_hashlib")
     assert not [m for m in openssl if res["loaded"][m]]
+    # every fold is a direct one (gridfn._convolve_rows); no solver start is scored by FFT
+    assert not res["loaded"]["numpy.fft"]
 
 
 @pytest.mark.parametrize("name, module", LAZY.items())
