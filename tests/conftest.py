@@ -2,6 +2,7 @@
 and the small solver config the float-solver tests share."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -102,6 +103,39 @@ def brute_grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOra
         if best is None or v < best:
             best, best_combo = v, combo
     return GridOracleResult(k, m, n, diagonal, best, best_combo, len(combos))
+
+
+def brute_coarse_grid_seeds(k: int, m: int):
+    """The best points of the coarse diagonal grid of m, by their definition.
+
+    n is the largest denominator whose simplex grid has at most 4000 points.
+    Every point is scored by k float folds (``shift_add_rows``) of all points
+    stacked; the points within a relative 1e-9 of the least score are refolded
+    exactly in Python ints, since float rounding can reorder near ties.
+    Returns n, the least k-fold peak as a Fraction over n^k and the numerator
+    tuples of its minimisers in lexicographic order.
+    """
+    n = 2
+    while math.comb(n + 1 + m, m) <= 4000:
+        n += 1
+    comps = sorted(c for c in itertools.combinations_with_replacement(range(n + 1), m)
+                   for c in [tuple(b - a for a, b in zip((0,) + c, c + (n,)))])
+    acc = np.ones((len(comps), 1))
+    for _ in range(k):
+        acc = shift_add_rows(acc, np.array(comps) / n)
+    scores = acc.max(axis=1)
+
+    def peak(comp):
+        out = [1]
+        for _ in range(k):
+            out = [sum(out[i - j] * comp[j] for j in range(len(comp)) if 0 <= i - j < len(out))
+                   for i in range(len(out) + m)]
+        return max(out)
+
+    near = [c for c, s in zip(comps, scores) if s <= scores.min() * (1 + 1e-9)]
+    peaks = [peak(c) for c in near]
+    best = min(peaks)
+    return n, Fraction(best, n**k), [c for c, p in zip(near, peaks) if p == best]
 
 
 #: One-dimensional optimal constants C_{k,1}: k = 2..5 as pinned by acceptance

@@ -30,7 +30,7 @@ from convmax.minimax import (
     intersection_restricted_solve,
 )
 
-from conftest import FAST, brute_convolve, brute_grid_oracle
+from conftest import FAST, brute_coarse_grid_seeds, brute_convolve, brute_grid_oracle
 
 
 class TestConfig:
@@ -568,6 +568,28 @@ class TestSimplexGrid:
         blocks = list(minimax._simplex_blocks(3, 4, rows))
         assert all(len(b) == rows for b in blocks[:-1]) and 0 < len(blocks[-1]) <= rows
         assert np.array_equal(np.concatenate(blocks), _simplex_grid(3, 4))
+
+
+class TestCoarseGridSeeds:
+    """The best points of the coarse diagonal grids, the grids with the largest
+    denominator n that have at most 4000 points: ``grid_oracle`` in diagonal
+    mode finds them exactly, in many ``_fold_rows`` blocks with the reversed
+    weights skipped, and a caller can chain one into ``diagonal_constant``
+    through ``extra_seeds``."""
+
+    # (18, 5) and (19, 2): many exact ties that float rounding in the brute
+    # force's score can break either way, so its near-best window has to catch
+    # them; at (10, 2) and (19, 2) n^k overflows int64 and the oracle folds
+    # Python ints
+    @pytest.mark.parametrize("k,m", [
+        (k, m) for k in (2, 3, 4, 10) for m in (2, 3, 4, 5, 7, 8, 16, 20) if k * m <= 80]
+        + [(18, 5), (19, 2)])
+    def test_matches_brute_force(self, k, m):
+        n, value, seeds = brute_coarse_grid_seeds(k, m)
+        res = grid_oracle(k, m, n, diagonal=True)
+        assert res.points_evaluated == math.comb(n + m, m) <= 4000 < math.comb(n + 1 + m, m)
+        assert res.grid_min == value
+        assert res.argmin == (tuple(Fraction(c, n) for c in seeds[0]),), (k, m)
 
 
 class TestGridOracle:
