@@ -87,6 +87,17 @@ def _rational(x: Fraction) -> dict:
     return {"exact": str(x), "decimal": float(x)}
 
 
+def _solver_meta(results) -> dict:
+    """The SLSQP work of the ``MinimaxResult``s, summed for ``meta``; exact results ran none."""
+    status = Counter()
+    for res in results:
+        status.update(res.slsqp_status)
+    return {"starts": sum(status.values()),
+            "slsqp_status": {str(mode): n for mode, n in sorted(status.items())},
+            "slsqp_calls": sum(res.slsqp_calls for res in results),
+            "slsqp_rounds": sum(res.slsqp_rounds for res in results)}
+
+
 def _emit(report: dict, fmt: str, out: str | None, render=None) -> None:
     """Write the report; ``render()`` gives the command's own ``csv``/``plotdata`` text."""
     data = render().encode() if fmt in ("csv", "plotdata") else export_report(report, fmt)
@@ -160,10 +171,7 @@ def _cmd_solve(args, argv) -> int:
     else:
         res = general_constant(args.k, args.m, cfg)
     meta["solve_s"] = time.perf_counter() - t0
-    meta["starts"] = res.starts
-    meta["slsqp_status"] = {str(mode): n for mode, n in res.slsqp_status.items()}
-    meta["slsqp_calls"] = res.slsqp_calls
-    meta["slsqp_rounds"] = res.slsqp_rounds
+    meta.update(_solver_meta([res]))
     payload = {"result": res.to_dict()}
     # independent recomputation of the reported argument
     fns = [GridFn(1, args.m, w) for w in (res.argument * args.k
@@ -267,18 +275,12 @@ def _cmd_continuous(args, argv) -> int:
     except BoundValidityError as e:
         print(f"bound validity violation: {e}", file=sys.stderr)
         return EXIT_VIOLATION
-    status = Counter()
-    for row in table.rows:
-        status.update(row.slsqp_status)
     meta = {"table_s": time.perf_counter() - t0,
-            "starts": sum(row.starts for row in table.rows),
-            "slsqp_status": {str(mode): n for mode, n in sorted(status.items())},
-            "slsqp_calls": sum(row.slsqp_calls for row in table.rows),
-            "slsqp_rounds": sum(row.slsqp_rounds for row in table.rows)}
+            **_solver_meta([row.result for row in table.rows])}
     payload = table.to_dict()
     if args.export_steps is not None:
         row = table.rows[args.export_steps - 1]
-        payload["step_function"] = step_function_export(row.weights, args.k).to_dict()
+        payload["step_function"] = step_function_export(row.result.argument[0], args.k).to_dict()
     _emit(_wrap(argv, payload, config=asdict(cfg), seed=args.seed, meta=meta),
           args.format, args.out, table.to_csv)
     return EXIT_OK
@@ -322,8 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["diagonal", "general"], default="diagonal")
     p.add_argument("--grid", type=int, default=None, help="also run the exact grid oracle")
     p.add_argument("--multistarts", type=int, default=64, metavar="N",
-                   help="SLSQP starts: the built-in starts (2 in general mode, up to 5 in "
-                        "diagonal mode) always run, then seeded random starts pad them to N")
+                   help="SLSQP starts: the 2 built-in starts always run, then seeded "
+                        "random starts pad them to N")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_solve)
@@ -362,8 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m-max", dest="m_max", type=int, default=1)
     p.add_argument("--multistarts", type=int, default=16, metavar="N",
-                   help="SLSQP starts per row m >= 2: the built-in starts (up to 5, and from "
-                        "m = 3 on the previous row's optimum) always run, then seeded random "
+                   help="SLSQP starts per row m >= 2, each row solved as by solve --mode "
+                        "diagonal: the 2 built-in starts always run, then seeded random "
                         "starts pad them to N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--export-steps", type=int, default=None,

@@ -2,27 +2,28 @@
 
 A weight vector on {0,...,m} corresponds to a step function with m+1 equal
 cells tiling the support (-1/(2k), 1/(2k)), and the k-fold peak of any such
-vector w bounds C_k <= k(m+1) max(w^{*k}).  The m = 1 row uses the exact
-closed form and is a proven bound.  Rows for m >= 2 are float estimates:
-k(m+1) times the float peak of the diagonal solver's factor, not re-evaluated
-in exact arithmetic, so rounding is not yet excluded.  Each row holds the
-factor whose k-fold peak is its value, and the step-function export reads
-that factor.  This module never claims a value for C_k itself; the known
-lower bound 1.28 for k = 2 is an imported literature constant used only as
-a validity floor.
+vector w bounds C_k <= k(m+1) max(w^{*k}).  Row m holds the result of
+``diagonal_constant(k, m, cfg)``, the solve ``convmax solve --mode diagonal``
+runs, and no row depends on another.  The m = 1 row uses the exact closed
+form and is a proven bound.  Rows for m >= 2 are float estimates: k(m+1)
+times the float peak of the solve's factor, not re-evaluated in exact
+arithmetic, so rounding is not yet excluded.  The step-function export reads
+a row's factor.  This module never claims a value for C_k itself; the known
+lower bound 1.28 for k = 2 is an imported literature constant used only as a
+validity floor.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
-from .constants import continuous_upper_bound_m1, optimal_constant
+from .constants import optimal_constant
 from .errors import BoundValidityError
-from .minimax import SolverConfig, diagonal_constant
+from .minimax import MinimaxResult, SolverConfig, diagonal_constant
 
 #: Known lower bound for the k = 2 continuous constant (literature value).
 KNOWN_LOWER_K2 = 1.28
@@ -30,17 +31,28 @@ KNOWN_LOWER_K2 = 1.28
 
 @dataclass(frozen=True)
 class BoundRow:
-    m: int
-    cbar: Union[Fraction, float]     # estimate of Cbar_{k,m} (exact at m = 1)
-    upper_bound: Union[Fraction, float]  # k (m+1) cbar
-    converged: bool
-    method: str
-    weights: List[float]   # the factor whose k-fold peak is cbar; not serialized
-    # the row's SLSQP solves for CLI meta (none at m = 1), kept out of to_dict and comparisons
-    starts: int = field(default=0, compare=False)
-    slsqp_status: Dict[int, int] = field(default_factory=dict, compare=False)
-    slsqp_calls: int = field(default=0, compare=False)
-    slsqp_rounds: int = field(default=0, compare=False)
+    result: MinimaxResult   # diagonal_constant(k, m, cfg): at m = 1 the exact envelope optimum
+
+    @property
+    def m(self) -> int:
+        return self.result.m
+
+    @property
+    def cbar(self) -> Union[Fraction, float]:
+        """The estimate of Cbar_{k,m}: the exact closed form at m = 1, else the solve's value."""
+        return optimal_constant(self.result.k) if self.m == 1 else self.result.value
+
+    @property
+    def upper_bound(self) -> Union[Fraction, float]:
+        return self.result.k * (self.m + 1) * self.cbar
+
+    @property
+    def converged(self) -> bool:
+        return self.result.converged
+
+    @property
+    def method(self) -> str:
+        return "closed-form" if self.m == 1 else self.result.method
 
     def to_dict(self) -> dict:
         exact = isinstance(self.cbar, Fraction)
@@ -86,16 +98,7 @@ def upper_bound_sequence(k: int, m_max: int,
         raise ValueError(f"k must be >= 2, got {k}")
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    rows = [BoundRow(1, optimal_constant(k), continuous_upper_bound_m1(k), True,
-                     "closed-form", diagonal_constant(k, 1, cfg).argument[0])]
-    for m in range(2, m_max + 1):
-        # chain the zero-padded previous optimum in as a seed; the m = 1
-        # optimum is already a built-in seed of the diagonal solver
-        extra = [rows[-1].weights + [0.0]] if m > 2 else None
-        res = diagonal_constant(k, m, cfg, extra_seeds=extra)
-        rows.append(BoundRow(m, res.value, k * (m + 1) * res.value, res.converged,
-                             res.method, res.argument[0], res.starts, res.slsqp_status,
-                             res.slsqp_calls, res.slsqp_rounds))
+    rows = [BoundRow(diagonal_constant(k, m, cfg)) for m in range(1, m_max + 1)]
     converged_rows = [r for r in rows if r.converged]
     best = min(float(r.upper_bound) for r in converged_rows)
     lower = KNOWN_LOWER_K2 if k == 2 else None

@@ -45,8 +45,8 @@ by the benchmark tracer.
 * ``diagonal_constant`` — one factor used k times.  At m = 1 the objective is
   the one-dimensional diagonal envelope, and the exact result is read off
   ``constants.diagonal_profile``, its minimum over the rational crossing
-  points.  For m > 1 the fixed starts are the uniform weights, the
-  zero-padded m = 1 optimum and caller-chained seeds.
+  points.  For m > 1 the fixed starts are the uniform weights and the
+  zero-padded m = 1 optimum.
 
 The independent cross-checks are exact:
 
@@ -188,7 +188,6 @@ class MinimaxResult:
     m: int
     value_exact: Optional[Fraction] = None
     # run counters for CLI meta, kept out of to_dict and of comparisons
-    starts: int = field(default=0, compare=False)                    # SLSQP solves run
     slsqp_status: Dict[int, int] = field(default_factory=dict, compare=False)  # starts per exit mode
     slsqp_calls: int = field(default=0, compare=False)               # SLSQP core calls
     slsqp_rounds: int = field(default=0, compare=False)              # lock-step rounds of those calls
@@ -483,8 +482,8 @@ def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.
     ``random.Random(cfg.seed).expovariate(1.0)``, start by start and factor by
     factor, normalised: uniform on the simplex (Dirichlet(1)).  The stdlib
     generator keeps ``numpy.random``, and the OpenSSL bindings it imports,
-    out of every float command.  The result counts the starts run, the
-    starts per SLSQP exit mode, the core calls and the lock-step rounds.
+    out of every float command.  The result counts the starts per SLSQP exit
+    mode, the core calls and the lock-step rounds.
     """
     starts = list(starts)
     rng = random.Random(cfg.seed)
@@ -511,7 +510,6 @@ def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.
         diagonal=diagonal,
         k=k,
         m=m,
-        starts=len(starts),
         slsqp_status=dict(sorted(status.items())),
         slsqp_calls=calls,
         slsqp_rounds=rounds,
@@ -559,20 +557,9 @@ def _diagonal_m1(k: int) -> Tuple[Fraction, Fraction, Tuple[int, ...]]:
     return prof.envelope_min_value, 1 - x, tuple(i for i, t in enumerate(terms) if t == top)
 
 
-def diagonal_constant(k: int, m: int, cfg: SolverConfig = SolverConfig(),
-                      extra_seeds: Optional[Sequence[Sequence[float]]] = None) -> MinimaxResult:
-    """Upper estimate of Cbar_{k,m}; exact at m = 1 via the envelope.
-
-    Each of ``extra_seeds`` must hold m+1 finite nonnegative weights with a
-    positive sum; it is normalized and run after the built-in starts.
-    """
+def diagonal_constant(k: int, m: int, cfg: SolverConfig = SolverConfig()) -> MinimaxResult:
+    """Upper estimate of Cbar_{k,m}; exact at m = 1 via the envelope."""
     _check_km(k, m)
-    extra = [np.array(s, dtype=float) for s in extra_seeds or ()]
-    for s in extra:
-        if s.shape != (m + 1,) or not np.all(np.isfinite(s)) or np.any(s < 0) or s.sum() <= 0:
-            raise ValueError(f"each extra seed needs m+1 = {m + 1} finite nonnegative "
-                             f"weights with a positive sum, got {s.tolist()}")
-
     if m == 1:
         v, p, modes = _diagonal_m1(k)
         return MinimaxResult(
@@ -588,9 +575,8 @@ def diagonal_constant(k: int, m: int, cfg: SolverConfig = SolverConfig(),
             value_exact=v,
         )
 
-    seeds: List[np.ndarray] = [np.full(m + 1, 1.0 / (m + 1)), _padded_m1(k, m)]
-    seeds.extend(_clean_weights(s) for s in extra)
-    return _multistart(k, m, cfg, [[w] for w in seeds], diagonal=True)
+    return _multistart(k, m, cfg, [[np.full(m + 1, 1.0 / (m + 1))], [_padded_m1(k, m)]],
+                       diagonal=True)
 
 
 # ---------------------------------------------------------------------------

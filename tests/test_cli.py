@@ -501,7 +501,7 @@ class TestContinuous:
         # an m = 2 row of 2 * 3 * 0.1 undercuts the known k = 2 lower bound 1.28
         solve = convmax.continuous.diagonal_constant
 
-        def undercut(k, m, cfg, extra_seeds=None):
+        def undercut(k, m, cfg):
             res = solve(k, 1, cfg)
             return res if m == 1 else dataclasses.replace(res, m=m, value=0.1,
                                                           argument=[[1 / 3] * 3])
@@ -566,20 +566,35 @@ class TestContinuous:
         _, rep = run_json(capsys, "continuous", "--k", "2", "--m-max", "4",
                           "--multistarts", "3", "--seed", "1")
         table = convmax.continuous.upper_bound_sequence(2, 4, SolverConfig(multistarts=3, seed=1))
+        results = [row.result for row in table.rows]
         status = collections.Counter()
-        for row in table.rows:
-            status.update(row.slsqp_status)
+        for res in results:
+            status.update(res.slsqp_status)
         meta = rep["meta"]
-        assert meta["starts"] == sum(row.starts for row in table.rows) >= 3 * 3
+        assert meta["starts"] == sum(status.values()) == 3 * 3
         assert meta["slsqp_status"] == {str(mode): n for mode, n in sorted(status.items())}
-        assert sum(meta["slsqp_status"].values()) == meta["starts"]
-        assert meta["slsqp_calls"] == sum(row.slsqp_calls for row in table.rows)
-        assert meta["slsqp_rounds"] == sum(row.slsqp_rounds for row in table.rows)
+        assert meta["slsqp_calls"] == sum(res.slsqp_calls for res in results)
+        assert meta["slsqp_rounds"] == sum(res.slsqp_rounds for res in results)
         assert 0 < meta["slsqp_rounds"] < meta["slsqp_calls"]
         assert rep["payload"] == table.to_dict()
         _, rep = run_json(capsys, "continuous", "--k", "2")
         assert (rep["meta"]["starts"], rep["meta"]["slsqp_status"]) == (0, {})
         assert (rep["meta"]["slsqp_calls"], rep["meta"]["slsqp_rounds"]) == (0, 0)
+
+    def test_meta_sums_the_diagonal_solves_of_its_rows(self, capsys):
+        # each row m >= 2 is the solve of solve --mode diagonal --m m, so the
+        # table's counters are those solves' counters summed
+        flags = ["--multistarts", "5", "--seed", "2"]
+        _, rep = run_json(capsys, "continuous", "--k", "2", "--m-max", "5", *flags)
+        keys = ("starts", "slsqp_status", "slsqp_calls", "slsqp_rounds")
+        status, totals = collections.Counter(), collections.Counter()
+        for m in range(2, 6):
+            _, one = run_json(capsys, "solve", "--k", "2", "--m", str(m), "--mode", "diagonal",
+                              *flags)
+            status.update(one["meta"]["slsqp_status"])
+            totals.update({key: one["meta"][key] for key in keys if key != "slsqp_status"})
+        assert {key: rep["meta"][key] for key in keys} == {
+            **totals, "slsqp_status": dict(status)}
 
     @pytest.mark.parametrize("starts", ["0", "-3"])
     def test_multistarts_below_one_rejected(self, capsys, monkeypatch, starts):

@@ -40,7 +40,8 @@ class TestUpperBoundSequence:
         table = upper_bound_sequence(2, 4, FAST)
         bounds = [float(r.upper_bound) for r in table.rows]
         assert all(KNOWN_LOWER_K2 <= b <= 16 / 9 + 1e-9 for b in bounds)
-        # finer grids refine: each level can embed the previous one
+        # observed, not implied: a step function on m + 1 cells embeds exactly
+        # into 2(m + 1) cells, the row for 2m + 1, not into the row for m + 1
         assert all(a >= b - 1e-9 for a, b in zip(bounds, bounds[1:]))
         assert table.best_bound == pytest.approx(min(bounds))
 
@@ -66,14 +67,25 @@ class TestUpperBoundSequence:
 
     def test_rows_count_their_solves(self):
         table = upper_bound_sequence(2, 3, FAST)
-        assert (table.rows[0].starts, table.rows[0].slsqp_status) == (0, {})
-        assert (table.rows[0].slsqp_calls, table.rows[0].slsqp_rounds) == (0, 0)
+        first = table.rows[0].result
+        assert (first.slsqp_status, first.slsqp_calls, first.slsqp_rounds) == ({}, 0, 0)
         for row in table.rows[1:]:
-            assert row.starts >= FAST.multistarts
-            assert sum(row.slsqp_status.values()) == row.starts
-            assert 0 < row.slsqp_rounds < row.slsqp_calls
-            for key in ("starts", "slsqp_status", "slsqp_calls", "slsqp_rounds"):
+            assert sum(row.result.slsqp_status.values()) == FAST.multistarts
+            assert 0 < row.result.slsqp_rounds < row.result.slsqp_calls
+            for key in ("starts", "slsqp_status", "slsqp_calls", "slsqp_rounds", "argument"):
                 assert key not in row.to_dict()
+
+    @pytest.mark.parametrize("k,m_max,cfg", [
+        (2, 6, SolverConfig(multistarts=6, seed=3)), (3, 4, SolverConfig(multistarts=5, seed=1))])
+    def test_rows_are_standalone_diagonal_solves(self, k, m_max, cfg):
+        # no row seeds the next: row m is the solve that solve --mode diagonal runs
+        table = upper_bound_sequence(k, m_max, cfg)
+        assert table.rows[0].result == minimax.diagonal_constant(k, 1)
+        for m, row in enumerate(table.rows[1:], start=2):
+            res = minimax.diagonal_constant(k, m, cfg)
+            # the counters are kept out of comparisons, so slsqp_calls is checked apart
+            assert row.result == res and row.result.slsqp_calls == res.slsqp_calls
+            assert (row.cbar, row.upper_bound) == (res.value, k * (m + 1) * res.value)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
