@@ -35,8 +35,8 @@ def _quotient(num: Scalar, den: Scalar) -> Scalar:
 def _check_value(v: Scalar) -> Scalar:
     if isinstance(v, bool) or not isinstance(v, (int, Fraction, float)):
         raise TypeError(f"grid values must be int, Fraction or float, got {type(v).__name__}")
-    if isinstance(v, float) and math.isnan(v):
-        raise ValueError("NaN is not a grid value")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"grid values must be finite (no NaN or inf), got {v}")
     if v < 0:
         raise ValueError(f"grid values must be nonnegative, got {v}")
     return v
@@ -103,43 +103,6 @@ def _convolve_seq(a: Sequence, b: Sequence) -> list:
             for j, y in nonzero_b:
                 out[i + j] += x * y
     return out
-
-
-def _convolve_rows(a, b):
-    """Row i is the 1-d convolution of rows a[i] and b[i] of two numpy arrays.
-
-    The batched form of ``_convolve_seq`` and the one batched fold for every
-    dtype: int64 and object (Python ints) rows fold exactly, float64 rows in
-    binary64.  Rows are the last axis; a and b share their leading axes, of
-    any number (none for two single 1-d rows).  An int64 caller keeps every
-    entry below 2^63.
-
-    One ``np.matmul`` of the Toeplitz view V[..., i, j] = a[i - j] against b
-    as a column, V read from a copy of a with lb - 1 zeros on each side (la +
-    2(lb - 1) entries per row beside the la + lb - 1 of the result; callers
-    that block rows budget that copy).  V steps backwards along j, so numpy
-    cannot hand it to BLAS and runs its own loop: each output entry starts
-    from 0 and adds its products in column order of b, like a shifted
-    multiply-add per column of b, and never depends on the rows stacked
-    beside it.  The padding adds only 0 * b[j] terms.  On finite rows those
-    are +-0, and a sum that starts from +0 never holds -0, so adding them
-    leaves every bit as the shift-add has it (``tests/conftest.py`` keeps
-    that shift-add as the reference).  An inf in b meets a zero of the
-    padding and gives NaN, in its own row only.
-    """
-    import numpy as np  # here, not at the top: the exact commands start without numpy
-
-    la, lb = a.shape[-1], b.shape[-1]
-    dt = np.result_type(a, b)
-    pad = np.zeros(a.shape[:-1] + (la + 2 * (lb - 1),), dtype=dt)
-    pad[..., lb - 1:lb - 1 + la] = a
-    step = pad.strides[-1]
-    shape, strides = pad.shape[:-1] + (la + lb - 1, lb), pad.strides[:-1] + (step, -step)
-    if dt == object or not pad.size:   # no buffer to view: object items, or no rows
-        V = np.lib.stride_tricks.as_strided(pad[..., lb - 1:], shape, strides)
-    else:
-        V = np.ndarray(shape, dt, pad, (lb - 1) * step, strides)
-    return np.matmul(V, b[..., :, None])[..., 0]
 
 
 def _table_size(d: int, base: int) -> int:

@@ -12,11 +12,11 @@ without its Python driver around each of the core's calls.  It runs all
 starts of a solve in lock-step, each with its own core state and work
 arrays: a round calls the core once per unfinished start, then answers every
 request for constraint values with one batched evaluation and every request
-for the Jacobian with one batched gather.  Each float fold is one
-``gridfn._convolve_rows`` call over the stacked rows: one strided
-``np.matmul`` that adds each entry's products in column order, so its rows
-have a shift-add's bits and do not depend on each other, and a start takes
-the same iterates alone or in any batch.  The folds of ``grid_oracle`` run
+for the Jacobian with one batched build.  Each fold is one
+``_convolve_rows`` call over the stacked rows: one ``np.matmul`` of the
+strided Toeplitz view ``_toeplitz``, adding each entry's products in
+column order, so its rows have a shift-add's bits and do not depend on
+each other, and a start takes the same iterates alone or in any batch.  The folds of ``grid_oracle`` run
 in blocks of ``_fold_rows`` rows, which budget the zero-padded operand the
 matmul reads.  At most ``BLOCK_ENTRIES`` work-array entries of SLSQP starts
 are in flight; longer lists of starts run in chunks, in order.  The solve
@@ -29,10 +29,10 @@ off by up to 3.7e3 at (k, m) = (100, 3), where their folds overflow float64.
 ``_lockstep`` runs under one ``np.errstate`` that keeps the overflow silent,
 and reports each non-finite constraint value or Jacobian entry as the finite
 violation -``OVERFLOW_VIOLATION``, so the core backtracks.  On each Jacobian
-request it writes the leave-one-out folds of the factors into one flat row
-and gathers the constraint rows from it with a fixed index.  The module
-imports numpy (never ``numpy.random`` or ``numpy.fft``) and the top-level
-``scipy`` package only: ``_load_slsqp_core`` loads the core's extension
+request it writes the block of factor j as the ``_toeplitz`` view of the
+fold of the other factors: the matrix that fold multiplies factor j by.
+The module imports numpy (never ``numpy.random`` or ``numpy.fft``) and the
+top-level ``scipy`` package only: ``_load_slsqp_core`` loads the core's extension
 straight from its file, since ``import scipy.optimize`` would add about
 0.37 s and 47 MB RSS to every float command for a module this one never
 calls.  ``minimize`` and ``linprog`` remain as lazy module names, read only
@@ -53,7 +53,7 @@ The independent cross-checks are exact:
 * ``grid_oracle`` — exhaustive exact sweep over the simplex grid points
   with denominator n (``_simplex_blocks``, in lexicographic order).  It folds
   integer numerators (each factor a numerator over n, a k-fold one over n^k)
-  in numpy blocks of ``_fold_rows`` points, k - 1 ``gridfn._convolve_rows``
+  in numpy blocks of ``_fold_rows`` points, k - 1 ``_convolve_rows``
   calls per block and no prefix shared, as int64 when n^k < 2^63 and as
   Python ints (dtype object) otherwise, and builds Fractions only for the
   minimiser.  It folds one member of each class of points that share a
@@ -98,7 +98,6 @@ import scipy
 
 from .constants import _envelope_terms, diagonal_profile, optimal_constant
 from .errors import BudgetExceeded
-from .gridfn import _convolve_rows
 from .pb import intersection_point, pb_pmf
 
 
@@ -212,12 +211,53 @@ class MinimaxResult:
 # Shared numeric helpers
 # ---------------------------------------------------------------------------
 
+def _toeplitz(a: np.ndarray, lb: int) -> np.ndarray:
+    """The view V[..., i, j] = a[..., i - j] (0 outside a), of shape (..., la + lb - 1, lb).
+
+    V reads a copy of a with lb - 1 zeros on each side: la + 2(lb - 1) entries
+    a row, which callers that block rows budget.  ``np.ndarray(shape, dtype,
+    buffer, offset, strides)`` builds it; ``as_strided`` only where there is
+    no buffer to view: object items, or no rows.
+    """
+    la = a.shape[-1]
+    pad = np.zeros(a.shape[:-1] + (la + 2 * (lb - 1),), dtype=a.dtype)
+    pad[..., lb - 1:lb - 1 + la] = a
+    step = pad.strides[-1]
+    shape, strides = pad.shape[:-1] + (la + lb - 1, lb), pad.strides[:-1] + (step, -step)
+    if a.dtype == object or not pad.size:
+        return np.lib.stride_tricks.as_strided(pad[..., lb - 1:], shape, strides)
+    return np.ndarray(shape, a.dtype, pad, (lb - 1) * step, strides)
+
+
+def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i is the 1-d convolution of rows a[i] and b[i] of two numpy arrays.
+
+    The batched form of ``gridfn._convolve_seq`` and the one batched fold for
+    every dtype: int64 and object (Python ints) rows fold exactly, float64
+    rows in binary64.  Rows are the last axis; a and b share their leading
+    axes, of any number (none for two single 1-d rows).  An int64 caller
+    keeps every entry below 2^63.
+
+    One ``np.matmul`` of the ``_toeplitz`` view of a against b as a column.
+    The view steps backwards along j, so numpy cannot hand it to BLAS and
+    runs its own loop: each output entry starts from 0 and adds its products
+    in column order of b, like a shifted multiply-add per column of b, and
+    never depends on the rows stacked beside it.  The padding adds only
+    0 * b[j] terms.  On finite rows those are +-0, and a sum that starts from
+    +0 never holds -0, so adding them leaves every bit as the shift-add has it
+    (``tests/conftest.py`` keeps that shift-add as the reference).  An inf in
+    b meets a zero of the padding and gives NaN, in its own row only.
+    """
+    V = _toeplitz(a.astype(np.result_type(a, b), copy=False), b.shape[-1])
+    return np.matmul(V, b[..., :, None])[..., 0]
+
+
 def _conv_all(ws: Sequence[np.ndarray]) -> np.ndarray:
     """The convolution of the factors ``ws`` (at least one), folded left to right.
 
     Each factor is one row or a stack of rows with the same leading axes, and
-    every fold is a ``gridfn._convolve_rows`` call, so a row's fold has the
-    same bits alone or in any stack.
+    every fold is a ``_convolve_rows`` call, so a row's fold has the same
+    bits alone or in any stack.
     """
     return reduce(_convolve_rows, ws)
 
@@ -230,9 +270,9 @@ def _peak(ws: Sequence[np.ndarray]) -> np.ndarray:
 def _fold_rows(k: int, m: int) -> int:
     """Rows per block of ``grid_oracle``'s k-fold folds of length-(m + 1) rows, at least one.
 
-    ``_convolve_rows`` reads each fold's left operand from a copy padded to
-    la + 2m entries a row; the last fold's, (k + 1)m + 1 wide, is the
-    widest.  A block holds at most ``FOLD_ENTRIES`` entries of it.
+    ``_convolve_rows`` reads each fold's left operand from its ``_toeplitz``
+    copy, padded to la + 2m entries a row; the last fold's, (k + 1)m + 1
+    wide, is the widest.  A block holds at most ``FOLD_ENTRIES`` entries of it.
     """
     return max(1, FOLD_ENTRIES // ((k + 1) * m + 1))
 
@@ -279,38 +319,27 @@ SLSQP_MAXITER = 300
 class _EpigraphSetup(NamedTuple):
     """Everything the SLSQP solve of a (k, r, m) epigraph problem needs but its start.
 
-    The arrays are read-only: each start copies ``C`` and gets its own work
-    arrays of the given sizes.
+    Each start copies ``C`` and gets its own work arrays of the given sizes.
     """
-    index: np.ndarray        # Jacobian gather index of ``_polish``'s ``gradient``
     xl: np.ndarray           # lower bounds of x = (weights, t): 0 per weight, NaN (free) for t
     xu: np.ndarray           # upper bounds: NaN (none) throughout; sum(w) = 1 implies w <= 1
     grad: np.ndarray         # gradient of the objective t
-    C: np.ndarray            # constraint Jacobian, Fortran order: r equality rows, then km+1 zero rows
+    C: np.ndarray            # constraint Jacobian, Fortran order: r equality rows, then km+1
+                             # inequality rows, zero but for their t column of ones
     state: Tuple[Tuple[str, float], ...]   # the core's state on entry
     buffer_size: int
     index_size: int          # length of the core's int work array and of its multipliers
     entries: int             # work-array entries of one start: x, d, C, multipliers, ints, buffer
 
 
-@lru_cache(maxsize=32)
 def _epigraph_setup(k: int, r: int, m: int) -> _EpigraphSetup:
-    """The start-independent part of the epigraph solve, built once per (k, r, m).
+    """The start-independent part of the epigraph solve of a (k, r, m) problem.
 
     The state, bounds and work sizes are the ones ``scipy.optimize.minimize``
     (scipy >= 1.16) hands the core for this problem with ``ftol`` =
     ``SLSQP_ACC``, ``maxiter`` = ``SLSQP_MAXITER`` and the bounds of the
     module docstring: w >= 0 per weight, none on t.
     """
-    # the gather index of ``_polish``'s Jacobian: src slots r*n_c and r*n_c + 1 hold 0.0 and 1.0
-    n_c = (k - 1) * m + 1
-    zero, one = r * n_c, r * n_c + 1
-    lag = np.arange(k * m + 1)[:, None] - np.arange(m + 1)
-    inside = (lag >= 0) & (lag < n_c)
-    index = np.full((k * m + 1, r * (m + 1) + 1), one)
-    for j in range(r):
-        index[:, j * (m + 1):(j + 1) * (m + 1)] = np.where(inside, lag + j * n_c, zero)
-
     n_w = r * (m + 1)
     n = n_w + 1
     meq, mieq = r, k * m + 1
@@ -321,8 +350,7 @@ def _epigraph_setup(k: int, r: int, m: int) -> _EpigraphSetup:
     C = np.zeros((n_con, n), order="F")
     for j in range(r):
         C[j, j * (m + 1):(j + 1) * (m + 1)] = 1.0
-    for a in (index, xl, xu, grad, C):
-        a.flags.writeable = False
+    C[r:, -1] = 1.0
     state = (("acc", SLSQP_ACC), ("alpha", 0.0), ("f0", 0.0), ("gs", 0.0), ("h1", 0.0),
              ("h2", 0.0), ("h3", 0.0), ("h4", 0.0), ("t", 0.0), ("t0", 0.0),
              ("tol", 10.0 * SLSQP_ACC), ("exact", 0), ("inconsistent", 0), ("reset", 0),
@@ -333,7 +361,7 @@ def _epigraph_setup(k: int, r: int, m: int) -> _EpigraphSetup:
                    + 8 * n * n + 35 * n + meq * meq + 28)
     index_size = n_con + 2 * n + 2
     entries = n + n_con + n * n_con + 2 * index_size + buffer_size
-    return _EpigraphSetup(index, xl, xu, grad, C, state, buffer_size, index_size, entries)
+    return _EpigraphSetup(xl, xu, grad, C, state, buffer_size, index_size, entries)
 
 
 #: One start's solve: its cleaned factors, their peak, the SLSQP exit mode (0 on success) and nit.
@@ -353,15 +381,15 @@ def _polish(starts: Sequence[Sequence[np.ndarray]], k: int) -> Tuple[List[Solve]
     the constraint values (mode 1) or their Jacobian (mode -1) at x, or
     exits.  Then one batched ``evaluate`` writes the values of every mode-1
     start into its d, and one batched ``gradient`` the Jacobians of every
-    mode -1 start into its C.  The objective gradient and the r equality rows
-    of C never change, so ``gradient`` writes only the inequality rows: entry
-    (i, (j, a)) is -(k/r) c_j[i - a], where c_j is the fold of all factors
-    but one copy of factor j, and the t column is ones.  It writes each
-    start's r leave-one-out folds into one flat source row, after which a 0.0
-    and a 1.0 slot sit, and gathers the rows from it with the (km+1,
-    r(m+1)+1) index of ``_epigraph_setup``.  Every fold is a
-    ``_convolve_rows`` call, whose rows do not depend on each other, so a
-    start takes the same iterates alone or in any batch; and the core's
+    mode -1 start into its C.  The objective gradient, the r equality rows of
+    C and the t column of ones never change, so ``gradient`` writes only the
+    weight columns of the inequality rows: entry (i, (j, a)) is
+    -(k/r) c_j[i - a], where c_j is the fold of all factors but one copy of
+    factor j.  Column block j is the ``_toeplitz`` view of -(k/r) c_j, the
+    matrix that a fold of c_j with factor j multiplies by; one view of the
+    stacked -(k/r) c_j gives every block of every requesting start.  Every
+    fold is a ``_convolve_rows`` call, whose rows do not depend on each
+    other, so a start takes the same iterates alone or in any batch; and the core's
     inputs are those of ``minimize(method="SLSQP")``, so the iterates, nit
     and exit mode are bit-identical to it given the same fold.
 
@@ -410,12 +438,12 @@ def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup) -> Tuple[List[Solve]
     # Cs[b].T is start b's copy of C, in the Fortran order the core reads
     Cs = np.empty((B, n, n_con))
     Cs[:] = setup.C.T
+    blocks = Cs[:, :-1].reshape(B, r, m1, n_con)   # a view: blocks[b, j] are factor j's columns
     D = np.empty((B, n_con))
     mult = np.zeros((B, setup.index_size))
     ints = np.zeros((B, setup.index_size), dtype=np.int32)
     buffer = np.zeros((B, setup.buffer_size))
     fx = np.empty(B)        # each start's objective t at its last evaluation
-    gather = setup.index.T
 
     def factors(x):
         W = x[:, :-1].reshape(len(x), r, m1)
@@ -433,11 +461,10 @@ def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup) -> Tuple[List[Solve]
 
     def gradient(rows):
         _, f = factors(X[rows])
-        src = np.zeros((len(rows), r * n_c + 2))
-        src[:, -1] = 1.0
+        loo = np.empty((len(rows), r, n_c))
         for j in range(r):
-            np.multiply(_conv_all(f[:j] + f[j + 1:]), -copies, out=src[:, j * n_c:(j + 1) * n_c])
-        Cs[rows, :, r:] = _finite(src)[:, gather]
+            np.multiply(_conv_all(f[:j] + f[j + 1:]), -copies, out=loo[:, j])
+        blocks[rows, :, :, r:] = _toeplitz(_finite(loo), m1).swapaxes(2, 3)
 
     live = list(range(B))
     gradient(live)
@@ -654,7 +681,7 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleRes
 
     The points are folded in blocks of ``_fold_rows(k, m)`` rows (at most
     ``FOLD_ENTRIES`` entries of the widest padded fold operand), each block
-    with k - 1 ``gridfn._convolve_rows`` calls and no prefix shared between
+    with k - 1 ``_convolve_rows`` calls and no prefix shared between
     tuples; the first least peak of a block replaces the best so far only
     when strictly smaller.  Diagonal mode never holds the whole grid: it is
     generated in blocks of that many rows, and each is folded as soon as the

@@ -36,7 +36,7 @@ def brute_convolve(f: GridFn, g: GridFn) -> dict:
 def shift_add_rows(a, b):
     """Row i is the 1-d convolution of rows a[i] and b[i]: one shifted
     multiply-add per column of b into zeros, the reference whose bytes
-    ``gridfn._convolve_rows`` keeps."""
+    ``minimax._convolve_rows`` keeps."""
     out = np.zeros(a.shape[:-1] + (a.shape[-1] + b.shape[-1] - 1,), dtype=np.result_type(a, b))
     for j in range(b.shape[-1]):
         out[..., j:j + a.shape[-1]] += a * b[..., j:j + 1]

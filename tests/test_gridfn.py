@@ -9,7 +9,6 @@ from convmax.errors import DimensionMismatch, MemoryCapExceeded, ZeroMassInput
 from convmax.gridfn import (
     GridFn,
     _codes,
-    _convolve_rows,
     _convolve_seq,
     _digits,
     convolve,
@@ -19,6 +18,7 @@ from convmax.gridfn import (
     ratio,
     sup_norm,
 )
+from convmax.minimax import _convolve_rows
 
 from conftest import brute_convolve, random_exact_gridfn, shift_add_rows
 
@@ -50,6 +50,12 @@ class TestConstruction:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             g1(1.0, float("nan"))
+
+    @pytest.mark.parametrize("v", [math.inf, -math.inf])
+    def test_rejects_infinity(self, v):
+        # an infinite value would make ratio() return nan
+        with pytest.raises(ValueError, match="finite"):
+            GridFn(1, 1, [v, 1.0])
 
     def test_memory_cap(self):
         with pytest.raises(MemoryCapExceeded):
@@ -187,6 +193,15 @@ class TestConvolveRows:
     def test_bytes_match_shift_add(self, dtype, lead, la, lb):
         gen = np.random.default_rng([la, lb, len(lead)])
         a, b = self._rows(gen, lead + (la,), dtype), self._rows(gen, lead + (lb,), dtype)
+        self._assert_same(_convolve_rows(a, b), shift_add_rows(a, b))
+
+    @pytest.mark.parametrize("da,db", [(np.int64, float), (float, np.int64),
+                                       (np.int64, object), (object, np.int64)])
+    def test_mixed_dtypes_fold_in_the_common_dtype(self, da, db):
+        # without the cast to the common dtype, an int64 view against float rows
+        # loses the shift-add's bytes
+        gen = np.random.default_rng(11)
+        a, b = self._rows(gen, (6, 7), da), self._rows(gen, (6, 5), db)
         self._assert_same(_convolve_rows(a, b), shift_add_rows(a, b))
 
     @pytest.mark.parametrize("r,copies", [(1, 3), (2, 1), (3, 1)])

@@ -73,7 +73,7 @@ def test_exact_commands_start_without_float_stack():
     # secrets, hmac, hashlib and OpenSSL's _hashlib for a few exponential draws
     openssl = ("numpy.random", "secrets", "hmac", "hashlib", "_hashlib")
     assert not [m for m in openssl if res["loaded"][m]]
-    # every fold is a direct one (gridfn._convolve_rows); no solver start is scored by FFT
+    # every fold is a direct one (minimax._convolve_rows); no solver start is scored by FFT
     assert not res["loaded"]["numpy.fft"]
 
 

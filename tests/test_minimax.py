@@ -17,10 +17,11 @@ import convmax
 import convmax.minimax as minimax
 from convmax.constants import optimal_constant
 from convmax.errors import BudgetExceeded
-from convmax.gridfn import GridFn, _convolve_rows, convolve_many
+from convmax.gridfn import GridFn, convolve_many
 from convmax.minimax import (
     SolverConfig,
     _conv_all,
+    _convolve_rows,
     _polish,
     _peak,
     _simplex_grid,
@@ -104,7 +105,8 @@ def _minimize_epigraph(ws0, k):
     """``_polish``'s result from ``scipy.optimize.minimize``'s x: the reference for the direct drive.
 
     The constraint Jacobian is the column build ``_reference_jac``, so equal
-    results also show that ``_polish``'s gather takes the column build's iterates.
+    results also show that ``_polish``'s Toeplitz-view Jacobian takes the
+    column build's iterates.
     """
     from scipy.optimize import minimize
 
@@ -165,14 +167,12 @@ class TestDirectSLSQP:
         for ws0 in self.starts(r, m):
             _assert_same_solve(_polish([ws0], k)[0][0], _minimize_epigraph(ws0, k))
 
-    def test_setup_is_shared_and_read_only(self):
+    def test_polish_leaves_setup_c_unchanged(self, monkeypatch):
         setup = minimax._epigraph_setup(3, 1, 4)
-        assert minimax._epigraph_setup(3, 1, 4) is setup
-        for a in (setup.index, setup.C, setup.grad, setup.xl, setup.xu):
-            assert not a.flags.writeable
         before = setup.C.copy()
+        monkeypatch.setattr(minimax, "_epigraph_setup", lambda k, r, m: setup)
         _polish([[np.full(5, 0.2)]], 3)
-        assert np.array_equal(setup.C, before)
+        assert setup.C.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("k,r,m", [(2, 1, 4), (3, 3, 2)])
     def test_weights_bounded_below_only(self, k, r, m):
@@ -220,14 +220,10 @@ class TestLockstep:
 
     def test_iteration_cap_stops_some_starts(self, monkeypatch):
         # the cap is read into the core's state when the setup is built
-        minimax._epigraph_setup.cache_clear()
         monkeypatch.setattr(minimax, "SLSQP_MAXITER", 7)
-        try:
-            starts = TestDirectSLSQP.starts(1, 4)
-            solves, _, _ = _polish(starts, 3)
-            ref, _ = self.alone(starts, 3)
-        finally:
-            minimax._epigraph_setup.cache_clear()
+        starts = TestDirectSLSQP.starts(1, 4)
+        solves, _, _ = _polish(starts, 3)
+        ref, _ = self.alone(starts, 3)
         for got, want in zip(solves, ref):
             _assert_same_solve(got, want)
         # mode 9 is the iteration limit; the uniform start converges in 6 iterations
@@ -264,6 +260,29 @@ class TestLockstep:
                 # below one start's entries the chunks hold one start each, over the cap
                 assert per_chunk == 1 or sum(a.size for a in bases) <= cap
             assert (rounds == calls) == (per_chunk == 1)
+
+    @pytest.mark.parametrize("k,r", [(2, 1), (3, 1), (2, 2), (3, 3)])
+    def test_core_gets_the_reference_jacobian(self, monkeypatch, k, r):
+        # the starts include point masses, so the band holds -0.0 entries
+        # (-copies * 0.0) and the entries outside it must stay +0.0
+        m = 4
+        starts = TestDirectSLSQP.starts(r, m)
+        jac = _reference_jac(k, r, m)
+        last_mode, checked = {}, []
+        core = minimax._slsqp_core
+
+        def checking(state, fx, grad, C, d, x, mult, xl, xu, buffer, ints):
+            # on its first call and after each Jacobian request a start's C is fresh
+            if last_mode.get(id(state), -1) == -1:
+                assert C[r:].tobytes() == jac(x.copy()).tobytes()
+                checked.append(id(state))
+            out = core(state, fx, grad, C, d, x, mult, xl, xu, buffer, ints)
+            last_mode[id(state)] = state["mode"]
+            return out
+
+        monkeypatch.setattr(minimax, "_slsqp_core", checking)
+        _polish(starts, k)
+        assert len(set(checked)) == len(starts) and len(checked) > 2 * len(starts)
 
     def test_non_finite_entries_become_one_violation(self):
         # replaced in place; the finite entries keep their bits
