@@ -1,42 +1,48 @@
 """Numerical computation of the discrete constants C_{k,m} and Cbar_{k,m}.
 
 Both float solvers share one engine, ``_polish``: SLSQP solves of the
-epigraph form min t s.t. (f_1*...*f_k)_i <= t, each factor on the simplex,
-run by ``_multistart`` from each solver's fixed starts, then from seeded
-random starts (stdlib ``random``, uniform on each simplex), and reduced to
-the best start.  ``_polish`` drives scipy's compiled SLSQP core (Kraft's
-method, ``scipy.optimize._slsqplib.slsqp``, scipy >= 1.16) through its
+epigraph form min t s.t. (f_1*...*f_k)_i <= t, each factor on the simplex.
+A batch of points is one (B, r, m + 1) float array from end to end: B
+points of r factors each, r = 1 in diagonal mode (the one factor used k
+times) and r = k in general mode.  ``_multistart`` builds the starts once,
+the solver's fixed starts and then seeded random starts (stdlib ``random``,
+uniform on each simplex), and ``_polish`` returns the final weights as one
+such array, with their profiles, exit modes and nit as arrays beside it;
+the first least peak wins.  Every float and integer fold is one
+``_profiles`` call: each factor folded k // r times, left to right, by
+``_convolve_rows``, one ``np.matmul`` of the strided Toeplitz view
+``_toeplitz`` that adds each entry's products in column order.  So a
+profile has a shift-add's bits, its row does not depend on the rows
+stacked beside it, and a start takes the same iterates alone or in any
+batch.
+
+``_polish`` drives scipy's compiled SLSQP core (Kraft's method,
+``scipy.optimize._slsqplib.slsqp``, scipy >= 1.16) through its
 reverse-communication loop with the inputs ``minimize(method="SLSQP")``
-would give it, so the iterates are scipy's own,
-without its Python driver around each of the core's calls.  It runs all
-starts of a solve in lock-step, each with its own core state and work
-arrays: a round calls the core once per unfinished start, then answers every
-request for constraint values with one batched evaluation and every request
-for the Jacobian with one batched build.  Each fold is one
-``_convolve_rows`` call over the stacked rows: one ``np.matmul`` of the
-strided Toeplitz view ``_toeplitz``, adding each entry's products in
-column order, so its rows have a shift-add's bits and do not depend on
-each other, and a start takes the same iterates alone or in any batch.  The folds of ``grid_oracle`` run
-in blocks of ``_fold_rows`` rows, which budget the zero-padded operand the
-matmul reads.  At most ``BLOCK_ENTRIES`` work-array entries of SLSQP starts
-are in flight; longer lists of starts run in chunks, in order.  The solve
+would give it, so the iterates are scipy's own, without its Python driver
+around each of the core's calls.  ``_lockstep`` runs all starts of a chunk
+together, each with its own core state and work arrays: a round calls the
+core once per unfinished start, then answers every request for constraint
+values with one batched evaluation and every request for the Jacobian with
+one batched build.  At most ``BLOCK_ENTRIES`` work-array entries of SLSQP
+starts are in flight; longer batches run in chunks, in order.  The solve
 bounds each weight by w >= 0 and leaves t free.  It poses no bound w <= 1:
-the factor's row sum(w) = 1 with w >= 0 implies it, and the core turns every
-finite bound into one more inequality row of each QP step ((k + 1)m + 2 rows
-in diagonal mode, not (k + 2)m + 3).  Without it the points the core asks to
-evaluate can leave the simplex: its line-search trial points do, with sum(w)
-off by up to 3.7e3 at (k, m) = (100, 3), where their folds overflow float64.
-``_lockstep`` runs under one ``np.errstate`` that keeps the overflow silent,
-and reports each non-finite constraint value or Jacobian entry as the finite
-violation -``OVERFLOW_VIOLATION``, so the core backtracks.  On each Jacobian
-request it writes the block of factor j as the ``_toeplitz`` view of the
-fold of the other factors: the matrix that fold multiplies factor j by.
-The module imports numpy (never ``numpy.random`` or ``numpy.fft``) and the
-top-level ``scipy`` package only: ``_load_slsqp_core`` loads the core's extension
-straight from its file, since ``import scipy.optimize`` would add about
-0.37 s and 47 MB RSS to every float command for a module this one never
-calls.  ``minimize`` and ``linprog`` remain as lazy module names, read only
-by the benchmark tracer.
+the factor's row sum(w) = 1 with w >= 0 implies it, and the core would turn
+every finite bound into one more inequality row of each QP step.  Without
+that bound the points the core asks to evaluate can leave the simplex: its
+line-search trial points do, with sum(w) off by up to 3.7e3 at (k, m) =
+(100, 3), where their folds overflow float64.  ``_lockstep`` runs under one
+``np.errstate`` that keeps the overflow silent, and reports each non-finite
+constraint value or Jacobian entry as the finite violation
+-``OVERFLOW_VIOLATION``, so the core backtracks.  On each Jacobian request
+it writes the block of factor j as the ``_toeplitz`` view of the fold of
+the other factors: the matrix that fold multiplies factor j by.  The
+module imports numpy (never ``numpy.random`` or ``numpy.fft``) and the
+top-level ``scipy`` package only: ``_load_slsqp_core`` loads the core's
+extension straight from its file, since ``import scipy.optimize`` would add
+about 0.37 s and 47 MB RSS to every float command for a module this one
+never calls.  ``minimize`` and ``linprog`` remain as lazy module names, read
+only by the benchmark tracer.
 
 * ``general_constant`` — k free factors.  Starts: the zero-padded m = 1
   diagonal optimum (``_padded_m1``) for all k factors, and the asymmetric
@@ -53,8 +59,9 @@ The independent cross-checks are exact:
 * ``grid_oracle`` — exhaustive exact sweep over the simplex grid points
   with denominator n (``_simplex_blocks``, in lexicographic order).  It folds
   integer numerators (each factor a numerator over n, a k-fold one over n^k)
-  in numpy blocks of ``_fold_rows`` points, k - 1 ``_convolve_rows``
-  calls per block and no prefix shared, as int64 when n^k < 2^63 and as
+  in numpy blocks of ``_fold_rows`` points, each block one (rows, r, m + 1)
+  array and one ``_profiles`` call of k - 1 ``_convolve_rows`` steps, with
+  no prefix shared, as int64 when n^k < 2^63 and as
   Python ints (dtype object) otherwise, and builds Fractions only for the
   minimiser.  It folds one member of each class of points that share a
   peak: in general mode each multiset of factors (convolution commutes),
@@ -252,19 +259,17 @@ def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(V, b[..., :, None])[..., 0]
 
 
-def _conv_all(ws: Sequence[np.ndarray]) -> np.ndarray:
-    """The convolution of the factors ``ws`` (at least one), folded left to right.
+def _profiles(F: np.ndarray, k: int) -> np.ndarray:
+    """The profile of each point of F, a (..., r, m + 1) array of r factors per point.
 
-    Each factor is one row or a stack of rows with the same leading axes, and
-    every fold is a ``_convolve_rows`` call, so a row's fold has the same
-    bits alone or in any stack.
+    A point's profile is the k-fold convolution of its factors, each used
+    k // r times, for an r that divides k: 1 in diagonal mode, k in general
+    mode, k - 1 in ``_lockstep``'s leave-one-out folds.  The fold
+    runs left to right, factor 0 first, one ``_convolve_rows`` call per
+    step, so a point has the same profile bits alone or in any stack.
     """
-    return reduce(_convolve_rows, ws)
-
-
-def _peak(ws: Sequence[np.ndarray]) -> np.ndarray:
-    """The largest entry of the fold of ``ws``: one float64 per stacked row (a scalar for 1-d rows)."""
-    return _conv_all(ws).max(axis=-1)
+    r = F.shape[-2]
+    return reduce(_convolve_rows, [F[..., j, :] for j in range(r)] * (k // r))
 
 
 def _fold_rows(k: int, m: int) -> int:
@@ -290,11 +295,6 @@ def _simplex_grid(m: int, n: int) -> np.ndarray:
     return next(_simplex_blocks(m, n, math.comb(n + m, m)))
 
 
-def _clean_weights(w: np.ndarray) -> np.ndarray:
-    w = np.maximum(np.asarray(w, dtype=float), 0.0)
-    return w / w.sum()
-
-
 # ---------------------------------------------------------------------------
 # Epigraph solve and multistart driver shared by both modes
 # ---------------------------------------------------------------------------
@@ -308,7 +308,8 @@ def _check_km(k: int, m: int) -> None:
 
 def _padded_m1(k: int, m: int) -> np.ndarray:
     """The m = 1 diagonal optimum of ``diagonal_constant``, zero-padded to length m + 1."""
-    return np.array(diagonal_constant(k, 1).argument[0] + [0.0] * (m - 1))
+    p = float(_diagonal_m1(k)[1])
+    return np.array([1.0 - p, p] + [0.0] * (m - 1))
 
 
 #: SLSQP's accuracy (``minimize``'s ``ftol``) and iteration cap, per start.
@@ -364,51 +365,28 @@ def _epigraph_setup(k: int, r: int, m: int) -> _EpigraphSetup:
     return _EpigraphSetup(xl, xu, grad, C, state, buffer_size, index_size, entries)
 
 
-#: One start's solve: its cleaned factors, their peak, the SLSQP exit mode (0 on success) and nit.
-Solve = Tuple[List[np.ndarray], float, int, int]
-
-
-def _polish(starts: Sequence[Sequence[np.ndarray]], k: int) -> Tuple[List[Solve], int, int]:
+def _polish(S: np.ndarray, k: int):
     """SLSQP on the epigraph form from each start: min t s.t. (f_1*...*f_k)_i <= t, f_j in simplex.
 
-    Every start holds one factor (diagonal mode: it is used k times) or k
-    factors (general mode), all of one length m + 1; its x = (the r free
-    factors, t) starts from them, clipped to w >= 0, and their peak.  This is
-    scipy's own SLSQP driver loop, cut to this problem and run for the starts
-    in lock-step: each start keeps its own core state, x, d, C, multipliers,
-    buffer and int work array.  Each round calls the compiled core once per
-    unfinished start; the core updates that start's x in place and asks for
-    the constraint values (mode 1) or their Jacobian (mode -1) at x, or
-    exits.  Then one batched ``evaluate`` writes the values of every mode-1
-    start into its d, and one batched ``gradient`` the Jacobians of every
-    mode -1 start into its C.  The objective gradient, the r equality rows of
-    C and the t column of ones never change, so ``gradient`` writes only the
-    weight columns of the inequality rows: entry (i, (j, a)) is
-    -(k/r) c_j[i - a], where c_j is the fold of all factors but one copy of
-    factor j.  Column block j is the ``_toeplitz`` view of -(k/r) c_j, the
-    matrix that a fold of c_j with factor j multiplies by; one view of the
-    stacked -(k/r) c_j gives every block of every requesting start.  Every
-    fold is a ``_convolve_rows`` call, whose rows do not depend on each
-    other, so a start takes the same iterates alone or in any batch; and the core's
-    inputs are those of ``minimize(method="SLSQP")``, so the iterates, nit
-    and exit mode are bit-identical to it given the same fold.
+    The starts S are a (B, r, m + 1) float array: r = 1 factor per start in
+    diagonal mode (used k times), r = k in general mode.  Start b's x = (its
+    r factors, t) starts from S[b], clipped to w >= 0, and its peak.  The
+    starts run in ``_lockstep``, at most ``BLOCK_ENTRIES`` //
+    ``_EpigraphSetup.entries`` of them (at least one) at once: longer batches
+    run in chunks of that many, in order.  The core's inputs are those of
+    ``minimize(method="SLSQP")``, so the iterates, nit and exit mode are
+    bit-identical to it given the same fold.
 
-    At most ``BLOCK_ENTRIES`` // ``_EpigraphSetup.entries`` starts (at least
-    one) are in flight: longer lists run in chunks of that many, in order.
-
-    Returns each start's ``Solve`` in start order, the core calls and the
-    lock-step rounds, both summed over the chunks.
+    Returns, in start order, the final weights W (B, r, m + 1), clipped to
+    w >= 0 and each factor normalised to sum 1; their ``_profiles``
+    (B, km + 1); the SLSQP exit modes (0 on success) and nit, one int per
+    start; then the core calls and the lock-step rounds, summed over chunks.
     """
-    setup = _epigraph_setup(k, len(starts[0]), len(starts[0][0]) - 1)
+    setup = _epigraph_setup(k, S.shape[1], S.shape[2] - 1)
     chunk = max(1, BLOCK_ENTRIES // setup.entries)
-    solves, calls, rounds = [], 0, 0
-    for i in range(0, len(starts), chunk):
-        S = np.array([list(ws0) for ws0 in starts[i:i + chunk]], dtype=float)
-        part, part_calls, part_rounds = _lockstep(S, k, setup)
-        solves += part
-        calls += part_calls
-        rounds += part_rounds
-    return solves, calls, rounds
+    *arrays, calls, rounds = zip(*(_lockstep(S[i:i + chunk], k, setup)
+                                   for i in range(0, len(S), chunk)))
+    return (*map(np.concatenate, arrays), sum(calls), sum(rounds))
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
@@ -420,21 +398,46 @@ def _finite(a: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup) -> Tuple[List[Solve], int, int]:
+def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup):
     """``_polish`` on one chunk: the starts S, a (B, r, m + 1) array, in lock-step.
+
+    This is scipy's own SLSQP driver loop, cut to this problem: each start
+    keeps its own core state, x, d, C, multipliers, buffer and int work
+    array.  Each round calls the compiled core once per unfinished start; the
+    core updates that start's x in place and asks for the constraint values
+    (mode 1) or their Jacobian (mode -1) at x, or exits.  Then one batched
+    ``evaluate`` writes the values of every mode-1 start into its d, and one
+    batched ``gradient`` the Jacobians of every mode -1 start into its C; both
+    read the rows of x they answer as one (rows, r, m + 1) array W.  The
+    objective gradient, the r equality rows of C and the t column of ones
+    never change, so ``gradient`` writes only the weight columns of the
+    inequality rows: entry (i, (j, a)) is -(k/r) c_j[i - a], where c_j is the
+    fold of all factors but one copy of factor j.  Column block j is the
+    ``_toeplitz`` view of -(k/r) c_j, the matrix that a fold of c_j with
+    factor j multiplies by.  One ``_profiles`` call folds every c_j of every
+    requesting start from one index of W, a gather of the k - 1 other
+    factors in general mode or a view of the one factor in diagonal mode,
+    and one view of the stacked -(k/r) c_j gives every block.  A row's fold
+    does not depend on the rows beside it, so a start takes the same
+    iterates alone or in any batch.
 
     A point the core asks about can lie far off the simplex, and at large k its
     folds overflow (inf, or NaN from inf * 0).  Such a fold warns nothing: the
     call runs under one ``np.errstate``, and each non-finite constraint value or
     Jacobian entry is reported as -``OVERFLOW_VIOLATION``, a finite, very large
     violation, so the core backtracks.  Finite entries keep their bits.
+
+    Returns ``_polish``'s four arrays for these starts, the core calls and
+    the lock-step rounds.
     """
     B, r, m1 = S.shape
-    copies, n_c = k // r, (k - 1) * (m1 - 1) + 1
+    # the factors left in the fold when one copy of factor j is dropped: the one
+    # factor itself in diagonal mode (``W[:, None]``, a view), else the k - 1 others
+    others = None if r == 1 else np.array([[i for i in range(r) if i != j] for j in range(r)])
     n_con, n = setup.C.shape
     X = np.empty((B, n))
     X[:, :-1] = np.maximum(S.reshape(B, -1), 0.0)
-    X[:, -1] = _peak(list(S.transpose(1, 0, 2)) * copies)
+    X[:, -1] = _profiles(S, k).max(axis=1)
     # Cs[b].T is start b's copy of C, in the Fortran order the core reads
     Cs = np.empty((B, n, n_con))
     Cs[:] = setup.C.T
@@ -445,25 +448,19 @@ def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup) -> Tuple[List[Solve]
     buffer = np.zeros((B, setup.buffer_size))
     fx = np.empty(B)        # each start's objective t at its last evaluation
 
-    def factors(x):
-        W = x[:, :-1].reshape(len(x), r, m1)
-        return W, [W[:, j] for j in range(r)] * copies
-
     def evaluate(rows):
         # equality rows first, as the core expects
         x = X[rows]
-        W, f = factors(x)
+        W = x[:, :-1].reshape(len(rows), r, m1)
         fx[rows] = x[:, -1]
         d = np.empty((len(rows), n_con))
         np.subtract(W.sum(axis=2), 1.0, out=d[:, :r])
-        np.subtract(x[:, -1:], _conv_all(f), out=d[:, r:])
+        np.subtract(x[:, -1:], _profiles(W, k), out=d[:, r:])
         D[rows] = _finite(d)
 
     def gradient(rows):
-        _, f = factors(X[rows])
-        loo = np.empty((len(rows), r, n_c))
-        for j in range(r):
-            np.multiply(_conv_all(f[:j] + f[j + 1:]), -copies, out=loo[:, j])
+        W = X[rows, :-1].reshape(len(rows), r, m1)
+        loo = np.multiply(_profiles(W[:, others], k - 1), -k / r)
         blocks[rows, :, :, r:] = _toeplitz(_finite(loo), m1).swapaxes(2, 3)
 
     live = list(range(B))
@@ -494,50 +491,47 @@ def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup) -> Tuple[List[Solve]
 
     W = np.maximum(X[:, :-1].reshape(B, r, m1), 0.0)
     W /= W.sum(axis=2, keepdims=True)
-    peaks = _peak(list(W.transpose(1, 0, 2)) * copies).tolist()
-    solves = [(list(W[b]), peaks[b], int(states[b]["mode"]), int(states[b]["iter"]))
-              for b in range(B)]
-    return solves, calls, rounds
+    modes = np.array([state["mode"] for state in states])
+    nits = np.array([state["iter"] for state in states])
+    return W, _profiles(W, k), modes, nits, calls, rounds
 
 
-def _multistart(k: int, m: int, cfg: SolverConfig, starts: Sequence[Sequence[np.ndarray]],
+def _multistart(k: int, m: int, cfg: SolverConfig, fixed: Sequence[Sequence[np.ndarray]],
                 diagonal: bool) -> MinimaxResult:
-    """Run ``_polish`` from all starts at once; the first best start wins ties.
+    """Run ``_polish`` from all starts at once; the first least peak wins.
 
-    ``starts`` is padded to ``cfg.multistarts`` with seeded random starts of
-    the same shape.  Each factor of a padding start is m + 1 draws of
-    ``random.Random(cfg.seed).expovariate(1.0)``, start by start and factor by
-    factor, normalised: uniform on the simplex (Dirichlet(1)).  The stdlib
-    generator keeps ``numpy.random``, and the OpenSSL bindings it imports,
-    out of every float command.  The result counts the starts per SLSQP exit
-    mode, the core calls and the lock-step rounds.
+    The starts are one (B, r, m + 1) array: the solver's ``fixed`` starts,
+    then seeded random starts up to ``cfg.multistarts`` starts in all.  The
+    random starts' factors are m + 1 draws each of
+    ``random.Random(cfg.seed).expovariate(1.0)``, start by start and factor
+    by factor, each divided by its sum in one division: uniform on the
+    simplex (Dirichlet(1)).  The stdlib generator keeps ``numpy.random``, and
+    the OpenSSL bindings it imports, out of every float command.
+
+    The winner is the first start whose peak, the largest entry of its
+    profile, is least; a NaN peak never wins (``np.nanargmin``).  Its
+    weights, peak and profile are the ones ``_polish`` returns, so no point
+    is folded again.  The result counts the starts per SLSQP exit mode, the
+    core calls and the lock-step rounds.
     """
-    starts = list(starts)
     rng = random.Random(cfg.seed)
-    while len(starts) < cfg.multistarts:
-        starts.append([_clean_weights([rng.expovariate(1.0) for _ in range(m + 1)])
-                       for _ in range(len(starts[0]))])
-    solves, calls, rounds = _polish(starts, k)
-    best_ws, best_v, best_mode, total_nit = None, math.inf, None, 0
-    status: Counter = Counter()
-    for ws, v, mode, nit in solves:
-        total_nit += nit
-        status[mode] += 1
-        if v < best_v:
-            best_ws, best_v, best_mode = ws, v, mode
-
-    profile = _conv_all(best_ws * (k // len(best_ws)))
+    shape = (max(0, cfg.multistarts - len(fixed)), len(fixed[0]), m + 1)
+    draws = np.array([rng.expovariate(1.0) for _ in range(math.prod(shape))]).reshape(shape)
+    S = np.concatenate([np.array(fixed, dtype=float), draws / draws.sum(axis=2, keepdims=True)])
+    W, profiles, modes, nits, calls, rounds = _polish(S, k)
+    peaks = profiles.max(axis=1)
+    best = int(np.nanargmin(peaks))
     return MinimaxResult(
-        value=best_v,
-        argument=[list(map(float, w)) for w in best_ws],
-        shared_modes=_shared_modes(profile),
+        value=float(peaks[best]),
+        argument=W[best].tolist(),
+        shared_modes=_shared_modes(profiles[best]),
         method="slsqp",
-        iterations=total_nit,
-        converged=best_mode == 0,
+        iterations=int(nits.sum()),
+        converged=int(modes[best]) == 0,
         diagonal=diagonal,
         k=k,
         m=m,
-        slsqp_status=dict(sorted(status.items())),
+        slsqp_status=dict(sorted(Counter(modes.tolist()).items())),
         slsqp_calls=calls,
         slsqp_rounds=rounds,
     )
@@ -681,13 +675,16 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleRes
 
     The points are folded in blocks of ``_fold_rows(k, m)`` rows (at most
     ``FOLD_ENTRIES`` entries of the widest padded fold operand), each block
-    with k - 1 ``_convolve_rows`` calls and no prefix shared between
-    tuples; the first least peak of a block replaces the best so far only
-    when strictly smaller.  Diagonal mode never holds the whole grid: it is
-    generated in blocks of that many rows, and each is folded as soon as the
-    reversal test has filtered it (a block the test empties is skipped).  Every fold entry is at most n^k, so the numerators
-    are int64 when n^k < 2^63 and Python ints (dtype object) otherwise,
-    through the same code.
+    a (rows, r, m + 1) array (``w[:, None]`` in diagonal mode, one gather
+    ``comps[idx]`` of the tuples' factors in general mode), folded by one
+    ``_profiles`` call of k - 1 ``_convolve_rows`` steps with no prefix
+    shared between tuples; the first least peak of a block replaces the best
+    so far only when strictly smaller.  Diagonal mode never holds the whole
+    grid: it is generated in blocks of that many rows, and each is folded as
+    soon as the reversal test has filtered it (a block the test empties is
+    skipped).  Every fold entry is at most n^k, so the numerators are int64
+    when n^k < 2^63 and Python ints (dtype object) otherwise, through the
+    same code.
     """
     if k < 2 or m < 1 or n < 1:
         raise ValueError(f"need k >= 2, m >= 1, n >= 1; got k={k}, m={m}, n={n}")
@@ -701,19 +698,19 @@ def grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOracleRes
     if diagonal:
         kept = (w[_not_above_reversal(w)].astype(dtype, copy=False)
                 for w in _simplex_blocks(m, n, rows))
-        blocks = ([w] for w in kept if len(w))
+        blocks = (w[:, None] for w in kept if len(w))
     else:
         comps = _simplex_grid(m, n).astype(dtype)
         tuples = itertools.combinations_with_replacement(range(per), k)
-        blocks = ([comps[col] for col in idx.T] for idx in _tuple_blocks(tuples, work, k, rows))
-    best, best_ws, folded = None, None, 0
-    for ws in blocks:
-        peaks = reduce(_convolve_rows, ws * (k // len(ws))).max(axis=1)
+        blocks = (comps[idx] for idx in _tuple_blocks(tuples, work, k, rows))
+    best, best_point, folded = None, None, 0
+    for F in blocks:
+        peaks = _profiles(F, k).max(axis=1)
         i = int(np.argmin(peaks))
         if best is None or peaks[i] < best:
-            best, best_ws = peaks[i], [w[i].tolist() for w in ws]
-        folded += len(ws[0])
-    argmin = tuple(tuple(Fraction(c, n) for c in w) for w in best_ws)
+            best, best_point = peaks[i], F[i].tolist()
+        folded += len(F)
+    argmin = tuple(tuple(Fraction(c, n) for c in w) for w in best_point)
     return GridOracleResult(k, m, n, diagonal, Fraction(int(best), n**k), argmin,
                             per if diagonal else per**k, folded)
 

@@ -105,7 +105,7 @@ def brute_grid_oracle(k: int, m: int, n: int, diagonal: bool = False) -> GridOra
     return GridOracleResult(k, m, n, diagonal, best, best_combo, len(combos))
 
 
-def brute_coarse_grid_seeds(k: int, m: int):
+def brute_coarse_diagonal_grid(k: int, m: int):
     """The best points of the coarse diagonal grid of m, by their definition.
 
     n is the largest denominator whose simplex grid has at most 4000 points.

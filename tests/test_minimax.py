@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +21,9 @@ from convmax.errors import BudgetExceeded
 from convmax.gridfn import GridFn, convolve_many
 from convmax.minimax import (
     SolverConfig,
-    _conv_all,
     _convolve_rows,
     _polish,
-    _peak,
+    _profiles,
     _simplex_grid,
     diagonal_constant,
     general_constant,
@@ -31,7 +31,7 @@ from convmax.minimax import (
     intersection_restricted_solve,
 )
 
-from conftest import FAST, brute_coarse_grid_seeds, brute_convolve, brute_grid_oracle
+from conftest import FAST, brute_coarse_diagonal_grid, brute_convolve, brute_grid_oracle
 
 
 class TestConfig:
@@ -64,7 +64,8 @@ def _reference_jac(k: int, r: int, m: int):
 
     def jac(x):
         f = _factors(x, k, r)
-        blocks = [_conv_matrix(-copies * _conv_all(f[:j] + f[j + 1:]), m) for j in range(r)]
+        blocks = [_conv_matrix(-copies * reduce(_convolve_rows, f[:j] + f[j + 1:]), m)
+                  for j in range(r)]
         return np.column_stack(blocks + [np.ones(k * m + 1)])
 
     return jac
@@ -88,7 +89,7 @@ class TestEpigraphJacobian:
     @pytest.mark.parametrize("k,m,r", CASES)
     def test_matches_central_difference(self, k, m, r):
         def cons(x):
-            return x[-1] - _conv_all(_factors(x, k, r))
+            return x[-1] - reduce(_convolve_rows, _factors(x, k, r))
 
         rng = np.random.default_rng(7)
         x, h = np.concatenate([rng.exponential(size=r * (m + 1)), [0.7]]), 1e-6
@@ -117,11 +118,11 @@ def _minimize_epigraph(ws0, k):
         A_eq[j, j * (m + 1):(j + 1) * (m + 1)] = 1.0
     grad = np.zeros(n_w + 1)
     grad[-1] = 1.0
-    x0 = np.concatenate([*ws0, [_peak(list(ws0) * (k // r))]])
+    x0 = np.concatenate([*ws0, [_profiles(np.array(ws0), k).max()]])
     res = minimize(
         lambda x: x[-1], x0, method="SLSQP", jac=lambda x: grad,
         constraints=[
-            {"type": "ineq", "fun": lambda x: x[-1] - _conv_all(_factors(x, k, r)),
+            {"type": "ineq", "fun": lambda x: x[-1] - reduce(_convolve_rows, _factors(x, k, r)),
              "jac": _reference_jac(k, r, m)},
             {"type": "eq", "fun": lambda x: x[:-1].reshape(r, m + 1).sum(axis=1) - 1.0,
              "jac": lambda x: A_eq},
@@ -130,12 +131,26 @@ def _minimize_epigraph(ws0, k):
         options={"maxiter": minimax.SLSQP_MAXITER, "ftol": minimax.SLSQP_ACC},
     )
     assert res.success == (res.status == 0)
-    ws = [minimax._clean_weights(w) for w in res.x[:-1].reshape(r, m + 1)]
-    return ws, _peak(ws * (k // r)), res.status, res.nit
+    ws = [w / w.sum() for w in np.maximum(res.x[:-1].reshape(r, m + 1), 0.0)]
+    return ws, float(_profiles(np.array(ws), k).max()), res.status, res.nit
+
+
+def _polish_solves(starts, k):
+    """``_polish`` from a list of starts, its arrays read back as one (ws, peak, mode, nit) per start.
+
+    Also checks that the profiles are the fold of the weights ``_polish``
+    returns, and that the modes and nit are integer arrays.
+    """
+    W, profiles, modes, nits, calls, rounds = _polish(np.array(starts, dtype=float), k)
+    assert profiles.tobytes() == _profiles(W, k).tobytes()
+    assert modes.dtype.kind == nits.dtype.kind == "i"
+    peaks = profiles.max(axis=1).tolist()
+    solves = [(list(W[b]), peaks[b], *map(int, (modes[b], nits[b]))) for b in range(len(W))]
+    return solves, calls, rounds
 
 
 def _assert_same_solve(got, want):
-    """``_polish`` results ``got`` and ``want`` agree bit for bit, and the exit mode is an int."""
+    """Solves ``got`` and ``want`` agree bit for bit, and the exit mode is an int."""
     (ws, v, mode, nit), (ref_ws, ref_v, ref_mode, ref_nit) = got, want
     assert [w.tobytes() for w in ws] == [w.tobytes() for w in ref_ws]
     assert (v, mode, nit) == (ref_v, ref_mode, ref_nit)
@@ -155,7 +170,7 @@ class TestDirectSLSQP:
         first, last = np.eye(m + 1)[0], np.eye(m + 1)[-1]
         deltas = [[first] * r, [first, last] * (r // 2) + [first] * (r % 2)]
         rng = np.random.default_rng(100 * r + m)
-        seeded = [[minimax._clean_weights(rng.exponential(size=m + 1)) for _ in range(r)]
+        seeded = [[w / w.sum() for w in (rng.exponential(size=m + 1) for _ in range(r))]
                   for _ in range(3)]
         return [uniform] + deltas + seeded
 
@@ -165,13 +180,13 @@ class TestDirectSLSQP:
     def test_bit_identical_to_minimize(self, mode, k, m):
         r = 1 if mode == "diagonal" else k
         for ws0 in self.starts(r, m):
-            _assert_same_solve(_polish([ws0], k)[0][0], _minimize_epigraph(ws0, k))
+            _assert_same_solve(_polish_solves([ws0], k)[0][0], _minimize_epigraph(ws0, k))
 
     def test_polish_leaves_setup_c_unchanged(self, monkeypatch):
         setup = minimax._epigraph_setup(3, 1, 4)
         before = setup.C.copy()
         monkeypatch.setattr(minimax, "_epigraph_setup", lambda k, r, m: setup)
-        _polish([[np.full(5, 0.2)]], 3)
+        _polish(np.full((1, 1, 5), 0.2), 3)
         assert setup.C.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("k,r,m", [(2, 1, 4), (3, 3, 2)])
@@ -199,7 +214,7 @@ class TestLockstep:
     @staticmethod
     def alone(starts, k):
         """Each start's solve and core calls, from one ``_polish`` call per start."""
-        runs = [_polish([ws0], k) for ws0 in starts]
+        runs = [_polish_solves([ws0], k) for ws0 in starts]
         assert all(calls == rounds for _, calls, rounds in runs)
         return [solves[0] for solves, _, _ in runs], [calls for _, calls, _ in runs]
 
@@ -209,7 +224,7 @@ class TestLockstep:
     def test_batch_matches_alone(self, mode, k, m):
         r = 1 if mode == "diagonal" else k
         starts = TestDirectSLSQP.starts(r, m)
-        solves, calls, rounds = _polish(starts, k)
+        solves, calls, rounds = _polish_solves(starts, k)
         ref, ref_calls = self.alone(starts, k)
         assert len(solves) == len(starts)
         for got, want in zip(solves, ref):
@@ -222,7 +237,7 @@ class TestLockstep:
         # the cap is read into the core's state when the setup is built
         monkeypatch.setattr(minimax, "SLSQP_MAXITER", 7)
         starts = TestDirectSLSQP.starts(1, 4)
-        solves, _, _ = _polish(starts, 3)
+        solves, _, _ = _polish_solves(starts, 3)
         ref, _ = self.alone(starts, 3)
         for got, want in zip(solves, ref):
             _assert_same_solve(got, want)
@@ -233,7 +248,7 @@ class TestLockstep:
     def test_chunks_stay_within_block_entries(self, monkeypatch):
         k, r, m = 2, 2, 4
         starts = TestDirectSLSQP.starts(r, m)
-        want, want_calls, _ = _polish(starts, k)
+        want, want_calls, _ = _polish_solves(starts, k)
         entries = minimax._epigraph_setup(k, r, m).entries
         chunks = []
         core = minimax._slsqp_core
@@ -249,7 +264,7 @@ class TestLockstep:
         for cap, per_chunk in [(2 * entries + 1, 2), (entries - 1, 1)]:
             chunks.clear()
             monkeypatch.setattr(minimax, "BLOCK_ENTRIES", cap)
-            solves, calls, rounds = _polish(starts, k)
+            solves, calls, rounds = _polish_solves(starts, k)
             for got, ref in zip(solves, want):
                 _assert_same_solve(got, ref)
             assert len(solves) == len(starts) and calls == want_calls
@@ -281,7 +296,7 @@ class TestLockstep:
             return out
 
         monkeypatch.setattr(minimax, "_slsqp_core", checking)
-        _polish(starts, k)
+        _polish(np.array(starts), k)
         assert len(set(checked)) == len(starts) and len(checked) > 2 * len(starts)
 
     def test_non_finite_entries_become_one_violation(self):
@@ -331,11 +346,11 @@ import sys
 import convmax.minimax as minimax
 assert "scipy.optimize" not in sys.modules
 import scipy.optimize
-from test_minimax import TestDirectSLSQP, _assert_same_solve, _minimize_epigraph
+from test_minimax import TestDirectSLSQP, _assert_same_solve, _minimize_epigraph, _polish_solves
 assert scipy.optimize._slsqp_py.slsqp is minimax._slsqp_core
 for r in (1, 2):
     for ws0 in TestDirectSLSQP.starts(r, 3):
-        _assert_same_solve(minimax._polish([ws0], 2)[0][0], _minimize_epigraph(ws0, 2))
+        _assert_same_solve(_polish_solves([ws0], 2)[0][0], _minimize_epigraph(ws0, 2))
 print("ok")
 """
         assert _fresh(code).split() == ["ok"]
@@ -374,28 +389,42 @@ print("ok")
         assert "scipy.optimize._slsqplib" not in sys.modules
 
 
-def test_conv_all_matches_fold_from_one():
-    # starting the float fold at the first factor keeps every bit, one row or stacked
+def test_profiles_match_fold_from_one():
+    # one factor (r = 1) is folded k times, k factors (r = k) once each, left to
+    # right; starting the float fold at the first factor keeps every bit, one
+    # point or stacked
     rng = np.random.default_rng(1)
     for m, k in [(1, 2), (2, 5), (7, 3), (16, 2), (40, 4)]:
-        ws = [rng.exponential(size=(3, m + 1)) for _ in range(k)]
-        acc = np.array([1.0])
-        for w in ws:
-            acc = _convolve_rows(acc, w[1])
-        assert np.array_equal(_conv_all([w[1] for w in ws]), acc)
-        assert np.array_equal(_conv_all(ws)[1], acc)
+        for r in (1, k):
+            F = rng.exponential(size=(3, r, m + 1))
+            acc = np.array([1.0])
+            for j in list(range(r)) * (k // r):
+                acc = _convolve_rows(acc, F[1, j])
+            assert np.array_equal(_profiles(F[1], k), acc)
+            assert np.array_equal(_profiles(F, k)[1], acc)
+
+
+def _stub_polish(peaks, modes=None, seen=None):
+    """A ``_polish`` stand-in: every start ends where it began, with a one-entry
+    profile per start from ``peaks(B)``, the exit modes ``modes(B)`` (all 0 by
+    default) and one iteration each.  Appends each batch of starts to ``seen``."""
+    def polish(S, k):
+        if seen is not None:
+            seen.append(S)
+        B = len(S)
+        mode = np.zeros(B, dtype=int) if modes is None else modes(B)
+        return S, np.asarray(peaks(B), dtype=float)[:, None], mode, np.ones(B, dtype=int), B, 1
+
+    return polish
 
 
 @pytest.mark.parametrize("solve", [general_constant, diagonal_constant])
 def test_first_of_tied_starts_wins(monkeypatch, solve):
-    seen = []
-
-    def tied(starts, k):
-        seen.extend([list(w) for w in ws0] for ws0 in starts)
-        return [(list(ws0), 0.5, 0, 1) for ws0 in starts], len(starts), 1
-
-    monkeypatch.setattr(minimax, "_polish", tied)
+    batches = []
+    monkeypatch.setattr(minimax, "_polish", _stub_polish(lambda B: [0.5] * B, seen=batches))
     res = solve(2, 3, FAST)
+    (S,) = batches
+    seen = S.tolist()
     assert len(seen) == FAST.multistarts
     assert len({json.dumps(ws) for ws in seen}) > 1
     assert res.argument == seen[0]
@@ -405,17 +434,27 @@ def test_first_of_tied_starts_wins(monkeypatch, solve):
 @pytest.mark.parametrize("solve", [general_constant, diagonal_constant])
 def test_failing_best_start_is_not_converged(monkeypatch, solve):
     # the second start is the best one, and it exits with SLSQP mode 8
-    seen = []
+    def second(B, best, rest):
+        return [best if i == 1 else rest for i in range(B)]
 
-    def second_fails(starts, k):
-        seen.extend(starts)
-        return [(list(ws0), *((0.25, 8) if i == 1 else (0.5, 0)), 1)
-                for i, ws0 in enumerate(starts)], len(starts), 1
-
-    monkeypatch.setattr(minimax, "_polish", second_fails)
+    monkeypatch.setattr(minimax, "_polish", _stub_polish(lambda B: second(B, 0.25, 0.5),
+                                                         lambda B: np.array(second(B, 8, 0))))
     res = solve(2, 3, FAST)
     assert res.value == 0.25 and res.converged is False
     assert res.slsqp_status == {0: FAST.multistarts - 1, 8: 1}
+    assert all(type(mode) is int for mode in res.slsqp_status)
+
+
+@pytest.mark.parametrize("solve", [general_constant, diagonal_constant])
+def test_nan_peak_never_wins(monkeypatch, solve):
+    # start 0's profile is NaN, where plain np.argmin would stop; the first
+    # least of the other peaks wins
+    batches = []
+    peaks = [math.nan, 0.5, 0.5, 0.25, 0.5, 0.25, 0.5, 0.5]
+    monkeypatch.setattr(minimax, "_polish", _stub_polish(lambda B: peaks, seen=batches))
+    res = solve(2, 3, FAST)
+    assert res.value == 0.25 and res.converged is True
+    assert res.argument == batches[0][3].tolist()
 
 
 @pytest.mark.parametrize("solve,fixed,factors", [(general_constant, 2, 3),
@@ -423,23 +462,21 @@ def test_failing_best_start_is_not_converged(monkeypatch, solve):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_padding_starts_are_stdlib_exponential_draws(monkeypatch, solve, fixed, factors, seed):
     # m + 1 draws of random.Random(seed).expovariate(1.0) per factor, start by
-    # start and factor by factor, each factor normalised to sum 1
-    seen = []
-
-    def record(starts, k):
-        seen.extend(starts)
-        return [(list(ws0), 0.5, 0, 1) for ws0 in starts], len(starts), 1
-
-    monkeypatch.setattr(minimax, "_polish", record)
-    m, cfg = 3, SolverConfig(multistarts=fixed + 4, seed=seed)
-    solve(3, m, cfg)
-    assert len(seen) == cfg.multistarts
-    rng = random.Random(seed)
-    for ws0 in seen[fixed:]:
-        assert len(ws0) == factors
-        for w in ws0:
-            draws = [rng.expovariate(1.0) for _ in range(m + 1)]
-            assert list(w) == pytest.approx([x / math.fsum(draws) for x in draws], rel=1e-14)
+    # start and factor by factor, each factor divided by its own sum: w / w.sum()
+    # to the byte.  m + 1 = 4, 8, 9 and 17 reach both sides of the n = 8 switch
+    # in numpy's pairwise summation
+    for m in (3, 7, 8, 16):
+        batches = []
+        monkeypatch.setattr(minimax, "_polish", _stub_polish(lambda B: [0.5] * B, seen=batches))
+        cfg = SolverConfig(multistarts=fixed + 4, seed=seed)
+        solve(3, m, cfg)
+        (S,) = batches
+        assert S.shape == (cfg.multistarts, factors, m + 1)
+        rng = random.Random(seed)
+        for ws0 in S[fixed:]:
+            for w in ws0:
+                draws = np.array([rng.expovariate(1.0) for _ in range(m + 1)])
+                assert w.tobytes() == (draws / draws.sum()).tobytes()
 
 
 class TestDiagonalM1:
@@ -501,10 +538,10 @@ class TestGeneralM2Plus:
         nits = []
         real = minimax._polish
 
-        def recording(starts, k):
-            solves, calls, rounds = real(starts, k)
-            nits.extend(nit for *_, nit in solves)
-            return solves, calls, rounds
+        def recording(S, k):
+            out = real(S, k)
+            nits.extend(out[3].tolist())
+            return out
 
         monkeypatch.setattr(minimax, "_polish", recording)
         res = general_constant(2, 3, FAST)
@@ -545,10 +582,10 @@ class TestDiagonalM2Plus:
         nits = []
         real = minimax._polish
 
-        def recording(starts, k):
-            solves, calls, rounds = real(starts, k)
-            nits.extend(nit for *_, nit in solves)
-            return solves, calls, rounds
+        def recording(S, k):
+            out = real(S, k)
+            nits.extend(out[3].tolist())
+            return out
 
         monkeypatch.setattr(minimax, "_polish", recording)
         res = diagonal_constant(2, 4, FAST)
@@ -590,11 +627,11 @@ class TestCoarseGridSeeds:
         (k, m) for k in (2, 3, 4, 10) for m in (2, 3, 4, 5, 7, 8, 16, 20) if k * m <= 80]
         + [(18, 5), (19, 2)])
     def test_matches_brute_force(self, k, m):
-        n, value, seeds = brute_coarse_grid_seeds(k, m)
+        n, value, minimisers = brute_coarse_diagonal_grid(k, m)
         res = grid_oracle(k, m, n, diagonal=True)
         assert res.points_evaluated == math.comb(n + m, m) <= 4000 < math.comb(n + 1 + m, m)
         assert res.grid_min == value
-        assert res.argmin == (tuple(Fraction(c, n) for c in seeds[0]),), (k, m)
+        assert res.argmin == (tuple(Fraction(c, n) for c in minimisers[0]),), (k, m)
 
 
 class TestGridOracle:
