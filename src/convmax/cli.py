@@ -1,12 +1,15 @@
 """Command-line interface, report serialization and run persistence.
 
-Exit codes: 0 success, 1 mathematical-invariant or bound violation detected
-in the outputs, 2 invalid input.  Reports carry a ``schema`` field and split
-deterministic content (``payload``) from timestamps (``meta``) so repeated
-runs with the same seed are byte-identical where it matters.  The solver
-commands (``solve``, ``continuous``, ``selftest``) import their modules, and
-with them numpy and scipy, when they run, so the exact commands start without
-the float stack.
+Exit codes: 0 success, 1 a bound or invariant violation in the outputs,
+2 invalid input.  Each ``_cmd_*`` handler returns its payload, its violation
+flag and its envelope fields, and ``run`` alone writes the report and turns the
+flag into exit 1: a violation is always a flag in a written report.  Only a
+broken internal invariant (``UnimodalityViolation``) exits 1 without a report.
+Reports carry a ``schema`` field and split deterministic content
+(``payload``) from timestamps (``meta``) so repeated runs with the same seed
+are byte-identical where it matters.  The solver commands (``solve``,
+``continuous``, ``selftest``) import their modules, and with them numpy and
+scipy, when they run, so the exact commands start without the float stack.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .constants import (
     optimal_constant_d,
     verify_sharpness,
 )
-from .errors import BoundValidityError, ConvmaxError, UnimodalityViolation
+from .errors import ConvmaxError, UnimodalityViolation
 from .gridfn import GridFn, ratio
 from . import pb
 from .sidon import CubeSet, enumerate_verify, max_size_g_sidon, verify_bound
@@ -113,7 +116,7 @@ def _emit(report: dict, fmt: str, out: str | None, render=None) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_constant(args, argv) -> int:
+def _cmd_constant(args):
     if args.format == "plotdata" and not args.profile:
         raise ValueError("--format plotdata needs --profile")
     payload = {
@@ -148,12 +151,10 @@ def _cmd_constant(args, argv) -> int:
             "passed": cert.passed,
         }
         violation |= not cert.passed
-    _emit(_wrap(argv, payload), args.format, args.out,
-          lambda: payload["plotdata"])
-    return EXIT_VIOLATION if violation else EXIT_OK
+    return payload, violation, {"render": lambda: payload["plotdata"]}
 
 
-def _cmd_solve(args, argv) -> int:
+def _cmd_solve(args):
     from .minimax import SolverConfig, diagonal_constant, general_constant, grid_oracle
 
     cfg = SolverConfig(multistarts=args.multistarts, seed=args.seed)
@@ -182,9 +183,7 @@ def _cmd_solve(args, argv) -> int:
     if oracle is not None:
         payload["grid_oracle"] = oracle.to_dict()
         violation |= res.value > float(oracle.grid_min) + 1e-9
-    _emit(_wrap(argv, payload, config=asdict(cfg), seed=args.seed, meta=meta),
-          args.format, args.out)
-    return EXIT_VIOLATION if violation else EXIT_OK
+    return payload, violation, {"config": asdict(cfg), "seed": args.seed, "meta": meta}
 
 
 def _parse_probs(text: str):
@@ -201,7 +200,7 @@ def _parse_probs(text: str):
     return [float(t) for t in toks]
 
 
-def _cmd_pb(args, argv) -> int:
+def _cmd_pb(args):
     p = _parse_probs(args.p)
     dist = pb.pb_pmf(p)
     exact = dist.is_exact
@@ -231,37 +230,32 @@ def _cmd_pb(args, argv) -> int:
     except pb.BoundaryParameter:
         residuals = {}
     payload["lagrange_residuals"] = {str(i): num(r) for i, r in residuals.items()}
-    _emit(_wrap(argv, payload), args.format, args.out)
-    return EXIT_VIOLATION if violation else EXIT_OK
+    return payload, violation, {}
 
 
-def _cmd_sidon(args, argv) -> int:
-    violation = False
-    meta = None
+def _cmd_sidon_verify(args):
     t0 = time.perf_counter()
-    if args.action == "verify":
-        summary = enumerate_verify(args.d, args.k, args.samples, args.seed)
-        meta = {"sweep_s": time.perf_counter() - t0, "orbits": summary.orbits,
-                "peaks": summary.peaks}
-        payload = summary.to_dict()
-        violation = summary.failures > 0
-    elif args.action == "classify":
-        with open(args.set) as fh:
-            A = CubeSet.parse(fh.read())
-        rep = verify_bound(A, args.k)
-        payload = rep.to_dict()
-        violation = not rep.passed
-    else:  # search
-        res = max_size_g_sidon(args.d, args.k, args.g, args.samples, args.seed)
-        meta = {"search_s": time.perf_counter() - t0, "nodes": res.nodes}
-        payload = res.to_dict()
-        violation = res.best_size > res.size_cap
-    _emit(_wrap(argv, payload, seed=getattr(args, "seed", None), meta=meta),
-          args.format, args.out)
-    return EXIT_VIOLATION if violation else EXIT_OK
+    summary = enumerate_verify(args.d, args.k, args.samples, args.seed)
+    meta = {"sweep_s": time.perf_counter() - t0, "orbits": summary.orbits,
+            "peaks": summary.peaks}
+    return summary.to_dict(), summary.failures > 0, {"seed": args.seed, "meta": meta}
 
 
-def _cmd_continuous(args, argv) -> int:
+def _cmd_sidon_classify(args):
+    with open(args.set) as fh:
+        A = CubeSet.parse(fh.read())
+    rep = verify_bound(A, args.k)
+    return rep.to_dict(), not rep.passed, {}
+
+
+def _cmd_sidon_search(args):
+    t0 = time.perf_counter()
+    res = max_size_g_sidon(args.d, args.k, args.g, args.samples, args.seed)
+    meta = {"search_s": time.perf_counter() - t0, "nodes": res.nodes}
+    return res.to_dict(), res.best_size > res.size_cap, {"seed": args.seed, "meta": meta}
+
+
+def _cmd_continuous(args):
     if args.export_steps is not None and not 1 <= args.export_steps <= args.m_max:
         raise ValueError(f"--export-steps must be in 1..{args.m_max} (--m-max), "
                          f"got {args.export_steps}")
@@ -270,28 +264,24 @@ def _cmd_continuous(args, argv) -> int:
 
     cfg = SolverConfig(multistarts=args.multistarts, seed=args.seed)
     t0 = time.perf_counter()
-    try:
-        table = upper_bound_sequence(args.k, args.m_max, cfg)
-    except BoundValidityError as e:
-        print(f"bound validity violation: {e}", file=sys.stderr)
-        return EXIT_VIOLATION
+    table = upper_bound_sequence(args.k, args.m_max, cfg)
     meta = {"table_s": time.perf_counter() - t0,
             **_solver_meta([row.result for row in table.rows])}
     payload = table.to_dict()
     if args.export_steps is not None:
         row = table.rows[args.export_steps - 1]
         payload["step_function"] = step_function_export(row.result.argument[0], args.k).to_dict()
-    _emit(_wrap(argv, payload, config=asdict(cfg), seed=args.seed, meta=meta),
-          args.format, args.out, table.to_csv)
-    return EXIT_OK
+    # a bound below the literature floor (k = 2) is wrong, and the report shows both
+    violation = table.known_lower is not None and table.best_bound < table.known_lower
+    return payload, violation, {"config": asdict(cfg), "seed": args.seed, "meta": meta,
+                                "render": table.to_csv}
 
 
-def _cmd_selftest(args, argv) -> int:
+def _cmd_selftest(args):
     from .selftest import run_selftest
 
     payload = run_selftest(args.seed)
-    _emit(_wrap(argv, payload, seed=args.seed), args.format, args.out)
-    return EXIT_OK if payload["passed"] else EXIT_VIOLATION
+    return payload, not payload["passed"], {"seed": args.seed}
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +333,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--samples", type=int, default=1000)
     pv.add_argument("--seed", type=int, default=0)
     common(pv)
-    pv.set_defaults(func=_cmd_sidon)
+    pv.set_defaults(func=_cmd_sidon_verify)
     pc = s2.add_parser("classify")
     pc.add_argument("--set", required=True, help="set file, one 0/1 point per line")
     pc.add_argument("--k", type=int, required=True)
     common(pc)
-    pc.set_defaults(func=_cmd_sidon)
+    pc.set_defaults(func=_cmd_sidon_classify)
     ps = s2.add_parser("search")
     ps.add_argument("--d", type=int, required=True)
     ps.add_argument("--k", type=int, required=True)
@@ -358,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "exhaustive means the walk finished within it")
     ps.add_argument("--seed", type=int, default=0)
     common(ps)
-    ps.set_defaults(func=_cmd_sidon)
+    ps.set_defaults(func=_cmd_sidon_search)
 
     p = sub.add_parser("continuous", help="upper bounds for the continuous constant")
     p.add_argument("--k", type=int, required=True)
@@ -388,14 +378,17 @@ def run(argv) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:
-        return args.func(args, argv)
+        payload, violation, envelope = args.func(args)
+        render = envelope.pop("render", None)
+        _emit(_wrap(argv, payload, **envelope), args.format, args.out, render)
     except UnimodalityViolation as e:
-        # a broken invariant, not bad input
+        # a broken invariant, not bad input, and the one violation with no report
         print(f"unimodality violation: {e}", file=sys.stderr)
         return EXIT_VIOLATION
     except (ConvmaxError, ValueError, TypeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_VIOLATION if violation else EXIT_OK
 
 
 def main() -> None:

@@ -42,7 +42,3 @@ class UnimodalityViolation(ConvmaxError, AssertionError):
 
 class BudgetExceeded(ConvmaxError, ValueError):
     """An exhaustive sweep or solver run would exceed its configured budget."""
-
-
-class BoundValidityError(ConvmaxError, ValueError):
-    """A computed upper bound violated a known rigorous lower bound."""

@@ -1,6 +1,8 @@
 """Shared brute-force oracles, deliberately independent of the library paths,
-and the small solver config the float-solver tests share."""
+the small solver config the float-solver tests share, and a stub table row
+below the k = 2 continuous floor."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -9,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import convmax.continuous
 from convmax.constants import optimal_constant_d
 from convmax.gridfn import GridFn, _codes
 from convmax.minimax import GridOracleResult, SolverConfig
@@ -269,3 +272,17 @@ def random_exact_gridfn(rng: random.Random, d: int, m: int = 1,
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def undercut_m2(monkeypatch):
+    """``continuous`` rows whose m = 2 row, 2 * 3 * 0.1, undercuts the known k = 2
+    lower bound 1.28."""
+    solve = convmax.continuous.diagonal_constant
+
+    def undercut(k, m, cfg):
+        res = solve(k, 1, cfg)
+        return res if m == 1 else dataclasses.replace(res, m=m, value=0.1,
+                                                      argument=[[1 / 3] * 3])
+
+    monkeypatch.setattr(convmax.continuous, "diagonal_constant", undercut)

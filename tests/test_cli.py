@@ -17,7 +17,7 @@ import convmax.minimax
 from convmax import cli, gridfn, pb, sidon
 from convmax.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, export_report, run
 from convmax.errors import UnimodalityViolation
-from convmax.minimax import SolverConfig
+from convmax.minimax import MinimaxResult, SolverConfig
 
 from conftest import ODD_K_COUNTEREXAMPLE
 
@@ -76,6 +76,16 @@ class TestConstant:
     def test_bad_k(self, capsys):
         assert run(["constant", "--k", "0"]) == EXIT_USAGE
 
+    def test_failed_sharpness_is_a_violation(self, capsys, monkeypatch):
+        # the report is written and shows the failed certificate
+        sharpness = cli.verify_sharpness
+        monkeypatch.setattr(cli, "verify_sharpness",
+                            lambda k, d: dataclasses.replace(sharpness(k, d), passed=False))
+        code, rep = run_json(capsys, "constant", "--k", "2", "--sharpness")
+        assert code == EXIT_VIOLATION
+        assert rep["payload"]["sharpness"]["passed"] is False
+        assert rep["payload"]["constant"]["exact"] == "4/9"
+
     def test_missing_args(self, capsys, tmp_path):
         assert run(["constant"]) == EXIT_USAGE
         # removed options are rejected, not silently accepted
@@ -107,6 +117,21 @@ class TestSolve:
                              "--k", "2", "--m", "2")
         assert code == EXIT_OK
         assert rep["payload"]["grid_oracle"]["grid_min"] == "1/4"
+
+    def test_value_above_grid_oracle_is_a_violation(self, capsys, monkeypatch):
+        # the uniform factors are a consistent point, peak 1/3, above the oracle's 1/4
+        def uniform(k, m, cfg):
+            return MinimaxResult(value=1 / 3, argument=[[1 / 3] * 3] * 2, shared_modes=[],
+                                 method="stub", iterations=0, converged=True,
+                                 diagonal=False, k=k, m=m)
+
+        monkeypatch.setattr(convmax.minimax, "general_constant", uniform)
+        code, rep = run_json(capsys, "solve", "--k", "2", "--m", "2", "--mode", "general",
+                             "--grid", "12")
+        assert code == EXIT_VIOLATION
+        assert rep["payload"]["grid_oracle"]["grid_min"] == "1/4"
+        assert rep["payload"]["recomputed_value"] == pytest.approx(1 / 3, abs=1e-12)
+        assert rep["payload"]["result"]["value"] == 1 / 3
 
     def test_general_fixed_starts_reach_grid_oracle(self, capsys):
         # both fixed starts used to keep the factors equal, stopping at Cbar_{2,2} = 64/225
@@ -497,21 +522,19 @@ class TestContinuous:
         assert code == EXIT_OK
         assert rep["payload"]["rows"][0]["upper_bound"] == "16/9"
 
-    def test_bound_below_known_lower_is_a_violation(self, capsys, monkeypatch):
-        # an m = 2 row of 2 * 3 * 0.1 undercuts the known k = 2 lower bound 1.28
-        solve = convmax.continuous.diagonal_constant
-
-        def undercut(k, m, cfg):
-            res = solve(k, 1, cfg)
-            return res if m == 1 else dataclasses.replace(res, m=m, value=0.1,
-                                                          argument=[[1 / 3] * 3])
-
-        monkeypatch.setattr(convmax.continuous, "diagonal_constant", undercut)
-        assert run(["continuous", "--k", "2", "--m-max", "2"]) == EXIT_VIOLATION
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "bound validity violation: computed bound 0.6" in captured.err
-        assert "at m=2 undercuts the known lower bound 1.28" in captured.err
+    def test_bound_below_known_lower_is_a_violation(self, capsys, tmp_path, undercut_m2):
+        # the report is written, to stdout and to --out, and shows why the run exits 1
+        argv = ["continuous", "--k", "2", "--m-max", "2"]
+        code, rep = run_json(capsys, *argv)
+        out = tmp_path / "rep.json"
+        assert run(argv + ["--out", str(out)]) == code == EXIT_VIOLATION
+        assert capsys.readouterr() == ("", "")
+        for payload in (rep["payload"], json.loads(out.read_text())["payload"]):
+            assert payload["best_bound"] == pytest.approx(0.6)
+            assert payload["known_lower"] == 1.28
+            row = payload["rows"][1]
+            assert (row["m"], row["cbar"]) == (2, 0.1)
+            assert row["upper_bound"] == pytest.approx(0.6)
 
     def test_csv_format(self, capsys):
         code = run(["continuous", "--k", "2", "--m-max", "2", "--format", "csv",

@@ -87,6 +87,14 @@ class TestUpperBoundSequence:
             assert row.result == res and row.result.slsqp_calls == res.slsqp_calls
             assert (row.cbar, row.upper_bound) == (res.value, k * (m + 1) * res.value)
 
+    def test_bound_below_known_lower_is_returned(self, undercut_m2):
+        # the table is returned as computed; the CLI flags the undercut
+        table = upper_bound_sequence(2, 2)
+        assert [r.m for r in table.rows] == [1, 2]
+        assert table.rows[1].upper_bound == pytest.approx(0.6)
+        assert table.best_bound == pytest.approx(0.6)
+        assert table.known_lower == KNOWN_LOWER_K2
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             upper_bound_sequence(1, 2)

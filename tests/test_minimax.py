@@ -613,11 +613,12 @@ class TestSimplexGrid:
         assert np.array_equal(np.concatenate(blocks), _simplex_grid(3, 4))
 
 
-class TestCoarseGridSeeds:
-    """The best points of the coarse diagonal grids, the grids with the largest
-    denominator n that have at most 4000 points: ``grid_oracle`` in diagonal
-    mode finds them exactly, in many ``_fold_rows`` blocks with the reversed
-    weights skipped."""
+class TestDiagonalOracleOnCoarseGrids:
+    """``grid_oracle`` in diagonal mode on the coarse grids, the grids with the
+    largest denominator n that have at most 4000 points, against the brute
+    force ``brute_coarse_diagonal_grid``: it finds their least value and first
+    minimiser exactly, in many ``_fold_rows`` blocks with the reversed weights
+    skipped."""
 
     # (18, 5) and (19, 2): many exact ties that float rounding in the brute
     # force's score can break either way, so its near-best window has to catch
