@@ -314,8 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["diagonal", "general"], default="diagonal")
     p.add_argument("--grid", type=int, default=None, help="also run the exact grid oracle")
     p.add_argument("--multistarts", type=int, default=64, metavar="N",
-                   help="SLSQP starts: the 2 built-in starts always run, then seeded "
-                        "random starts pad them to N")
+                   help="budget of SLSQP starts: the 2 built-in starts always run, then "
+                        "seeded random starts pad them to N; the solve may stop early "
+                        "(meta.starts counts the starts that ran)")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_solve)
@@ -354,9 +355,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m-max", dest="m_max", type=int, default=1)
     p.add_argument("--multistarts", type=int, default=16, metavar="N",
-                   help="SLSQP starts per row m >= 2, each row solved as by solve --mode "
-                        "diagonal: the 2 built-in starts always run, then seeded random "
-                        "starts pad them to N")
+                   help="budget of SLSQP starts per row m >= 2, each row solved as by "
+                        "solve --mode diagonal: the 2 built-in starts always run, then "
+                        "seeded random starts pad them to N; a row may stop early "
+                        "(meta.starts counts the starts that ran)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--export-steps", type=int, default=None,
                    help="also export the step function of table row m (1..--m-max)")

@@ -6,9 +6,13 @@ A batch of points is one (B, r, m + 1) float array from end to end: B
 points of r factors each, r = 1 in diagonal mode (the one factor used k
 times) and r = k in general mode.  ``_multistart`` builds the starts once,
 the solver's fixed starts and then seeded random starts (stdlib ``random``,
-uniform on each simplex), and ``_polish`` returns the final weights as one
-such array, with their profiles, exit modes and nit as arrays beside it;
-the first least peak wins.  Every float and integer fold is one
+uniform on each simplex), up to ``SolverConfig.multistarts``: a budget.
+``_polish`` runs them in waves of ``WAVE``, in start order, and stops after
+the first wave where at least ``SETTLED_SHARE`` of the starts run so far
+peak within a relative 1e-9 of their least peak.  It returns the final
+weights of the starts that ran as one such array, with their profiles,
+peaks, exit modes and nit as arrays beside it; the first least peak among
+them wins.  Every float and integer fold is one
 ``_profiles`` call: each factor folded k // r times, left to right, by
 ``_convolve_rows``, one ``np.matmul`` of the strided Toeplitz view
 ``_toeplitz`` that adds each entry's products in column order.  So a
@@ -25,7 +29,7 @@ together, each with its own core state and work arrays: a round calls the
 core once per unfinished start, then answers every request for constraint
 values with one batched evaluation and every request for the Jacobian with
 one batched build.  At most ``BLOCK_ENTRIES`` work-array entries of SLSQP
-starts are in flight; longer batches run in chunks, in order.  The solve
+starts are in flight; a longer wave runs in chunks, in order.  The solve
 bounds each weight by w >= 0 and leaves t free.  It poses no bound w <= 1:
 the factor's row sum(w) = 1 with w >= 0 implies it, and the core would turn
 every finite bound into one more inequality row of each QP step.  Without
@@ -79,7 +83,8 @@ objective at feasible points).  Whether C_{k,m} = Cbar_{k,m} for m > 1 is
 open; the two are reported side by side and never asserted equal.
 
 Everything is deterministic given the config seed: starts run in a fixed
-order and are reduced by minimum, the first start winning ties.
+order, in waves whose stop test reads whole waves only, and are reduced by
+minimum, the first start winning ties.
 """
 
 from __future__ import annotations
@@ -158,6 +163,14 @@ GRID_BUDGET = 2_000_000
 #: Most SLSQP work-array entries of the starts ``_polish`` runs at once.
 BLOCK_ENTRIES = 2**20
 
+#: ``_polish`` runs its starts in waves of ``WAVE`` and stops after the first
+#: wave where at least ``SETTLED_SHARE`` of the starts run so far peak within a
+#: relative 1e-9 of their least peak: the best basin has then been sampled
+#: often enough (Rinnooy Kan & Timmer, Math. Programming 39, 1987).  A share of
+#: 1/5 stopped k = 2 rows in a worse basin; the sweep is in ``CHANGES.md``.
+WAVE = 16
+SETTLED_SHARE = Fraction(1, 2)
+
 #: Most entries of the widest padded fold operand in one block of
 #: ``grid_oracle`` (``_fold_rows``): 256 KB of int64 or float64, so a block's
 #: folds stay in cache.  Larger blocks fold no faster and raise the peak RSS
@@ -187,7 +200,7 @@ class MinimaxResult:
     argument: List[List[float]]      # k weight vectors; one vector in diagonal mode
     shared_modes: List[int]
     method: str
-    iterations: int
+    iterations: int                  # SLSQP nit summed over the starts that ran
     converged: bool
     diagonal: bool
     k: int
@@ -366,26 +379,40 @@ def _epigraph_setup(k: int, r: int, m: int) -> _EpigraphSetup:
 
 
 def _polish(S: np.ndarray, k: int):
-    """SLSQP on the epigraph form from each start: min t s.t. (f_1*...*f_k)_i <= t, f_j in simplex.
+    """SLSQP on the epigraph form from the starts S, in waves, until the best peak is settled.
 
-    The starts S are a (B, r, m + 1) float array: r = 1 factor per start in
-    diagonal mode (used k times), r = k in general mode.  Start b's x = (its
-    r factors, t) starts from S[b], clipped to w >= 0, and its peak.  The
-    starts run in ``_lockstep``, at most ``BLOCK_ENTRIES`` //
-    ``_EpigraphSetup.entries`` of them (at least one) at once: longer batches
-    run in chunks of that many, in order.  The core's inputs are those of
-    ``minimize(method="SLSQP")``, so the iterates, nit and exit mode are
-    bit-identical to it given the same fold.
+    Each start solves min t s.t. (f_1*...*f_k)_i <= t, f_j in simplex.  The
+    starts S are a (B, r, m + 1) float array, a budget of B starts: r = 1
+    factor per start in diagonal mode (used k times), r = k in general mode.
+    Start b's x = (its r factors, t) starts from S[b], clipped to w >= 0, and
+    its peak.  The starts run in waves of ``WAVE``, in start order.  After
+    each wave, with n starts run and p* their least peak (NaN peaks
+    ignored), the run stops once at least ``SETTLED_SHARE`` * n of them peak
+    at most p* (1 + 1e-9); a wave of NaN peaks only never stops it.  Within
+    a wave the starts run in ``_lockstep``, at most ``BLOCK_ENTRIES`` //
+    ``_EpigraphSetup.entries`` of them (at least one) at once, in chunks in
+    order; the stop test reads whole waves only, so the chunk size never
+    moves the result.  A budget of at most ``WAVE`` starts runs them all.
+    The core's inputs are those of ``minimize(method="SLSQP")``, so the
+    iterates, nit and exit mode are bit-identical to it given the same fold.
 
-    Returns, in start order, the final weights W (B, r, m + 1), clipped to
-    w >= 0 and each factor normalised to sum 1; their ``_profiles``
-    (B, km + 1); the SLSQP exit modes (0 on success) and nit, one int per
-    start; then the core calls and the lock-step rounds, summed over chunks.
+    Returns, in start order for the starts that ran, the final weights W
+    (n, r, m + 1), clipped to w >= 0 and each factor normalised to sum 1;
+    their ``_profiles`` (n, km + 1) and peaks, each profile's largest entry;
+    the SLSQP exit modes (0 on success) and nit, one int per start; then the
+    core calls and the lock-step rounds, summed over chunks.
     """
     setup = _epigraph_setup(k, S.shape[1], S.shape[2] - 1)
     chunk = max(1, BLOCK_ENTRIES // setup.entries)
-    *arrays, calls, rounds = zip(*(_lockstep(S[i:i + chunk], k, setup)
-                                   for i in range(0, len(S), chunk)))
+    runs = []
+    for wave in (S[w:w + WAVE] for w in range(0, len(S), WAVE)):
+        runs += [_lockstep(wave[i:i + chunk], k, setup) for i in range(0, len(wave), chunk)]
+        peaks = np.concatenate([run[2] for run in runs])
+        found = peaks[~np.isnan(peaks)]     # np.nanmin warns when every peak is NaN
+        if found.size and (np.count_nonzero(found <= found.min() * (1 + 1e-9))
+                           >= SETTLED_SHARE * len(peaks)):
+            break
+    *arrays, calls, rounds = zip(*runs)
     return (*map(np.concatenate, arrays), sum(calls), sum(rounds))
 
 
@@ -427,7 +454,7 @@ def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup):
     Jacobian entry is reported as -``OVERFLOW_VIOLATION``, a finite, very large
     violation, so the core backtracks.  Finite entries keep their bits.
 
-    Returns ``_polish``'s four arrays for these starts, the core calls and
+    Returns ``_polish``'s five arrays for these starts, the core calls and
     the lock-step rounds.
     """
     B, r, m1 = S.shape
@@ -493,15 +520,19 @@ def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup):
     W /= W.sum(axis=2, keepdims=True)
     modes = np.array([state["mode"] for state in states])
     nits = np.array([state["iter"] for state in states])
-    return W, _profiles(W, k), modes, nits, calls, rounds
+    profiles = _profiles(W, k)
+    return W, profiles, profiles.max(axis=1), modes, nits, calls, rounds
 
 
 def _multistart(k: int, m: int, cfg: SolverConfig, fixed: Sequence[Sequence[np.ndarray]],
                 diagonal: bool) -> MinimaxResult:
-    """Run ``_polish`` from all starts at once; the first least peak wins.
+    """Run ``_polish`` on a budget of starts; the first least peak among those that ran wins.
 
     The starts are one (B, r, m + 1) array: the solver's ``fixed`` starts,
-    then seeded random starts up to ``cfg.multistarts`` starts in all.  The
+    then seeded random starts up to ``cfg.multistarts`` starts in all, a
+    budget that ``_polish`` may stop short of (``WAVE``).  The draws do not
+    depend on where it stops, so the starts that ran are the first ones of
+    any larger budget with the same seed.  The
     random starts' factors are m + 1 draws each of
     ``random.Random(cfg.seed).expovariate(1.0)``, start by start and factor
     by factor, each divided by its sum in one division: uniform on the
@@ -511,15 +542,15 @@ def _multistart(k: int, m: int, cfg: SolverConfig, fixed: Sequence[Sequence[np.n
     The winner is the first start whose peak, the largest entry of its
     profile, is least; a NaN peak never wins (``np.nanargmin``).  Its
     weights, peak and profile are the ones ``_polish`` returns, so no point
-    is folded again.  The result counts the starts per SLSQP exit mode, the
-    core calls and the lock-step rounds.
+    is folded again.  ``iterations`` sums nit over the starts that ran, and
+    the result counts those starts per SLSQP exit mode, the core calls and
+    the lock-step rounds.
     """
     rng = random.Random(cfg.seed)
     shape = (max(0, cfg.multistarts - len(fixed)), len(fixed[0]), m + 1)
     draws = np.array([rng.expovariate(1.0) for _ in range(math.prod(shape))]).reshape(shape)
     S = np.concatenate([np.array(fixed, dtype=float), draws / draws.sum(axis=2, keepdims=True)])
-    W, profiles, modes, nits, calls, rounds = _polish(S, k)
-    peaks = profiles.max(axis=1)
+    W, profiles, peaks, modes, nits, calls, rounds = _polish(S, k)
     best = int(np.nanargmin(peaks))
     return MinimaxResult(
         value=float(peaks[best]),

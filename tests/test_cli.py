@@ -210,7 +210,7 @@ class TestSolve:
         _, rep = run_json(capsys, "solve", "--k", "2", "--m", "3", "--multistarts", "5",
                           "--mode", mode)
         meta = rep["meta"]
-        assert meta["starts"] >= 5
+        assert meta["starts"] == 5
         assert sum(meta["slsqp_status"].values()) == meta["starts"]
         assert all(int(mode) >= 0 for mode in meta["slsqp_status"])
         # each round calls the core once per unfinished start
@@ -224,15 +224,31 @@ class TestSolve:
         assert (rep["meta"]["slsqp_calls"], rep["meta"]["slsqp_rounds"]) == (0, 0)
 
     def test_lockstep_leaves_payload_bytes(self, capsys, monkeypatch):
-        # starts run one at a time take the same iterates: only meta's rounds move
-        argv = ["solve", "--k", "3", "--m", "2", "--mode", "general", "--multistarts", "6"]
-        _, batched = run_json(capsys, *argv)
-        monkeypatch.setattr(convmax.minimax, "BLOCK_ENTRIES", 1)
-        _, alone = run_json(capsys, *argv)
-        assert json.dumps(alone["payload"]) == json.dumps(batched["payload"])
-        calls = batched["meta"]["slsqp_calls"]
-        assert alone["meta"]["slsqp_calls"] == alone["meta"]["slsqp_rounds"] == calls
-        assert batched["meta"]["slsqp_rounds"] < calls
+        # starts run one at a time take the same iterates: only meta's rounds move.  The
+        # second budget spans three waves (16 + 16 + 8), and no wave settles the best
+        # peak at this seed, so the stop test reads every wave: the chunk size moves none
+        cases = [(["solve", "--k", "3", "--m", "2", "--mode", "general", "--multistarts", "6"], 6),
+                 (["solve", "--k", "2", "--m", "8", "--mode", "diagonal", "--multistarts", "40",
+                   "--seed", "0"], 40)]
+        for argv, starts in cases:
+            _, batched = run_json(capsys, *argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(convmax.minimax, "BLOCK_ENTRIES", 1)
+                _, alone = run_json(capsys, *argv)
+            assert json.dumps(alone["payload"]) == json.dumps(batched["payload"])
+            calls = batched["meta"]["slsqp_calls"]
+            assert alone["meta"]["slsqp_calls"] == alone["meta"]["slsqp_rounds"] == calls
+            assert batched["meta"]["slsqp_rounds"] < calls
+            assert alone["meta"]["starts"] == batched["meta"]["starts"] == starts
+
+    def test_settled_run_stops_within_its_budget(self, capsys):
+        # (3, 6) re-finds its best peak in at least half of the first wave's starts,
+        # so the default budget of 64 stops after 16
+        _, rep = run_json(capsys, "solve", "--k", "3", "--m", "6", "--mode", "diagonal",
+                          "--seed", "0")
+        meta = rep["meta"]
+        assert rep["config"]["multistarts"] == 64
+        assert meta["starts"] == sum(meta["slsqp_status"].values()) == 16
 
     @pytest.mark.parametrize("mode,starts", [("diagonal", 2), ("general", 2)])
     def test_multistarts_pads_the_built_in_starts(self, capsys, mode, starts):

@@ -141,10 +141,11 @@ def _polish_solves(starts, k):
     Also checks that the profiles are the fold of the weights ``_polish``
     returns, and that the modes and nit are integer arrays.
     """
-    W, profiles, modes, nits, calls, rounds = _polish(np.array(starts, dtype=float), k)
+    W, profiles, peaks, modes, nits, calls, rounds = _polish(np.array(starts, dtype=float), k)
     assert profiles.tobytes() == _profiles(W, k).tobytes()
+    assert peaks.tobytes() == profiles.max(axis=1).tobytes()
     assert modes.dtype.kind == nits.dtype.kind == "i"
-    peaks = profiles.max(axis=1).tolist()
+    peaks = peaks.tolist()
     solves = [(list(W[b]), peaks[b], *map(int, (modes[b], nits[b]))) for b in range(len(W))]
     return solves, calls, rounds
 
@@ -413,7 +414,8 @@ def _stub_polish(peaks, modes=None, seen=None):
             seen.append(S)
         B = len(S)
         mode = np.zeros(B, dtype=int) if modes is None else modes(B)
-        return S, np.asarray(peaks(B), dtype=float)[:, None], mode, np.ones(B, dtype=int), B, 1
+        peak = np.asarray(peaks(B), dtype=float)
+        return S, peak[:, None], peak, mode, np.ones(B, dtype=int), B, 1
 
     return polish
 
@@ -479,6 +481,131 @@ def test_padding_starts_are_stdlib_exponential_draws(monkeypatch, solve, fixed, 
                 assert w.tobytes() == (draws / draws.sum()).tobytes()
 
 
+class TestWaves:
+    """``_polish`` runs starts in waves of 16 and stops once half of them share the best peak."""
+
+    @staticmethod
+    def polish(monkeypatch, peaks, chunk=None):
+        """``_polish`` of len(peaks) starts under a ``_lockstep`` stand-in: start b ends where it
+        began, with the one-entry profile [peaks[b]] and one core call.  Returns the
+        starts that ran, in order, and the start ids of each ``_lockstep`` call."""
+        calls = []
+
+        def lockstep(S, k, setup):
+            ids = S[:, 0, 0].astype(int)
+            calls.append(ids.tolist())
+            B = len(S)
+            peak = np.array(peaks, dtype=float)[ids]
+            return S, peak[:, None], peak, np.zeros(B, dtype=int), np.ones(B, dtype=int), B, 1
+
+        monkeypatch.setattr(minimax, "_lockstep", lockstep)
+        if chunk is not None:
+            entries = minimax._epigraph_setup(2, 1, 1).entries
+            monkeypatch.setattr(minimax, "BLOCK_ENTRIES", chunk * entries)
+        S = np.zeros((len(peaks), 1, 2))
+        S[:, 0, 0] = np.arange(len(peaks))
+        W, profiles, got, modes, nits, n_calls, rounds = _polish(S, 2)
+        ran = W[:, 0, 0].astype(int).tolist()
+        assert ran == list(range(len(ran)))
+        assert np.array_equal(got, np.array(peaks)[ran], equal_nan=True)
+        assert np.array_equal(profiles[:, 0], got, equal_nan=True)
+        assert len(modes) == nits.sum() == n_calls == len(ran) and rounds == len(calls)
+        return ran, calls
+
+    @staticmethod
+    def peaks(best_per_wave, budget=64, best=0.25):
+        """Peaks of ``budget`` starts: the first best_per_wave[w] starts of wave w peak at
+        ``best``, and every other start b at 0.5 + b / 1000, a peak of its own."""
+        out = [0.5 + b / 1000 for b in range(budget)]
+        for w, n in enumerate(best_per_wave):
+            out[16 * w:16 * w + n] = [best] * n
+        return out
+
+    @pytest.mark.parametrize("best_per_wave,starts,budget", [
+        ([8], 16, 64),              # 8 of 16 share the best peak: 8 >= 16/2
+        ([7, 9], 32, 64),           # 7 of 16 do not; 16 of 32 do
+        ([7, 7, 10], 48, 64),       # 14 of 32 do not; 24 of 48 do
+        ([7, 7, 7, 7], 64, 64),     # 28 of 64 never settle: the budget ends the run
+        ([0, 16], 32, 64),          # a wave without the best peak settles nothing
+        ([7, 7, 7, 7, 12], 80, 96),  # exactly half: 40 of 80
+    ])
+    def test_stops_after_the_first_settled_wave(self, monkeypatch, best_per_wave, starts, budget):
+        ran, calls = self.polish(monkeypatch, self.peaks(best_per_wave, budget))
+        assert len(ran) == starts
+        assert calls == [list(range(w, w + 16)) for w in range(0, starts, 16)]
+
+    def test_budget_ends_in_a_part_wave(self, monkeypatch):
+        ran, calls = self.polish(monkeypatch, self.peaks([7, 7, 5], budget=40))
+        assert len(ran) == 40 and [len(ids) for ids in calls] == [16, 16, 8]
+        ran, _ = self.polish(monkeypatch, self.peaks([7, 9], budget=40))
+        assert len(ran) == 32
+        # the stop test reads whole waves only: 8 best starts at the end of the
+        # first wave settle it, however the wave is chunked
+        peaks = self.peaks([0], budget=40)
+        peaks[8:16] = [0.25] * 8
+        for chunk in (1, 5, 16, 64):
+            ran, calls = self.polish(monkeypatch, peaks, chunk)
+            assert len(ran) == 16
+            assert all(len({b // 16 for b in ids}) == 1 and len(ids) <= chunk for ids in calls)
+
+    def test_a_better_peak_restarts_the_count(self, monkeypatch):
+        # wave 2 finds 0.125 once: one start of 32 shares it, the 15 at 0.25 count no more
+        peaks = self.peaks([7, 9])
+        peaks[20] = 0.125
+        ran, _ = self.polish(monkeypatch, peaks)
+        assert len(ran) == 64
+
+    def test_share_counts_peaks_within_the_relative_tolerance(self, monkeypatch):
+        near = self.peaks([1])
+        near[1:8] = [0.25 * (1 + 5e-10)] * 7
+        assert len(self.polish(monkeypatch, near)[0]) == 16
+        far = self.peaks([1])
+        far[1:8] = [0.25 * (1 + 2e-9)] * 7
+        assert len(self.polish(monkeypatch, far)[0]) == 64
+
+    def test_nan_wave_neither_stops_nor_warns(self, monkeypatch):
+        # np.nanmin of an all-NaN wave warns, and pytest turns that into an error;
+        # the NaN starts still count among the starts run
+        peaks = [math.nan] * 16 + self.peaks([0, 16])[16:32] + [math.nan] * 32
+        ran, _ = self.polish(monkeypatch, peaks)
+        assert len(ran) == 32
+        ran, _ = self.polish(monkeypatch, [math.nan] * 40)
+        assert len(ran) == 40
+
+    @pytest.mark.parametrize("solve,k,m", [(general_constant, 2, 3), (diagonal_constant, 3, 8)])
+    def test_one_wave_budget_runs_every_start(self, monkeypatch, solve, k, m):
+        # a budget of at most 16 is one wave: the same result, counters included,
+        # as one lock-step run of all its starts
+        for budget in (2, 9, 16):
+            cfg = SolverConfig(multistarts=budget, seed=3)
+            got = solve(k, m, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(minimax, "WAVE", 10**9)
+                want = solve(k, m, cfg)
+            assert got == want and sum(got.slsqp_status.values()) == budget
+            assert ((got.slsqp_status, got.slsqp_calls, got.slsqp_rounds)
+                    == (want.slsqp_status, want.slsqp_calls, want.slsqp_rounds))
+
+    def test_stopped_run_is_the_run_of_its_starts(self):
+        # (3, 6) at seed 0 stops after 16 of its 64 starts; the draws do not depend
+        # on the budget, so the result is that of a budget of 16
+        got = diagonal_constant(3, 6, SolverConfig(seed=0))
+        want = diagonal_constant(3, 6, SolverConfig(multistarts=16, seed=0))
+        assert got == want and sum(got.slsqp_status.values()) == 16
+        assert (got.slsqp_calls, got.slsqp_rounds) == (want.slsqp_calls, want.slsqp_rounds)
+
+    @pytest.mark.parametrize("m,seed", [(6, 0), (10, 0), (10, 2), (10, 4), (11, 7)])
+    def test_keeps_the_full_budget_value(self, monkeypatch, m, seed):
+        # a share of 1/5 stopped these rows after 16 starts in a worse basin, by up to
+        # 4.8e-3 at (2, 6): here 4 to 7 of the first 16 starts share a peak the
+        # full budget beats
+        got = diagonal_constant(2, m, SolverConfig(seed=seed))
+        with monkeypatch.context() as patch:
+            patch.setattr(minimax, "WAVE", 10**9)
+            full = diagonal_constant(2, m, SolverConfig(seed=seed))
+        assert got.value <= full.value * (1 + 1e-9)
+
+
 class TestDiagonalM1:
     @pytest.mark.parametrize("k", range(2, 9))
     def test_exact_closed_form(self, k):
@@ -540,7 +667,7 @@ class TestGeneralM2Plus:
 
         def recording(S, k):
             out = real(S, k)
-            nits.extend(out[3].tolist())
+            nits.extend(out[4].tolist())
             return out
 
         monkeypatch.setattr(minimax, "_polish", recording)
@@ -584,7 +711,7 @@ class TestDiagonalM2Plus:
 
         def recording(S, k):
             out = real(S, k)
-            nits.extend(out[3].tolist())
+            nits.extend(out[4].tolist())
             return out
 
         monkeypatch.setattr(minimax, "_polish", recording)
