@@ -4,8 +4,9 @@ A weight vector on {0,...,m} corresponds to a step function with m+1 equal
 cells tiling the support (-1/(2k), 1/(2k)), and the k-fold peak of any such
 vector w bounds C_k <= k(m+1) max(w^{*k}).  Row m holds the result of
 ``diagonal_constant(k, m, cfg)``, the solve ``convmax solve --mode diagonal``
-runs, and no row depends on another.  The m = 1 row uses the exact closed
-form and is a proven bound.  Rows for m >= 2 are float estimates: k(m+1)
+runs, and no row depends on another.  A row whose solve is exact, the
+m = 1 row (its ``value_exact``, the envelope minimum, equal to the closed
+form), is a proven bound.  Rows for m >= 2 are float estimates: k(m+1)
 times the float peak of the solve's factor, not re-evaluated in exact
 arithmetic, so rounding is not yet excluded.  The step-function export reads
 a row's factor.  This module never claims a value for C_k itself; the known
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
-from .constants import optimal_constant
 from .minimax import MinimaxResult, SolverConfig, diagonal_constant
 
 #: Known lower bound for the k = 2 continuous constant (literature value).
@@ -40,8 +40,9 @@ class BoundRow:
 
     @property
     def cbar(self) -> Union[Fraction, float]:
-        """The estimate of Cbar_{k,m}: the exact closed form at m = 1, else the solve's value."""
-        return optimal_constant(self.result.k) if self.m == 1 else self.result.value
+        """The estimate of Cbar_{k,m}: the solve's exact value where it has one, else its float."""
+        exact = self.result.value_exact
+        return self.result.value if exact is None else exact
 
     @property
     def upper_bound(self) -> Union[Fraction, float]:

@@ -29,18 +29,9 @@ together, each with its own core state and work arrays: a round calls the
 core once per unfinished start, then answers every request for constraint
 values with one batched evaluation and every request for the Jacobian with
 one batched build.  At most ``BLOCK_ENTRIES`` work-array entries of SLSQP
-starts are in flight; a longer wave runs in chunks, in order.  The solve
-bounds each weight by w >= 0 and leaves t free.  It poses no bound w <= 1:
-the factor's row sum(w) = 1 with w >= 0 implies it, and the core would turn
-every finite bound into one more inequality row of each QP step.  Without
-that bound the points the core asks to evaluate can leave the simplex: its
-line-search trial points do, with sum(w) off by up to 3.7e3 at (k, m) =
-(100, 3), where their folds overflow float64.  ``_lockstep`` runs under one
-``np.errstate`` that keeps the overflow silent, and reports each non-finite
-constraint value or Jacobian entry as the finite violation
--``OVERFLOW_VIOLATION``, so the core backtracks.  On each Jacobian request
-it writes the block of factor j as the ``_toeplitz`` view of the fold of
-the other factors: the matrix that fold multiplies factor j by.  The
+starts are in flight; a longer wave runs in chunks, in order.
+``_lockstep`` poses the problem: the layout of x, the constraint rows and
+the bounds, and the core's state and work arrays (``_work_sizes``).  The
 module imports numpy (never ``numpy.random`` or ``numpy.fft``) and the
 top-level ``scipy`` package only: ``_load_slsqp_core`` loads the core's
 extension straight from its file, since ``import scipy.optimize`` would add
@@ -100,7 +91,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 # the top-level package only: _load_slsqp_core loads the one compiled extension
@@ -143,7 +134,7 @@ _slsqp_core = _load_slsqp_core()
 def __getattr__(name):
     # minimize and linprog are never called here.  They resolve from
     # scipy.optimize on first access only because the benchmark tracer
-    # (perfbench/tracer.py) reads both; they go away with ROADMAP item 1's
+    # (perfbench/tracer.py) reads both; they go away with ROADMAP item 25's
     # benchmark change.
     if name in ("minimize", "linprog"):
         import scipy.optimize
@@ -237,14 +228,14 @@ def _toeplitz(a: np.ndarray, lb: int) -> np.ndarray:
     V reads a copy of a with lb - 1 zeros on each side: la + 2(lb - 1) entries
     a row, which callers that block rows budget.  ``np.ndarray(shape, dtype,
     buffer, offset, strides)`` builds it; ``as_strided`` only where there is
-    no buffer to view: object items, or no rows.
+    no buffer to view: object items.
     """
     la = a.shape[-1]
     pad = np.zeros(a.shape[:-1] + (la + 2 * (lb - 1),), dtype=a.dtype)
     pad[..., lb - 1:lb - 1 + la] = a
     step = pad.strides[-1]
     shape, strides = pad.shape[:-1] + (la + lb - 1, lb), pad.strides[:-1] + (step, -step)
-    if a.dtype == object or not pad.size:
+    if a.dtype == object:
         return np.lib.stride_tricks.as_strided(pad[..., lb - 1:], shape, strides)
     return np.ndarray(shape, a.dtype, pad, (lb - 1) * step, strides)
 
@@ -330,71 +321,37 @@ SLSQP_ACC = 1e-14
 SLSQP_MAXITER = 300
 
 
-class _EpigraphSetup(NamedTuple):
-    """Everything the SLSQP solve of a (k, r, m) epigraph problem needs but its start.
+def _work_sizes(k: int, r: int, m: int) -> Tuple[int, int, int, int, int]:
+    """Sizes of ``_lockstep``'s epigraph problem with r factors of m + 1 weights.
 
-    Each start copies ``C`` and gets its own work arrays of the given sizes.
+    Returns n and n_con, the lengths of x and of the constraint vector; the
+    lengths of the core's float buffer and of its int work array (also that
+    of its multipliers), scipy's (>= 1.16) for this problem; and the
+    work-array entries of one start: x, d, C, multipliers, ints and buffer.
     """
-    xl: np.ndarray           # lower bounds of x = (weights, t): 0 per weight, NaN (free) for t
-    xu: np.ndarray           # upper bounds: NaN (none) throughout; sum(w) = 1 implies w <= 1
-    grad: np.ndarray         # gradient of the objective t
-    C: np.ndarray            # constraint Jacobian, Fortran order: r equality rows, then km+1
-                             # inequality rows, zero but for their t column of ones
-    state: Tuple[Tuple[str, float], ...]   # the core's state on entry
-    buffer_size: int
-    index_size: int          # length of the core's int work array and of its multipliers
-    entries: int             # work-array entries of one start: x, d, C, multipliers, ints, buffer
-
-
-def _epigraph_setup(k: int, r: int, m: int) -> _EpigraphSetup:
-    """The start-independent part of the epigraph solve of a (k, r, m) problem.
-
-    The state, bounds and work sizes are the ones ``scipy.optimize.minimize``
-    (scipy >= 1.16) hands the core for this problem with ``ftol`` =
-    ``SLSQP_ACC``, ``maxiter`` = ``SLSQP_MAXITER`` and the bounds of the
-    module docstring: w >= 0 per weight, none on t.
-    """
-    n_w = r * (m + 1)
-    n = n_w + 1
-    meq, mieq = r, k * m + 1
-    n_con = meq + mieq
-    xl, xu = np.append(np.zeros(n_w), np.nan), np.full(n, np.nan)
-    grad = np.zeros(n)
-    grad[-1] = 1.0
-    C = np.zeros((n_con, n), order="F")
-    for j in range(r):
-        C[j, j * (m + 1):(j + 1) * (m + 1)] = 1.0
-    C[r:, -1] = 1.0
-    state = (("acc", SLSQP_ACC), ("alpha", 0.0), ("f0", 0.0), ("gs", 0.0), ("h1", 0.0),
-             ("h2", 0.0), ("h3", 0.0), ("h4", 0.0), ("t", 0.0), ("t0", 0.0),
-             ("tol", 10.0 * SLSQP_ACC), ("exact", 0), ("inconsistent", 0), ("reset", 0),
-             ("iter", 0), ("itermax", SLSQP_MAXITER), ("line", 0), ("m", n_con),
-             ("meq", meq), ("mode", 0), ("n", n))
+    n = r * (m + 1) + 1
+    meq, n_con = r, r + k * m + 1
     # scipy's worst-case workspace for SLSQP, LSQ, LSEI, LDP and NNLS together (mieq > 0)
     buffer_size = (n * (n + 1) // 2 + 3 * n_con * n - (n_con + 5 * n + 7) * meq + 9 * n_con
                    + 8 * n * n + 35 * n + meq * meq + 28)
     index_size = n_con + 2 * n + 2
-    entries = n + n_con + n * n_con + 2 * index_size + buffer_size
-    return _EpigraphSetup(xl, xu, grad, C, state, buffer_size, index_size, entries)
+    return n, n_con, buffer_size, index_size, n + n_con + n * n_con + 2 * index_size + buffer_size
 
 
 def _polish(S: np.ndarray, k: int):
     """SLSQP on the epigraph form from the starts S, in waves, until the best peak is settled.
 
-    Each start solves min t s.t. (f_1*...*f_k)_i <= t, f_j in simplex.  The
-    starts S are a (B, r, m + 1) float array, a budget of B starts: r = 1
-    factor per start in diagonal mode (used k times), r = k in general mode.
-    Start b's x = (its r factors, t) starts from S[b], clipped to w >= 0, and
-    its peak.  The starts run in waves of ``WAVE``, in start order.  After
-    each wave, with n starts run and p* their least peak (NaN peaks
-    ignored), the run stops once at least ``SETTLED_SHARE`` * n of them peak
-    at most p* (1 + 1e-9); a wave of NaN peaks only never stops it.  Within
-    a wave the starts run in ``_lockstep``, at most ``BLOCK_ENTRIES`` //
-    ``_EpigraphSetup.entries`` of them (at least one) at once, in chunks in
-    order; the stop test reads whole waves only, so the chunk size never
-    moves the result.  A budget of at most ``WAVE`` starts runs them all.
-    The core's inputs are those of ``minimize(method="SLSQP")``, so the
-    iterates, nit and exit mode are bit-identical to it given the same fold.
+    The starts S are a (B, r, m + 1) float array, a budget of B starts: r = 1
+    factor per start in diagonal mode (used k times), r = k in general mode;
+    ``_lockstep`` poses and solves each start's problem.  The starts run in
+    waves of ``WAVE``, in start order.  After each wave, with n starts run
+    and p* their least peak (NaN peaks ignored), the run stops once at least
+    ``SETTLED_SHARE`` * n of them peak at most p* (1 + 1e-9); a wave of NaN
+    peaks only never stops it.  Within a wave the starts run in
+    ``_lockstep``, at most ``BLOCK_ENTRIES`` // (one start's entries, from
+    ``_work_sizes``) of them (at least one) at once, in chunks in order; the
+    stop test reads whole waves only, so the chunk size never moves the
+    result.  A budget of at most ``WAVE`` starts runs them all.
 
     Returns, in start order for the starts that ran, the final weights W
     (n, r, m + 1), clipped to w >= 0 and each factor normalised to sum 1;
@@ -402,11 +359,10 @@ def _polish(S: np.ndarray, k: int):
     the SLSQP exit modes (0 on success) and nit, one int per start; then the
     core calls and the lock-step rounds, summed over chunks.
     """
-    setup = _epigraph_setup(k, S.shape[1], S.shape[2] - 1)
-    chunk = max(1, BLOCK_ENTRIES // setup.entries)
+    chunk = max(1, BLOCK_ENTRIES // _work_sizes(k, S.shape[1], S.shape[2] - 1)[-1])
     runs = []
     for wave in (S[w:w + WAVE] for w in range(0, len(S), WAVE)):
-        runs += [_lockstep(wave[i:i + chunk], k, setup) for i in range(0, len(wave), chunk)]
+        runs += [_lockstep(wave[i:i + chunk], k) for i in range(0, len(wave), chunk)]
         peaks = np.concatenate([run[2] for run in runs])
         found = peaks[~np.isnan(peaks)]     # np.nanmin warns when every peak is NaN
         if found.size and (np.count_nonzero(found <= found.min() * (1 + 1e-9))
@@ -425,8 +381,20 @@ def _finite(a: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup):
+def _lockstep(S: np.ndarray, k: int):
     """``_polish`` on one chunk: the starts S, a (B, r, m + 1) array, in lock-step.
+
+    Each start b solves min t s.t. (f_1*...*f_k)_i <= t, f_j in simplex, with
+    the inputs ``minimize(method="SLSQP")`` (scipy >= 1.16) gives the core
+    for it at ``ftol`` = ``SLSQP_ACC`` and ``maxiter`` = ``SLSQP_MAXITER``,
+    both read when the function runs; so the iterates, nit and exit mode are
+    ``minimize``'s given the same fold.  x = (f_1, ..., f_r, t) starts from
+    S[b], clipped to w >= 0, and its peak.  The objective is t.  The
+    constraints are r equality rows sum(f_j) - 1 = 0, then km + 1 inequality
+    rows t - (f_1*...*f_k)_i >= 0.  Each weight is bounded by w >= 0 and t is
+    free.  There is no bound w <= 1: sum(w) = 1 with w >= 0 implies it, and
+    the core would turn every finite bound into one more inequality row of
+    each QP step.  ``_work_sizes`` gives the array sizes.
 
     This is scipy's own SLSQP driver loop, cut to this problem: each start
     keeps its own core state, x, d, C, multipliers, buffer and int work
@@ -448,11 +416,13 @@ def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup):
     does not depend on the rows beside it, so a start takes the same
     iterates alone or in any batch.
 
-    A point the core asks about can lie far off the simplex, and at large k its
-    folds overflow (inf, or NaN from inf * 0).  Such a fold warns nothing: the
-    call runs under one ``np.errstate``, and each non-finite constraint value or
-    Jacobian entry is reported as -``OVERFLOW_VIOLATION``, a finite, very large
-    violation, so the core backtracks.  Finite entries keep their bits.
+    Without a bound w <= 1 the points the core asks about can leave the
+    simplex: its line-search trial points do, with sum(w) off by up to 3.7e3
+    at (k, m) = (100, 3), and at large k their folds overflow (inf, or NaN
+    from inf * 0).  Such a fold warns nothing: the call runs under one
+    ``np.errstate``, and each non-finite constraint value or Jacobian entry
+    is reported as -``OVERFLOW_VIOLATION``, a finite, very large violation,
+    so the core backtracks.  Finite entries keep their bits.
 
     Returns ``_polish``'s five arrays for these starts, the core calls and
     the lock-step rounds.
@@ -461,18 +431,20 @@ def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup):
     # the factors left in the fold when one copy of factor j is dropped: the one
     # factor itself in diagonal mode (``W[:, None]``, a view), else the k - 1 others
     others = None if r == 1 else np.array([[i for i in range(r) if i != j] for j in range(r)])
-    n_con, n = setup.C.shape
+    n, n_con, buffer_size, index_size, _ = _work_sizes(k, r, m1 - 1)
     X = np.empty((B, n))
     X[:, :-1] = np.maximum(S.reshape(B, -1), 0.0)
     X[:, -1] = _profiles(S, k).max(axis=1)
-    # Cs[b].T is start b's copy of C, in the Fortran order the core reads
-    Cs = np.empty((B, n, n_con))
-    Cs[:] = setup.C.T
+    # Cs[b].T is start b's C, in the Fortran order the core reads: the equality
+    # rows, then the inequality rows with their t column of ones
+    Cs = np.zeros((B, n, n_con))
+    Cs[:, :-1, :r] = np.repeat(np.eye(r), m1, axis=0)
+    Cs[:, -1, r:] = 1.0
     blocks = Cs[:, :-1].reshape(B, r, m1, n_con)   # a view: blocks[b, j] are factor j's columns
     D = np.empty((B, n_con))
-    mult = np.zeros((B, setup.index_size))
-    ints = np.zeros((B, setup.index_size), dtype=np.int32)
-    buffer = np.zeros((B, setup.buffer_size))
+    mult = np.zeros((B, index_size))
+    ints = np.zeros((B, index_size), dtype=np.int32)
+    buffer = np.zeros((B, buffer_size))
     fx = np.empty(B)        # each start's objective t at its last evaluation
 
     def evaluate(rows):
@@ -493,9 +465,15 @@ def _lockstep(S: np.ndarray, k: int, setup: _EpigraphSetup):
     live = list(range(B))
     gradient(live)
     evaluate(live)
-    states = [dict(setup.state) for _ in range(B)]
+    states = [dict(acc=SLSQP_ACC, alpha=0.0, f0=0.0, gs=0.0, h1=0.0, h2=0.0, h3=0.0, h4=0.0,
+                   t=0.0, t0=0.0, tol=10.0 * SLSQP_ACC, exact=0, inconsistent=0, reset=0,
+                   iter=0, itermax=SLSQP_MAXITER, line=0, m=n_con, meq=r, mode=0, n=n)
+              for _ in range(B)]
     views = [(states[b], Cs[b].T, D[b], X[b], mult[b], buffer[b], ints[b]) for b in range(B)]
-    core, grad, xl, xu = _slsqp_core, setup.grad, setup.xl, setup.xu
+    grad = np.zeros(n)
+    grad[-1] = 1.0
+    xl, xu = np.append(np.zeros(n - 1), np.nan), np.full(n, np.nan)    # NaN: no bound
+    core = _slsqp_core
     calls, rounds = 0, 0
     while live:
         rounds += 1

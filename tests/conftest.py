@@ -282,7 +282,7 @@ def undercut_m2(monkeypatch):
 
     def undercut(k, m, cfg):
         res = solve(k, 1, cfg)
-        return res if m == 1 else dataclasses.replace(res, m=m, value=0.1,
+        return res if m == 1 else dataclasses.replace(res, m=m, value=0.1, value_exact=None,
                                                       argument=[[1 / 3] * 3])
 
     monkeypatch.setattr(convmax.continuous, "diagonal_constant", undercut)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -10,6 +11,7 @@ from convmax.continuous import (
     step_function_export,
     upper_bound_sequence,
 )
+import convmax.continuous as continuous
 import convmax.minimax as minimax
 from convmax.minimax import SolverConfig
 
@@ -109,6 +111,20 @@ class TestSerialization:
         assert data["k"] == 2
         assert data["rows"][0]["upper_bound"] == "16/9"
         assert data["rows"][1]["converged"] is True
+
+    def test_exact_row_renders_as_fraction(self, monkeypatch):
+        # any row whose solve carries value_exact renders it, not only m = 1
+        solve = continuous.diagonal_constant
+
+        def exact_m2(k, m, cfg):
+            res = solve(k, 1, cfg)
+            return res if m == 1 else dataclasses.replace(
+                res, m=m, value=64 / 225, value_exact=Fraction(64, 225))
+
+        monkeypatch.setattr(continuous, "diagonal_constant", exact_m2)
+        row = upper_bound_sequence(2, 2).to_dict()["rows"][1]
+        assert (row["cbar"], row["upper_bound"]) == ("64/225", "128/75")
+        assert row["upper_bound_decimal"] == 128 / 75
 
     def test_csv(self):
         table = upper_bound_sequence(2, 2, FAST)
